@@ -3,9 +3,12 @@
 Starting from three validated point pairs, every unordered pair of pairs is
 combined exactly once: the like-joins and cross-joins of the four points are
 intersected to produce a new pair, which is deduplicated by canonical key.
-All points land on one cubic (or, in degenerate torsion configurations, on
-every cubic through the bootstrap points); this is asserted at admission
-time.  Output is deterministic regardless of internal scheduling.
+Each generation combines only the pairs admitted in the one before with all
+pairs, since older pairs have already met.  All points land on one cubic
+(or, in degenerate torsion configurations, on every cubic through the
+bootstrap points).  This is asserted at admission time, once per new point
+and distinct cubic; a duplicate child is never re-checked.  Output is
+deterministic regardless of internal scheduling.
 """
 
 from __future__ import annotations
@@ -26,12 +29,17 @@ from .errors import (
     InvariantViolation,
     NotOnCurve,
     SharedPoint,
+    ValidationError,
+    brief,
 )
 from .involution import is_complete_quadrilateral_pairing
-from .projective import ProjLine, ProjPoint, all_collinear, join, meet
+from .projective import ProjPoint, all_collinear, cross, join, meet
 
 DEFAULT_MAX_POINTS = 512
 DEFAULT_MAX_GENERATIONS = 16
+# The bootstrap is never capped: it admits the seed and up to three derived
+# pairs, 6 pairs in all.
+MIN_MAX_POINTS = 12
 
 PairKey = tuple[tuple[int, int, int], tuple[int, int, int]]
 
@@ -122,26 +130,27 @@ def validate_seed(
     return SeedConfig(pair_a, pair_b, pair_c)
 
 
-def combine_with_lines(p: PointPair, q: PointPair):
-    """Combine two pairs; returns the new pair and the four joining lines."""
-    if set(p.points) & set(q.points):
-        raise SharedPoint(f"pairs {p} and {q} share a point")
-    like_1 = join(p.first, q.first)
-    like_2 = join(p.second, q.second)
-    cross_1 = join(p.first, q.second)
-    cross_2 = join(p.second, q.first)
-    if like_1 == like_2 or cross_1 == cross_2:
-        raise DegenerateLines(f"joining lines of {p} and {q} coincide")
-    s = meet(like_1, like_2)
-    sbar = meet(cross_1, cross_2)
-    if s == sbar:
-        raise DegenerateLines(f"both meets of {p} and {q} coincide at {s}")
-    return PointPair.of(s, sbar), (like_1, like_2, cross_1, cross_2)
-
-
 def combine(p: PointPair, q: PointPair) -> PointPair:
-    """The pair {like-join meet, cross-join meet} of two disjoint pairs."""
-    return combine_with_lines(p, q)[0]
+    """The pair {like-join meet, cross-join meet} of two disjoint pairs.
+
+    Joins and meets are raw cross products; only the two meets are brought
+    to canonical form.  The four points are distinct, so every join is
+    nonzero, and a zero meet means its two joining lines coincide.
+    """
+    if p.first in q or p.second in q:
+        raise SharedPoint(f"pairs {brief(p)} and {brief(q)} share a point")
+    a, abar = p.first.coords, p.second.coords
+    b, bbar = q.first.coords, q.second.coords
+    s = cross(cross(a, b), cross(abar, bbar))
+    sbar = cross(cross(a, bbar), cross(abar, b))
+    if not any(s) or not any(sbar):
+        raise DegenerateLines(f"joining lines of {brief(p)} and {brief(q)} coincide")
+    s, sbar = ProjPoint(s), ProjPoint(sbar)
+    if s == sbar:
+        raise DegenerateLines(
+            f"both meets of {brief(p)} and {brief(q)} coincide at {brief(s)}"
+        )
+    return PointPair.of(s, sbar)
 
 
 @dataclass(frozen=True)
@@ -192,21 +201,27 @@ class Derivation:
     child: PairKey | None
     status: str  # "new" | "duplicate" | "skipped"
     reason: str | None = None
-    lines: tuple[ProjLine, ...] | None = None
 
 
 @dataclass
 class ConstructionState:
-    """Result of a construction run."""
+    """Result of a construction run.
+
+    `frontier` counts the combinations of the final pairs that were never
+    attempted; the run is closed when there are none.
+    """
 
     seed: SeedConfig
     pairs: tuple[PointPair, ...]
     curve: Cubic | None
     curve_basis: tuple[Cubic, ...]
-    closed: bool
     generations: int
+    frontier: int
     provenance: list[Derivation] = field(default_factory=list)
-    frontier: tuple[tuple[PairKey, PairKey], ...] = ()
+
+    @property
+    def closed(self) -> bool:
+        return self.frontier == 0
 
     @property
     def points(self) -> tuple[ProjPoint, ...]:
@@ -227,18 +242,17 @@ class _Workspace:
         self.point_owner: dict[ProjPoint, PairKey] = {}
 
     def admit(self, pair: PointPair):
-        if pair.key in self.pairs:
-            return False
+        """Add a pair whose key is new; its points must be new as well."""
         for p in pair.points:
             owner = self.point_owner.get(p)
             if owner is not None:
                 raise InvariantViolation(
-                    f"point {p} of {pair} already belongs to pair {self.pairs[owner]}"
+                    f"point {brief(p)} of {brief(pair)} already belongs to "
+                    f"pair {brief(self.pairs[owner])}"
                 )
         self.pairs[pair.key] = pair
         for p in pair.points:
             self.point_owner[p] = pair.key
-        return True
 
     @property
     def point_count(self) -> int:
@@ -255,18 +269,30 @@ def run(
 ) -> ConstructionState:
     """Breadth-first closure of the pair-combination construction.
 
-    Every unordered pair of pairs is combined exactly once; children are
-    deduplicated by canonical key and admitted in canonical order, so two
-    runs produce identical output no matter how the internal worklist is
-    ordered (`scheduler_seed` shuffles it to prove the point).  Each new
-    point is asserted to lie on every cubic through the bootstrap points,
-    and on `curve` when one is supplied.  The run stops when no combination
-    is pending (closed) or when a cap is reached (not closed).
+    Every unordered pair of pairs is combined exactly once: a generation
+    combines the pairs admitted in the one before with all pairs.  Children
+    are deduplicated by canonical key before anything else and admitted in
+    canonical order, so two runs produce identical output no matter how the
+    internal worklist is ordered (`scheduler_seed` shuffles it to prove the
+    point).  Each admitted point is asserted, once per distinct cubic, to lie
+    on every cubic through the bootstrap points and on `curve` when one is
+    supplied; a duplicate is never re-checked.  The run stops when no
+    combination is pending (closed) or when a cap is reached (not closed);
+    `frontier` counts the combinations left unattempted.
+
+    The bootstrap is never capped and admits up to 6 pairs, so `max_points`
+    must be at least 12; `max_generations` must not be negative.
     """
+    if max_points < MIN_MAX_POINTS:
+        raise ValidationError(
+            f"max_points must be at least {MIN_MAX_POINTS}, got {max_points}: the "
+            f"bootstrap always admits up to 6 pairs ({MIN_MAX_POINTS} points)"
+        )
+    if max_generations < 0:
+        raise ValidationError(f"max_generations must not be negative, got {max_generations}")
     rng = random.Random(scheduler_seed) if scheduler_seed is not None else None
     ws = _Workspace()
     provenance: list[Derivation] = []
-    visited: set[tuple[PairKey, PairKey]] = set()
 
     for pair in seed.pairs:
         ws.admit(pair)
@@ -274,27 +300,24 @@ def run(
     def combo_key(k1: PairKey, k2: PairKey):
         return (k1, k2) if k1 <= k2 else (k2, k1)
 
-    def process(k1: PairKey, k2: PairKey) -> bool:
-        """Combine one pending pair of pairs; returns True if a pair was admitted."""
-        visited.add(combo_key(k1, k2))
-        p, q = ws.pairs[k1], ws.pairs[k2]
+    def process(k1: PairKey, k2: PairKey):
+        """Combine one pending pair of pairs and record the outcome."""
         parents = (k1, k2)
         try:
-            child, lines = combine_with_lines(p, q)
-        except (SharedPoint, DegenerateLines, IdenticalPoints) as exc:
+            child = combine(ws.pairs[k1], ws.pairs[k2])
+        except (SharedPoint, DegenerateLines) as exc:
             provenance.append(Derivation(parents, None, "skipped", type(exc).__name__))
-            return False
-        if curve_checks:
-            for point in child.points:
-                if not _on_all(curve_checks, point):
-                    raise InvariantViolation(
-                        f"constructed point {point} is off the construction cubic"
-                    )
-        if ws.admit(child):
-            provenance.append(Derivation(parents, child.key, "new", None, lines))
-            return True
-        provenance.append(Derivation(parents, child.key, "duplicate", None, lines))
-        return False
+            return
+        if child.key in ws.pairs:
+            provenance.append(Derivation(parents, child.key, "duplicate"))
+            return
+        for point in child.points:
+            if not _on_all(curve_checks, point):
+                raise InvariantViolation(
+                    f"constructed point {brief(point)} is off the construction cubic"
+                )
+        ws.admit(child)
+        provenance.append(Derivation(parents, child.key, "new"))
 
     # Bootstrap: combine the three seed pairs among themselves, then pin the
     # curve family through everything derived so far.
@@ -310,24 +333,23 @@ def run(
     if curve is not None:
         for point in pool:
             if evaluate(curve, point) != 0:
-                raise NotOnCurve(f"bootstrap point {point} is not on the supplied curve")
-        curve_checks = basis + (curve,)
-    else:
-        curve_checks = basis
+                raise NotOnCurve(f"bootstrap point {brief(point)} is not on the supplied curve")
     for point in pool:
         if not _on_all(basis, point):
             raise InvariantViolation("bootstrap point misses its own fitted family")
+    curve_checks = basis if curve is None or curve in basis else basis + (curve,)
 
     unique = basis[0] if len(basis) == 1 else curve
     generation = 0
+    met = len(seed_keys)  # the first `met` pairs have all been combined with each other
     capped = ws.point_count >= max_points
 
     while not capped and generation < max_generations:
-        pending = [
-            combo_key(k1, k2)
-            for k1, k2 in combinations(ws.pairs.keys(), 2)
-            if combo_key(k1, k2) not in visited
-        ]
+        keys = list(ws.pairs)
+        old, fresh = keys[:met], keys[met:]
+        met = len(keys)
+        pending = [combo_key(k1, k2) for k1 in fresh for k2 in old]
+        pending += [combo_key(k1, k2) for k1, k2 in combinations(fresh, 2)]
         if not pending:
             break
         if rng is not None:
@@ -340,21 +362,14 @@ def run(
                 break
             process(k1, k2)
 
-    remaining = [
-        combo_key(k1, k2)
-        for k1, k2 in combinations(ws.pairs.keys(), 2)
-        if combo_key(k1, k2) not in visited
-    ]
-    closed = not remaining
-
+    count = len(ws.pairs)
     ordered = tuple(ws.pairs[k] for k in sorted(ws.pairs.keys()))
     return ConstructionState(
         seed=seed,
         pairs=ordered,
         curve=unique,
         curve_basis=basis,
-        closed=closed,
         generations=generation,
+        frontier=count * (count - 1) // 2 - len(provenance),
         provenance=provenance,
-        frontier=tuple(sorted(remaining)),
     )

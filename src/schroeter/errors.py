@@ -1,4 +1,14 @@
-"""Exception hierarchy.  The three branches map to CLI exit codes."""
+"""Exception hierarchy.  The three branches map to CLI exit codes.
+
+Messages name the points involved through `brief`, so they stay short
+even when coordinates run to thousands of digits.
+"""
+
+
+def brief(value, width: int = 48) -> str:
+    """str(value), cut to `width` characters with a trailing "..."."""
+    text = str(value)
+    return text if len(text) <= width else text[: width - 3] + "..."
 
 
 class SchroeterError(Exception):

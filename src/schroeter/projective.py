@@ -67,7 +67,9 @@ def _canon(triple) -> Triple:
     return (x, y, z)
 
 
-def _cross(u, v) -> Triple:
+def cross(u, v) -> Triple:
+    """The cross product of two integer triples, not canonicalized: the join
+    of two points or the meet of two lines, zero when the two coincide."""
     return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
@@ -147,14 +149,14 @@ def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The line through two distinct points."""
     if p == q:
         raise IdenticalPoints(f"cannot join {p} with itself")
-    return ProjLine(_cross(p.coords, q.coords))
+    return ProjLine(cross(p.coords, q.coords))
 
 
 def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
     """The intersection point of two distinct lines (may be at infinity)."""
     if l == m:
         raise IdenticalLines(f"cannot intersect {l} with itself")
-    return ProjPoint(_cross(l.coeffs, m.coeffs))
+    return ProjPoint(cross(l.coeffs, m.coeffs))
 
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:

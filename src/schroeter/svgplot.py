@@ -138,7 +138,10 @@ def _tangent_segment(canvas: _Canvas, cubic: Cubic, point):
         line = tangent_at(cubic, point)
     except SchroeterError:
         return
-    u, v, w = line.coeffs
+    # Scale into [-1, 1] exactly before going to floats: the integer
+    # coefficients can exceed the float range.
+    scale = max(abs(c) for c in line.coeffs)
+    u, v, w = (float(Fraction(c, scale)) for c in line.coeffs)
     hits = []
     for x in (canvas.xmin, canvas.xmax):
         if v:

@@ -22,6 +22,7 @@ from .errors import (
     HypothesisFailed,
     InvariantViolation,
     ValidationError,
+    brief,
 )
 from .weierstrass import (
     TWO_TORSION,
@@ -81,11 +82,6 @@ def _pair_by_key(state: ConstructionState):
     return {pair.key: pair for pair in state.pairs}
 
 
-def _short(pair) -> str:
-    text = pair.label
-    return text if len(text) <= 48 else text[:45] + "..."
-
-
 def _suite_chasles(state: ConstructionState, report: VerificationReport):
     by_key = _pair_by_key(state)
     for derivation in state.provenance:
@@ -106,7 +102,7 @@ def _suite_chasles(state: ConstructionState, report: VerificationReport):
             break
         if third is None:
             continue
-        name = f"hexagon {_short(pa)} / {_short(pb)} / {_short(third)}"
+        name = f"hexagon {brief(pa.label)} / {brief(pb.label)} / {brief(third.label)}"
         for basis_curve in state.curve_basis:
             try:
                 ok = chasles_check(
@@ -129,7 +125,7 @@ def _suite_chasles(state: ConstructionState, report: VerificationReport):
 
 def _suite_pair_tangents(state, report, cubic):
     for pair in state.pairs:
-        name = f"tangential points of {_short(pair)}"
+        name = f"tangential points of {brief(pair.label)}"
         try:
             t1 = tangent_third(cubic, pair.first)
             t2 = tangent_third(cubic, pair.second)
@@ -177,7 +173,7 @@ def _suite_chords(state, report, curve: WeierstrassCurve, limit):
         if checked >= limit:
             break
         a, abar = pair.points
-        name = f"chord through {_short(pair)}"
+        name = f"chord through {brief(pair.label)}"
         try:
             b = third_intersection(curve.cubic, a, abar)
             if b in (a, abar):

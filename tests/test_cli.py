@@ -90,6 +90,15 @@ class TestConstruct:
         assert report["point_count"] == 100
         assert report["closed"] is False
 
+    @pytest.mark.parametrize(
+        "command, caps",
+        [("construct", ["--max-points", "5"]), ("construct", ["--max-points", "0"]),
+         ("construct", ["--max-generations", "-1"]), ("verify", ["--max-points", "-4"])],
+    )
+    def test_caps_rejected(self, torsion_seed_file, capsys, command, caps):
+        assert main([command, "--seed", str(torsion_seed_file), *caps]) == 1
+        assert "must" in capsys.readouterr().err
+
     def test_malformed_seed(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,7 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from schroeter import engine
 from schroeter.cubic import evaluate, normalized_frame_cubic
 from schroeter.engine import (
     PointPair,
@@ -17,7 +19,9 @@ from schroeter.errors import (
     DuplicatePoints,
     FourCollinear,
     IdenticalPoints,
+    InvariantViolation,
     SharedPoint,
+    ValidationError,
 )
 from schroeter.projective import ProjPoint
 from schroeter.weierstrass import subgroup_generated
@@ -98,6 +102,35 @@ class TestCombine:
     def test_degenerate_lines(self):
         with pytest.raises(DegenerateLines):
             combine(PointPair.of(pt(0, 0), pt(1, 0)), PointPair.of(pt(2, 0), pt(3, 0)))
+
+    def test_messages_stay_short_for_huge_coordinates(self, monkeypatch, golden_frame_seed):
+        huge = 10**10_000
+        far = PointPair.of(ProjPoint((huge, 1, 1)), ProjPoint((huge + 1, 1, 1)))
+        messages = []
+        with pytest.raises(SharedPoint) as exc:
+            combine(far, far)
+        messages.append(str(exc.value))
+        with pytest.raises(DegenerateLines) as exc:
+            combine(PointPair.of(ProjPoint((huge, 0, 1)), pt(1, 0)), PointPair.of(pt(2, 0), pt(3, 0)))
+        messages.append(str(exc.value))
+        workspace = engine._Workspace()
+        workspace.admit(far)
+        with pytest.raises(InvariantViolation) as exc:
+            workspace.admit(PointPair.of(far.first, pt(0, 0)))
+        messages.append(str(exc.value))
+        # after the three bootstrap combinations, every child is off the curve
+        calls = []
+
+        def off_curve_after_bootstrap(p, q):
+            calls.append(None)
+            return combine(p, q) if len(calls) <= 3 else far
+
+        monkeypatch.setattr(engine, "combine", off_curve_after_bootstrap)
+        with pytest.raises(InvariantViolation) as exc:
+            run(golden_frame_seed, max_points=24)
+        messages.append(str(exc.value))
+        assert "off the construction cubic" in messages[-1]
+        assert all(len(m) < 300 for m in messages), [len(m) for m in messages]
 
 
 class TestBootstrap:
@@ -185,3 +218,107 @@ class TestRun:
         seed_keys = {p.key for p in torsion_seed_full.pairs}
         derived = {p.key for p in state.pairs} - seed_keys
         assert derived == set(new_children)
+
+    @pytest.mark.parametrize(
+        "caps", [{"max_points": 0}, {"max_points": -4}, {"max_points": 5}, {"max_points": 11},
+                 {"max_generations": -1}]
+    )
+    def test_caps_rejected(self, golden_frame_seed, caps):
+        with pytest.raises(ValidationError, match="must"):
+            run(golden_frame_seed, **caps)
+
+    def test_smallest_caps(self, golden_frame_seed):
+        assert run(golden_frame_seed, max_points=12).point_count == 12
+        state = run(golden_frame_seed, max_generations=0)
+        assert state.generations == 0 and state.point_count == 10
+
+    def test_each_new_point_checked_once(self, monkeypatch, curve12, curve12_seed):
+        evaluated = []
+
+        def counting(cubic, point):
+            evaluated.append(point)
+            return evaluate(cubic, point)
+
+        monkeypatch.setattr(engine, "evaluate", counting)
+        state = run(curve12_seed, max_points=64, curve=curve12.cubic)
+        # the supplied curve is the fitted one, so it is checked once
+        assert state.curve_basis == (curve12.cubic,)
+        pool = 2 * (3 + sum(d.status == "new" for d in state.provenance[:3]))
+        bootstrap_checks = 2 * pool  # against the supplied curve, then the basis
+        new_pairs = sum(d.status == "new" for d in state.provenance[3:])
+        assert len(evaluated) == bootstrap_checks + 2 * new_pairs
+
+
+def reference_run(seed, max_points, max_generations):
+    """The engine loop as a brute-force rescan, without its on-curve checks:
+    every generation takes all combinations of the current pairs, in sorted
+    order, and skips the visited ones."""
+    pairs = {pair.key: pair for pair in seed.pairs}
+    provenance = []
+    visited = set()
+
+    def combo_key(k1, k2):
+        return (k1, k2) if k1 <= k2 else (k2, k1)
+
+    def unvisited():
+        return sorted(
+            key for key in (combo_key(k1, k2) for k1, k2 in combinations(pairs, 2))
+            if key not in visited
+        )
+
+    def process(k1, k2):
+        visited.add(combo_key(k1, k2))
+        try:
+            child = combine(pairs[k1], pairs[k2])
+        except (SharedPoint, DegenerateLines) as exc:
+            provenance.append(((k1, k2), None, "skipped", type(exc).__name__))
+            return
+        status = "duplicate" if child.key in pairs else "new"
+        pairs.setdefault(child.key, child)
+        provenance.append(((k1, k2), child.key, status, None))
+
+    keys = [pair.key for pair in seed.pairs]
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        process(keys[i], keys[j])
+    generation = 0
+    capped = 2 * len(pairs) >= max_points
+    while not capped and generation < max_generations:
+        pending = unvisited()
+        if not pending:
+            break
+        generation += 1
+        for k1, k2 in pending:
+            if 2 * len(pairs) + 2 > max_points:
+                capped = True
+                break
+            process(k1, k2)
+    remaining = len(unvisited())
+    return provenance, sorted(pairs), remaining == 0, generation, remaining
+
+
+class TestEnumeration:
+    """Incremental enumeration against the brute-force rescan."""
+
+    @pytest.mark.parametrize(
+        "name, max_points, max_generations",
+        [("frame", 120, 16), ("torsion", 512, 16), ("frame", 10_000, 2), ("curve12", 64, 16)],
+    )
+    def test_matches_rescan(self, request, name, max_points, max_generations):
+        seed, curve = {
+            "frame": ("golden_frame_seed", None),
+            "torsion": ("torsion_seed_full", "curve54"),
+            "curve12": ("curve12_seed", "curve12"),
+        }[name]
+        seed = request.getfixturevalue(seed)
+        cubic = request.getfixturevalue(curve).cubic if curve else None
+        state = run(seed, max_points, max_generations, curve=cubic)
+        provenance, keys, closed, generations, frontier = reference_run(
+            seed, max_points, max_generations
+        )
+        assert [(d.parents, d.child, d.status, d.reason) for d in state.provenance] == provenance
+        assert [pair.key for pair in state.pairs] == keys
+        assert (state.closed, state.generations, state.frontier) == (closed, generations, frontier)
+        if name == "torsion":
+            assert closed and frontier == 0
+        else:
+            assert not closed and frontier > 0
