@@ -5,10 +5,10 @@ even when coordinates run to thousands of digits.
 """
 
 
-def brief(value, width: int = 48) -> str:
-    """str(value), cut to `width` characters with a trailing "..."."""
+def brief(value) -> str:
+    """str(value), cut to 48 characters with a trailing "..."."""
     text = str(value)
-    return text if len(text) <= width else text[: width - 3] + "..."
+    return text if len(text) <= 48 else text[:45] + "..."
 
 
 class SchroeterError(Exception):
