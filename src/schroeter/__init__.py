@@ -64,7 +64,6 @@ from .weierstrass import (
     ChartMap,
     WeierstrassCurve,
     add,
-    as_cubic,
     chart_conjugate,
     conjugate_point,
     involution_center_product,

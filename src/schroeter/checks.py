@@ -17,6 +17,7 @@ from .errors import (
     LinesNotDistinct,
     NotCollinear,
     NotOnCurve,
+    brief,
 )
 from .projective import ProjLine, ProjPoint, collinear, join, meet
 from .involution import Involution, conjugate_line
@@ -26,7 +27,7 @@ from .weierstrass import WeierstrassCurve, conjugate_point
 def _require_on(curve: Cubic, *points: ProjPoint):
     for p in points:
         if evaluate(curve, p) != 0:
-            raise NotOnCurve(f"{p} is not on the cubic")
+            raise NotOnCurve(f"{brief(p)} is not on the cubic")
 
 
 def chasles_check(
@@ -96,10 +97,10 @@ def _four_distinct_joins(s: ProjPoint, targets) -> list[ProjLine]:
     lines = []
     for t in targets:
         if t == s:
-            raise LinesNotDistinct(f"{s} coincides with a pair member")
+            raise LinesNotDistinct(f"{brief(s)} coincides with a pair member")
         lines.append(join(s, t))
     if len(set(lines)) != 4:
-        raise LinesNotDistinct(f"joining lines from {s} are not pairwise distinct")
+        raise LinesNotDistinct(f"joining lines from {brief(s)} are not pairwise distinct")
     return lines
 
 
@@ -135,7 +136,7 @@ def chord_tangency_check(curve: WeierstrassCurve, a: ProjPoint, b: ProjPoint) ->
     if len({a, abar, b}) != 3:
         raise NotCollinear("need three distinct collinear points")
     if not collinear(a, abar, b):
-        raise NotCollinear(f"{a}, {abar}, {b} are not collinear")
+        raise NotCollinear(f"{brief(a)}, {brief(abar)}, {brief(b)} are not collinear")
     return tangent_third(curve.cubic, a) == conjugate_point(curve, b)
 
 
@@ -151,7 +152,7 @@ def conjugate_lines_check(
     _require_on(curve, r, *p_pair.points, *q_pair.points, *s_pair.points)
     for pair in (p_pair, q_pair, s_pair):
         if r in pair:
-            raise LinesNotDistinct(f"{r} is a member of {pair}")
+            raise LinesNotDistinct(f"{brief(r)} is a member of {brief(pair)}")
     lines = _four_distinct_joins(r, (*p_pair.points, *q_pair.points))
     inv = Involution(r, (lines[0], lines[1]), (lines[2], lines[3]))
     s, sbar = s_pair.points

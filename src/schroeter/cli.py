@@ -122,11 +122,8 @@ def cmd_fit(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.report:
-        data = serialize.load_json(args.report)
-        pairs = [serialize.pair_from_json(p) for p in data.get("pairs", [])]
-        cubics = [serialize.cubic_from_json(c) for c in data.get("curve_basis", [])]
-        if not cubics and data.get("curve"):
-            cubics = [serialize.cubic_from_json(data["curve"])]
+        pairs, curve, basis = serialize.report_from_json(serialize.load_json(args.report))
+        cubics = basis or ([curve] if curve else [])
         if not cubics:
             raise ValidationError("report carries no curve to check against")
         revalidate_points((p for pair in pairs for p in pair.points), cubics)
@@ -151,9 +148,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    data = serialize.load_json(args.report)
-    pairs = [serialize.pair_from_json(p) for p in data.get("pairs", [])]
-    cubic = serialize.cubic_from_json(data["curve"]) if data.get("curve") else None
+    pairs, cubic, _ = serialize.report_from_json(serialize.load_json(args.report))
     _write(args.out, render_svg(pairs, cubic, tangents=args.tangents))
     print(f"wrote {args.out}")
     return 0

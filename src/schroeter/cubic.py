@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import (
     AmbiguousFit,
@@ -21,31 +20,12 @@ from .errors import (
     NotOnCurve,
     OverconstrainedFit,
     SingularPoint,
+    brief,
 )
-from .projective import ProjLine, ProjPoint, points_on_line
+from .projective import ProjLine, ProjPoint, _as_integers, _canon, points_on_line
 
 # Fixed monomial order for the 10 coefficients.
 MONOMIALS = ("x3", "x2y", "x2z", "xy2", "xyz", "xz2", "y3", "y2z", "yz2", "z3")
-
-
-def _canon_vector(values):
-    fracs = [Fraction(v) for v in values]
-    mult = 1
-    for f in fracs:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        raise ValueError("cubic coefficients must not all vanish")
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(ints)
 
 
 @dataclass(frozen=True)
@@ -55,7 +35,7 @@ class Cubic:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _canon_vector(self.coeffs))
+        object.__setattr__(self, "coeffs", _canon(_as_integers(self.coeffs)))
 
     @classmethod
     def of(cls, coeffs) -> "Cubic":
@@ -91,10 +71,6 @@ def evaluate(cubic: Cubic, point: ProjPoint) -> int:
     return _eval_triple(cubic, point.coords)
 
 
-def contains(cubic: Cubic, point: ProjPoint) -> bool:
-    return evaluate(cubic, point) == 0
-
-
 def gradient(cubic: Cubic, point: ProjPoint) -> tuple[int, int, int]:
     x, y, z = point.coords
     c = cubic.coeffs
@@ -107,10 +83,10 @@ def gradient(cubic: Cubic, point: ProjPoint) -> tuple[int, int, int]:
 def tangent_at(cubic: Cubic, point: ProjPoint) -> ProjLine:
     """Tangent line at a smooth curve point (the gradient of the form)."""
     if evaluate(cubic, point) != 0:
-        raise NotOnCurve(f"{point} is not on the cubic")
+        raise NotOnCurve(f"{brief(point)} is not on the cubic")
     grad = gradient(cubic, point)
     if not any(grad):
-        raise SingularPoint(f"{point} is a singular point of the cubic")
+        raise SingularPoint(f"{brief(point)} is a singular point of the cubic")
     return ProjLine(grad)
 
 
@@ -138,11 +114,11 @@ def third_intersection(cubic: Cubic, p: ProjPoint, q: ProjPoint) -> ProjPoint:
         raise IdenticalPoints("chord endpoints coincide; use tangent_third")
     c3, c2, c1, c0 = _chord_coefficients(cubic, p.coords, q.coords)
     if c3 != 0:
-        raise NotOnCurve(f"{p} is not on the cubic")
+        raise NotOnCurve(f"{brief(p)} is not on the cubic")
     if c0 != 0:
-        raise NotOnCurve(f"{q} is not on the cubic")
+        raise NotOnCurve(f"{brief(q)} is not on the cubic")
     if c2 == 0 and c1 == 0:
-        raise LineComponent(f"the line through {p} and {q} lies on the cubic")
+        raise LineComponent(f"the line through {brief(p)} and {brief(q)} lies on the cubic")
     # restriction is lam*mu*(c2*lam + c1*mu); third root at (c1 : -c2)
     coords = tuple(c1 * a - c2 * b for a, b in zip(p.coords, q.coords))
     return ProjPoint(coords)
@@ -156,7 +132,7 @@ def tangent_third(cubic: Cubic, p: ProjPoint) -> ProjPoint:
     if c2 != 0:
         raise InvariantViolation("tangent restriction lacks a double root")
     if c1 == 0 and c0 == 0:
-        raise LineComponent(f"the tangent at {p} lies on the cubic")
+        raise LineComponent(f"the tangent at {brief(p)} lies on the cubic")
     if c1 == 0:
         return p
     coords = tuple(c0 * a - c1 * b for a, b in zip(p.coords, q.coords))

@@ -54,7 +54,7 @@ class PointPair:
     @classmethod
     def of(cls, p: ProjPoint, q: ProjPoint) -> "PointPair":
         if p == q:
-            raise IdenticalPoints(f"a pair needs two distinct points, got {p} twice")
+            raise IdenticalPoints(f"a pair needs two distinct points, got {brief(p)} twice")
         if q.coords < p.coords:
             p, q = q, p
         return cls(p, q)
@@ -120,7 +120,7 @@ def validate_seed(
         raise DuplicatePoints("seed pairs must consist of six pairwise distinct points")
     for quad in combinations(points, 4):
         if all_collinear(quad):
-            raise FourCollinear(f"four seed points are collinear: {quad}")
+            raise FourCollinear(f"four seed points are collinear: ({', '.join(map(brief, quad))})")
     if not allow_quadrilateral and is_complete_quadrilateral_pairing(
         pair_a.points, pair_b.points, pair_c.points
     ):

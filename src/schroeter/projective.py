@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DegenerateFrame,
@@ -21,6 +21,7 @@ from .errors import (
     NotConcurrent,
     SingularMatrix,
     TooDegenerate,
+    brief,
 )
 
 Triple = tuple[int, int, int]
@@ -44,27 +45,25 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-def _as_integers(values) -> Triple:
-    """Clear denominators of a rational triple, returning integers."""
+def _as_integers(values) -> tuple[int, ...]:
+    """Clear denominators of rational values, returning integers."""
     fracs = [Fraction(v) for v in values]
-    mult = 1
-    for f in fracs:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    return tuple(int(f * mult) for f in fracs)
+    mult = lcm(*[f.denominator for f in fracs])
+    return tuple([f.numerator * (mult // f.denominator) for f in fracs])
 
 
-def _canon(triple) -> Triple:
-    x, y, z = (int(v) for v in triple)
-    g = gcd(gcd(abs(x), abs(y)), abs(z))
+def _canon(ints) -> tuple[int, ...]:
+    """A sequence of integers in primitive form: divided by their gcd, with
+    the first nonzero entry positive."""
+    g = gcd(*ints)
     if g == 0:
-        raise ValueError("homogeneous triple must be nonzero")
-    x, y, z = x // g, y // g, z // g
-    for c in (x, y, z):
-        if c:
-            if c < 0:
-                x, y, z = -x, -y, -z
+        raise ValueError("homogeneous coordinates must not all vanish")
+    for v in ints:
+        if v:
+            if v < 0:
+                g = -g
             break
-    return (x, y, z)
+    return tuple([v // g for v in ints])
 
 
 def cross(u, v) -> Triple:
@@ -148,14 +147,14 @@ def incident(point: ProjPoint, line: ProjLine) -> bool:
 def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The line through two distinct points."""
     if p == q:
-        raise IdenticalPoints(f"cannot join {p} with itself")
+        raise IdenticalPoints(f"cannot join {brief(p)} with itself")
     return ProjLine(cross(p.coords, q.coords))
 
 
 def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
     """The intersection point of two distinct lines (may be at infinity)."""
     if l == m:
-        raise IdenticalLines(f"cannot intersect {l} with itself")
+        raise IdenticalLines(f"cannot intersect {brief(l)} with itself")
     return ProjPoint(cross(l.coeffs, m.coeffs))
 
 
@@ -248,7 +247,7 @@ def cross_ratio_points(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoin
     line = join(distinct[0], distinct[1])
     for p in pts:
         if not incident(p, line):
-            raise NotCollinear(f"{p} is not on the common line {line}")
+            raise NotCollinear(f"{brief(p)} is not on the common line {brief(line)}")
     b1, b2 = distinct[0].coords, distinct[1].coords
     params = [span_coordinates(p.coords, b1, b2) for p in pts]
     return cross_ratio_params(*params)
@@ -270,7 +269,7 @@ def cross_ratio_lines(a: ProjLine, b: ProjLine, c: ProjLine, d: ProjLine):
     carrier = meet(distinct[0], distinct[1])
     for l in lines:
         if not incident(carrier, l):
-            raise NotConcurrent(f"{l} does not pass through the carrier {carrier}")
+            raise NotConcurrent(f"{brief(l)} does not pass through the carrier {brief(carrier)}")
     b1, b2 = distinct[0].coeffs, distinct[1].coeffs
     params = [span_coordinates(l.coeffs, b1, b2) for l in lines]
     return cross_ratio_params(*params)
@@ -280,25 +279,13 @@ def cross_ratio_lines(a: ProjLine, b: ProjLine, c: ProjLine, d: ProjLine):
 
 def matrix_of(rows) -> Matrix:
     """Canonical primitive-integer 3x3 matrix from rational entries."""
-    flat = [Fraction(v) for row in rows for v in row]
+    flat = _as_integers([v for row in rows for v in row])
     if len(flat) != 9:
         raise ValueError("a homography needs a 3x3 matrix")
-    mult = 1
-    for f in flat:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in flat]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
+    if not any(flat):
         raise SingularMatrix("zero matrix")
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return (tuple(ints[0:3]), tuple(ints[3:6]), tuple(ints[6:9]))
+    flat = _canon(flat)
+    return (flat[0:3], flat[3:6], flat[6:9])
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .cubic import Cubic
 from .engine import ConstructionState, PointPair, SeedConfig, validate_seed
-from .errors import SeedFormatError
+from .errors import SeedFormatError, brief
 from .involution import Involution
 from .projective import ProjLine, ProjPoint
 from .weierstrass import WeierstrassCurve
@@ -27,7 +27,7 @@ def rat_from_str(text) -> Fraction:
     try:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise SeedFormatError(f"bad rational {text!r}: {exc}") from exc
+        raise SeedFormatError(f"bad rational {brief(repr(text))}: {brief(exc)}") from exc
 
 
 def point_to_json(p: ProjPoint) -> list[str]:
@@ -36,7 +36,7 @@ def point_to_json(p: ProjPoint) -> list[str]:
 
 def point_from_json(arr) -> ProjPoint:
     if not isinstance(arr, (list, tuple)) or len(arr) not in (2, 3):
-        raise SeedFormatError(f"a point needs 2 or 3 coordinates, got {arr!r}")
+        raise SeedFormatError(f"a point needs 2 or 3 coordinates, got {brief(repr(arr))}")
     coords = [rat_from_str(v) for v in arr]
     if len(coords) == 2:
         coords.append(Fraction(1))
@@ -52,7 +52,7 @@ def line_to_json(l: ProjLine) -> list[str]:
 
 def line_from_json(arr) -> ProjLine:
     if not isinstance(arr, (list, tuple)) or len(arr) != 3:
-        raise SeedFormatError(f"a line needs 3 coefficients, got {arr!r}")
+        raise SeedFormatError(f"a line needs 3 coefficients, got {brief(repr(arr))}")
     try:
         return ProjLine.of(*(rat_from_str(v) for v in arr))
     except ValueError as exc:
@@ -88,7 +88,7 @@ def pair_to_json(pair: PointPair) -> list[list[str]]:
 
 def pair_from_json(arr) -> PointPair:
     if not isinstance(arr, (list, tuple)) or len(arr) != 2:
-        raise SeedFormatError(f"a pair needs exactly 2 points, got {arr!r}")
+        raise SeedFormatError(f"a pair needs exactly 2 points, got {brief(repr(arr))}")
     return PointPair.of(point_from_json(arr[0]), point_from_json(arr[1]))
 
 
@@ -155,6 +155,18 @@ def state_to_json(state: ConstructionState) -> dict:
             for d in state.provenance
         ],
     }
+
+
+def report_from_json(obj) -> tuple[list[PointPair], Cubic | None, list[Cubic]]:
+    """The pairs, the curve and the curve basis of a run report."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
+        raise SeedFormatError("a run report needs a 'pairs' list")
+    basis = obj.get("curve_basis", [])
+    if not isinstance(basis, list):
+        raise SeedFormatError("a run report's 'curve_basis' must be a list")
+    pairs = [pair_from_json(p) for p in obj["pairs"]]
+    curve = cubic_from_json(obj["curve"]) if obj.get("curve") else None
+    return pairs, curve, [cubic_from_json(c) for c in basis]
 
 
 def state_points_csv(state: ConstructionState) -> str:

@@ -7,7 +7,8 @@ law are skipped unless a Weierstrass model is supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 from .checks import (
     chasles_check,
@@ -21,6 +22,7 @@ from .errors import (
     DegeneracyError,
     HypothesisFailed,
     InvariantViolation,
+    TooDegenerate,
     ValidationError,
     brief,
 )
@@ -35,6 +37,11 @@ from .weierstrass import (
 
 SUITES = ("chasles", "pair-tangents", "tangents", "chords", "lines", "center")
 
+# Checks with a pass/fail verdict after which tangents, chords, lines and
+# center stop (tangents tests it once per pair, so it can reach 121);
+# chasles and pair-tangents are uncapped and cover every pair.
+LIMIT = 120
+
 
 @dataclass
 class CheckResult:
@@ -44,12 +51,7 @@ class CheckResult:
     detail: str = ""
 
     def to_json(self):
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -65,10 +67,7 @@ class VerificationReport:
         return not self.failed
 
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self.results:
-            out[r.status] = out.get(r.status, 0) + 1
-        return out
+        return dict(Counter(r.status for r in self.results))
 
     def to_json(self):
         return {
@@ -78,12 +77,35 @@ class VerificationReport:
         }
 
 
-def _pair_by_key(state: ConstructionState):
-    return {pair.key: pair for pair in state.pairs}
+def _check(report, suite, name, check, invalid="raise") -> bool:
+    """Run `check` and record its outcome; return whether it reached a verdict.
+
+    `check` returns a verdict, or a (verdict, detail) pair.  HypothesisFailed
+    is recorded as "hypothesis-failed" and any other DegeneracyError as
+    "degenerate".  A ValidationError is raised (invalid="raise"), recorded
+    as "degenerate" (invalid="degenerate") or left out (invalid="drop").
+    """
+    try:
+        outcome = check()
+    except HypothesisFailed as exc:
+        status, detail = "hypothesis-failed", str(exc)
+    except DegeneracyError as exc:
+        status, detail = "degenerate", str(exc)
+    except ValidationError as exc:
+        if invalid == "raise":
+            raise
+        if invalid == "drop":
+            return False
+        status, detail = "degenerate", str(exc)
+    else:
+        ok, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
+        status = "pass" if ok else "fail"
+    report.results.append(CheckResult(suite, name, status, detail))
+    return status in ("pass", "fail")
 
 
 def _suite_chasles(state: ConstructionState, report: VerificationReport):
-    by_key = _pair_by_key(state)
+    by_key = {pair.key: pair for pair in state.pairs}
     for derivation in state.provenance:
         if derivation.status != "new":
             continue
@@ -92,60 +114,38 @@ def _suite_chasles(state: ConstructionState, report: VerificationReport):
         if pa is None or pb is None:
             continue
         # the first pair disjoint from both parents serves as the third side
-        third = None
-        for cand in state.pairs:
-            if cand in (pa, pb):
-                continue
-            if set(cand.points) & (set(pa.points) | set(pb.points)):
-                continue
-            third = cand
-            break
+        used = {*pa.points, *pb.points}
+        third = next((cand for cand in state.pairs if used.isdisjoint(cand.points)), None)
         if third is None:
             continue
         name = f"hexagon {brief(pa.label)} / {brief(pb.label)} / {brief(third.label)}"
-        for basis_curve in state.curve_basis:
-            try:
-                ok = chasles_check(
-                    basis_curve,
-                    pa.first, pb.first, third.first,
-                    pa.second, pb.second, third.second,
-                )
-            except HypothesisFailed as exc:
-                report.results.append(CheckResult("chasles", name, "hypothesis-failed", str(exc)))
-                break
-            except DegeneracyError as exc:
-                report.results.append(CheckResult("chasles", name, "degenerate", str(exc)))
-                break
-            if not ok:
-                report.results.append(CheckResult("chasles", name, "fail"))
-                break
-        else:
-            report.results.append(CheckResult("chasles", name, "pass"))
+        _check(report, "chasles", name, lambda: all(
+            chasles_check(
+                basis_curve,
+                pa.first, pb.first, third.first,
+                pa.second, pb.second, third.second,
+            )
+            for basis_curve in state.curve_basis
+        ))
 
 
 def _suite_pair_tangents(state, report, cubic):
+    def tangential_points(pair):
+        t1 = tangent_third(cubic, pair.first)
+        t2 = tangent_third(cubic, pair.second)
+        ok = t1 == t2 and evaluate(cubic, t1) == 0
+        return ok, "" if ok else f"{t1} vs {t2}"
+
     for pair in state.pairs:
         name = f"tangential points of {brief(pair.label)}"
-        try:
-            t1 = tangent_third(cubic, pair.first)
-            t2 = tangent_third(cubic, pair.second)
-        except HypothesisFailed as exc:
-            report.results.append(CheckResult("pair-tangents", name, "hypothesis-failed", str(exc)))
-            continue
-        except DegeneracyError as exc:
-            report.results.append(CheckResult("pair-tangents", name, "degenerate", str(exc)))
-            continue
-        if t1 == t2 and evaluate(cubic, t1) == 0:
-            report.results.append(CheckResult("pair-tangents", name, "pass"))
-        else:
-            report.results.append(CheckResult("pair-tangents", name, "fail", f"{t1} vs {t2}"))
+        _check(report, "pair-tangents", name, lambda: tangential_points(pair))
 
 
-def _suite_tangents(state, report, cubic, limit):
+def _suite_tangents(state, report, cubic):
     checked = 0
     pairs = state.pairs
-    for i, s_pair in enumerate(pairs):
-        if checked >= limit:
+    for s_pair in pairs:
+        if checked >= LIMIT:
             break
         others = [p for p in pairs if p is not s_pair]
         if len(others) < 2:
@@ -153,114 +153,83 @@ def _suite_tangents(state, report, cubic, limit):
         p_pair, q_pair = others[0], others[1]
         for contact in s_pair.points:
             name = f"ruler tangent at {contact.key[:48]}"
-            try:
-                constructed = tangent_by_involution(cubic, s_pair, p_pair, q_pair, contact)
-            except HypothesisFailed as exc:
-                report.results.append(CheckResult("tangents", name, "hypothesis-failed", str(exc)))
-                continue
-            except DegeneracyError as exc:
-                report.results.append(CheckResult("tangents", name, "degenerate", str(exc)))
-                continue
-            algebraic = tangent_at(cubic, contact)
-            status = "pass" if constructed == algebraic else "fail"
-            report.results.append(CheckResult("tangents", name, status))
-            checked += 1
+            checked += _check(report, "tangents", name, lambda: (
+                tangent_by_involution(cubic, s_pair, p_pair, q_pair, contact)
+                == tangent_at(cubic, contact)
+            ))
 
 
-def _suite_chords(state, report, curve: WeierstrassCurve, limit):
+def _suite_chords(state, report, curve: WeierstrassCurve):
+    def chord(a, abar):
+        b = third_intersection(curve.cubic, a, abar)
+        if b in (a, abar):
+            raise TooDegenerate("tangent chord")
+        return chord_tangency_check(curve, a, b)
+
     checked = 0
     for pair in state.pairs:
-        if checked >= limit:
+        if checked >= LIMIT:
             break
-        a, abar = pair.points
         name = f"chord through {brief(pair.label)}"
-        try:
-            b = third_intersection(curve.cubic, a, abar)
-            if b in (a, abar):
-                report.results.append(CheckResult("chords", name, "degenerate", "tangent chord"))
-                continue
-            ok = chord_tangency_check(curve, a, b)
-        except HypothesisFailed as exc:
-            report.results.append(CheckResult("chords", name, "hypothesis-failed", str(exc)))
-            continue
-        except DegeneracyError as exc:
-            report.results.append(CheckResult("chords", name, "degenerate", str(exc)))
-            continue
-        except ValidationError as exc:
-            report.results.append(CheckResult("chords", name, "degenerate", str(exc)))
-            continue
-        report.results.append(CheckResult("chords", name, "pass" if ok else "fail"))
-        checked += 1
+        checked += _check(report, "chords", name, lambda: chord(*pair.points), invalid="degenerate")
 
 
-def _suite_lines(state, report, cubic, limit):
+def _suite_lines(state, report, cubic):
     checked = 0
     pairs = state.pairs
     for r_pair in pairs:
         for r in r_pair.points:
-            if checked >= limit:
+            if checked >= LIMIT:
                 return
             others = [p for p in pairs if p is not r_pair and r not in p]
             if len(others) < 3:
                 continue
-            p_pair, q_pair, s_pair = others[0], others[1], others[2]
             name = f"line involution at {r.key[:48]}"
-            try:
-                ok = conjugate_lines_check(cubic, r, p_pair, q_pair, s_pair)
-            except HypothesisFailed as exc:
-                report.results.append(CheckResult("lines", name, "hypothesis-failed", str(exc)))
-                continue
-            except DegeneracyError as exc:
-                report.results.append(CheckResult("lines", name, "degenerate", str(exc)))
-                continue
-            report.results.append(CheckResult("lines", name, "pass" if ok else "fail"))
-            checked += 1
+            checked += _check(report, "lines", name, lambda: conjugate_lines_check(cubic, r, *others[:3]))
 
 
-def _suite_center(state, report, curve: WeierstrassCurve, limit):
-    base = None
-    chart_map = None
-    for pair in state.pairs:
-        for p in pair.points:
-            if p.is_infinite:
-                continue
-            x, y = p.to_affine()
-            if x != 0 and y != 0:
-                base = p
-                chart_map = to_abc_chart(curve, p)
-                break
-        if chart_map:
-            break
-    if chart_map is None:
+def _suite_center(state, report, curve: WeierstrassCurve):
+    base = next(
+        (p for pair in state.pairs for p in pair.points if not p.is_infinite and all(p.to_affine())),
+        None,
+    )
+    if base is None:
         report.results.append(CheckResult("center", "chart base", "skipped", "no usable base point"))
         return
+    chart_map = to_abc_chart(curve, base)
     chart = chart_map.chart
     a_chart = chart_map.to_chart(base)
     expected = chart.gamma * a_chart[0]
+
+    def center_product(p):
+        product = involution_center_product(chart, a_chart, chart_map.to_chart(p)).product
+        return product == expected, f"product {product}"
+
     checked = 0
     for pair in state.pairs:
         for p in pair.points:
-            if checked >= limit:
+            if checked >= LIMIT:
                 return
             name = f"center product vs {p.key[:48]}"
-            try:
-                cp = chart_map.to_chart(p)
-                result = involution_center_product(chart, a_chart, cp)
-            except DegeneracyError as exc:
-                report.results.append(CheckResult("center", name, "degenerate", str(exc)))
-                continue
-            except ValidationError:
-                continue
-            status = "pass" if result.product == expected else "fail"
-            report.results.append(CheckResult("center", name, status, f"product {result.product}"))
-            checked += 1
+            checked += _check(report, "center", name, lambda: center_product(p), invalid="drop")
+
+
+# The model each suite after chasles needs: "cubic" (the Weierstrass model's,
+# else the construction's unique curve) or "curve" (the Weierstrass model).
+_NEEDS = {
+    "pair-tangents": "cubic",
+    "tangents": "cubic",
+    "chords": "curve",
+    "lines": "cubic",
+    "center": "curve",
+}
+_MISSING = {"cubic": "no unique curve available", "curve": "needs a Weierstrass model"}
 
 
 def run_suites(
     state: ConstructionState,
     suites=("all",),
     curve: WeierstrassCurve | None = None,
-    limit: int = 120,
 ) -> VerificationReport:
     """Run the selected verification suites over a construction state."""
     wanted = set(SUITES) if "all" in suites else set(suites)
@@ -268,37 +237,19 @@ def run_suites(
     if unknown:
         raise ValidationError(f"unknown suites: {sorted(unknown)}; choose from {SUITES}")
     report = VerificationReport()
-    cubic = curve.cubic if curve is not None else state.curve
-
-    if "chasles" in wanted:
-        _suite_chasles(state, report)
-    if "pair-tangents" in wanted:
-        if cubic is None:
-            report.results.append(
-                CheckResult("pair-tangents", "suite", "skipped", "no unique curve available")
-            )
+    models = {"cubic": curve.cubic if curve is not None else state.curve, "curve": curve}
+    for suite in SUITES:
+        if suite not in wanted:
+            continue
+        # looked up at call time, so a wrapper installed on the module is used
+        run_suite = globals()["_suite_" + suite.replace("-", "_")]
+        need = _NEEDS.get(suite)
+        if need is None:
+            run_suite(state, report)
+        elif models[need] is None:
+            report.results.append(CheckResult(suite, "suite", "skipped", _MISSING[need]))
         else:
-            _suite_pair_tangents(state, report, cubic)
-    if "tangents" in wanted:
-        if cubic is None:
-            report.results.append(CheckResult("tangents", "suite", "skipped", "no unique curve available"))
-        else:
-            _suite_tangents(state, report, cubic, limit)
-    if "chords" in wanted:
-        if curve is None:
-            report.results.append(CheckResult("chords", "suite", "skipped", "needs a Weierstrass model"))
-        else:
-            _suite_chords(state, report, curve, limit)
-    if "lines" in wanted:
-        if cubic is None:
-            report.results.append(CheckResult("lines", "suite", "skipped", "no unique curve available"))
-        else:
-            _suite_lines(state, report, cubic, limit)
-    if "center" in wanted:
-        if curve is None:
-            report.results.append(CheckResult("center", "suite", "skipped", "needs a Weierstrass model"))
-        else:
-            _suite_center(state, report, curve, limit)
+            run_suite(state, report, models[need])
     return report
 
 
@@ -321,4 +272,4 @@ def revalidate_points(points, cubics) -> None:
     for p in points:
         for c in cubics:
             if evaluate(c, p) != 0:
-                raise InvariantViolation(f"point {p} is off the recorded curve")
+                raise InvariantViolation(f"point {brief(p)} is off the recorded curve")

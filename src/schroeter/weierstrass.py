@@ -23,6 +23,7 @@ from .errors import (
     OffChartCurve,
     ValidationError,
     ZeroDenominator,
+    brief,
 )
 from .projective import ProjLine, ProjPoint, join, meet
 
@@ -56,15 +57,11 @@ class WeierstrassCurve:
 
     def require(self, p: ProjPoint) -> ProjPoint:
         if not self.contains(p):
-            raise NotOnCurve(f"{p} is not on y^2 = x^3 + {self.a}x^2 + {self.b}x")
+            raise NotOnCurve(f"{brief(p)} is not on y^2 = x^3 + {self.a}x^2 + {self.b}x")
         return p
 
     def point(self, x, y) -> ProjPoint:
         return self.require(ProjPoint.affine(Fraction(x), Fraction(y)))
-
-
-def as_cubic(curve: WeierstrassCurve) -> Cubic:
-    return curve.cubic
 
 
 def neg(curve: WeierstrassCurve, p: ProjPoint) -> ProjPoint:

@@ -165,6 +165,18 @@ class TestVerify:
         assert main(["verify", "--seed", str(torsion_seed_file), "--suite", "nonsense"]) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "plot"])
+@pytest.mark.parametrize(
+    "content", [[], {"pairs": 5}, {"curve": None}, {"pairs": [], "curve_basis": 5}]
+)
+def test_malformed_report(tmp_path, capsys, command, content):
+    report = tmp_path / "bad.json"
+    report.write_text(json.dumps(content))
+    out = ["--out", str(tmp_path / "bad.svg")] if command == "plot" else []
+    assert main([command, "--report", str(report), *out]) == 1
+    assert "run report" in capsys.readouterr().err
+
+
 class TestPlot:
     def test_renders_run(self, torsion_seed_file, tmp_path):
         out = tmp_path / "run.json"

@@ -1,10 +1,13 @@
+import json
 import random
 from itertools import combinations
 
 import pytest
 
-from schroeter import engine
-from schroeter.cubic import evaluate, normalized_frame_cubic
+from schroeter import engine, serialize
+from schroeter.checks import chasles_check, chord_tangency_check, conjugate_lines_check
+from schroeter.cli import main
+from schroeter.cubic import evaluate, normalized_frame_cubic, tangent_at, third_intersection
 from schroeter.engine import (
     PointPair,
     bootstrap_seed,
@@ -20,11 +23,20 @@ from schroeter.errors import (
     FourCollinear,
     IdenticalPoints,
     InvariantViolation,
+    SchroeterError,
     SharedPoint,
     ValidationError,
 )
-from schroeter.projective import ProjPoint
-from schroeter.weierstrass import subgroup_generated
+from schroeter.projective import (
+    ProjLine,
+    ProjPoint,
+    cross_ratio_lines,
+    cross_ratio_points,
+    join,
+    meet,
+)
+from schroeter.verify import revalidate_points
+from schroeter.weierstrass import conjugate_point, multiply, subgroup_generated
 
 from conftest import FRAME, frame_seed, random_frame_seeds
 
@@ -103,7 +115,9 @@ class TestCombine:
         with pytest.raises(DegenerateLines):
             combine(PointPair.of(pt(0, 0), pt(1, 0)), PointPair.of(pt(2, 0), pt(3, 0)))
 
-    def test_messages_stay_short_for_huge_coordinates(self, monkeypatch, golden_frame_seed):
+    def test_messages_stay_short_for_huge_coordinates(
+        self, monkeypatch, tmp_path, capsys, golden_frame_seed, curve12, curve54, torsion_seed_full
+    ):
         huge = 10**10_000
         far = PointPair.of(ProjPoint((huge, 1, 1)), ProjPoint((huge + 1, 1, 1)))
         messages = []
@@ -118,6 +132,44 @@ class TestCombine:
         with pytest.raises(InvariantViolation) as exc:
             workspace.admit(PointPair.of(far.first, pt(0, 0)))
         messages.append(str(exc.value))
+        cubic, line = curve12.cubic, ProjLine((huge, 1, 1))
+        collinear4 = [ProjPoint((huge + i, 0, 1)) for i in range(4)]
+        big = multiply(curve12, 40, pt(1, 2))  # on the curve, hundreds of digits
+        curve12_pairs = (
+            PointPair.of(pt(2, 4), pt(1, -2)),
+            PointPair.of(ProjPoint.of(4, 23, 64), pt(32, -184)),
+        )
+        for call in (
+            lambda: PointPair.of(far.first, far.first),
+            lambda: validate_seed(
+                PointPair.of(*collinear4[:2]), PointPair.of(*collinear4[2:]), PointPair.of(pt(0, 1), pt(1, 1))
+            ),
+            lambda: tangent_at(cubic, far.first),
+            lambda: third_intersection(cubic, far.first, pt(1, 2)),
+            lambda: third_intersection(cubic, pt(1, 2), far.first),
+            lambda: curve12.require(far.first),
+            lambda: join(far.first, far.first),
+            lambda: meet(line, line),
+            lambda: cross_ratio_points(pt(0, 0), pt(1, 0), pt(2, 0), far.first),
+            lambda: cross_ratio_lines(ProjLine((1, 0, 0)), ProjLine((0, 1, 0)), ProjLine((1, 1, 0)), line),
+            lambda: chasles_check(cubic, far.first, *[pt(1, 2)] * 5),
+            lambda: conjugate_lines_check(
+                cubic, big, PointPair.of(big, conjugate_point(curve12, big)), *curve12_pairs
+            ),
+            lambda: chord_tangency_check(curve12, big, pt(1, 2)),
+            lambda: revalidate_points([far.first], [cubic]),
+            lambda: serialize.rat_from_str(f"{huge}x"),
+            lambda: serialize.pair_from_json([[str(huge), "1", "1"]] * 3),
+        ):
+            with pytest.raises(SchroeterError) as exc:
+                call()
+            messages.append(str(exc.value))
+        report = serialize.state_to_json(run(torsion_seed_full, curve=curve54.cubic))
+        report["pairs"][0][0][0] = str(huge)
+        report_path = tmp_path / "corrupt.json"
+        report_path.write_text(json.dumps(report))
+        assert main(["verify", "--report", str(report_path)]) == 3
+        messages.append(capsys.readouterr().err)
         # after the three bootstrap combinations, every child is off the curve
         calls = []
 
