@@ -93,15 +93,15 @@ def tangency_transport_check(
     return sbar_1 == sbar_2 and tangent_third(curve, q) == tangent_third(curve, qbar)
 
 
-def _four_distinct_joins(s: ProjPoint, targets) -> list[ProjLine]:
-    lines = []
-    for t in targets:
-        if t == s:
-            raise LinesNotDistinct(f"{brief(s)} coincides with a pair member")
-        lines.append(join(s, t))
+def _pair_involution(s: ProjPoint, pair_a: PointPair, pair_b: PointPair) -> Involution:
+    """The involution at s whose conjugate pairs are its joins to two pairs."""
+    targets = (*pair_a.points, *pair_b.points)
+    if s in targets:
+        raise LinesNotDistinct(f"{brief(s)} coincides with a pair member")
+    a, abar, b, bbar = lines = [join(s, t) for t in targets]
     if len(set(lines)) != 4:
         raise LinesNotDistinct(f"joining lines from {brief(s)} are not pairwise distinct")
-    return lines
+    return Involution(s, (a, abar), (b, bbar))
 
 
 def tangent_by_involution(
@@ -120,11 +120,7 @@ def tangent_by_involution(
     s = s_pair.first if contact is None else contact
     sbar = s_pair.other(s)
     _require_on(curve, s, sbar, *p_pair.points, *q_pair.points)
-    sp, spbar = (join(s, t) for t in p_pair.points)
-    sq, sqbar = (join(s, t) for t in q_pair.points)
-    _four_distinct_joins(s, (*p_pair.points, *q_pair.points))
-    inv = Involution(s, (sp, spbar), (sq, sqbar))
-    return conjugate_line(inv, join(s, sbar))
+    return conjugate_line(_pair_involution(s, p_pair, q_pair), join(s, sbar))
 
 
 def chord_tangency_check(curve: WeierstrassCurve, a: ProjPoint, b: ProjPoint) -> bool:
@@ -153,7 +149,6 @@ def conjugate_lines_check(
     for pair in (p_pair, q_pair, s_pair):
         if r in pair:
             raise LinesNotDistinct(f"{brief(r)} is a member of {brief(pair)}")
-    lines = _four_distinct_joins(r, (*p_pair.points, *q_pair.points))
-    inv = Involution(r, (lines[0], lines[1]), (lines[2], lines[3]))
+    inv = _pair_involution(r, p_pair, q_pair)
     s, sbar = s_pair.points
     return conjugate_line(inv, join(r, s)) == join(r, sbar)

@@ -87,8 +87,7 @@ def cmd_construct(args) -> int:
             _write(args.out, serialize.dumps(serialize.state_to_json(state)))
         print(f"wrote {args.out}")
     if args.svg:
-        render_curve = state.curve if state.curve else (curve.cubic if curve else None)
-        _write(args.svg, render_svg(state.pairs, render_curve, tangents=args.tangents))
+        _write(args.svg, render_svg(state.pairs, state.curve, tangents=args.tangents))
         print(f"wrote {args.svg}")
     return 0
 

@@ -192,11 +192,7 @@ def _nullspace_basis(rows):
 
 def cubic_family_through(points) -> tuple[Cubic, ...]:
     """Basis of the linear family of cubics through the given points."""
-    distinct = []
-    for p in points:
-        if p not in distinct:
-            distinct.append(p)
-    rows = [_monomial_row(p) for p in distinct]
+    rows = [_monomial_row(p) for p in dict.fromkeys(points)]
     return tuple(_nullspace_basis(rows))
 
 

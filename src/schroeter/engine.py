@@ -185,7 +185,7 @@ def bootstrap_seed(seed: SeedConfig) -> SeedBootstrap:
     curve = fit_cubic_9(nine)
     for point in crossed:
         if evaluate(curve, point) != 0:
-            raise BarNotOnCurve(f"crossed meet {point} misses the fitted cubic")
+            raise BarNotOnCurve(f"crossed meet {brief(point)} misses the fitted cubic")
     return SeedBootstrap(tuple(direct), tuple(crossed), curve)
 
 

@@ -20,6 +20,7 @@ from .errors import (
     IdenticalPoints,
     InvariantViolation,
     NotInPencil,
+    brief,
 )
 from .projective import (
     ProjLine,
@@ -44,6 +45,11 @@ _AUX_POOL = tuple(
 )
 
 
+def _require_in_pencil(carrier: ProjPoint, line: ProjLine):
+    if not incident(carrier, line):
+        raise NotInPencil(f"{brief(line)} does not pass through the carrier {brief(carrier)}")
+
+
 @dataclass(frozen=True)
 class Involution:
     """A line involution given by two conjugate pairs through the carrier."""
@@ -55,8 +61,7 @@ class Involution:
     def __post_init__(self):
         lines = (*self.pair_a, *self.pair_b)
         for line in lines:
-            if not incident(self.carrier, line):
-                raise NotInPencil(f"{line} does not pass through the carrier {self.carrier}")
+            _require_in_pencil(self.carrier, line)
         if len(set(lines)) != 4:
             raise IdenticalLines("an involution needs two pairs of four distinct lines")
 
@@ -65,14 +70,10 @@ class Involution:
         carrier = meet(pair_a[0], pair_a[1])
         return cls(carrier, tuple(pair_a), tuple(pair_b))
 
-    def lines(self):
-        return (*self.pair_a, *self.pair_b)
-
 
 def _pencil_param(inv: Involution, line: ProjLine) -> tuple[int, int]:
     """Parameter of a pencil line in the basis (pair_a[0], pair_a[1])."""
-    if not incident(inv.carrier, line):
-        raise NotInPencil(f"{line} does not pass through the carrier {inv.carrier}")
+    _require_in_pencil(inv.carrier, line)
     return span_coordinates(line.coeffs, inv.pair_a[0].coeffs, inv.pair_a[1].coeffs)
 
 
@@ -140,15 +141,15 @@ def conjugate_line(inv: Involution, d: ProjLine, *, choice: int = 0) -> ProjLine
     internal selection of auxiliary elements; every value yields the same
     line.
     """
-    if not incident(inv.carrier, d):
-        raise NotInPencil(f"{d} does not pass through the carrier {inv.carrier}")
+    _require_in_pencil(inv.carrier, d)
     algebraic = _algebraic_conjugate(inv, d)
     if d == inv.pair_a[0] or d == inv.pair_a[1] or d == inv.pair_b[0] or d == inv.pair_b[1]:
         return algebraic
     ruler = _ruler_conjugate(inv, d, choice)
     if ruler != algebraic:
         raise InvariantViolation(
-            f"ruler construction {ruler} disagrees with the algebraic conjugate {algebraic}"
+            f"ruler construction {brief(ruler)} disagrees with "
+            f"the algebraic conjugate {brief(algebraic)}"
         )
     return ruler
 
@@ -166,7 +167,7 @@ def conjugate_pairs_from_quadrangle(
     d = meet(join(a, b), join(abar, bbar))
     dbar = meet(join(a, bbar), join(abar, b))
     if p in (a, abar, b, bbar, d, dbar):
-        raise ForbiddenCarrier(f"carrier {p} coincides with a quadrangle or diagonal point")
+        raise ForbiddenCarrier(f"carrier {brief(p)} coincides with a quadrangle or diagonal point")
     return (
         (join(p, a), join(p, abar)),
         (join(p, b), join(p, bbar)),
@@ -189,8 +190,7 @@ def verify_involution(inv: Involution, pairs) -> bool:
     distinct_pairs = list(seen.values())
     for pair in distinct_pairs:
         for line in pair:
-            if not incident(inv.carrier, line):
-                raise NotInPencil(f"{line} does not pass through the carrier {inv.carrier}")
+            _require_in_pencil(inv.carrier, line)
 
     for trio in combinations(distinct_pairs, 3):
         lines = []

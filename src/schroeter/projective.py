@@ -168,10 +168,7 @@ def concurrent(a: ProjLine, b: ProjLine, c: ProjLine) -> bool:
 
 def all_collinear(points) -> bool:
     """True iff every point of the sequence lies on one line."""
-    distinct = []
-    for p in points:
-        if p not in distinct:
-            distinct.append(p)
+    distinct = list(dict.fromkeys(points))
     if len(distinct) <= 2:
         return True
     line = join(distinct[0], distinct[1])
@@ -238,10 +235,7 @@ def cross_ratio_params(t1, t2, t3, t4):
 def cross_ratio_points(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint):
     """Cross-ratio of four collinear points, at least three pairwise distinct."""
     pts = (p1, p2, p3, p4)
-    distinct = []
-    for p in pts:
-        if p not in distinct:
-            distinct.append(p)
+    distinct = list(dict.fromkeys(pts))
     if len(distinct) < 3:
         raise TooDegenerate("need at least three distinct points for a cross-ratio")
     line = join(distinct[0], distinct[1])
@@ -260,10 +254,7 @@ def cross_ratio_lines(a: ProjLine, b: ProjLine, c: ProjLine, d: ProjLine):
     transversal line avoiding the carrier.
     """
     lines = (a, b, c, d)
-    distinct = []
-    for l in lines:
-        if l not in distinct:
-            distinct.append(l)
+    distinct = list(dict.fromkeys(lines))
     if len(distinct) < 3:
         raise TooDegenerate("need at least three distinct lines for a cross-ratio")
     carrier = meet(distinct[0], distinct[1])
@@ -347,9 +338,9 @@ def frame_map(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint) -> Mat
     pts = (p1, p2, p3, p4)
     if len(set(pts)) != 4:
         raise DegenerateFrame("frame points must be pairwise distinct")
-    for i, j, k in combinations(range(4), 3):
-        if collinear(pts[i], pts[j], pts[k]):
-            raise DegenerateFrame(f"frame points {pts[i]}, {pts[j]}, {pts[k]} are collinear")
+    for trio in combinations(pts, 3):
+        if collinear(*trio):
+            raise DegenerateFrame(f"frame points {', '.join(map(brief, trio))} are collinear")
     source = _frame_matrix(*pts)
     target = _frame_matrix(*_FRAME_TARGETS)
     return matrix_of(mat_mul(target, mat_adjugate(source)))

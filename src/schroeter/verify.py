@@ -134,7 +134,7 @@ def _suite_pair_tangents(state, report, cubic):
         t1 = tangent_third(cubic, pair.first)
         t2 = tangent_third(cubic, pair.second)
         ok = t1 == t2 and evaluate(cubic, t1) == 0
-        return ok, "" if ok else f"{t1} vs {t2}"
+        return ok, "" if ok else f"{brief(t1)} vs {brief(t2)}"
 
     for pair in state.pairs:
         name = f"tangential points of {brief(pair.label)}"
@@ -261,7 +261,7 @@ def check_pair_differences(state: ConstructionState, curve: WeierstrassCurve) ->
         delta = add(curve, pair.second, neg(curve, pair.first))
         if delta != TWO_TORSION:
             raise InvariantViolation(
-                f"{pair}: partner difference {delta} is not the 2-torsion point"
+                f"{brief(pair)}: partner difference {brief(delta)} is not the 2-torsion point"
             )
         count += 1
     return count

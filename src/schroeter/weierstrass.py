@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .cubic import Cubic, chord_third, evaluate, third_intersection
+from .cubic import Cubic, chord_third, evaluate
 from .engine import PointPair, SeedConfig, validate_seed
 from .errors import (
     BasePointDegenerate,
@@ -45,18 +46,15 @@ class WeierstrassCurve:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if b == 0 or a * a == 4 * b:
-            raise ValidationError(f"curve a={a}, b={b} is singular")
+            raise ValidationError(f"curve a={brief(a)}, b={brief(b)} is singular")
 
-    @property
+    @cached_property
     def cubic(self) -> Cubic:
-        """The homogeneous form as a canonical Cubic."""
+        """The homogeneous form as a canonical Cubic, built once per curve."""
         return Cubic.of([1, 0, self.a, 0, 0, self.b, 0, -1, 0, 0])
 
-    def contains(self, p: ProjPoint) -> bool:
-        return evaluate(self.cubic, p) == 0
-
     def require(self, p: ProjPoint) -> ProjPoint:
-        if not self.contains(p):
+        if evaluate(self.cubic, p) != 0:
             raise NotOnCurve(f"{brief(p)} is not on y^2 = x^3 + {self.a}x^2 + {self.b}x")
         return p
 
@@ -65,21 +63,12 @@ class WeierstrassCurve:
 
 
 def neg(curve: WeierstrassCurve, p: ProjPoint) -> ProjPoint:
-    """-P, the third intersection of the line through O and P."""
-    curve.require(p)
-    if p == NEUTRAL:
-        return p
-    return third_intersection(curve.cubic, NEUTRAL, p)
+    """-P = O.P; the chord operator checks P and gives O.O = O (an inflection)."""
+    return chord_third(curve.cubic, NEUTRAL, p)
 
 
 def add(curve: WeierstrassCurve, p: ProjPoint, q: ProjPoint) -> ProjPoint:
-    """Chord-tangent addition with neutral element O = (0 : 1 : 0)."""
-    curve.require(p)
-    curve.require(q)
-    if p == NEUTRAL:
-        return q
-    if q == NEUTRAL:
-        return p
+    """P + Q = -(P.Q), with neutral element O = (0 : 1 : 0)."""
     return neg(curve, chord_third(curve.cubic, p, q))
 
 
@@ -140,11 +129,6 @@ class AbcChart:
         x, y = Fraction(x), Fraction(y)
         return y * y * x == self.alpha + self.beta * x + self.gamma * x * x
 
-    @property
-    def cubic(self) -> Cubic:
-        """Projective closure y^2 x = alpha z^3 + beta x z^2 + gamma x^2 z."""
-        return Cubic.of([0, 0, -self.gamma, 1, 0, -self.beta, 0, 0, 0, -self.alpha])
-
 
 @dataclass(frozen=True)
 class ChartMap:
@@ -154,7 +138,6 @@ class ChartMap:
     and dehomogenize; the base point itself maps to (1, 1).
     """
 
-    curve: WeierstrassCurve
     base: tuple[Fraction, Fraction]
     chart: AbcChart
 
@@ -162,7 +145,7 @@ class ChartMap:
         x, y, z = p.coords
         r0, r1 = self.base
         if x == 0:
-            raise ZeroDenominator(f"{p} maps to infinity on the chart")
+            raise ZeroDenominator(f"{brief(p)} maps to infinity on the chart")
         return Fraction(z, 1) * r0 / Fraction(x, 1), Fraction(y, 1) * r0 / (r1 * Fraction(x, 1))
 
     def from_chart(self, x, y) -> ProjPoint:
@@ -185,14 +168,14 @@ def to_abc_chart(curve: WeierstrassCurve, base: ProjPoint) -> ChartMap:
     alpha = r0 ** 3 / r1 ** 2
     beta = curve.a * r0 ** 2 / r1 ** 2
     gamma = curve.b * r0 / r1 ** 2
-    return ChartMap(curve, (r0, r1), AbcChart(alpha, beta, gamma))
+    return ChartMap((r0, r1), AbcChart(alpha, beta, gamma))
 
 
 def chart_conjugate(chart: AbcChart, point) -> tuple[Fraction, Fraction]:
     """Conjugation in chart coordinates: (x, y) -> (alpha/(gamma x), -y)."""
     x, y = (Fraction(v) for v in point)
     if not chart.contains(x, y):
-        raise OffChartCurve(f"({x}, {y}) is not on the chart curve")
+        raise OffChartCurve(f"({brief(x)}, {brief(y)}) is not on the chart curve")
     if chart.gamma == 0 or x == 0:
         raise ZeroDenominator("chart conjugate needs gamma * x != 0")
     return chart.alpha / (chart.gamma * x), -y
@@ -215,10 +198,8 @@ def involution_center_product(chart: AbcChart, a, p) -> CenterProduct:
     x0, y0 = (Fraction(v) for v in a)
     x1, y1 = (Fraction(v) for v in p)
     if not chart.contains(x0, y0):
-        raise OffChartCurve(f"base ({x0}, {y0}) is not on the chart curve")
-    if not chart.contains(x1, y1):
-        raise OffChartCurve(f"({x1}, {y1}) is not on the chart curve")
-    pbar = chart_conjugate(chart, (x1, y1))
+        raise OffChartCurve(f"base ({brief(x0)}, {brief(y0)}) is not on the chart curve")
+    pbar = chart_conjugate(chart, (x1, y1))  # raises OffChartCurve for P
     if (x1, y1) == (x0, y0) or pbar == (x0, y0):
         raise ValidationError("P must differ from the base point and its conjugate")
     if x1 == x0 or y1 == y0:

@@ -130,6 +130,13 @@ class TestTangentByInvolution:
         line = tangent_by_involution(curve54.cubic, s_pair, to_pair, q_pair, contact=pt(2, 6))
         assert line == tangent_at(curve54.cubic, pt(2, 6))
 
+    def test_contact_in_other_pair_rejected(self, curve12, curve12_pairs):
+        p_pair = curve12_pairs["p"]
+        with pytest.raises(LinesNotDistinct):
+            tangent_by_involution(
+                curve12.cubic, p_pair, p_pair, curve12_pairs["q"], contact=p_pair.first
+            )
+
     def test_contact_line_through_contact(self, curve12, curve12_pairs):
         from schroeter.projective import incident
 

@@ -1,10 +1,11 @@
 import json
 import random
-from itertools import combinations
+from itertools import combinations, count
+from types import SimpleNamespace
 
 import pytest
 
-from schroeter import engine, serialize
+from schroeter import engine, involution, serialize, verify
 from schroeter.checks import chasles_check, chord_tangency_check, conjugate_lines_check
 from schroeter.cli import main
 from schroeter.cubic import evaluate, normalized_frame_cubic, tangent_at, third_intersection
@@ -16,6 +17,7 @@ from schroeter.engine import (
     validate_seed,
 )
 from schroeter.errors import (
+    BarNotOnCurve,
     CompleteQuadrilateral,
     DegenerateLines,
     DegenerateNine,
@@ -27,16 +29,32 @@ from schroeter.errors import (
     SharedPoint,
     ValidationError,
 )
+from schroeter.involution import (
+    Involution,
+    conjugate_line,
+    conjugate_pairs_from_quadrangle,
+    verify_involution,
+)
 from schroeter.projective import (
     ProjLine,
     ProjPoint,
     cross_ratio_lines,
     cross_ratio_points,
+    frame_map,
     join,
     meet,
 )
-from schroeter.verify import revalidate_points
-from schroeter.weierstrass import conjugate_point, multiply, subgroup_generated
+from schroeter.verify import check_pair_differences, revalidate_points, run_suites
+from schroeter.weierstrass import (
+    WeierstrassCurve,
+    chart_conjugate,
+    conjugate_point,
+    involution_center_product,
+    multiply,
+    neg,
+    subgroup_generated,
+    to_abc_chart,
+)
 
 from conftest import FRAME, frame_seed, random_frame_seeds
 
@@ -139,6 +157,9 @@ class TestCombine:
             PointPair.of(pt(2, 4), pt(1, -2)),
             PointPair.of(ProjPoint.of(4, 23, 64), pt(32, -184)),
         )
+        axes = tuple(ProjLine(t) for t in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)))
+        pencil = Involution(ProjPoint((0, 0, 1)), axes[:2], axes[2:])
+        chart_map = to_abc_chart(curve12, pt(1, 2))
         for call in (
             lambda: PointPair.of(far.first, far.first),
             lambda: validate_seed(
@@ -160,10 +181,43 @@ class TestCombine:
             lambda: revalidate_points([far.first], [cubic]),
             lambda: serialize.rat_from_str(f"{huge}x"),
             lambda: serialize.pair_from_json([[str(huge), "1", "1"]] * 3),
+            lambda: Involution(far.first, (line, axes[0]), axes[1:3]),
+            lambda: involution._pencil_param(pencil, line),
+            lambda: conjugate_line(pencil, line),
+            lambda: verify_involution(pencil, [(line, axes[0])]),
+            lambda: conjugate_pairs_from_quadrangle(far.first, pt(0, 0), pt(1, 0), pt(0, 1), far.first),
+            lambda: WeierstrassCurve(huge, 0),
+            lambda: chart_map.to_chart(ProjPoint((0, huge, 1))),
+            lambda: chart_conjugate(chart_map.chart, (huge, 1)),
+            lambda: involution_center_product(chart_map.chart, (huge, 1), (1, 1)),
+            lambda: involution_center_product(chart_map.chart, (1, 1), (huge, 1)),
+            lambda: frame_map(*collinear4[:3], pt(0, 1)),
+            lambda: check_pair_differences(
+                SimpleNamespace(pairs=[PointPair.of(big, neg(curve12, big))]), curve12
+            ),
         ):
             with pytest.raises(SchroeterError) as exc:
                 call()
             messages.append(str(exc.value))
+        with monkeypatch.context() as patch:
+            patch.setattr(involution, "_ruler_conjugate", lambda inv, d, choice: line)
+            with pytest.raises(InvariantViolation) as exc:
+                conjugate_line(pencil, ProjLine((1, 2, 0)))
+            messages.append(str(exc.value))
+            patch.setattr(engine, "fit_cubic_9", lambda nine: cubic)
+            with pytest.raises(BarNotOnCurve) as exc:
+                bootstrap_seed(validate_seed(
+                    PointPair.of(ProjPoint((huge, 2, 1)), pt(5, 3)),
+                    PointPair.of(*FRAME[:2]),
+                    PointPair.of(*FRAME[2:]),
+                ))
+            messages.append(str(exc.value))
+            # distinct tangential points for every member: each pair fails
+            tangentials = count(1)
+            patch.setattr(verify, "tangent_third", lambda c, p: ProjPoint((huge, 1, next(tangentials))))
+            fails = run_suites(run(golden_frame_seed, max_points=12), suites=("pair-tangents",)).results
+            assert fails and all(r.status == "fail" for r in fails)
+            messages += [r.detail for r in fails]
         report = serialize.state_to_json(run(torsion_seed_full, curve=curve54.cubic))
         report["pairs"][0][0][0] = str(huge)
         report_path = tmp_path / "corrupt.json"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from schroeter import cubic
 from schroeter.cubic import evaluate
 from schroeter.errors import (
     BasePointDegenerate,
@@ -94,6 +95,39 @@ class TestGroupLaw:
     def test_requires_on_curve(self, curve12):
         with pytest.raises(NotOnCurve):
             add(curve12, pt(1, 1), pt(1, 2))
+
+    def test_neutral_and_torsion_negate_to_themselves(self, curve12):
+        assert neg(curve12, NEUTRAL) == NEUTRAL
+        assert neg(curve12, TWO_TORSION) == TWO_TORSION
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_neutral_and_doubling_on_multiples(self, curve12, n):
+        p = multiply(curve12, n, pt(1, 2))
+        assert add(curve12, NEUTRAL, p) == add(curve12, p, NEUTRAL) == p
+        assert add(curve12, p, p) == multiply(curve12, 2, p)
+
+    @pytest.mark.parametrize("call", [
+        lambda c, q: add(c, NEUTRAL, q),
+        lambda c, q: add(c, q, NEUTRAL),
+        lambda c, q: add(c, q, q),
+        lambda c, q: neg(c, q),
+    ], ids=["O+q", "q+O", "q+q", "-q"])
+    def test_off_curve_point_rejected(self, curve12, call):
+        with pytest.raises(NotOnCurve):
+            call(curve12, pt(1, 1))
+
+    def test_conjugate_evaluates_the_cubic_eight_times(self, monkeypatch):
+        # two chords of four evaluations each: P.T, then O.(P.T)
+        calls = []
+        original = cubic._eval_triple
+
+        def counting(form, t):
+            calls.append(t)
+            return original(form, t)
+
+        monkeypatch.setattr(cubic, "_eval_triple", counting)
+        assert conjugate_point(WeierstrassCurve(1, 2), pt(1, 2)) == pt(2, -4)
+        assert len(calls) == 8
 
 
 class TestConjugation:
