@@ -49,7 +49,6 @@ from .projective import (
     ProjPoint,
     apply_homography,
     collinear,
-    concurrent,
     cross_ratio_lines,
     cross_ratio_points,
     frame_map,

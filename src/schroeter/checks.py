@@ -15,11 +15,11 @@ from .errors import (
     IdenticalLines,
     IdenticalPoints,
     LinesNotDistinct,
-    NotCollinear,
     NotOnCurve,
+    TooDegenerate,
     brief,
 )
-from .projective import ProjLine, ProjPoint, collinear, join, meet
+from .projective import ProjLine, ProjPoint, join, meet
 from .involution import Involution, conjugate_line
 from .weierstrass import WeierstrassCurve, conjugate_point
 
@@ -109,7 +109,7 @@ def tangent_by_involution(
     s_pair: PointPair,
     p_pair: PointPair,
     q_pair: PointPair,
-    contact: ProjPoint | None = None,
+    contact: ProjPoint,
 ) -> ProjLine:
     """Ruler-only tangent at a construction point.
 
@@ -117,23 +117,23 @@ def tangent_by_involution(
     pairs; the conjugate of the join to the contact's own partner is the
     tangent.  Callers verify the result against tangent_at.
     """
-    s = s_pair.first if contact is None else contact
-    sbar = s_pair.other(s)
-    _require_on(curve, s, sbar, *p_pair.points, *q_pair.points)
-    return conjugate_line(_pair_involution(s, p_pair, q_pair), join(s, sbar))
+    sbar = s_pair.other(contact)
+    _require_on(curve, contact, sbar, *p_pair.points, *q_pair.points)
+    return conjugate_line(_pair_involution(contact, p_pair, q_pair), join(contact, sbar))
 
 
-def chord_tangency_check(curve: WeierstrassCurve, a: ProjPoint, b: ProjPoint) -> bool:
-    """If a, its conjugate, and b are collinear curve points, the tangential
-    point of a is the conjugate of b."""
-    curve.require(a)
-    curve.require(b)
-    abar = conjugate_point(curve, a)
-    if len({a, abar, b}) != 3:
-        raise NotCollinear("need three distinct collinear points")
-    if not collinear(a, abar, b):
-        raise NotCollinear(f"{brief(a)}, {brief(abar)}, {brief(b)} are not collinear")
-    return tangent_third(curve.cubic, a) == conjugate_point(curve, b)
+def chord_tangency_check(curve: WeierstrassCurve, a: ProjPoint, abar: ProjPoint) -> bool:
+    """The chord through a pair meets the cubic again at b = -(2a + T), whose
+    conjugate -2a is the tangential point of a.  This holds exactly when
+    abar = a + T, so that premise is tested only when the identity fails."""
+    b = chord_third(curve.cubic, a, abar)
+    if b in (a, abar):
+        raise TooDegenerate("tangent chord")
+    if tangent_third(curve.cubic, a) == conjugate_point(curve, b):
+        return True
+    if conjugate_point(curve, a) != abar:
+        raise HypothesisFailed(f"{brief(abar)} is not the conjugate of {brief(a)}")
+    return False
 
 
 def conjugate_lines_check(

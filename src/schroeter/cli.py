@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import serialize
 from .engine import DEFAULT_MAX_GENERATIONS, DEFAULT_MAX_POINTS, run
-from .errors import SchroeterError, SeedFormatError, ValidationError
+from .errors import SchroeterError, SeedFormatError, ValidationError, brief
 from .cubic import fit_cubic_9
 from .svgplot import render_svg
 from .verify import SUITES, revalidate_points, run_suites
@@ -59,7 +59,7 @@ def _parse_points_arg(text: str):
             continue
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) not in (2, 3):
-            raise ValidationError(f"bad point {chunk!r}: expected x,y or x,y,z")
+            raise ValidationError(f"bad point {brief(repr(chunk))}: expected x,y or x,y,z")
         points.append(serialize.point_from_json(parts))
     return points
 

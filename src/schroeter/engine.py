@@ -76,7 +76,7 @@ class PointPair:
             return self.second
         if p == self.second:
             return self.first
-        raise ValueError(f"{p} is not a member of {self}")
+        raise ValueError(f"{brief(p)} is not a member of {brief(self)}")
 
     def __contains__(self, p: ProjPoint) -> bool:
         return p == self.first or p == self.second

@@ -111,7 +111,7 @@ class ProjPoint:
         """Affine (x, y); raises on points at infinity."""
         x, y, z = self.coords
         if z == 0:
-            raise ValueError(f"{self} has no affine coordinates")
+            raise ValueError(f"{brief(self)} has no affine coordinates")
         return Fraction(x, z), Fraction(y, z)
 
     @property
@@ -160,10 +160,6 @@ def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
     return _det3((p.coords, q.coords, r.coords)) == 0
-
-
-def concurrent(a: ProjLine, b: ProjLine, c: ProjLine) -> bool:
-    return _det3((a.coeffs, b.coeffs, c.coeffs)) == 0
 
 
 def all_collinear(points) -> bool:

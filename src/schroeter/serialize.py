@@ -1,7 +1,7 @@
 """JSON/CSV vocabulary: rationals as strings, never floats.
 
 Rationals serialize as "p/q" with the denominator omitted when it is 1;
-points and lines are arrays of three coordinate strings.  Output files are
+points are arrays of three coordinate strings.  Output files are
 deterministic so identical runs are byte-identical.
 """
 
@@ -13,8 +13,7 @@ from fractions import Fraction
 from .cubic import Cubic
 from .engine import ConstructionState, PointPair, SeedConfig, validate_seed
 from .errors import SeedFormatError, brief
-from .involution import Involution
-from .projective import ProjLine, ProjPoint
+from .projective import ProjPoint
 from .weierstrass import WeierstrassCurve
 
 
@@ -44,42 +43,6 @@ def point_from_json(arr) -> ProjPoint:
         return ProjPoint.of(*coords)
     except ValueError as exc:
         raise SeedFormatError(str(exc)) from exc
-
-
-def line_to_json(l: ProjLine) -> list[str]:
-    return [str(c) for c in l.coeffs]
-
-
-def line_from_json(arr) -> ProjLine:
-    if not isinstance(arr, (list, tuple)) or len(arr) != 3:
-        raise SeedFormatError(f"a line needs 3 coefficients, got {brief(repr(arr))}")
-    try:
-        return ProjLine.of(*(rat_from_str(v) for v in arr))
-    except ValueError as exc:
-        raise SeedFormatError(str(exc)) from exc
-
-
-def involution_to_json(inv: Involution) -> dict:
-    return {
-        "carrier": point_to_json(inv.carrier),
-        "pairs": [
-            [line_to_json(inv.pair_a[0]), line_to_json(inv.pair_a[1])],
-            [line_to_json(inv.pair_b[0]), line_to_json(inv.pair_b[1])],
-        ],
-    }
-
-
-def involution_from_json(obj) -> Involution:
-    if not isinstance(obj, dict) or "carrier" not in obj or "pairs" not in obj:
-        raise SeedFormatError("involution object needs 'carrier' and 'pairs'")
-    pairs = obj["pairs"]
-    if not isinstance(pairs, list) or len(pairs) != 2:
-        raise SeedFormatError("an involution needs exactly 2 line pairs")
-    return Involution(
-        point_from_json(obj["carrier"]),
-        tuple(line_from_json(l) for l in pairs[0]),
-        tuple(line_from_json(l) for l in pairs[1]),
-    )
 
 
 def pair_to_json(pair: PointPair) -> list[list[str]]:

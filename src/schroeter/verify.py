@@ -16,13 +16,12 @@ from .checks import (
     conjugate_lines_check,
     tangent_by_involution,
 )
-from .cubic import evaluate, tangent_at, tangent_third, third_intersection
+from .cubic import evaluate, tangent_at, tangent_third
 from .engine import ConstructionState
 from .errors import (
     DegeneracyError,
     HypothesisFailed,
     InvariantViolation,
-    TooDegenerate,
     ValidationError,
     brief,
 )
@@ -77,13 +76,13 @@ class VerificationReport:
         }
 
 
-def _check(report, suite, name, check, invalid="raise") -> bool:
+def _check(report, suite, name, check, drop_invalid=False) -> bool:
     """Run `check` and record its outcome; return whether it reached a verdict.
 
     `check` returns a verdict, or a (verdict, detail) pair.  HypothesisFailed
     is recorded as "hypothesis-failed" and any other DegeneracyError as
-    "degenerate".  A ValidationError is raised (invalid="raise"), recorded
-    as "degenerate" (invalid="degenerate") or left out (invalid="drop").
+    "degenerate".  A ValidationError is raised, or left out of the report
+    with drop_invalid.
     """
     try:
         outcome = check()
@@ -91,12 +90,10 @@ def _check(report, suite, name, check, invalid="raise") -> bool:
         status, detail = "hypothesis-failed", str(exc)
     except DegeneracyError as exc:
         status, detail = "degenerate", str(exc)
-    except ValidationError as exc:
-        if invalid == "raise":
+    except ValidationError:
+        if not drop_invalid:
             raise
-        if invalid == "drop":
-            return False
-        status, detail = "degenerate", str(exc)
+        return False
     else:
         ok, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
         status = "pass" if ok else "fail"
@@ -160,18 +157,12 @@ def _suite_tangents(state, report, cubic):
 
 
 def _suite_chords(state, report, curve: WeierstrassCurve):
-    def chord(a, abar):
-        b = third_intersection(curve.cubic, a, abar)
-        if b in (a, abar):
-            raise TooDegenerate("tangent chord")
-        return chord_tangency_check(curve, a, b)
-
     checked = 0
     for pair in state.pairs:
         if checked >= LIMIT:
             break
         name = f"chord through {brief(pair.label)}"
-        checked += _check(report, "chords", name, lambda: chord(*pair.points), invalid="degenerate")
+        checked += _check(report, "chords", name, lambda: chord_tangency_check(curve, *pair.points))
 
 
 def _suite_lines(state, report, cubic):
@@ -211,7 +202,7 @@ def _suite_center(state, report, curve: WeierstrassCurve):
             if checked >= LIMIT:
                 return
             name = f"center product vs {p.key[:48]}"
-            checked += _check(report, "center", name, lambda: center_product(p), invalid="drop")
+            checked += _check(report, "center", name, lambda: center_product(p), drop_invalid=True)
 
 
 # The model each suite after chasles needs: "cubic" (the Weierstrass model's,

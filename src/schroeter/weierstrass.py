@@ -55,7 +55,9 @@ class WeierstrassCurve:
 
     def require(self, p: ProjPoint) -> ProjPoint:
         if evaluate(self.cubic, p) != 0:
-            raise NotOnCurve(f"{brief(p)} is not on y^2 = x^3 + {self.a}x^2 + {self.b}x")
+            raise NotOnCurve(
+                f"{brief(p)} is not on y^2 = x^3 + {brief(self.a)}x^2 + {brief(self.b)}x"
+            )
         return p
 
     def point(self, x, y) -> ProjPoint:

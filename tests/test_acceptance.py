@@ -205,7 +205,7 @@ def test_08_chord_conjugate_golden(curve12):
 
     assert conjugate_point(curve12, b) == GOLDEN_TANGENTIAL
     assert tangent_third(curve12.cubic, a) == GOLDEN_TANGENTIAL
-    assert chord_tangency_check(curve12, a, b)
+    assert chord_tangency_check(curve12, a, abar)
     print("\nACCEPTANCE 8 PASS: chord through (1,2) and (2,-4) hits (32,-184), whose "
           "conjugate (1/16, 23/64) is the tangential point")
 

@@ -1,7 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from schroeter import cubic
 from schroeter.checks import (
     chasles_check,
     chord_tangency_check,
@@ -12,10 +14,10 @@ from schroeter.checks import (
 )
 from schroeter.cubic import tangent_at
 from schroeter.engine import PointPair, run
-from schroeter.errors import HypothesisFailed, LinesNotDistinct, NotCollinear
+from schroeter.errors import HypothesisFailed, LinesNotDistinct
 from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
-from schroeter.weierstrass import multiply
+from schroeter.weierstrass import add, multiply
 
 
 def pt(x, y):
@@ -151,14 +153,36 @@ class TestChordTangency:
     def test_golden_instance(self, curve12):
         # chord through (1,2) and its conjugate hits (32,-184); its conjugate
         # is the common tangential point (1/16, 23/64)
-        assert chord_tangency_check(curve12, pt(1, 2), pt(32, -184))
+        assert chord_tangency_check(curve12, pt(1, 2), pt(2, -4))
 
     def test_torsion_instance(self, curve54):
-        assert chord_tangency_check(curve54, pt(-1, 0), pt(0, 0))
+        assert chord_tangency_check(curve54, pt(-1, 0), pt(-4, 0))
 
-    def test_not_collinear(self, curve12):
-        with pytest.raises(NotCollinear):
+    def test_partner_not_conjugate(self, curve12):
+        with pytest.raises(HypothesisFailed):
             chord_tangency_check(curve12, pt(1, 2), pt(2, 4))
+
+    def test_partner_shifted_by_another_two_torsion_point(self, curve54):
+        # (2,6) + (-1,0) = (-2,2): a difference of order two, but not T
+        assert add(curve54, pt(2, 6), pt(-1, 0)) == pt(-2, 2)
+        with pytest.raises(HypothesisFailed):
+            chord_tangency_check(curve54, pt(2, 6), pt(-2, 2))
+        state = SimpleNamespace(pairs=[PointPair.of(pt(2, 6), pt(-2, 2))])
+        report = run_suites(state, suites=("chords",), curve=curve54)
+        assert [r.status for r in report.results] == ["hypothesis-failed"]
+
+    def test_evaluates_the_cubic_seventeen_times(self, monkeypatch, curve12):
+        # one chord (4), one tangential point (5), one conjugate (8)
+        calls = []
+        original = cubic._eval_triple
+
+        def counting(form, t):
+            calls.append(t)
+            return original(form, t)
+
+        monkeypatch.setattr(cubic, "_eval_triple", counting)
+        assert chord_tangency_check(curve12, pt(1, 2), pt(2, -4))
+        assert len(calls) == 17
 
 
 class TestConjugateLines:

@@ -169,6 +169,7 @@ class TestCombine:
             lambda: third_intersection(cubic, far.first, pt(1, 2)),
             lambda: third_intersection(cubic, pt(1, 2), far.first),
             lambda: curve12.require(far.first),
+            lambda: WeierstrassCurve(huge, 2).require(pt(1, 1)),
             lambda: join(far.first, far.first),
             lambda: meet(line, line),
             lambda: cross_ratio_points(pt(0, 0), pt(1, 0), pt(2, 0), far.first),
@@ -199,6 +200,11 @@ class TestCombine:
             with pytest.raises(SchroeterError) as exc:
                 call()
             messages.append(str(exc.value))
+        # ValueErrors that only a programming error reaches
+        for call in (lambda: far.other(pt(0, 0)), lambda: ProjPoint((huge, 1, 0)).to_affine()):
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.append(str(exc.value))
         with monkeypatch.context() as patch:
             patch.setattr(involution, "_ruler_conjugate", lambda inv, d, choice: line)
             with pytest.raises(InvariantViolation) as exc:
@@ -223,6 +229,9 @@ class TestCombine:
         report_path = tmp_path / "corrupt.json"
         report_path.write_text(json.dumps(report))
         assert main(["verify", "--report", str(report_path)]) == 3
+        messages.append(capsys.readouterr().err)
+        points = f"{'9' * 10_000},1,1,1;1,2;2,4"
+        assert main(["seed-from-curve", "--a", "1", "--b", "2", "--points", points]) == 1
         messages.append(capsys.readouterr().err)
         # after the three bootstrap combinations, every child is off the curve
         calls = []

@@ -90,21 +90,3 @@ class TestState:
         text1 = serialize.dumps(serialize.state_to_json(state1))
         text2 = serialize.dumps(serialize.state_to_json(state2))
         assert text1 == text2
-
-
-class TestInvolution:
-    def test_round_trip(self):
-        from schroeter.involution import Involution
-        from schroeter.projective import ProjLine
-
-        inv = Involution(
-            ProjPoint.of(0, 0, 1),
-            (ProjLine.of(0, 1, 0), ProjLine.of(1, 0, 0)),
-            (ProjLine.of(1, -1, 0), ProjLine.of(1, 1, 0)),
-        )
-        again = serialize.involution_from_json(serialize.involution_to_json(inv))
-        assert again == inv
-
-    def test_malformed(self):
-        with pytest.raises(SeedFormatError):
-            serialize.involution_from_json({"carrier": ["0", "0", "1"]})

@@ -92,8 +92,9 @@ def test_invalid_input_per_suite(monkeypatch, curve54, torsion_seed_full):
     state = run(torsion_seed_full, curve=curve54.cubic)
     for name in ("chord_tangency_check", "involution_center_product", "conjugate_lines_check"):
         monkeypatch.setattr(verify, name, _invalid)
-    # chords records it as degenerate, center leaves the check out, lines raises
-    report = run_suites(state, suites=("chords", "center"), curve=curve54)
-    assert outcome_counts(report) == {("chords", "degenerate"): 4}
-    with pytest.raises(ValidationError):
-        run_suites(state, suites=("lines",), curve=curve54)
+    # center leaves the check out, chords and lines raise
+    report = run_suites(state, suites=("center",), curve=curve54)
+    assert report.results == []
+    for suite in ("chords", "lines"):
+        with pytest.raises(ValidationError):
+            run_suites(state, suites=(suite,), curve=curve54)
