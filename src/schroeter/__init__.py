@@ -21,7 +21,6 @@ from .cubic import (
     cubic_family_through,
     evaluate,
     fit_cubic_9,
-    normalized_frame_cubic,
     tangent_at,
     tangent_third,
     third_intersection,
@@ -30,7 +29,6 @@ from .engine import (
     ConstructionState,
     PointPair,
     SeedConfig,
-    bootstrap_seed,
     combine,
     run,
     validate_seed,
@@ -39,19 +37,12 @@ from .errors import SchroeterError
 from .involution import (
     Involution,
     conjugate_line,
-    conjugate_pairs_from_quadrangle,
     is_complete_quadrilateral_pairing,
-    verify_involution,
 )
 from .projective import (
-    INFINITY,
     ProjLine,
     ProjPoint,
-    apply_homography,
     collinear,
-    cross_ratio_lines,
-    cross_ratio_points,
-    frame_map,
     incident,
     join,
     meet,
@@ -66,7 +57,6 @@ from .weierstrass import (
     chart_conjugate,
     conjugate_point,
     involution_center_product,
-    multiply,
     neg,
     seed_from_curve,
     to_abc_chart,

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .projective import ProjLine, ProjPoint, join, meet
 from .involution import Involution, conjugate_line
-from .weierstrass import WeierstrassCurve, conjugate_point
+from .weierstrass import TWO_TORSION, WeierstrassCurve, conjugate_point
 
 
 def _require_on(curve: Cubic, *points: ProjPoint):
@@ -56,43 +56,6 @@ def chasles_check(
     return True
 
 
-def tangent_meet_check(
-    curve: Cubic, p: ProjPoint, pbar: ProjPoint, q: ProjPoint, qbar: ProjPoint
-) -> bool:
-    """If both meets of two pairs land on the cubic, the tangent contact
-    thirds agree within each pair, including the derived pair."""
-    if len({p, pbar, q, qbar}) != 4:
-        raise HypothesisFailed("the four points must be pairwise distinct")
-    _require_on(curve, p, pbar, q, qbar)
-    try:
-        s = meet(join(p, q), join(pbar, qbar))
-        sbar = meet(join(p, qbar), join(pbar, q))
-    except (IdenticalPoints, IdenticalLines) as exc:
-        raise HypothesisFailed(f"degenerate joins: {exc}") from exc
-    if evaluate(curve, s) != 0 or evaluate(curve, sbar) != 0:
-        raise HypothesisFailed("derived meets are not on the cubic")
-    return (
-        tangent_third(curve, p) == tangent_third(curve, pbar)
-        and tangent_third(curve, q) == tangent_third(curve, qbar)
-        and tangent_third(curve, s) == tangent_third(curve, sbar)
-    )
-
-
-def tangency_transport_check(
-    curve: Cubic, p: ProjPoint, pbar: ProjPoint, q: ProjPoint
-) -> bool:
-    """Converse direction: a pair with a common tangential point transports
-    that property to any curve point q via the chord operator."""
-    _require_on(curve, p, pbar, q)
-    if tangent_third(curve, p) != tangent_third(curve, pbar):
-        raise HypothesisFailed("p and pbar do not share their tangential point")
-    s = chord_third(curve, p, q)
-    qbar = chord_third(curve, s, pbar)
-    sbar_1 = chord_third(curve, p, qbar)
-    sbar_2 = chord_third(curve, pbar, q)
-    return sbar_1 == sbar_2 and tangent_third(curve, q) == tangent_third(curve, qbar)
-
-
 def _pair_involution(s: ProjPoint, pair_a: PointPair, pair_b: PointPair) -> Involution:
     """The involution at s whose conjugate pairs are its joins to two pairs."""
     targets = (*pair_a.points, *pair_b.points)
@@ -125,11 +88,16 @@ def tangent_by_involution(
 def chord_tangency_check(curve: WeierstrassCurve, a: ProjPoint, abar: ProjPoint) -> bool:
     """The chord through a pair meets the cubic again at b = -(2a + T), whose
     conjugate -2a is the tangential point of a.  This holds exactly when
-    abar = a + T, so that premise is tested only when the identity fails."""
-    b = chord_third(curve.cubic, a, abar)
+    abar = a + T, so that premise is tested only when the identity fails.
+
+    The conjugate b + T is -(b.T), so the identity is tested as
+    b.T = -(a.a): one more chord, and negation is (x : -y : z)."""
+    cubic = curve.cubic
+    b = chord_third(cubic, a, abar)
     if b in (a, abar):
         raise TooDegenerate("tangent chord")
-    if tangent_third(curve.cubic, a) == conjugate_point(curve, b):
+    x, y, z = tangent_third(cubic, a).coords
+    if chord_third(cubic, b, TWO_TORSION) == ProjPoint((x, -y, z)):
         return True
     if conjugate_point(curve, a) != abar:
         raise HypothesisFailed(f"{brief(abar)} is not the conjugate of {brief(a)}")

@@ -16,7 +16,6 @@ from .errors import (
     IdenticalPoints,
     InvariantViolation,
     LineComponent,
-    NotAffine,
     NotOnCurve,
     OverconstrainedFit,
     SingularPoint,
@@ -213,29 +212,3 @@ def fit_cubic_9(points) -> Cubic:
     if len(basis) > 1:
         raise AmbiguousFit(f"cubics through the points form a {len(basis)}-dimensional family")
     return basis[0]
-
-
-def normalized_frame_cubic(c: ProjPoint, cbar: ProjPoint) -> Cubic:
-    """Closed-form cubic for a seed normalized to the standard frame.
-
-    The seed pairs are {(0,0,1), (0,1,0)}, {(1,0,0), (1,1,1)}, {c, cbar}
-    with affine c and cbar; the construction curve has an explicit equation
-    in the affine chart, homogenized and canonicalized here.
-    """
-    if c.coords[2] == 0 or cbar.coords[2] == 0:
-        raise NotAffine("the free seed pair must consist of affine points")
-    cx, cy = c.to_affine()
-    dx, dy = cbar.to_affine()
-    coeffs = [
-        0,                                # x3
-        -1,                               # x2y
-        cy * dy,                          # x2z
-        1,                                # xy2
-        cx + dx - cy * dx - cx * dy,      # xyz
-        -cy * dy,                         # xz2
-        0,                                # y3
-        cx * dx - cx - dx,                # y2z
-        cy * dx + cx * dy - cx * dx,      # yz2
-        0,                                # z3
-    ]
-    return Cubic.of(coeffs)

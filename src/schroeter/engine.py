@@ -17,12 +17,10 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .cubic import Cubic, cubic_family_through, evaluate, fit_cubic_9
+from .cubic import Cubic, cubic_family_through, evaluate
 from .errors import (
-    BarNotOnCurve,
     CompleteQuadrilateral,
     DegenerateLines,
-    DegenerateNine,
     DuplicatePoints,
     FourCollinear,
     IdenticalPoints,
@@ -33,7 +31,7 @@ from .errors import (
     brief,
 )
 from .involution import is_complete_quadrilateral_pairing
-from .projective import ProjPoint, all_collinear, cross, join, meet
+from .projective import ProjPoint, all_collinear, cross
 
 DEFAULT_MAX_POINTS = 512
 DEFAULT_MAX_GENERATIONS = 16
@@ -151,42 +149,6 @@ def combine(p: PointPair, q: PointPair) -> PointPair:
             f"both meets of {brief(p)} and {brief(q)} coincide at {brief(s)}"
         )
     return PointPair.of(s, sbar)
-
-
-@dataclass(frozen=True)
-class SeedBootstrap:
-    """The three derived meets of a seed with strict distinctness, plus the
-    unique cubic through the nine base points (partners asserted on it)."""
-
-    direct: tuple[ProjPoint, ProjPoint, ProjPoint]
-    crossed: tuple[ProjPoint, ProjPoint, ProjPoint]
-    curve: Cubic
-
-
-def bootstrap_seed(seed: SeedConfig) -> SeedBootstrap:
-    """Derive the three like-join meets and cross-join meets of the seed.
-
-    With seed pairs (A, Abar), (B, Bbar), (C, Cbar) in canonical member
-    order, the direct meets are AB^AbarBbar, BC^BbarCbar, CA^CbarAbar and
-    the crossed meets swap one bar in each.  The nine points consisting of
-    the seed and the direct meets must be pairwise distinct; the cubic
-    through them is fitted exactly and must also contain the crossed meets.
-    """
-    pairs = seed.pairs
-    direct = []
-    crossed = []
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        p, q = pairs[i], pairs[j]
-        direct.append(meet(join(p.first, q.first), join(p.second, q.second)))
-        crossed.append(meet(join(p.first, q.second), join(p.second, q.first)))
-    nine = list(seed.points) + direct
-    if len(set(nine)) != 9:
-        raise DegenerateNine("seed points and derived meets are not pairwise distinct")
-    curve = fit_cubic_9(nine)
-    for point in crossed:
-        if evaluate(curve, point) != 0:
-            raise BarNotOnCurve(f"crossed meet {brief(point)} misses the fitted cubic")
-    return SeedBootstrap(tuple(direct), tuple(crossed), curve)
 
 
 @dataclass

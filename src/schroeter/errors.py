@@ -45,23 +45,7 @@ class IdenticalLines(ValidationError):
     pass
 
 
-class NotCollinear(ValidationError):
-    pass
-
-
-class NotConcurrent(ValidationError):
-    pass
-
-
-class SingularMatrix(ValidationError):
-    pass
-
-
 class NotInPencil(ValidationError):
-    pass
-
-
-class ForbiddenCarrier(ValidationError):
     pass
 
 
@@ -78,10 +62,6 @@ class CompleteQuadrilateral(ValidationError):
 
 
 class NotOnCurve(ValidationError):
-    pass
-
-
-class NotAffine(ValidationError):
     pass
 
 
@@ -104,10 +84,6 @@ class SeedFormatError(ValidationError):
 # --- degeneracy / ambiguity ----------------------------------------------
 
 class TooDegenerate(DegeneracyError):
-    pass
-
-
-class DegenerateFrame(DegeneracyError):
     pass
 
 
@@ -139,10 +115,6 @@ class DegenerateLines(DegeneracyError):
     pass
 
 
-class DegenerateNine(DegeneracyError):
-    pass
-
-
 class LinesNotDistinct(DegeneracyError):
     pass
 
@@ -156,10 +128,4 @@ class HypothesisFailed(DegeneracyError):
 
 
 class DegenerateHexagon(DegeneracyError):
-    pass
-
-
-# --- invariants ------------------------------------------------------------
-
-class BarNotOnCurve(InvariantViolation):
     pass

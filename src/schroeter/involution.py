@@ -15,7 +15,6 @@ from itertools import combinations
 from .errors import (
     DegenerateChoice,
     DuplicatePoints,
-    ForbiddenCarrier,
     IdenticalLines,
     IdenticalPoints,
     InvariantViolation,
@@ -26,7 +25,6 @@ from .projective import (
     ProjLine,
     ProjPoint,
     collinear,
-    cross_ratio_params,
     incident,
     join,
     meet,
@@ -64,11 +62,6 @@ class Involution:
             _require_in_pencil(self.carrier, line)
         if len(set(lines)) != 4:
             raise IdenticalLines("an involution needs two pairs of four distinct lines")
-
-    @classmethod
-    def from_pairs(cls, pair_a, pair_b) -> "Involution":
-        carrier = meet(pair_a[0], pair_a[1])
-        return cls(carrier, tuple(pair_a), tuple(pair_b))
 
 
 def _pencil_param(inv: Involution, line: ProjLine) -> tuple[int, int]:
@@ -152,64 +145,6 @@ def conjugate_line(inv: Involution, d: ProjLine, *, choice: int = 0) -> ProjLine
             f"the algebraic conjugate {brief(algebraic)}"
         )
     return ruler
-
-
-def conjugate_pairs_from_quadrangle(
-    a: ProjPoint, abar: ProjPoint, b: ProjPoint, bbar: ProjPoint, p: ProjPoint
-):
-    """Three conjugate line pairs through p determined by a point quadrangle.
-
-    The diagonal pair d, dbar of the quadrangle joins the cross-meets; p may
-    be any point avoiding the four vertices and both diagonal points.
-    """
-    if len({a, abar, b, bbar}) != 4:
-        raise DuplicatePoints("quadrangle points must be pairwise distinct")
-    d = meet(join(a, b), join(abar, bbar))
-    dbar = meet(join(a, bbar), join(abar, b))
-    if p in (a, abar, b, bbar, d, dbar):
-        raise ForbiddenCarrier(f"carrier {brief(p)} coincides with a quadrangle or diagonal point")
-    return (
-        (join(p, a), join(p, abar)),
-        (join(p, b), join(p, bbar)),
-        (join(p, d), join(p, dbar)),
-    )
-
-
-def verify_involution(inv: Involution, pairs) -> bool:
-    """Exhaustive cross-ratio test over the given conjugate pairs.
-
-    For every three distinct pairs and every four lines drawn from all
-    three, the cross-ratio must equal the cross-ratio of the four partner
-    lines.  Vacuously true with fewer than three distinct pairs.
-    """
-    seen: dict = {}
-    for pair in pairs:
-        key = frozenset(pair)
-        if key not in seen:
-            seen[key] = (pair[0], pair[1])
-    distinct_pairs = list(seen.values())
-    for pair in distinct_pairs:
-        for line in pair:
-            _require_in_pencil(inv.carrier, line)
-
-    for trio in combinations(distinct_pairs, 3):
-        lines = []
-        partner = {}
-        for l, lbar in trio:
-            lines.extend((l, lbar))
-            partner[l] = lbar
-            partner[lbar] = l
-        params = {l: _pencil_param(inv, l) for l in set(lines)}
-        for quad in combinations(range(6), 4):
-            pair_ids = {i // 2 for i in quad}
-            if len(pair_ids) < 3:
-                continue
-            chosen = [lines[i] for i in quad]
-            cr = cross_ratio_params(*(params[l] for l in chosen))
-            cr_bar = cross_ratio_params(*(params[partner[l]] for l in chosen))
-            if cr != cr_bar:
-                return False
-    return True
 
 
 def is_complete_quadrilateral_pairing(pair_a, pair_b, pair_c) -> bool:

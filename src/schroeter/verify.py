@@ -26,11 +26,8 @@ from .errors import (
     brief,
 )
 from .weierstrass import (
-    TWO_TORSION,
     WeierstrassCurve,
-    add,
     involution_center_product,
-    neg,
     to_abc_chart,
 )
 
@@ -244,23 +241,14 @@ def run_suites(
     return report
 
 
-def check_pair_differences(state: ConstructionState, curve: WeierstrassCurve) -> int:
-    """Assert partner - point = T under the group law for every pair; returns
-    the number of pairs checked."""
-    count = 0
-    for pair in state.pairs:
-        delta = add(curve, pair.second, neg(curve, pair.first))
-        if delta != TWO_TORSION:
-            raise InvariantViolation(
-                f"{brief(pair)}: partner difference {brief(delta)} is not the 2-torsion point"
-            )
-        count += 1
-    return count
-
-
 def revalidate_points(points, cubics) -> None:
-    """Raise if any point misses any of the given cubics (corrupt data check)."""
+    """Raise if a point repeats or misses any of the given cubics (corrupt
+    data check)."""
+    seen = set()
     for p in points:
+        if p in seen:
+            raise InvariantViolation(f"point {brief(p)} appears more than once")
+        seen.add(p)
         for c in cubics:
             if evaluate(c, p) != 0:
                 raise InvariantViolation(f"point {brief(p)} is off the recorded curve")

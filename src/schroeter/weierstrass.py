@@ -3,7 +3,7 @@
 The neutral element is the inflection O = (0 : 1 : 0) and T = (0 : 0 : 1) is
 a rational point of order two.  Negation and addition are built entirely on
 the chord operator of the cubic module, so coordinate formulas (affine
-y-negation, the b/x conjugate) stay available as independent cross-checks.
+y-negation, the b/x conjugate) serve the tests as independent cross-checks.
 Also provides the y^2 x = alpha + beta x + gamma x^2 chart in which the
 conjugation induces a line involution with a computable center.
 """
@@ -74,47 +74,9 @@ def add(curve: WeierstrassCurve, p: ProjPoint, q: ProjPoint) -> ProjPoint:
     return neg(curve, chord_third(curve.cubic, p, q))
 
 
-def multiply(curve: WeierstrassCurve, n: int, p: ProjPoint) -> ProjPoint:
-    """n*P by double-and-add."""
-    if n < 0:
-        return multiply(curve, -n, neg(curve, p))
-    acc = NEUTRAL
-    addend = p
-    while n:
-        if n & 1:
-            acc = add(curve, acc, addend)
-        addend = add(curve, addend, addend)
-        n >>= 1
-    return acc
-
-
 def conjugate_point(curve: WeierstrassCurve, p: ProjPoint) -> ProjPoint:
     """P + T: the partner of P in every construction pair on this curve."""
     return add(curve, p, TWO_TORSION)
-
-
-def conjugate_affine_form(curve: WeierstrassCurve, p: ProjPoint) -> ProjPoint:
-    """Closed form (b/x, -y b/x^2) of the conjugate; independent cross-check."""
-    curve.require(p)
-    x, y = p.to_affine()
-    if x == 0:
-        raise ZeroDenominator("closed-form conjugate needs x != 0")
-    return ProjPoint.affine(curve.b / x, -y * curve.b / (x * x))
-
-
-def subgroup_generated(curve: WeierstrassCurve, generators) -> set[ProjPoint]:
-    """Closure of the generators under the group law (finite inputs only)."""
-    elements = {NEUTRAL}
-    frontier = [NEUTRAL]
-    gens = [curve.require(g) for g in generators]
-    while frontier:
-        base = frontier.pop()
-        for g in gens:
-            for cand in (add(curve, base, g), add(curve, base, neg(curve, g))):
-                if cand not in elements:
-                    elements.add(cand)
-                    frontier.append(cand)
-    return elements
 
 
 # --- the alpha/beta/gamma chart ---------------------------------------------
@@ -134,7 +96,7 @@ class AbcChart:
 
 @dataclass(frozen=True)
 class ChartMap:
-    """Bijective rational map between a Weierstrass curve and its chart.
+    """Bijective rational map from a Weierstrass curve to its chart.
 
     Scale x by the base point's x, y by its y, swap the roles of x and z,
     and dehomogenize; the base point itself maps to (1, 1).
@@ -149,13 +111,6 @@ class ChartMap:
         if x == 0:
             raise ZeroDenominator(f"{brief(p)} maps to infinity on the chart")
         return Fraction(z, 1) * r0 / Fraction(x, 1), Fraction(y, 1) * r0 / (r1 * Fraction(x, 1))
-
-    def from_chart(self, x, y) -> ProjPoint:
-        x, y = Fraction(x), Fraction(y)
-        if x == 0:
-            raise ZeroDenominator("chart point with x = 0 has no affine preimage")
-        r0, r1 = self.base
-        return ProjPoint.affine(r0 / x, r1 * y / x)
 
 
 def to_abc_chart(curve: WeierstrassCurve, base: ProjPoint) -> ChartMap:

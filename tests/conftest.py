@@ -10,11 +10,12 @@ import pytest
 from schroeter import (
     ProjPoint,
     WeierstrassCurve,
-    multiply,
     seed_from_curve,
 )
-from schroeter.engine import PointPair, SeedConfig, bootstrap_seed, validate_seed
+from schroeter.engine import PointPair, SeedConfig, validate_seed
 from schroeter.errors import SchroeterError
+
+from oracles import bootstrap_seed
 
 FRAME = (
     ProjPoint.of(0, 0, 1),
@@ -66,10 +67,6 @@ def random_frame_seeds(rng: random.Random, count: int, *, strict: bool = True):
             continue
         seeds.append(seed)
     return seeds
-
-
-def curve_points(curve: WeierstrassCurve, base: ProjPoint, multiples) -> list[ProjPoint]:
-    return [multiply(curve, n, base) for n in multiples]
 
 
 def random_smooth_frame_seeds(rng: random.Random, count: int):

@@ -1,0 +1,344 @@
+"""Reference computations the tests compare the package against, kept out
+of `schroeter` because no command runs them.  Imported as `oracles`."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+
+from schroeter.checks import _require_on
+from schroeter.cubic import Cubic, chord_third, evaluate, fit_cubic_9, tangent_third
+from schroeter.engine import ConstructionState, SeedConfig
+from schroeter.errors import (
+    DegeneracyError,
+    DuplicatePoints,
+    HypothesisFailed,
+    IdenticalLines,
+    IdenticalPoints,
+    InvariantViolation,
+    TooDegenerate,
+    ValidationError,
+    ZeroDenominator,
+    brief,
+)
+from schroeter.involution import Involution, _pencil_param, _require_in_pencil
+from schroeter.projective import ProjLine, ProjPoint, incident, join, meet, span_coordinates
+from schroeter.weierstrass import NEUTRAL, TWO_TORSION, ChartMap, WeierstrassCurve, add, neg
+
+
+class NotCollinear(ValidationError):
+    pass
+
+
+class NotConcurrent(ValidationError):
+    pass
+
+
+class ForbiddenCarrier(ValidationError):
+    pass
+
+
+class NotAffine(ValidationError):
+    pass
+
+
+class DegenerateNine(DegeneracyError):
+    pass
+
+
+class BarNotOnCurve(InvariantViolation):
+    pass
+
+
+class _Infinity:
+    """The infinite cross-ratio value (vanishing denominator)."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "oo"
+
+
+INFINITY = _Infinity()
+
+
+def cross_ratio_params(t1, t2, t3, t4):
+    """Cross-ratio of four homogeneous parameters (lam, mu) on a projective line.
+
+    Convention: cr(p1, p2; p3, p4) = (p1-p3)(p2-p4) / ((p1-p4)(p2-p3)) on
+    affine parameters, extended projectively.  Returns a Fraction or INFINITY.
+    """
+
+    def d(u, v):
+        return u[0] * v[1] - v[0] * u[1]
+
+    num = d(t1, t3) * d(t2, t4)
+    den = d(t1, t4) * d(t2, t3)
+    if den == 0:
+        if num == 0:
+            raise TooDegenerate("cross-ratio is indeterminate for these parameters")
+        return INFINITY
+    return Fraction(num, den)
+
+
+def cross_ratio_points(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint):
+    """Cross-ratio of four collinear points, at least three pairwise distinct."""
+    pts = (p1, p2, p3, p4)
+    distinct = list(dict.fromkeys(pts))
+    if len(distinct) < 3:
+        raise TooDegenerate("need at least three distinct points for a cross-ratio")
+    line = join(distinct[0], distinct[1])
+    for p in pts:
+        if not incident(p, line):
+            raise NotCollinear(f"{brief(p)} is not on the common line {brief(line)}")
+    b1, b2 = distinct[0].coords, distinct[1].coords
+    params = [span_coordinates(p.coords, b1, b2) for p in pts]
+    return cross_ratio_params(*params)
+
+
+def cross_ratio_lines(a: ProjLine, b: ProjLine, c: ProjLine, d: ProjLine):
+    """Cross-ratio of four concurrent lines, at least three pairwise distinct.
+
+    Equals the cross-ratio of the four intersection points with any
+    transversal line avoiding the carrier.
+    """
+    lines = (a, b, c, d)
+    distinct = list(dict.fromkeys(lines))
+    if len(distinct) < 3:
+        raise TooDegenerate("need at least three distinct lines for a cross-ratio")
+    carrier = meet(distinct[0], distinct[1])
+    for l in lines:
+        if not incident(carrier, l):
+            raise NotConcurrent(f"{brief(l)} does not pass through the carrier {brief(carrier)}")
+    b1, b2 = distinct[0].coeffs, distinct[1].coeffs
+    params = [span_coordinates(l.coeffs, b1, b2) for l in lines]
+    return cross_ratio_params(*params)
+
+
+def involution_from_pairs(pair_a, pair_b) -> Involution:
+    carrier = meet(pair_a[0], pair_a[1])
+    return Involution(carrier, tuple(pair_a), tuple(pair_b))
+
+
+def conjugate_pairs_from_quadrangle(
+    a: ProjPoint, abar: ProjPoint, b: ProjPoint, bbar: ProjPoint, p: ProjPoint
+):
+    """Three conjugate line pairs through p determined by a point quadrangle.
+
+    The diagonal pair d, dbar of the quadrangle joins the cross-meets; p may
+    be any point avoiding the four vertices and both diagonal points.
+    """
+    if len({a, abar, b, bbar}) != 4:
+        raise DuplicatePoints("quadrangle points must be pairwise distinct")
+    d = meet(join(a, b), join(abar, bbar))
+    dbar = meet(join(a, bbar), join(abar, b))
+    if p in (a, abar, b, bbar, d, dbar):
+        raise ForbiddenCarrier(f"carrier {brief(p)} coincides with a quadrangle or diagonal point")
+    return (
+        (join(p, a), join(p, abar)),
+        (join(p, b), join(p, bbar)),
+        (join(p, d), join(p, dbar)),
+    )
+
+
+def verify_involution(inv: Involution, pairs) -> bool:
+    """Exhaustive cross-ratio test over the given conjugate pairs.
+
+    For every three distinct pairs and every four lines drawn from all
+    three, the cross-ratio must equal the cross-ratio of the four partner
+    lines.  Vacuously true with fewer than three distinct pairs.
+    """
+    seen: dict = {}
+    for pair in pairs:
+        key = frozenset(pair)
+        if key not in seen:
+            seen[key] = (pair[0], pair[1])
+    distinct_pairs = list(seen.values())
+    for pair in distinct_pairs:
+        for line in pair:
+            _require_in_pencil(inv.carrier, line)
+
+    for trio in combinations(distinct_pairs, 3):
+        lines = []
+        partner = {}
+        for l, lbar in trio:
+            lines.extend((l, lbar))
+            partner[l] = lbar
+            partner[lbar] = l
+        params = {l: _pencil_param(inv, l) for l in set(lines)}
+        for quad in combinations(range(6), 4):
+            pair_ids = {i // 2 for i in quad}
+            if len(pair_ids) < 3:
+                continue
+            chosen = [lines[i] for i in quad]
+            cr = cross_ratio_params(*(params[l] for l in chosen))
+            cr_bar = cross_ratio_params(*(params[partner[l]] for l in chosen))
+            if cr != cr_bar:
+                return False
+    return True
+
+
+def normalized_frame_cubic(c: ProjPoint, cbar: ProjPoint) -> Cubic:
+    """Closed-form cubic for a seed normalized to the standard frame.
+
+    The seed pairs are {(0,0,1), (0,1,0)}, {(1,0,0), (1,1,1)}, {c, cbar}
+    with affine c and cbar; the construction curve has an explicit equation
+    in the affine chart, homogenized and canonicalized here.
+    """
+    if c.coords[2] == 0 or cbar.coords[2] == 0:
+        raise NotAffine("the free seed pair must consist of affine points")
+    cx, cy = c.to_affine()
+    dx, dy = cbar.to_affine()
+    coeffs = [
+        0,                                # x3
+        -1,                               # x2y
+        cy * dy,                          # x2z
+        1,                                # xy2
+        cx + dx - cy * dx - cx * dy,      # xyz
+        -cy * dy,                         # xz2
+        0,                                # y3
+        cx * dx - cx - dx,                # y2z
+        cy * dx + cx * dy - cx * dx,      # yz2
+        0,                                # z3
+    ]
+    return Cubic.of(coeffs)
+
+
+def multiply(curve: WeierstrassCurve, n: int, p: ProjPoint) -> ProjPoint:
+    """n*P by double-and-add."""
+    if n < 0:
+        return multiply(curve, -n, neg(curve, p))
+    acc = NEUTRAL
+    addend = p
+    while n:
+        if n & 1:
+            acc = add(curve, acc, addend)
+        addend = add(curve, addend, addend)
+        n >>= 1
+    return acc
+
+
+def conjugate_affine_form(curve: WeierstrassCurve, p: ProjPoint) -> ProjPoint:
+    """Closed form (b/x, -y b/x^2) of the conjugate; independent cross-check."""
+    curve.require(p)
+    x, y = p.to_affine()
+    if x == 0:
+        raise ZeroDenominator("closed-form conjugate needs x != 0")
+    return ProjPoint.affine(curve.b / x, -y * curve.b / (x * x))
+
+
+def subgroup_generated(curve: WeierstrassCurve, generators) -> set[ProjPoint]:
+    """Closure of the generators under the group law (finite inputs only)."""
+    elements = {NEUTRAL}
+    frontier = [NEUTRAL]
+    gens = [curve.require(g) for g in generators]
+    while frontier:
+        base = frontier.pop()
+        for g in gens:
+            for cand in (add(curve, base, g), add(curve, base, neg(curve, g))):
+                if cand not in elements:
+                    elements.add(cand)
+                    frontier.append(cand)
+    return elements
+
+
+def from_chart(chart_map: ChartMap, x, y) -> ProjPoint:
+    """The inverse of `chart_map.to_chart`: a chart point back on the curve."""
+    x, y = Fraction(x), Fraction(y)
+    if x == 0:
+        raise ZeroDenominator("chart point with x = 0 has no affine preimage")
+    r0, r1 = chart_map.base
+    return ProjPoint.affine(r0 / x, r1 * y / x)
+
+
+def check_pair_differences(state: ConstructionState, curve: WeierstrassCurve) -> int:
+    """Assert partner - point = T under the group law for every pair; returns
+    the number of pairs checked."""
+    count = 0
+    for pair in state.pairs:
+        delta = add(curve, pair.second, neg(curve, pair.first))
+        if delta != TWO_TORSION:
+            raise InvariantViolation(
+                f"{brief(pair)}: partner difference {brief(delta)} is not the 2-torsion point"
+            )
+        count += 1
+    return count
+
+
+def tangent_meet_check(
+    curve: Cubic, p: ProjPoint, pbar: ProjPoint, q: ProjPoint, qbar: ProjPoint
+) -> bool:
+    """If both meets of two pairs land on the cubic, the tangent contact
+    thirds agree within each pair, including the derived pair."""
+    if len({p, pbar, q, qbar}) != 4:
+        raise HypothesisFailed("the four points must be pairwise distinct")
+    _require_on(curve, p, pbar, q, qbar)
+    try:
+        s = meet(join(p, q), join(pbar, qbar))
+        sbar = meet(join(p, qbar), join(pbar, q))
+    except (IdenticalPoints, IdenticalLines) as exc:
+        raise HypothesisFailed(f"degenerate joins: {exc}") from exc
+    if evaluate(curve, s) != 0 or evaluate(curve, sbar) != 0:
+        raise HypothesisFailed("derived meets are not on the cubic")
+    return (
+        tangent_third(curve, p) == tangent_third(curve, pbar)
+        and tangent_third(curve, q) == tangent_third(curve, qbar)
+        and tangent_third(curve, s) == tangent_third(curve, sbar)
+    )
+
+
+def tangency_transport_check(
+    curve: Cubic, p: ProjPoint, pbar: ProjPoint, q: ProjPoint
+) -> bool:
+    """Converse direction: a pair with a common tangential point transports
+    that property to any curve point q via the chord operator."""
+    _require_on(curve, p, pbar, q)
+    if tangent_third(curve, p) != tangent_third(curve, pbar):
+        raise HypothesisFailed("p and pbar do not share their tangential point")
+    s = chord_third(curve, p, q)
+    qbar = chord_third(curve, s, pbar)
+    sbar_1 = chord_third(curve, p, qbar)
+    sbar_2 = chord_third(curve, pbar, q)
+    return sbar_1 == sbar_2 and tangent_third(curve, q) == tangent_third(curve, qbar)
+
+
+@dataclass(frozen=True)
+class SeedBootstrap:
+    """The three derived meets of a seed with strict distinctness, plus the
+    unique cubic through the nine base points (partners asserted on it)."""
+
+    direct: tuple[ProjPoint, ProjPoint, ProjPoint]
+    crossed: tuple[ProjPoint, ProjPoint, ProjPoint]
+    curve: Cubic
+
+
+def bootstrap_seed(seed: SeedConfig) -> SeedBootstrap:
+    """Derive the three like-join meets and cross-join meets of the seed.
+
+    With seed pairs (A, Abar), (B, Bbar), (C, Cbar) in canonical member
+    order, the direct meets are AB^AbarBbar, BC^BbarCbar, CA^CbarAbar and
+    the crossed meets swap one bar in each.  The nine points consisting of
+    the seed and the direct meets must be pairwise distinct; the cubic
+    through them is fitted exactly and must also contain the crossed meets.
+    """
+    pairs = seed.pairs
+    direct = []
+    crossed = []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        p, q = pairs[i], pairs[j]
+        direct.append(meet(join(p.first, q.first), join(p.second, q.second)))
+        crossed.append(meet(join(p.first, q.second), join(p.second, q.first)))
+    nine = list(seed.points) + direct
+    if len(set(nine)) != 9:
+        raise DegenerateNine("seed points and derived meets are not pairwise distinct")
+    curve = fit_cubic_9(nine)
+    for point in crossed:
+        if evaluate(curve, point) != 0:
+            raise BarNotOnCurve(f"crossed meet {brief(point)} misses the fitted cubic")
+    return SeedBootstrap(tuple(direct), tuple(crossed), curve)

@@ -12,23 +12,30 @@ from fractions import Fraction
 import pytest
 
 from schroeter.checks import chord_tangency_check, tangent_by_involution
-from schroeter.cubic import evaluate, fit_cubic_9, normalized_frame_cubic, tangent_at, tangent_third
-from schroeter.engine import PointPair, bootstrap_seed, run
+from schroeter.cubic import evaluate, fit_cubic_9, tangent_at, tangent_third
+from schroeter.engine import PointPair, run
 from schroeter.errors import DegenerateDirection, LinesNotDistinct, SchroeterError, ValidationError, ZeroDenominator
-from schroeter.involution import Involution, conjugate_line, conjugate_pairs_from_quadrangle, verify_involution
+from schroeter.involution import Involution, conjugate_line
 from schroeter.projective import ProjPoint, join
-from schroeter.verify import check_pair_differences
 from schroeter.weierstrass import (
     NEUTRAL,
     TWO_TORSION,
     involution_center_product,
-    multiply,
     seed_from_curve,
-    subgroup_generated,
     to_abc_chart,
 )
 
 from conftest import random_frame_seeds, random_smooth_frame_seeds
+from oracles import (
+    bootstrap_seed,
+    check_pair_differences,
+    conjugate_pairs_from_quadrangle,
+    involution_from_pairs,
+    multiply,
+    normalized_frame_cubic,
+    subgroup_generated,
+    verify_involution,
+)
 
 
 def pt(x, y):
@@ -248,7 +255,7 @@ def test_10_involution_machinery():
         carrier = ProjPoint.of(attempts.randint(-7, 7), attempts.randint(-7, 7), 1)
         try:
             pairs = conjugate_pairs_from_quadrangle(*pts, carrier)
-            inv = Involution.from_pairs(pairs[0], pairs[1])
+            inv = involution_from_pairs(pairs[0], pairs[1])
             assert verify_involution(inv, pairs)
         except SchroeterError:
             continue

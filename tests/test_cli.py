@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -153,11 +152,18 @@ class TestVerify:
         main(["construct", "--seed", str(torsion_seed_file), "--out", str(out)])
         assert main(["verify", "--report", str(out)]) == 0
 
-    def test_corrupted_report(self, torsion_seed_file, tmp_path):
+    @pytest.mark.parametrize("corruption", ["off curve", "repeated pair", "shared point"])
+    def test_corrupted_report(self, torsion_seed_file, tmp_path, corruption):
         out = tmp_path / "run.json"
         main(["construct", "--seed", str(torsion_seed_file), "--out", str(out)])
         data = json.loads(out.read_text())
-        data["pairs"][0][0][0] = "7"
+        pairs = data["pairs"]
+        if corruption == "off curve":
+            pairs[0][0][0] = "7"
+        elif corruption == "repeated pair":
+            pairs.append(pairs[0])
+        else:
+            pairs[1][0] = pairs[0][0]
         out.write_text(json.dumps(data))
         assert main(["verify", "--report", str(out)]) == 3
 

@@ -8,24 +8,22 @@ from schroeter.cubic import (
     cubic_family_through,
     evaluate,
     fit_cubic_9,
-    normalized_frame_cubic,
     tangent_at,
     tangent_third,
     third_intersection,
 )
-from schroeter.engine import bootstrap_seed
 from schroeter.errors import (
     AmbiguousFit,
     IdenticalPoints,
     LineComponent,
-    NotAffine,
     NotOnCurve,
     SingularPoint,
 )
 from schroeter.projective import ProjLine, ProjPoint, join
-from schroeter.weierstrass import WeierstrassCurve, multiply
+from schroeter.weierstrass import WeierstrassCurve
 
 from conftest import random_frame_seeds
+from oracles import NotAffine, bootstrap_seed, multiply, normalized_frame_cubic
 
 TWISTED = Cubic.of([1, 0, 0, 0, 0, 0, 0, 0, -1, 0])  # x^3 = y z^2
 W12 = WeierstrassCurve(1, 2)

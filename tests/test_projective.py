@@ -6,29 +6,21 @@ from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from schroeter.errors import (
-    DegenerateFrame,
     IdenticalLines,
     IdenticalPoints,
-    NotCollinear,
-    NotConcurrent,
-    SingularMatrix,
     TooDegenerate,
 )
 from schroeter.projective import (
-    INFINITY,
     ProjLine,
     ProjPoint,
-    apply_homography,
     collinear,
-    cross_ratio_lines,
-    cross_ratio_points,
-    frame_map,
     incident,
     join,
-    matrix_of,
     meet,
     points_on_line,
 )
+
+from oracles import INFINITY, NotCollinear, NotConcurrent, cross_ratio_lines, cross_ratio_points
 
 small_ints = st.integers(min_value=-30, max_value=30)
 triples = st.tuples(small_ints, small_ints, small_ints).filter(lambda t: any(t))
@@ -139,6 +131,22 @@ class TestCrossRatioPoints:
         with pytest.raises(TooDegenerate):
             cross_ratio_points(p, p, q, q)
 
+    @given(st.tuples(*(small_ints,) * 9))
+    @settings(max_examples=60)
+    def test_cross_ratio_invariance(self, entries):
+        rows = (entries[0:3], entries[3:6], entries[6:9])
+        det = (
+            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+        )
+        assume(det != 0)
+        pts = [_axis_point(t) for t in (0, 3, 1, -2)]
+        images = [
+            ProjPoint(tuple(sum(r * c for r, c in zip(row, p.coords)) for row in rows)) for p in pts
+        ]
+        assert cross_ratio_points(*images) == cross_ratio_points(*pts)
+
 
 def _slope_line(m):
     """Line through the origin with slope m (INFINITY for the vertical)."""
@@ -192,68 +200,3 @@ class TestCrossRatioLines:
                     assert cross_ratio_points(*hits) == expected
                     found += 1
                     break
-
-
-class TestHomography:
-    def test_identity(self):
-        m = matrix_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        p = ProjPoint.of(3, -2, 5)
-        assert apply_homography(m, p) == p
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrix):
-            apply_homography([[1, 0, 0], [2, 0, 0], [0, 0, 1]], ProjPoint.of(1, 1, 1))
-
-    @given(st.tuples(*(small_ints,) * 9))
-    @settings(max_examples=60)
-    def test_cross_ratio_invariance(self, entries):
-        rows = (entries[0:3], entries[3:6], entries[6:9])
-        det = (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
-        assume(det != 0)
-        pts = [_axis_point(t) for t in (0, 3, 1, -2)]
-        images = [apply_homography(rows, p) for p in pts]
-        assert cross_ratio_points(*images) == cross_ratio_points(*pts)
-
-
-class TestFrameMap:
-    TARGETS = (
-        ProjPoint.of(0, 0, 1), ProjPoint.of(0, 1, 0),
-        ProjPoint.of(1, 0, 0), ProjPoint.of(1, 1, 1),
-    )
-
-    def test_standard_frame_is_identity(self):
-        m = frame_map(*self.TARGETS)
-        assert m == matrix_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-    def test_example_quadruple(self):
-        sources = (
-            ProjPoint.of(1, 0, 1), ProjPoint.of(0, 1, 1),
-            ProjPoint.of(1, 1, 1), ProjPoint.of(0, 0, 1),
-        )
-        m = frame_map(*sources)
-        for src, dst in zip(sources, self.TARGETS):
-            assert apply_homography(m, src) == dst
-
-    def test_three_collinear_rejected(self):
-        with pytest.raises(DegenerateFrame):
-            frame_map(
-                ProjPoint.of(0, 0, 1), ProjPoint.of(1, 0, 1),
-                ProjPoint.of(2, 0, 1), ProjPoint.of(0, 1, 1),
-            )
-
-    def test_random_quadruples(self):
-        rng = random.Random(23)
-        built = 0
-        while built < 15:
-            pts = [ProjPoint.of(rng.randint(-8, 8), rng.randint(-8, 8), 1) for _ in range(4)]
-            try:
-                m = frame_map(*pts)
-            except DegenerateFrame:
-                continue
-            for src, dst in zip(pts, self.TARGETS):
-                assert apply_homography(m, src) == dst
-            built += 1

@@ -9,8 +9,6 @@ from schroeter.engine import run
 from schroeter.errors import SeedFormatError
 from schroeter.projective import ProjPoint
 
-from conftest import frame_seed
-
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6

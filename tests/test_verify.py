@@ -11,8 +11,10 @@ import pytest
 
 from schroeter import verify
 from schroeter.engine import run
-from schroeter.errors import HypothesisFailed, NotCollinear, ValidationError
+from schroeter.errors import HypothesisFailed, ValidationError
 from schroeter.verify import run_suites
+
+from oracles import NotCollinear
 
 
 def outcome_counts(report):
