@@ -152,15 +152,21 @@ class TestVerify:
         main(["construct", "--seed", str(torsion_seed_file), "--out", str(out)])
         assert main(["verify", "--report", str(out)]) == 0
 
-    @pytest.mark.parametrize("corruption", ["off curve", "repeated pair", "shared point"])
-    def test_corrupted_report(self, torsion_seed_file, tmp_path, corruption):
+    def test_corrupted_report(self, torsion_seed_file, tmp_path):
+        out = tmp_path / "run.json"
+        main(["construct", "--seed", str(torsion_seed_file), "--out", str(out)])
+        data = json.loads(out.read_text())
+        data["pairs"][0][0][0] = "7"
+        out.write_text(json.dumps(data))
+        assert main(["verify", "--report", str(out)]) == 3
+
+    @pytest.mark.parametrize("corruption", ["repeated pair", "shared point"])
+    def test_repeated_point_report(self, torsion_seed_file, tmp_path, corruption):
         out = tmp_path / "run.json"
         main(["construct", "--seed", str(torsion_seed_file), "--out", str(out)])
         data = json.loads(out.read_text())
         pairs = data["pairs"]
-        if corruption == "off curve":
-            pairs[0][0][0] = "7"
-        elif corruption == "repeated pair":
+        if corruption == "repeated pair":
             pairs.append(pairs[0])
         else:
             pairs[1][0] = pairs[0][0]

@@ -35,7 +35,9 @@ def unused_imports(source: str) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "path", [*MODULES, *TEST_MODULES], ids=lambda p: f"{p.parent.name}/{p.name}"
+    "path",
+    [*MODULES, *TEST_MODULES],
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}",
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -92,7 +94,7 @@ def test_no_unreferenced_definitions():
     assert unreferenced_definitions(PACKAGE) == {}
 
 
-def test_guard_counts_only_the_package_outside_the_definition(tmp_path):
+def test_guard_sees_an_unreferenced_definition(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "geometry.py").write_text(

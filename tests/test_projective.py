@@ -131,22 +131,6 @@ class TestCrossRatioPoints:
         with pytest.raises(TooDegenerate):
             cross_ratio_points(p, p, q, q)
 
-    @given(st.tuples(*(small_ints,) * 9))
-    @settings(max_examples=60)
-    def test_cross_ratio_invariance(self, entries):
-        rows = (entries[0:3], entries[3:6], entries[6:9])
-        det = (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
-        assume(det != 0)
-        pts = [_axis_point(t) for t in (0, 3, 1, -2)]
-        images = [
-            ProjPoint(tuple(sum(r * c for r, c in zip(row, p.coords)) for row in rows)) for p in pts
-        ]
-        assert cross_ratio_points(*images) == cross_ratio_points(*pts)
-
 
 def _slope_line(m):
     """Line through the origin with slope m (INFINITY for the vertical)."""
@@ -200,3 +184,21 @@ class TestCrossRatioLines:
                     assert cross_ratio_points(*hits) == expected
                     found += 1
                     break
+
+
+class TestHomography:
+    @given(st.tuples(*(small_ints,) * 9))
+    @settings(max_examples=60)
+    def test_cross_ratio_invariance(self, entries):
+        rows = (entries[0:3], entries[3:6], entries[6:9])
+        det = (
+            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+        )
+        assume(det != 0)
+        pts = [_axis_point(t) for t in (0, 3, 1, -2)]
+        images = [
+            ProjPoint(tuple(sum(r * c for r, c in zip(row, p.coords)) for row in rows)) for p in pts
+        ]
+        assert cross_ratio_points(*images) == cross_ratio_points(*pts)
