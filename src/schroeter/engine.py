@@ -9,6 +9,15 @@ pairs, since older pairs have already met.  All points land on one cubic
 bootstrap points).  This is asserted at admission time, once per new point
 and distinct cubic; a duplicate child is never re-checked.  Output is
 deterministic regardless of internal scheduling.
+
+Every pair is {P, P + T} for one point T of order two, and the child of
+pairs with classes x and y in G/<T> (G the curve's group) has class
+kappa - x - y, since its first point is the third point of the chord PQ.
+So each pair carries a group-law label: its class as an integer
+combination of the seed pairs' classes and kappa, reduced modulo the
+relations learned so far.  A child whose label is known is a duplicate of
+that pair and costs no geometry; a geometric duplicate under a new label
+teaches a relation.
 """
 
 from __future__ import annotations
@@ -40,6 +49,9 @@ DEFAULT_MAX_GENERATIONS = 16
 MIN_MAX_POINTS = 12
 
 PairKey = tuple[tuple[int, int, int], tuple[int, int, int]]
+# A group-law label: coefficients of the three seed pairs' classes, then of kappa.
+_Label = tuple[int, int, int, int]
+_KAPPA: _Label = (0, 0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -198,13 +210,58 @@ def _on_all(curves, point: ProjPoint) -> bool:
     return all(evaluate(c, point) == 0 for c in curves)
 
 
+def _reduce(label: _Label, rows: list[_Label]) -> _Label:
+    """The canonical representative of `label` modulo the lattice spanned by
+    `rows`, which are in Hermite normal form: each pivot entry of the result
+    lies in [0, pivot)."""
+    for row in rows:
+        col = next(c for c, a in enumerate(row) if a)
+        q = label[col] // row[col]
+        if q:
+            label = tuple(a - q * b for a, b in zip(label, row))
+    return label
+
+
+def _hnf(rows: list[_Label]) -> list[_Label]:
+    """The Hermite normal form of the lattice spanned by `rows`: echelon
+    rows with positive pivots, the entries above each pivot in [0, pivot).
+    Cohen, A Course in Computational Algebraic Number Theory, 2.4.2."""
+    rows = [list(r) for r in rows]
+    basis: list[list[int]] = []
+    for col in range(len(_KAPPA)):
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:  # Euclid on column `col`
+            live.sort(key=lambda r: abs(r[col]))
+            pivot, rest = live[0], []
+            for r in live[1:]:
+                q = r[col] // pivot[col]
+                r = [a - q * b for a, b in zip(r, pivot)]
+                (rest if r[col] else rows).append(r)
+            live = [pivot, *rest]
+        if live:
+            pivot = live[0] if live[0][col] > 0 else [-a for a in live[0]]
+            for i, row in enumerate(basis):
+                q = row[col] // pivot[col]
+                basis[i] = [a - q * b for a, b in zip(row, pivot)]
+            basis.append(pivot)
+    return [tuple(r) for r in basis]
+
+
 class _Workspace:
     def __init__(self):
         self.pairs: dict[PairKey, PointPair] = {}
         self.point_owner: dict[ProjPoint, PairKey] = {}
+        self.labels: dict[PairKey, _Label] = {}
+        self.key_of_label: dict[_Label, PairKey] = {}
+        self.relations: list[_Label] = []  # in Hermite normal form
 
-    def admit(self, pair: PointPair):
-        """Add a pair whose key is new; its points must be new as well."""
+    def admit(self, pair: PointPair, label: _Label | None = None):
+        """Add a pair whose key is new; its points must be new as well.
+
+        A pair admitted without a label is a seed pair: the i-th one gets
+        the unit label e_i.
+        """
         for p in pair.points:
             owner = self.point_owner.get(p)
             if owner is not None:
@@ -212,9 +269,29 @@ class _Workspace:
                     f"point {brief(p)} of {brief(pair)} already belongs to "
                     f"pair {brief(self.pairs[owner])}"
                 )
+        if label is None:
+            label = tuple(int(i == len(self.pairs)) for i in range(len(_KAPPA)))
         self.pairs[pair.key] = pair
+        self.labels[pair.key] = label
+        self.key_of_label[label] = pair.key
         for p in pair.points:
             self.point_owner[p] = pair.key
+
+    def child_label(self, k1: PairKey, k2: PairKey) -> _Label:
+        """The reduced label kappa - x - y of the child of two pairs."""
+        x, y = self.labels[k1], self.labels[k2]
+        return _reduce(tuple(k - a - b for k, a, b in zip(_KAPPA, x, y)), self.relations)
+
+    def learn(self, relation: _Label):
+        """Add a relation between labels and re-key every pair by it; two
+        pairs that come to share a label mean the relation is wrong."""
+        self.relations = _hnf([*self.relations, relation])
+        self.labels = {k: _reduce(label, self.relations) for k, label in self.labels.items()}
+        self.key_of_label = {label: k for k, label in self.labels.items()}
+        if len(self.key_of_label) != len(self.labels):
+            raise InvariantViolation(
+                f"the learned relation {relation} gives two distinct pairs one label"
+            )
 
     @property
     def point_count(self) -> int:
@@ -232,13 +309,15 @@ def run(
     """Breadth-first closure of the pair-combination construction.
 
     Every unordered pair of pairs is combined exactly once: a generation
-    combines the pairs admitted in the one before with all pairs.  Children
-    are deduplicated by canonical key before anything else and admitted in
-    canonical order, so two runs produce identical output no matter how the
-    internal worklist is ordered (`scheduler_seed` shuffles it to prove the
-    point).  Each admitted point is asserted, once per distinct cubic, to lie
-    on every cubic through the bootstrap points and on `curve` when one is
-    supplied; a duplicate is never re-checked.  The run stops when no
+    combines the pairs admitted in the one before with all pairs.  A child
+    whose group-law label is known is a duplicate without any geometry;
+    otherwise the geometry runs, and a child whose canonical key is known is
+    a duplicate that teaches a relation between labels.  Children are
+    admitted in canonical order, so two runs produce identical output no
+    matter how the internal worklist is ordered (`scheduler_seed` shuffles
+    it to prove the point).  Each admitted point is asserted, once per
+    distinct cubic, to lie on every cubic through the bootstrap points and
+    on `curve` when one is supplied; a duplicate is never re-checked.  The run stops when no
     combination is pending (closed) or when a cap is reached (not closed);
     `frontier` counts the combinations left unattempted.
 
@@ -259,18 +338,21 @@ def run(
     for pair in seed.pairs:
         ws.admit(pair)
 
-    def combo_key(k1: PairKey, k2: PairKey):
-        return (k1, k2) if k1 <= k2 else (k2, k1)
-
     def process(k1: PairKey, k2: PairKey):
         """Combine one pending pair of pairs and record the outcome."""
         parents = (k1, k2)
+        label = ws.child_label(k1, k2)
+        known = ws.key_of_label.get(label)
+        if known is not None:
+            provenance.append(Derivation(parents, known, "duplicate"))
+            return
         try:
             child = combine(ws.pairs[k1], ws.pairs[k2])
         except (SharedPoint, DegenerateLines) as exc:
             provenance.append(Derivation(parents, None, "skipped", type(exc).__name__))
             return
         if child.key in ws.pairs:
+            ws.learn(tuple(a - b for a, b in zip(label, ws.labels[child.key])))
             provenance.append(Derivation(parents, child.key, "duplicate"))
             return
         for point in child.points:
@@ -278,7 +360,7 @@ def run(
                 raise InvariantViolation(
                     f"constructed point {brief(point)} is off the construction cubic"
                 )
-        ws.admit(child)
+        ws.admit(child, label)
         provenance.append(Derivation(parents, child.key, "new"))
 
     # Bootstrap: combine the three seed pairs among themselves, then pin the
@@ -307,22 +389,26 @@ def run(
     capped = ws.point_count >= max_points
 
     while not capped and generation < max_generations:
-        keys = list(ws.pairs)
-        old, fresh = keys[:met], keys[met:]
-        met = len(keys)
-        pending = [combo_key(k1, k2) for k1 in fresh for k2 in old]
-        pending += [combo_key(k1, k2) for k1, k2 in combinations(fresh, 2)]
+        # Combinations as rank pairs (i, j), i < j, in the sorted keys: their
+        # order is that of the key pairs, without sorting big-integer tuples.
+        ordered = sorted(ws.pairs)
+        rank = {key: i for i, key in enumerate(ordered)}
+        ranks = [rank[key] for key in ws.pairs]
+        old, fresh = ranks[:met], ranks[met:]
+        met = len(ranks)
+        pending = [(i, j) if i < j else (j, i) for i in fresh for j in old]
+        pending += [(i, j) if i < j else (j, i) for i, j in combinations(fresh, 2)]
         if not pending:
             break
         if rng is not None:
             rng.shuffle(pending)
         pending.sort()
         generation += 1
-        for k1, k2 in pending:
+        for i, j in pending:
             if ws.point_count + 2 > max_points:
                 capped = True
                 break
-            process(k1, k2)
+            process(ordered[i], ordered[j])
 
     count = len(ws.pairs)
     ordered = tuple(ws.pairs[k] for k in sorted(ws.pairs.keys()))

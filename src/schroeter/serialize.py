@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 
 from .cubic import Cubic
 from .engine import ConstructionState, PointPair, SeedConfig, validate_seed
@@ -60,9 +61,13 @@ def cubic_to_json(c: Cubic) -> list[str]:
 
 
 def cubic_from_json(arr) -> Cubic:
+    """A run report's cubic from ten rational coefficients."""
     if not isinstance(arr, (list, tuple)) or len(arr) != 10:
         raise SeedFormatError("a cubic needs exactly 10 coefficients")
-    return Cubic.of([int(rat_from_str(v)) for v in arr])
+    try:
+        return Cubic.of([rat_from_str(v) for v in arr])
+    except ValueError as exc:
+        raise SeedFormatError(f"bad cubic in run report: {exc}") from exc
 
 
 def curve_to_json(curve: WeierstrassCurve) -> dict:
@@ -98,6 +103,7 @@ def _key_label(key) -> str:
 
 
 def state_to_json(state: ConstructionState) -> dict:
+    label = cache(_key_label)  # one decimal string per pair key
     return {
         "seed": [pair_to_json(p) for p in state.seed.pairs],
         "curve": cubic_to_json(state.curve) if state.curve is not None else None,
@@ -109,8 +115,8 @@ def state_to_json(state: ConstructionState) -> dict:
         "generations": state.generations,
         "provenance": [
             {
-                "parents": [_key_label(k) for k in d.parents],
-                "child": _key_label(d.child) if d.child is not None else None,
+                "parents": [label(k) for k in d.parents],
+                "child": label(d.child) if d.child is not None else None,
                 "skipped": d.status == "skipped",
                 "status": d.status,
                 "reason": d.reason,

@@ -173,13 +173,25 @@ class TestVerify:
         out.write_text(json.dumps(data))
         assert main(["verify", "--report", str(out)]) == 3
 
+    def test_rational_curve_report(self, torsion_seed_file, tmp_path):
+        out = tmp_path / "run.json"
+        main(["construct", "--seed", str(torsion_seed_file), "--out", str(out)])
+        data = json.loads(out.read_text())
+        for cubic in (data["curve"], *data["curve_basis"]):
+            cubic[:] = [f"{c}/2" for c in cubic]
+        out.write_text(json.dumps(data))
+        assert main(["verify", "--report", str(out)]) == 0
+        assert main(["plot", "--report", str(out), "--out", str(tmp_path / "run.svg")]) == 0
+
     def test_unknown_suite(self, torsion_seed_file):
         assert main(["verify", "--seed", str(torsion_seed_file), "--suite", "nonsense"]) == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "plot"])
 @pytest.mark.parametrize(
-    "content", [[], {"pairs": 5}, {"curve": None}, {"pairs": [], "curve_basis": 5}]
+    "content",
+    [[], {"pairs": 5}, {"curve": None}, {"pairs": [], "curve_basis": 5},
+     {"pairs": [], "curve": ["0"] * 10}, {"pairs": [], "curve_basis": [["0"] * 10]}],
 )
 def test_malformed_report(tmp_path, capsys, command, content):
     report = tmp_path / "bad.json"

@@ -4,6 +4,8 @@ from itertools import combinations, count
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from schroeter import engine, involution, serialize, verify
 from schroeter.checks import chasles_check, chord_tangency_check, conjugate_lines_check
@@ -106,13 +108,7 @@ class TestValidateSeed:
             )
 
     def test_quadrilateral_hook(self):
-        seed = validate_seed(
-            PointPair.of(pt(0, 0), pt(2, -1)),
-            PointPair.of(pt(1, 0), ProjPoint.of(0, 1, 0)),
-            PointPair.of(pt(2, 0), pt(0, 1)),
-            allow_quadrilateral=True,
-        )
-        state = run(seed)
+        state = run(quadrilateral_hook_seed())
         assert state.closed and state.point_count == 6
 
 
@@ -414,21 +410,39 @@ def reference_run(seed, max_points, max_generations):
     return provenance, sorted(pairs), remaining == 0, generation, remaining
 
 
+def quadrilateral_hook_seed():
+    return validate_seed(
+        PointPair.of(pt(0, 0), pt(2, -1)),
+        PointPair.of(pt(1, 0), ProjPoint.of(0, 1, 0)),
+        PointPair.of(pt(2, 0), pt(0, 1)),
+        allow_quadrilateral=True,
+    )
+
+
 class TestEnumeration:
-    """Incremental enumeration against the brute-force rescan."""
+    """Incremental enumeration and group-law labels against the brute-force
+    rescan, which runs the geometry on every combination."""
 
     @pytest.mark.parametrize(
         "name, max_points, max_generations",
-        [("frame", 120, 16), ("torsion", 512, 16), ("frame", 10_000, 2), ("curve12", 64, 16)],
+        [("frame", 120, 16), ("torsion", 512, 16), ("frame", 10_000, 2), ("curve12", 64, 16),
+         ("frame", 512, 16), ("curve12", 128, 16), ("quadrilateral", 512, 16), ("hook", 512, 16),
+         *((f"random{i}", 200, 16) for i in range(4))],
     )
     def test_matches_rescan(self, request, name, max_points, max_generations):
-        seed, curve = {
-            "frame": ("golden_frame_seed", None),
-            "torsion": ("torsion_seed_full", "curve54"),
-            "curve12": ("curve12_seed", "curve12"),
-        }[name]
-        seed = request.getfixturevalue(seed)
-        cubic = request.getfixturevalue(curve).cubic if curve else None
+        if name.startswith("random"):
+            seed, cubic = random_frame_seeds(random.Random(2024), 4)[int(name[-1])], None
+        elif name == "hook":
+            seed, cubic = quadrilateral_hook_seed(), None
+        else:
+            seed, curve = {
+                "frame": ("golden_frame_seed", None),
+                "torsion": ("torsion_seed_full", "curve54"),
+                "curve12": ("curve12_seed", "curve12"),
+                "quadrilateral": ("torsion_seed_quadrilateral", "curve54"),
+            }[name]
+            seed = request.getfixturevalue(seed)
+            cubic = request.getfixturevalue(curve).cubic if curve else None
         state = run(seed, max_points, max_generations, curve=cubic)
         provenance, keys, closed, generations, frontier = reference_run(
             seed, max_points, max_generations
@@ -436,7 +450,48 @@ class TestEnumeration:
         assert [(d.parents, d.child, d.status, d.reason) for d in state.provenance] == provenance
         assert [pair.key for pair in state.pairs] == keys
         assert (state.closed, state.generations, state.frontier) == (closed, generations, frontier)
-        if name == "torsion":
+        if name in ("torsion", "quadrilateral", "hook"):
             assert closed and frontier == 0
         else:
             assert not closed and frontier > 0
+
+    def test_duplicates_skip_the_geometry(self, monkeypatch, curve12, curve12_seed):
+        calls = []
+
+        def counting(p, q):
+            calls.append(None)
+            return combine(p, q)
+
+        monkeypatch.setattr(engine, "combine", counting)
+        state = run(curve12_seed, max_points=256, curve=curve12.cubic)
+        assert (len(calls), len(state.provenance)) == (127, 2740)
+
+
+class TestLabels:
+    # the rows learned on curve12@256, from the relations (-2,0,-1,1) and (1,-3,2,0)
+    ROWS = [(1, 3, -1, -1), (0, 6, -3, -1)]
+
+    def test_rows_are_in_hermite_normal_form(self):
+        assert engine._hnf(self.ROWS) == self.ROWS
+        assert engine._hnf([(-2, 0, -1, 1), (1, -3, 2, 0)]) == self.ROWS
+        assert engine._hnf([(0, -2, -1, 1)]) == [(0, 2, 1, -1)]
+
+    @given(
+        st.tuples(*[st.integers(-50, 50)] * 4),
+        st.integers(-20, 20),
+        st.integers(-20, 20),
+    )
+    def test_reduction_is_canonical(self, v, a, b):
+        r0, r1 = self.ROWS
+        shifted = tuple(x + a * y + b * z for x, y, z in zip(v, r0, r1))
+        reduced = engine._reduce(v, self.ROWS)
+        assert engine._reduce(shifted, self.ROWS) == reduced
+        assert reduced[0] == 0 and 0 <= reduced[1] < 6
+
+    def test_wrong_relation_is_caught(self, golden_frame_seed):
+        workspace = engine._Workspace()
+        for pair in golden_frame_seed.pairs:
+            workspace.admit(pair)
+        assert list(workspace.key_of_label) == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+        with pytest.raises(InvariantViolation, match="two distinct pairs one label"):
+            workspace.learn((1, -1, 0, 0))

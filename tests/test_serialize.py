@@ -1,10 +1,13 @@
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from schroeter import serialize
+from schroeter.cubic import Cubic
 from schroeter.engine import run
 from schroeter.errors import SeedFormatError
 from schroeter.projective import ProjPoint
@@ -65,6 +68,17 @@ class TestSeed:
             serialize.seed_from_json([1, 2, 3])
 
 
+class TestCubic:
+    def test_rational_coefficients(self):
+        cubic = serialize.cubic_from_json(["1/2", "0", "0", "0", "0", "0", "0", "-1", "0", "1/3"])
+        assert cubic == Cubic.of([3, 0, 0, 0, 0, 0, 0, -6, 0, 2])
+        assert serialize.cubic_from_json(["1/2"] * 10) == Cubic.of([1] * 10)
+
+    def test_zero_cubic(self):
+        with pytest.raises(SeedFormatError, match="run report"):
+            serialize.cubic_from_json(["0"] * 10)
+
+
 class TestState:
     def test_report_round_trip(self, golden_frame_seed):
         state = run(golden_frame_seed, max_points=24)
@@ -81,6 +95,26 @@ class TestState:
         lines = text.strip().splitlines()
         assert lines[0] == "pair_id,member,x,y,z"
         assert len(lines) == 1 + state.point_count
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [("frame", "d002364b5a83e3917349c16d4a891d8264ab069ea2dad3bd6218242c85b53c2e"),
+         ("curve12", "f73a931b27ddff3cda147d46d34899e83a1829c26ae1fc8f5c0e24e11daedab9"),
+         ("torsion", "a3169adb854bc0e4d4806f887f5a90171004a4850df12927f8dc60ff670f02a5")],
+    )
+    def test_report_bytes_pinned(self, request, name, digest):
+        """Any change to the engine or the writer that moves a report fails here."""
+        if name == "frame":
+            state = run(request.getfixturevalue("golden_frame_seed"), max_points=512)
+        elif name == "curve12":
+            curve = request.getfixturevalue("curve12").cubic
+            state = run(request.getfixturevalue("curve12_seed"), max_points=128, curve=curve)
+        else:
+            path = Path(__file__).parents[1] / "seeds" / "torsion.json"
+            seed, curve = serialize.seed_from_json(serialize.load_json(path))
+            state = run(seed, curve=curve.cubic)
+        text = serialize.dumps(serialize.state_to_json(state))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_deterministic_dump(self, golden_frame_seed):
         state1 = run(golden_frame_seed, max_points=24, scheduler_seed=5)
