@@ -7,7 +7,7 @@ claim from an inapplicable configuration.
 
 from __future__ import annotations
 
-from .cubic import Cubic, chord_third, evaluate, tangent_third
+from .cubic import Cubic, chord_third, evaluate, gradient, tangent_third
 from .engine import PointPair
 from .errors import (
     DegenerateHexagon,
@@ -19,7 +19,7 @@ from .errors import (
     TooDegenerate,
     brief,
 )
-from .projective import ProjLine, ProjPoint, join, meet
+from .projective import ProjLine, ProjPoint, collinear, cross, join, meet
 from .involution import Involution, conjugate_line
 from .weierstrass import TWO_TORSION, WeierstrassCurve, conjugate_point
 
@@ -28,6 +28,30 @@ def _require_on(curve: Cubic, *points: ProjPoint):
     for p in points:
         if evaluate(curve, p) != 0:
             raise NotOnCurve(f"{brief(p)} is not on the cubic")
+
+
+def _dot(u, v) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _tangents_meet_on_cubic(cubic: Cubic, p: ProjPoint, pbar: ProjPoint) -> bool:
+    """Whether the tangents at p and pbar meet at a point m of the cubic and
+    neither tangent is a component of it: m is then the tangential point of
+    both.  False decides nothing.
+
+    With dF the gradient, F(lam*p + mu*m) = lam^3 F(p) + lam^2 mu dF(p).m
+    + lam mu^2 dF(m).p + mu^3 F(m), and 3 F(v) = dF(v).v.  When p and m are
+    on the cubic and m is on the tangent at p, only the lam mu^2 term is
+    left.  If dF(m).p is not zero, the tangent meets the cubic at p twice
+    and at m once, so m is not p and the tangent is no component.  A zero
+    meet has a zero gradient, so it never passes.
+    """
+    gp, gpbar = gradient(cubic, p.coords), gradient(cubic, pbar.coords)
+    if _dot(gp, p.coords) or _dot(gpbar, pbar.coords):
+        return False
+    m = cross(gp, gpbar)
+    gm = gradient(cubic, m)
+    return _dot(gm, m) == 0 and _dot(gm, p.coords) != 0 and _dot(gm, pbar.coords) != 0
 
 
 def chasles_check(
@@ -90,14 +114,21 @@ def chord_tangency_check(curve: WeierstrassCurve, a: ProjPoint, abar: ProjPoint)
     conjugate -2a is the tangential point of a.  This holds exactly when
     abar = a + T, so that premise is tested only when the identity fails.
 
-    The conjugate b + T is -(b.T), so the identity is tested as
-    b.T = -(a.a): one more chord, and negation is (x : -y : z)."""
+    The conjugate b + T is -(b.T), so the identity is b.T = n with n the
+    negated tangential point (negation is (x : -y : z)).  When b, T and n
+    are distinct that is one collinearity: a line meets the smooth cubic in
+    three points, so n on the cubic and on the line bT is b.T."""
     cubic = curve.cubic
     b = chord_third(cubic, a, abar)
     if b in (a, abar):
         raise TooDegenerate("tangent chord")
     x, y, z = tangent_third(cubic, a).coords
-    if chord_third(cubic, b, TWO_TORSION) == ProjPoint((x, -y, z)):
+    n = ProjPoint((x, -y, z))
+    if len({b, TWO_TORSION, n}) == 3:
+        holds = evaluate(cubic, n) == 0 and collinear(b, TWO_TORSION, n)
+    else:
+        holds = chord_third(cubic, b, TWO_TORSION) == n
+    if holds:
         return True
     if conjugate_point(curve, a) != abar:
         raise HypothesisFailed(f"{brief(abar)} is not the conjugate of {brief(a)}")

@@ -70,8 +70,9 @@ def evaluate(cubic: Cubic, point: ProjPoint) -> int:
     return _eval_triple(cubic, point.coords)
 
 
-def gradient(cubic: Cubic, point: ProjPoint) -> tuple[int, int, int]:
-    x, y, z = point.coords
+def gradient(cubic: Cubic, t) -> tuple[int, int, int]:
+    """The partial derivatives of the form at a coordinate triple, at any scale."""
+    x, y, z = t
     c = cubic.coeffs
     gx = 3 * c[0] * x * x + 2 * c[1] * x * y + 2 * c[2] * x * z + c[3] * y * y + c[4] * y * z + c[5] * z * z
     gy = c[1] * x * x + 2 * c[3] * x * y + c[4] * x * z + 3 * c[6] * y * y + 2 * c[7] * y * z + c[8] * z * z
@@ -83,7 +84,7 @@ def tangent_at(cubic: Cubic, point: ProjPoint) -> ProjLine:
     """Tangent line at a smooth curve point (the gradient of the form)."""
     if evaluate(cubic, point) != 0:
         raise NotOnCurve(f"{brief(point)} is not on the cubic")
-    grad = gradient(cubic, point)
+    grad = gradient(cubic, point.coords)
     if not any(grad):
         raise SingularPoint(f"{brief(point)} is a singular point of the cubic")
     return ProjLine(grad)

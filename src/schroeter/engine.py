@@ -7,8 +7,10 @@ Each generation combines only the pairs admitted in the one before with all
 pairs, since older pairs have already met.  All points land on one cubic
 (or, in degenerate torsion configurations, on every cubic through the
 bootstrap points).  This is asserted at admission time, once per new point
-and distinct cubic; a duplicate child is never re-checked.  Output is
-deterministic regardless of internal scheduling.
+and distinct cubic; a duplicate child is never re-checked.  When the
+bootstrap points leave a family of cubics, a point that misses a member
+narrows the family to the members through it.  Output is deterministic
+regardless of internal scheduling.
 
 Every pair is {P, P + T} for one point T of order two, and the child of
 pairs with classes x and y in G/<T> (G the curve's group) has class
@@ -206,10 +208,6 @@ class ConstructionState:
         return len(self.points)
 
 
-def _on_all(curves, point: ProjPoint) -> bool:
-    return all(evaluate(c, point) == 0 for c in curves)
-
-
 def _reduce(label: _Label, rows: list[_Label]) -> _Label:
     """The canonical representative of `label` modulo the lattice spanned by
     `rows`, which are in Hermite normal form: each pivot entry of the result
@@ -315,11 +313,14 @@ def run(
     a duplicate that teaches a relation between labels.  Children are
     admitted in canonical order, so two runs produce identical output no
     matter how the internal worklist is ordered (`scheduler_seed` shuffles
-    it to prove the point).  Each admitted point is asserted, once per
-    distinct cubic, to lie on every cubic through the bootstrap points and
-    on `curve` when one is supplied; a duplicate is never re-checked.  The run stops when no
-    combination is pending (closed) or when a cap is reached (not closed);
-    `frontier` counts the combinations left unattempted.
+    it to prove the point).  Each admitted point is evaluated once per
+    distinct cubic of the family through the bootstrap points and of
+    `curve` when one is supplied.  It must lie on `curve`; a family
+    member it misses narrows the family to the cubics through it, and
+    `curve_basis` is the final family.  A duplicate is never re-checked.
+    The run stops when no combination is pending (closed) or when a cap is
+    reached (not closed); `frontier` counts the combinations left
+    unattempted.
 
     The bootstrap is never capped and admits up to 6 pairs, so `max_points`
     must be at least 12; `max_generations` must not be negative.
@@ -356,16 +357,40 @@ def run(
             provenance.append(Derivation(parents, child.key, "duplicate"))
             return
         for point in child.points:
-            if not _on_all(curve_checks, point):
-                raise InvariantViolation(
-                    f"constructed point {brief(point)} is off the construction cubic"
-                )
+            narrow(point)
         ws.admit(child, label)
         provenance.append(Derivation(parents, child.key, "new"))
 
+    def narrow(point: ProjPoint):
+        """Keep the cubics of the family through a constructed point.
+
+        Each distinct cubic, the supplied curve included, is evaluated once.
+        A point off the supplied curve, or off the family's only cubic, is
+        an invariant violation.  A point that misses the basis cubic c_p
+        narrows the family to the span of v_p c_i - v_i c_p (i != p), with
+        v_i the value of c_i at the point.  The bootstrap children are not
+        checked here: the family is fitted through them.
+        """
+        nonlocal basis
+        if not basis:
+            return
+        values = {c: evaluate(c, point) for c in dict.fromkeys((*basis, curve)) if c is not None}
+        missed = next((c for c in basis if values[c]), None)
+        if (curve is not None and values[curve]) or (missed is not None and len(basis) == 1):
+            raise InvariantViolation(
+                f"constructed point {brief(point)} is off the construction cubic"
+            )
+        if missed is not None:
+            vp, cp = values[missed], missed.coeffs
+            basis = tuple(
+                Cubic.of([vp * a - values[c] * b for a, b in zip(c.coeffs, cp)])
+                for c in basis
+                if c != missed
+            )
+
     # Bootstrap: combine the three seed pairs among themselves, then pin the
     # curve family through everything derived so far.
-    curve_checks: tuple[Cubic, ...] = ()
+    basis: tuple[Cubic, ...] = ()
     seed_keys = [pair.key for pair in seed.pairs]
     for i, j in ((0, 1), (1, 2), (2, 0)):
         process(seed_keys[i], seed_keys[j])
@@ -379,11 +404,9 @@ def run(
             if evaluate(curve, point) != 0:
                 raise NotOnCurve(f"bootstrap point {brief(point)} is not on the supplied curve")
     for point in pool:
-        if not _on_all(basis, point):
+        if any(evaluate(c, point) for c in basis):
             raise InvariantViolation("bootstrap point misses its own fitted family")
-    curve_checks = basis if curve is None or curve in basis else basis + (curve,)
 
-    unique = basis[0] if len(basis) == 1 else curve
     generation = 0
     met = len(seed_keys)  # the first `met` pairs have all been combined with each other
     capped = ws.point_count >= max_points
@@ -410,6 +433,7 @@ def run(
                 break
             process(ordered[i], ordered[j])
 
+    unique = basis[0] if len(basis) == 1 else curve
     count = len(ws.pairs)
     ordered = tuple(ws.pairs[k] for k in sorted(ws.pairs.keys()))
     return ConstructionState(

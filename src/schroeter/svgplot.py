@@ -1,16 +1,15 @@
 """SVG rendering of a construction run.
 
 Floats appear here and nowhere else: the curve is sampled numerically per
-viewport column (solving the restricted cubic with numpy), the exact data
-is never touched.  Far-out and infinite points are dropped from the view.
+viewport column (solving the restricted cubic with numpy, which is
+imported only when a curve is drawn), the exact data is never touched.
+Far-out and infinite points are dropped from the view.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .cubic import Cubic, tangent_at
 from .errors import SchroeterError
@@ -94,6 +93,8 @@ class _Canvas:
 
 
 def _poly_roots(coeffs):
+    import numpy as np
+
     trimmed = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
     if trimmed.size <= 1:
         return []
@@ -102,6 +103,8 @@ def _poly_roots(coeffs):
 
 
 def _curve_dots(canvas: _Canvas, cubic: Cubic, columns=420):
+    import numpy as np
+
     scale = max(abs(c) for c in cubic.coeffs)
     c = [float(Fraction(v, scale)) for v in cubic.coeffs]
     for x in np.linspace(canvas.xmin, canvas.xmax, columns):

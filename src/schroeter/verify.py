@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .checks import (
+    _tangents_meet_on_cubic,
     chasles_check,
     chord_tangency_check,
     conjugate_lines_check,
@@ -125,6 +126,8 @@ def _suite_chasles(state: ConstructionState, report: VerificationReport):
 
 def _suite_pair_tangents(state, report, cubic):
     def tangential_points(pair):
+        if _tangents_meet_on_cubic(cubic, *pair.points):
+            return True
         t1 = tangent_third(cubic, pair.first)
         t2 = tangent_third(cubic, pair.second)
         ok = t1 == t2 and evaluate(cubic, t1) == 0

@@ -24,7 +24,15 @@ from schroeter.errors import (
 )
 from schroeter.involution import Involution, _pencil_param, _require_in_pencil
 from schroeter.projective import ProjLine, ProjPoint, incident, join, meet, span_coordinates
-from schroeter.weierstrass import NEUTRAL, TWO_TORSION, ChartMap, WeierstrassCurve, add, neg
+from schroeter.weierstrass import (
+    NEUTRAL,
+    TWO_TORSION,
+    ChartMap,
+    WeierstrassCurve,
+    add,
+    conjugate_point,
+    neg,
+)
 
 
 class NotCollinear(ValidationError):
@@ -291,6 +299,21 @@ def tangent_meet_check(
         and tangent_third(curve, q) == tangent_third(curve, qbar)
         and tangent_third(curve, s) == tangent_third(curve, sbar)
     )
+
+
+def chord_tangency_reference(curve: WeierstrassCurve, a: ProjPoint, abar: ProjPoint) -> bool:
+    """`checks.chord_tangency_check` with the chord b.T always computed in
+    full, as it was before that check became one collinearity."""
+    cubic = curve.cubic
+    b = chord_third(cubic, a, abar)
+    if b in (a, abar):
+        raise TooDegenerate("tangent chord")
+    x, y, z = tangent_third(cubic, a).coords
+    if chord_third(cubic, b, TWO_TORSION) == ProjPoint((x, -y, z)):
+        return True
+    if conjugate_point(curve, a) != abar:
+        raise HypothesisFailed(f"{brief(abar)} is not the conjugate of {brief(a)}")
+    return False
 
 
 def tangency_transport_check(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from schroeter import engine, involution, serialize, verify
 from schroeter.checks import chasles_check, chord_tangency_check, conjugate_lines_check
 from schroeter.cli import main
-from schroeter.cubic import evaluate, tangent_at, third_intersection
+from schroeter.cubic import Cubic, evaluate, tangent_at, third_intersection
 from schroeter.engine import (
     PointPair,
     combine,
@@ -218,6 +218,7 @@ class TestCombine:
                 ))
             messages.append(str(exc.value))
             # distinct tangential points for every member: each pair fails
+            patch.setattr(verify, "_tangents_meet_on_cubic", lambda cubic, p, pbar: False)
             tangentials = count(1)
             patch.setattr(verify, "tangent_third", lambda c, p: ProjPoint((huge, 1, next(tangentials))))
             fails = run_suites(run(golden_frame_seed, max_points=12), suites=("pair-tangents",)).results
@@ -361,6 +362,25 @@ class TestRun:
         bootstrap_checks = 2 * pool  # against the supplied curve, then the basis
         new_pairs = sum(d.status == "new" for d in state.provenance[3:])
         assert len(evaluated) == bootstrap_checks + 2 * new_pairs
+
+    def test_a_pencil_narrows_to_the_construction_cubic(self, tmp_path):
+        # the bootstrap repeats two seed pairs, so its 8 points leave a pencil
+        # of cubics, and no member of it holds the first constructed point
+        pairs = [[(0, 0, 1), (0, 1, 0)], [(1, 0, 0), (1, 1, 1)], [(0, 1, -3), (3, -1, -1)]]
+        seed = validate_seed(*(PointPair.of(*map(ProjPoint, pair)) for pair in pairs))
+        pencil = run(seed, max_generations=0).curve_basis
+        assert len(pencil) == 2
+        cubic = Cubic.of([0, 3, 1, -3, 12, -1, 0, -9, -3, 0])
+        for curve in (None, cubic):
+            state = run(seed, max_points=200, curve=curve)
+            assert state.point_count == 200
+            assert (state.curve,) == state.curve_basis == (cubic,)
+        for curve in pencil:
+            with pytest.raises(InvariantViolation, match="off the construction cubic"):
+                run(seed, max_points=200, curve=curve)
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"pairs": [[[str(c) for c in p] for p in pair] for pair in pairs]}))
+        assert main(["construct", "--seed", str(path), "--max-points", "12"]) == 0
 
 
 def reference_run(seed, max_points, max_generations):

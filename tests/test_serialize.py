@@ -11,6 +11,7 @@ from schroeter.cubic import Cubic
 from schroeter.engine import run
 from schroeter.errors import SeedFormatError
 from schroeter.projective import ProjPoint
+from schroeter.verify import run_suites
 
 
 rationals = st.fractions(
@@ -114,6 +115,26 @@ class TestState:
             seed, curve = serialize.seed_from_json(serialize.load_json(path))
             state = run(seed, curve=curve.cubic)
         text = serialize.dumps(serialize.state_to_json(state))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [("curve12", "a38b9a6c99285fda8528ff3019633acbe24fa2652bb119f712cd168f0b37186e"),
+         ("torsion", "501b1824a5a9e72f4c96bab79e7908e5b764007b27463dda11769b4420ace6d5"),
+         ("frame", "268bbed95ebeab147372cb622f6d8cfa5a75d31823289093d2067cd03ac066db")],
+    )
+    def test_verify_report_bytes_pinned(self, request, name, digest):
+        """Any change to a verify suite that moves a verdict or a detail fails here."""
+        if name == "curve12":
+            curve = request.getfixturevalue("curve12")
+            state = run(request.getfixturevalue("curve12_seed"), max_points=128, curve=curve.cubic)
+        elif name == "torsion":
+            curve = request.getfixturevalue("curve54")
+            state = run(request.getfixturevalue("torsion_seed_full"), curve=curve.cubic)
+        else:
+            curve = None
+            state = run(request.getfixturevalue("golden_frame_seed"), max_points=128)
+        text = serialize.dumps(run_suites(state, curve=curve).to_json())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_deterministic_dump(self, golden_frame_seed):

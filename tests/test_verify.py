@@ -2,19 +2,23 @@
 
 The counts cover the per-suite caps, the checks each suite records as
 degenerate or leaves out, and the gate that skips the group-law suites
-when no Weierstrass model is supplied.
+when no Weierstrass model is supplied.  The fast paths of `pair-tangents`
+and `chords` are compared row by row with the full computations.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from schroeter import verify
-from schroeter.engine import run
-from schroeter.errors import HypothesisFailed, ValidationError
+from schroeter.cubic import Cubic
+from schroeter.engine import PointPair, run
+from schroeter.errors import HypothesisFailed, NotOnCurve, ValidationError
+from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
 
-from oracles import NotCollinear
+from oracles import NotCollinear, chord_tangency_reference, multiply
 
 
 def outcome_counts(report):
@@ -100,3 +104,66 @@ def test_invalid_input_per_suite(monkeypatch, curve54, torsion_seed_full):
     for suite in ("chords", "lines"):
         with pytest.raises(ValidationError):
             run_suites(state, suites=(suite,), curve=curve54)
+
+
+def _rows(state, curve):
+    report = run_suites(state, suites=("pair-tangents", "chords"), curve=curve)
+    return [(r.suite, r.name, r.status, r.detail) for r in report.results]
+
+
+def _non_pairs(curve12, curve54):
+    """Pairs whose partner is not P + T: curve12 multiples of (1, 2), and on
+    curve54 a partner shifted by another point of order two, so that the
+    two tangential points still agree."""
+    points = [multiply(curve12, k, ProjPoint.affine(1, 2)) for k in range(1, 8)]
+    shifted = PointPair.of(ProjPoint.affine(2, 6), ProjPoint.affine(-2, 2))
+    return [
+        (SimpleNamespace(pairs=[PointPair.of(p, q) for p, q in zip(points, points[2:])]), curve12),
+        (SimpleNamespace(pairs=[shifted]), curve54),
+    ]
+
+
+def test_fast_paths_match_the_full_computation(
+    monkeypatch, curve12, curve12_seed, curve54, torsion_seed_full, torsion_seed_quadrilateral
+):
+    runs = [
+        (run(curve12_seed, max_points=128, curve=curve12.cubic), curve12),
+        (run(torsion_seed_full, curve=curve54.cubic), curve54),
+        (run(torsion_seed_quadrilateral, curve=curve54.cubic), curve54),
+        *_non_pairs(curve12, curve54),
+    ]
+    fast = Counter()
+    meets = verify._tangents_meet_on_cubic
+
+    def counting(cubic, p, pbar):
+        decided = meets(cubic, p, pbar)
+        fast[decided] += 1
+        return decided
+
+    monkeypatch.setattr(verify, "_tangents_meet_on_cubic", counting)
+    rows = [_rows(state, curve) for state, curve in runs]
+    monkeypatch.setattr(verify, "_tangents_meet_on_cubic", lambda cubic, p, pbar: False)
+    monkeypatch.setattr(verify, "chord_tangency_check", chord_tangency_reference)
+    assert rows == [_rows(state, curve) for state, curve in runs]
+    statuses = {status for table in rows for _, _, status, _ in table}
+    assert statuses == {"pass", "fail", "degenerate", "hypothesis-failed"}
+    # all pairs decide fast but {O, T} (in curve12@128 and the full torsion
+    # seed) and the five curve12 non-pairs
+    assert fast == {True: 63 + 3 + 3 + 1, False: 1 + 1 + 5}
+
+
+def test_tangent_on_a_line_component_stays_degenerate():
+    # z(x^2 + y^2 - z^2): the tangents at the pair meet at (0 : 1 : 0), on
+    # the cubic, but the one at (1 : 0 : 0) is the line component z = 0
+    cubic = Cubic.of([0, 0, 1, 0, 0, 0, 0, 1, 0, -1])
+    pair = PointPair.of(ProjPoint.of(1, 0, 0), ProjPoint.of(1, 0, 1))
+    report = run_suites(SimpleNamespace(pairs=[pair], curve=cubic), suites=("pair-tangents",))
+    assert [(r.status, r.detail) for r in report.results] == [
+        ("degenerate", "the tangent at (1 : 0 : 0) lies on the cubic")
+    ]
+
+
+def test_pair_off_the_cubic_names_its_first_point(curve12):
+    state = SimpleNamespace(pairs=[PointPair.of(ProjPoint.affine(2, 2), ProjPoint.affine(1, 1))])
+    with pytest.raises(NotOnCurve, match=r"^\(1 : 1 : 1\) is not on the cubic"):
+        run_suites(state, suites=("pair-tangents",), curve=curve12)
