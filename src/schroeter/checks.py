@@ -115,9 +115,11 @@ def chord_tangency_check(curve: WeierstrassCurve, a: ProjPoint, abar: ProjPoint)
     abar = a + T, so that premise is tested only when the identity fails.
 
     The conjugate b + T is -(b.T), so the identity is b.T = n with n the
-    negated tangential point (negation is (x : -y : z)).  When b, T and n
-    are distinct that is one collinearity: a line meets the smooth cubic in
-    three points, so n on the cubic and on the line bT is b.T."""
+    negated tangential point (negation is (x : -y : z)).  n is on the cubic
+    by construction: the tangential point is, and a Weierstrass form is
+    even in y.  When b, T and n are distinct the identity is then one
+    collinearity: a line meets the smooth cubic in three points, so n on
+    the line bT is b.T."""
     cubic = curve.cubic
     b = chord_third(cubic, a, abar)
     if b in (a, abar):
@@ -125,7 +127,7 @@ def chord_tangency_check(curve: WeierstrassCurve, a: ProjPoint, abar: ProjPoint)
     x, y, z = tangent_third(cubic, a).coords
     n = ProjPoint((x, -y, z))
     if len({b, TWO_TORSION, n}) == 3:
-        holds = evaluate(cubic, n) == 0 and collinear(b, TWO_TORSION, n)
+        holds = collinear(b, TWO_TORSION, n)
     else:
         holds = chord_third(cubic, b, TWO_TORSION) == n
     if holds:

@@ -79,10 +79,6 @@ class PointPair:
     def key(self) -> PairKey:
         return (self.first.coords, self.second.coords)
 
-    @property
-    def label(self) -> str:
-        return f"{self.first.key}|{self.second.key}"
-
     def other(self, p: ProjPoint) -> ProjPoint:
         if p == self.first:
             return self.second
@@ -169,8 +165,9 @@ def combine(p: PointPair, q: PointPair) -> PointPair:
 class Derivation:
     """One attempted combination, recorded in processing order.
 
-    Parents and child are pair keys; labels are built only at
-    serialization time (coordinates can run to thousands of digits).
+    Parents and child are pair keys; the run report writes them as
+    indices into its sorted pairs (coordinates can run to thousands of
+    digits).
     """
 
     parents: tuple[PairKey, PairKey]

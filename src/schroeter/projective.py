@@ -90,10 +90,6 @@ class ProjPoint:
             raise ValueError(f"{brief(self)} has no affine coordinates")
         return Fraction(x, z), Fraction(y, z)
 
-    @property
-    def key(self) -> str:
-        return ":".join(str(c) for c in self.coords)
-
     def __repr__(self):
         return "({} : {} : {})".format(*self.coords)
 

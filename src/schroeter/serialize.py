@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cache
 
 from .cubic import Cubic
 from .engine import ConstructionState, PointPair, SeedConfig, validate_seed
@@ -98,13 +97,18 @@ def seed_from_json(obj) -> tuple[SeedConfig, WeierstrassCurve | None]:
     return seed, curve
 
 
-def _key_label(key) -> str:
-    return "|".join(":".join(str(c) for c in coords) for coords in key)
+# Run reports: v1 (no "format_version") wrote each provenance parent and
+# child as full coordinates; v2 writes indices into the sorted "pairs".
+REPORT_FORMAT = 2
 
 
 def state_to_json(state: ConstructionState) -> dict:
-    label = cache(_key_label)  # one decimal string per pair key
+    """The run report.  Each provenance row is [i, j, status, k]: the two
+    parents as indices into `pairs`, in recorded order, then the child's
+    index for "new" and "duplicate" or the reason for "skipped"."""
+    index = {pair.key: i for i, pair in enumerate(state.pairs)}
     return {
+        "format_version": REPORT_FORMAT,
         "seed": [pair_to_json(p) for p in state.seed.pairs],
         "curve": cubic_to_json(state.curve) if state.curve is not None else None,
         "curve_basis": [cubic_to_json(c) for c in state.curve_basis],
@@ -114,22 +118,29 @@ def state_to_json(state: ConstructionState) -> dict:
         "closed": state.closed,
         "generations": state.generations,
         "provenance": [
-            {
-                "parents": [label(k) for k in d.parents],
-                "child": label(d.child) if d.child is not None else None,
-                "skipped": d.status == "skipped",
-                "status": d.status,
-                "reason": d.reason,
-            }
+            [
+                index[d.parents[0]],
+                index[d.parents[1]],
+                d.status,
+                d.reason if d.child is None else index[d.child],
+            ]
             for d in state.provenance
         ],
     }
 
 
 def report_from_json(obj) -> tuple[list[PointPair], Cubic | None, list[Cubic]]:
-    """The pairs, the curve and the curve basis of a run report."""
+    """The pairs, the curve and the curve basis of a run report of either
+    format; provenance is not read."""
     if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
         raise SeedFormatError("a run report needs a 'pairs' list")
+    # v1 has no "format_version"; its pairs, curve and basis read as v2's
+    version = obj.get("format_version", REPORT_FORMAT)
+    if type(version) is not int or version != REPORT_FORMAT:
+        raise SeedFormatError(
+            f"unsupported run report format_version {brief(repr(version))}; "
+            f"expected {REPORT_FORMAT} or none"
+        )
     basis = obj.get("curve_basis", [])
     if not isinstance(basis, list):
         raise SeedFormatError("a run report's 'curve_basis' must be a list")

@@ -74,6 +74,21 @@ class VerificationReport:
         }
 
 
+def _key_head(points, width: int) -> str:
+    """The first `width` characters of the points' coordinates, written
+    "x:y:z" and joined by "|", converting one coordinate at a time and
+    stopping once there are enough (coordinates can run to thousands of
+    digits).  brief() of a text depends only on its first 49 characters."""
+    text = ""
+    for n, c in enumerate(c for p in points for c in p.coords):
+        if n:
+            text += ":" if n % 3 else "|"
+        text += str(c)
+        if len(text) >= width:
+            break
+    return text[:width]
+
+
 def _check(report, suite, name, check, drop_invalid=False) -> bool:
     """Run `check` and record its outcome; return whether it reached a verdict.
 
@@ -113,7 +128,7 @@ def _suite_chasles(state: ConstructionState, report: VerificationReport):
         third = next((cand for cand in state.pairs if used.isdisjoint(cand.points)), None)
         if third is None:
             continue
-        name = f"hexagon {brief(pa.label)} / {brief(pb.label)} / {brief(third.label)}"
+        name = "hexagon " + " / ".join(brief(_key_head(p.points, 49)) for p in (pa, pb, third))
         _check(report, "chasles", name, lambda: all(
             chasles_check(
                 basis_curve,
@@ -134,7 +149,7 @@ def _suite_pair_tangents(state, report, cubic):
         return ok, "" if ok else f"{brief(t1)} vs {brief(t2)}"
 
     for pair in state.pairs:
-        name = f"tangential points of {brief(pair.label)}"
+        name = f"tangential points of {brief(_key_head(pair.points, 49))}"
         _check(report, "pair-tangents", name, lambda: tangential_points(pair))
 
 
@@ -149,7 +164,7 @@ def _suite_tangents(state, report, cubic):
             break
         p_pair, q_pair = others[0], others[1]
         for contact in s_pair.points:
-            name = f"ruler tangent at {contact.key[:48]}"
+            name = f"ruler tangent at {_key_head([contact], 48)}"
             checked += _check(report, "tangents", name, lambda: (
                 tangent_by_involution(cubic, s_pair, p_pair, q_pair, contact)
                 == tangent_at(cubic, contact)
@@ -161,7 +176,7 @@ def _suite_chords(state, report, curve: WeierstrassCurve):
     for pair in state.pairs:
         if checked >= LIMIT:
             break
-        name = f"chord through {brief(pair.label)}"
+        name = f"chord through {brief(_key_head(pair.points, 49))}"
         checked += _check(report, "chords", name, lambda: chord_tangency_check(curve, *pair.points))
 
 
@@ -175,7 +190,7 @@ def _suite_lines(state, report, cubic):
             others = [p for p in pairs if p is not r_pair and r not in p]
             if len(others) < 3:
                 continue
-            name = f"line involution at {r.key[:48]}"
+            name = f"line involution at {_key_head([r], 48)}"
             checked += _check(report, "lines", name, lambda: conjugate_lines_check(cubic, r, *others[:3]))
 
 
@@ -201,7 +216,7 @@ def _suite_center(state, report, curve: WeierstrassCurve):
         for p in pair.points:
             if checked >= LIMIT:
                 return
-            name = f"center product vs {p.key[:48]}"
+            name = f"center product vs {_key_head([p], 48)}"
             checked += _check(report, "center", name, lambda: center_product(p), drop_invalid=True)
 
 

@@ -170,8 +170,15 @@ class TestChordTangency:
         report = run_suites(state, suites=("chords",), curve=curve54)
         assert [r.status for r in report.results] == ["hypothesis-failed"]
 
-    def test_evaluates_the_cubic_ten_times(self, monkeypatch, curve12):
-        # the pair's chord (4), one tangential point (5), its negation on the cubic (1)
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_negated_tangential_point_is_on_the_cubic(self, curve12, k):
+        # why the check need not evaluate n: a Weierstrass form is even in y
+        a = multiply(curve12, k, pt(1, 2))
+        x, y, z = cubic.tangent_third(curve12.cubic, a).coords
+        assert cubic.evaluate(curve12.cubic, ProjPoint((x, -y, z))) == 0
+
+    def test_evaluates_the_cubic_nine_times(self, monkeypatch, curve12):
+        # the pair's chord (4), one tangential point (5)
         calls = []
         original = cubic._eval_triple
 
@@ -181,7 +188,7 @@ class TestChordTangency:
 
         monkeypatch.setattr(cubic, "_eval_triple", counting)
         assert chord_tangency_check(curve12, pt(1, 2), pt(2, -4))
-        assert len(calls) == 10
+        assert len(calls) == 9
 
 
 class TestConjugateLines:

@@ -183,6 +183,28 @@ class TestVerify:
         assert main(["verify", "--report", str(out)]) == 0
         assert main(["plot", "--report", str(out), "--out", str(tmp_path / "run.svg")]) == 0
 
+    def test_version_1_report(self, torsion_seed_file, tmp_path):
+        """A report in the first layout, without "format_version" and with
+        each parent and child written out in full, still reads."""
+        out = tmp_path / "run.json"
+        main(["construct", "--seed", str(torsion_seed_file), "--out", str(out)])
+        data = json.loads(out.read_text())
+        del data["format_version"]
+        labels = ["|".join(":".join(point) for point in pair) for pair in data["pairs"]]
+        data["provenance"] = [
+            {
+                "parents": [labels[i], labels[j]],
+                "child": None if status == "skipped" else labels[k],
+                "skipped": status == "skipped",
+                "status": status,
+                "reason": k if status == "skipped" else None,
+            }
+            for i, j, status, k in data["provenance"]
+        ]
+        out.write_text(json.dumps(data))
+        assert main(["verify", "--report", str(out)]) == 0
+        assert main(["plot", "--report", str(out), "--out", str(tmp_path / "run.svg")]) == 0
+
     def test_unknown_suite(self, torsion_seed_file):
         assert main(["verify", "--seed", str(torsion_seed_file), "--suite", "nonsense"]) == 1
 
@@ -191,7 +213,9 @@ class TestVerify:
 @pytest.mark.parametrize(
     "content",
     [[], {"pairs": 5}, {"curve": None}, {"pairs": [], "curve_basis": 5},
-     {"pairs": [], "curve": ["0"] * 10}, {"pairs": [], "curve_basis": [["0"] * 10]}],
+     {"pairs": [], "curve": ["0"] * 10}, {"pairs": [], "curve_basis": [["0"] * 10]},
+     {"pairs": [], "format_version": 1}, {"pairs": [], "format_version": 3},
+     {"pairs": [], "format_version": "2"}, {"pairs": [], "format_version": None}],
 )
 def test_malformed_report(tmp_path, capsys, command, content):
     report = tmp_path / "bad.json"

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from schroeter import serialize
 from schroeter.cubic import Cubic
-from schroeter.engine import run
+from schroeter.engine import Derivation, run
 from schroeter.errors import SeedFormatError
 from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
@@ -80,6 +82,28 @@ class TestCubic:
             serialize.cubic_from_json(["0"] * 10)
 
 
+def _decoded_provenance(obj) -> list:
+    """A v2 report's provenance rows as (parents, child, status, reason),
+    pair indices looked up in its `pairs`."""
+    keys = [serialize.pair_from_json(p).key for p in obj["pairs"]]
+    return [
+        ((keys[i], keys[j]), None, status, k) if status == "skipped"
+        else ((keys[i], keys[j]), keys[k], status, None)
+        for i, j, status, k in obj["provenance"]
+    ]
+
+
+def _run_named(request, name):
+    """frame@512, curve12@128 with its curve, or the full torsion seed."""
+    if name == "frame":
+        return run(request.getfixturevalue("golden_frame_seed"), max_points=512)
+    if name == "curve12":
+        curve = request.getfixturevalue("curve12").cubic
+        return run(request.getfixturevalue("curve12_seed"), max_points=128, curve=curve)
+    curve = request.getfixturevalue("curve54").cubic
+    return run(request.getfixturevalue("torsion_seed_full"), curve=curve)
+
+
 class TestState:
     def test_report_round_trip(self, golden_frame_seed):
         state = run(golden_frame_seed, max_points=24)
@@ -90,6 +114,33 @@ class TestState:
         assert obj["point_count"] == state.point_count
         assert len(obj["provenance"]) == len(state.provenance)
 
+    @pytest.mark.parametrize("name", ["frame", "curve12", "torsion"])
+    def test_provenance_is_lossless(self, request, name):
+        state = _run_named(request, name)
+        obj = json.loads(serialize.dumps(serialize.state_to_json(state)))
+        assert obj["format_version"] == 2
+        assert _decoded_provenance(obj) == [
+            (d.parents, d.child, d.status, d.reason) for d in state.provenance
+        ]
+
+    def test_skipped_row_keeps_its_reason(self, golden_frame_seed):
+        state = run(golden_frame_seed, max_points=24)
+        parents = (state.pairs[2].key, state.pairs[0].key)
+        skipped = Derivation(parents, None, "skipped", "DegenerateLines")
+        state = dataclasses.replace(state, provenance=[*state.provenance, skipped])
+        obj = json.loads(serialize.dumps(serialize.state_to_json(state)))
+        assert obj["provenance"][-1] == [2, 0, "skipped", "DegenerateLines"]
+        assert _decoded_provenance(obj)[-1] == (parents, None, "skipped", "DegenerateLines")
+
+    def test_provenance_writes_no_coordinates(self, golden_frame_seed):
+        """Each attempt costs a bounded number of bytes, however long the
+        coordinates of the pairs it names."""
+        state = run(golden_frame_seed, max_points=512)
+        obj = serialize.state_to_json(state)
+        rest = {k: v for k, v in obj.items() if k != "provenance"}
+        size = len(serialize.dumps(obj).encode())
+        assert size <= len(serialize.dumps(rest).encode()) + 80 * len(state.provenance)
+
     def test_csv_shape(self, golden_frame_seed):
         state = run(golden_frame_seed, max_points=24)
         text = serialize.state_points_csv(state)
@@ -99,9 +150,9 @@ class TestState:
 
     @pytest.mark.parametrize(
         "name, digest",
-        [("frame", "d002364b5a83e3917349c16d4a891d8264ab069ea2dad3bd6218242c85b53c2e"),
-         ("curve12", "f73a931b27ddff3cda147d46d34899e83a1829c26ae1fc8f5c0e24e11daedab9"),
-         ("torsion", "a3169adb854bc0e4d4806f887f5a90171004a4850df12927f8dc60ff670f02a5")],
+        [("frame", "25ea2d0bba442eb4d772e4a82210ee655b76fa8de355d26e34ece2727e288e74"),
+         ("curve12", "eae4da7bc6acb474365ae8f8fdda2cc34ef4d871162d38ee3cba59ba62b29e49"),
+         ("torsion", "e98fb86918d7cdf14429c0cd056f6c10059fb9842a8a470b9877697b0f1190ed")],
     )
     def test_report_bytes_pinned(self, request, name, digest):
         """Any change to the engine or the writer that moves a report fails here."""

@@ -167,3 +167,12 @@ def test_pair_off_the_cubic_names_its_first_point(curve12):
     state = SimpleNamespace(pairs=[PointPair.of(ProjPoint.affine(2, 2), ProjPoint.affine(1, 1))])
     with pytest.raises(NotOnCurve, match=r"^\(1 : 1 : 1\) is not on the cubic"):
         run_suites(state, suites=("pair-tangents",), curve=curve12)
+
+
+def test_check_names_cut_the_full_coordinates(curve12, curve12_seed):
+    state = run(curve12_seed, max_points=64, curve=curve12.cubic)
+    for pair in (*state.pairs[:3], state.pairs[-1]):
+        full = "|".join(":".join(str(c) for c in p.coords) for p in pair.points)
+        for width in (1, 5, 48, 49, len(full), len(full) + 1):
+            assert verify._key_head(pair.points, width) == full[:width]
+            assert verify._key_head(pair.points[:1], width) == full.split("|")[0][:width]
