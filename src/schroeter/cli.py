@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="write an SVG rendering")
     p.add_argument("--tangents", action="store_true", help="draw tangent lines in the SVG")
     p.add_argument("--scheduler-seed", type=int, default=None,
-                   help="shuffle the internal worklist (output is identical; testing knob)")
+                   help="accepted for scheduling tests; combinations are processed in "
+                        "canonical order and the seed does not yet change that")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("seed-from-curve", help="build a seed from three points on y^2=x^3+ax^2+bx")

@@ -9,8 +9,8 @@ pairs, since older pairs have already met.  All points land on one cubic
 bootstrap points).  This is asserted at admission time, once per new point
 and distinct cubic; a duplicate child is never re-checked.  When the
 bootstrap points leave a family of cubics, a point that misses a member
-narrows the family to the members through it.  Output is deterministic
-regardless of internal scheduling.
+narrows the family to the members through it.  Combinations are
+processed in canonical order, so output is deterministic.
 
 Every pair is {P, P + T} for one point T of order two, and the child of
 pairs with classes x and y in G/<T> (G the curve's group) has class
@@ -24,9 +24,10 @@ teaches a relation.
 
 from __future__ import annotations
 
-import random
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 from .cubic import Cubic, cubic_family_through, evaluate
 from .errors import (
@@ -210,10 +211,14 @@ def _reduce(label: _Label, rows: list[_Label]) -> _Label:
     `rows`, which are in Hermite normal form: each pivot entry of the result
     lies in [0, pivot)."""
     for row in rows:
-        col = next(c for c, a in enumerate(row) if a)
+        col = 0
+        while not row[col]:
+            col += 1
         q = label[col] // row[col]
         if q:
-            label = tuple(a - q * b for a, b in zip(label, row))
+            a0, a1, a2, a3 = label
+            b0, b1, b2, b3 = row
+            label = (a0 - q * b0, a1 - q * b1, a2 - q * b2, a3 - q * b3)
     return label
 
 
@@ -273,9 +278,11 @@ class _Workspace:
             self.point_owner[p] = pair.key
 
     def child_label(self, k1: PairKey, k2: PairKey) -> _Label:
-        """The reduced label kappa - x - y of the child of two pairs."""
-        x, y = self.labels[k1], self.labels[k2]
-        return _reduce(tuple(k - a - b for k, a, b in zip(_KAPPA, x, y)), self.relations)
+        """The reduced label kappa - x - y of the child of two pairs, with
+        kappa = `_KAPPA` = (0, 0, 0, 1)."""
+        x0, x1, x2, x3 = self.labels[k1]
+        y0, y1, y2, y3 = self.labels[k2]
+        return _reduce((-x0 - y0, -x1 - y1, -x2 - y2, 1 - x3 - y3), self.relations)
 
     def learn(self, relation: _Label):
         """Add a relation between labels and re-key every pair by it; two
@@ -293,6 +300,17 @@ class _Workspace:
         return 2 * len(self.pairs)
 
 
+def _pending(n: int, fresh: list[int]) -> Iterator[tuple[int, int]]:
+    """The rank pairs (i, j), i < j < n, with i or j in `fresh`, in
+    lexicographic order.  They are drawn one at a time, so a capped run
+    enumerates no more combinations than it attempts."""
+    fresh = sorted(fresh)
+    is_fresh = set(fresh)
+    for i in range(n):
+        for j in range(i + 1, n) if i in is_fresh else fresh[bisect_right(fresh, i):]:
+            yield i, j
+
+
 def run(
     seed: SeedConfig,
     max_points: int = DEFAULT_MAX_POINTS,
@@ -307,12 +325,13 @@ def run(
     combines the pairs admitted in the one before with all pairs.  A child
     whose group-law label is known is a duplicate without any geometry;
     otherwise the geometry runs, and a child whose canonical key is known is
-    a duplicate that teaches a relation between labels.  Children are
-    admitted in canonical order, so two runs produce identical output no
-    matter how the internal worklist is ordered (`scheduler_seed` shuffles
-    it to prove the point).  Each admitted point is evaluated once per
-    distinct cubic of the family through the bootstrap points and of
-    `curve` when one is supplied.  It must lie on `curve`; a family
+    a duplicate that teaches a relation between labels.  Each generation's
+    combinations are drawn lazily in canonical order, that of their rank
+    pairs in the sorted keys, and a capped run stops drawing at the cap.
+    `scheduler_seed` is accepted but does not yet change that order, so
+    every seed gives the same output.  Each admitted point is evaluated
+    once per distinct cubic of the family through the bootstrap points and
+    of `curve` when one is supplied.  It must lie on `curve`; a family
     member it misses narrows the family to the cubics through it, and
     `curve_basis` is the final family.  A duplicate is never re-checked.
     The run stops when no combination is pending (closed) or when a cap is
@@ -329,7 +348,6 @@ def run(
         )
     if max_generations < 0:
         raise ValidationError(f"max_generations must not be negative, got {max_generations}")
-    rng = random.Random(scheduler_seed) if scheduler_seed is not None else None
     ws = _Workspace()
     provenance: list[Derivation] = []
 
@@ -413,18 +431,12 @@ def run(
         # order is that of the key pairs, without sorting big-integer tuples.
         ordered = sorted(ws.pairs)
         rank = {key: i for i, key in enumerate(ordered)}
-        ranks = [rank[key] for key in ws.pairs]
-        old, fresh = ranks[:met], ranks[met:]
-        met = len(ranks)
-        pending = [(i, j) if i < j else (j, i) for i in fresh for j in old]
-        pending += [(i, j) if i < j else (j, i) for i, j in combinations(fresh, 2)]
-        if not pending:
+        fresh = [rank[key] for key in islice(ws.pairs, met, None)]
+        if not fresh:
             break
-        if rng is not None:
-            rng.shuffle(pending)
-        pending.sort()
+        met = len(ordered)
         generation += 1
-        for i, j in pending:
+        for i, j in _pending(len(ordered), fresh):
             if ws.point_count + 2 > max_points:
                 capped = True
                 break

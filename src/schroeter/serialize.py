@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .cubic import Cubic
 from .engine import ConstructionState, PointPair, SeedConfig, validate_seed
@@ -106,7 +107,8 @@ def state_to_json(state: ConstructionState) -> dict:
     """The run report.  Each provenance row is [i, j, status, k]: the two
     parents as indices into `pairs`, in recorded order, then the child's
     index for "new" and "duplicate" or the reason for "skipped"."""
-    index = {pair.key: i for i, pair in enumerate(state.pairs)}
+    # A point belongs to one pair only, so a key's first point names its pair.
+    index = {pair.first.coords: i for i, pair in enumerate(state.pairs)}
     return {
         "format_version": REPORT_FORMAT,
         "seed": [pair_to_json(p) for p in state.seed.pairs],
@@ -119,10 +121,10 @@ def state_to_json(state: ConstructionState) -> dict:
         "generations": state.generations,
         "provenance": [
             [
-                index[d.parents[0]],
-                index[d.parents[1]],
+                index[d.parents[0][0]],
+                index[d.parents[1][0]],
                 d.status,
-                d.reason if d.child is None else index[d.child],
+                d.reason if d.child is None else index[d.child[0]],
             ]
             for d in state.provenance
         ],
@@ -158,8 +160,30 @@ def state_points_csv(state: ConstructionState) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One run report provenance row [i, j, status, k] as `json.dumps` indents it.
+_ROW = "    [\n      %d,\n      %d,\n      %s,\n      %s\n    ]"
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True)` and a newline.
+
+    The provenance rows of a run report are written from `_ROW` and spliced
+    into the encoding of its other keys: `json` indents through its
+    pure-Python encoder, which is slow on many small rows.
+    """
+    rows = obj.get("provenance") if isinstance(obj, dict) else None
+    if not rows:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    head, tail = json.dumps({**obj, "provenance": None}, indent=2, sort_keys=True).split(
+        '\n  "provenance": null', 1
+    )
+    body = ",\n".join(
+        [
+            _ROW % (i, j, _json_string(s), k if type(k) is int else _json_string(k))
+            for i, j, s, k in rows
+        ]
+    )
+    return f'{head}\n  "provenance": [\n{body}\n  ]{tail}\n'
 
 
 def load_json(path):

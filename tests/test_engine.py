@@ -475,6 +475,38 @@ class TestEnumeration:
         else:
             assert not closed and frontier > 0
 
+    @given(st.data())
+    def test_pending_is_every_fresh_combination_in_order(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        ranks = st.integers(0, n - 1)
+        fresh = data.draw(
+            st.one_of(
+                st.just([]),
+                st.permutations(range(n)),
+                st.lists(ranks, min_size=1, max_size=1),
+                st.lists(ranks, unique=True),
+            ),
+            label="fresh",
+        )
+        expected = sorted(
+            (i, j) for i, j in combinations(range(n), 2) if i in fresh or j in fresh
+        )
+        assert list(engine._pending(n, fresh)) == expected
+
+    def test_a_capped_run_stops_drawing_at_the_cap(self, monkeypatch, golden_frame_seed):
+        pending, drawn = engine._pending, []
+
+        def counting(n, fresh):
+            for item in pending(n, fresh):
+                drawn.append(item)
+                yield item
+
+        monkeypatch.setattr(engine, "_pending", counting)
+        state = run(golden_frame_seed, max_points=120)
+        assert not state.closed
+        # the three bootstrap attempts draw nothing; the cap check draws one more
+        assert len(drawn) == len(state.provenance) - 3 + 1
+
     def test_duplicates_skip_the_geometry(self, monkeypatch, curve12, curve12_seed):
         calls = []
 

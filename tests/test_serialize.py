@@ -188,6 +188,22 @@ class TestState:
         text = serialize.dumps(run_suites(state, curve=curve).to_json())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("name", ["frame", "curve12", "torsion", "skipped", "empty"])
+    def test_dumps_is_the_generic_encoding(self, request, name):
+        """The provenance rows' template splices into the generic encoding
+        byte for byte, a reason string in place of a child index included."""
+        if name in ("skipped", "empty"):
+            state = run(request.getfixturevalue("golden_frame_seed"), max_points=24)
+            skipped = Derivation(
+                (state.pairs[2].key, state.pairs[0].key), None, "skipped", "DegenerateLines"
+            )
+            provenance = [*state.provenance, skipped] if name == "skipped" else []
+            state = dataclasses.replace(state, provenance=provenance)
+        else:
+            state = _run_named(request, name)
+        obj = serialize.state_to_json(state)
+        assert serialize.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
     def test_deterministic_dump(self, golden_frame_seed):
         state1 = run(golden_frame_seed, max_points=24, scheduler_seed=5)
         state2 = run(golden_frame_seed, max_points=24, scheduler_seed=6)
