@@ -8,6 +8,7 @@ deterministic so identical runs are byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -34,13 +35,20 @@ def point_to_json(p: ProjPoint) -> list[str]:
     return [str(c) for c in p.coords]
 
 
+_INTEGER = re.compile("-?[0-9]+")
+
+
 def point_from_json(arr) -> ProjPoint:
     if not isinstance(arr, (list, tuple)) or len(arr) not in (2, 3):
         raise SeedFormatError(f"a point needs 2 or 3 coordinates, got {brief(repr(arr))}")
-    coords = [rat_from_str(v) for v in arr]
-    if len(coords) == 2:
-        coords.append(Fraction(1))
     try:
+        # Three integer strings, as a report writes them, skip Fraction; the
+        # point still canonicalizes.  Any other form reads as a rational.
+        if len(arr) == 3 and all(type(v) is str and _INTEGER.fullmatch(v) for v in arr):
+            return ProjPoint(tuple([int(v) for v in arr]))
+        coords = [rat_from_str(v) for v in arr]
+        if len(coords) == 2:
+            coords.append(Fraction(1))
         return ProjPoint.of(*coords)
     except ValueError as exc:
         raise SeedFormatError(str(exc)) from exc

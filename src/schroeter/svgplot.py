@@ -1,15 +1,15 @@
 """SVG rendering of a construction run.
 
 Floats appear here and nowhere else: the curve is sampled numerically per
-viewport column (solving the restricted cubic with numpy, which is
-imported only when a curve is drawn), the exact data is never touched.
-Far-out and infinite points are dropped from the view.
+viewport column (the real roots of the restricted cubic, in plain Python),
+the exact data is never touched.  Far-out and infinite points are dropped
+from the view.
 """
 
 from __future__ import annotations
 
+import math
 import sys
-from fractions import Fraction
 
 from .cubic import Cubic, tangent_at
 from .errors import SchroeterError
@@ -24,11 +24,15 @@ _PALETTE = (
 
 
 def _finite_xy(point):
-    if point.is_infinite:
+    x, y, z = point.coords
+    if z == 0:
         return None
-    x, y = point.to_affine()
+    # Sign into the numerators, as Fraction keeps it: x = 0 gives 0.0, not
+    # -0.0.  int / int rounds the exact quotient once, like float(Fraction).
+    if z < 0:
+        x, y, z = -x, -y, -z
     try:
-        fx, fy = float(x), float(y)
+        fx, fy = x / z, y / z
     except OverflowError:
         return None
     if abs(fx) > _VIEW_LIMIT or abs(fy) > _VIEW_LIMIT:
@@ -36,15 +40,12 @@ def _finite_xy(point):
     return fx, fy
 
 
-def _viewport(points):
-    xs, ys = [], []
-    for p in points:
-        xy = _finite_xy(p)
-        if xy:
-            xs.append(xy[0])
-            ys.append(xy[1])
-    if not xs:
+def _viewport(xys):
+    finite = [xy for xy in xys if xy]
+    if not finite:
         return (-5.0, 5.0, -5.0, 5.0)
+    xs = [x for x, _ in finite]
+    ys = [y for _, y in finite]
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin, 1.0)
     pad = span * _PAD + 0.5
@@ -93,21 +94,98 @@ class _Canvas:
 
 
 def _poly_roots(coeffs):
-    import numpy as np
+    """The real roots of a polynomial of degree at most 3, highest
+    coefficient first, as `numpy.roots` finds them: leading zeros lower the
+    degree, each trailing zero is a root at 0, and a complex pair whose
+    imaginary part is below 1e-9 counts as two real roots."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[0] == 0:
+        del coeffs[0]
+    zeros = []
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+        zeros.append(0.0)
+    if len(coeffs) == 2:
+        roots = [-coeffs[1] / coeffs[0]]
+    elif len(coeffs) == 3:
+        roots = _quadratic_roots(*coeffs)
+    elif len(coeffs) == 4:
+        roots = _cubic_roots(*coeffs)
+    else:
+        roots = []
+    return roots + zeros
 
-    trimmed = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
-    if trimmed.size <= 1:
-        return []
-    roots = np.roots(trimmed)
-    return [float(r.real) for r in roots if abs(r.imag) < 1e-9]
+
+def _quadratic_roots(a, b, c):
+    # The eigenvalues of the companion matrix [[-b/a, -c/a], [1, 0]] in
+    # LAPACK's order: the root of larger magnitude first, the other from
+    # the product of the two, so neither cancels.
+    half = -b / a / 2
+    disc = half * half - c / a
+    if disc < 0:
+        return [half, half] if math.sqrt(-disc) < 1e-9 else []
+    first = half + math.copysign(math.sqrt(disc), half)
+    return [first, c / a / first if first else 0.0]
+
+
+def _cubic_roots(a, b, c, d):
+    # Cardano's or the trigonometric form on the depressed cubic
+    # t^3 + pt + q, with x = t - s, then Newton steps on the cubic itself.
+    # Largest magnitude first, the order numpy's eigenvalue solver mostly gives.
+    s = b / a / 3
+    p = c / a - 3 * s * s
+    q = d / a - s * (c / a - 2 * s * s)
+    disc = (q / 2) ** 2 + (p / 3) ** 3
+    if disc > 0:
+        root = math.sqrt(disc)
+        w = -(q / 2 + math.copysign(root, q))
+        u = math.copysign(abs(w) ** (1 / 3), w)
+        v = -p / (3 * u)
+        x = _polish(u + v - s, a, b, c, d)
+        # The other two are the roots of the quadratic left after dividing
+        # out x: a double root survives that exactly, while the sign of
+        # `disc` near one is rounding noise.
+        linear = b + a * x
+        roots = [x, *_quadratic_roots(a, linear, c + x * linear)]
+    elif p == 0:
+        roots = [-s] * 3
+    else:
+        m = 2 * math.sqrt(-p / 3)
+        angle = math.acos(max(-1.0, min(1.0, 3 * q / (p * m)))) / 3
+        roots = [m * math.cos(angle - 2 * math.pi * k / 3) - s for k in range(3)]
+    roots = [_polish(x, a, b, c, d) for x in roots]
+    return sorted(roots, key=abs, reverse=True)
+
+
+def _polish(x, a, b, c, d):
+    """Up to three Newton steps on ax^3 + bx^2 + cx + d from x, each kept
+    only while it lowers |f|."""
+    fx = ((a * x + b) * x + c) * x + d
+    for _ in range(3):
+        slope = (3 * a * x + 2 * b) * x + c
+        if not fx or not slope:
+            break
+        nx = x - fx / slope
+        fn = ((a * nx + b) * nx + c) * nx + d
+        if abs(fn) >= abs(fx):
+            break
+        x, fx = nx, fn
+    return x
+
+
+def _samples(lo, hi, count):
+    """`count` evenly spaced values from lo to hi, as numpy.linspace
+    computes them: i * step + lo, and hi exactly at the end."""
+    step = (hi - lo) / (count - 1)
+    return [i * step + lo for i in range(count - 1)] + [hi]
 
 
 def _curve_dots(canvas: _Canvas, cubic: Cubic, columns=420):
-    import numpy as np
-
+    # int / int divides exactly before rounding: the coefficients can
+    # exceed the float range.
     scale = max(abs(c) for c in cubic.coeffs)
-    c = [float(Fraction(v, scale)) for v in cubic.coeffs]
-    for x in np.linspace(canvas.xmin, canvas.xmax, columns):
+    c = [v / scale for v in cubic.coeffs]
+    for x in _samples(canvas.xmin, canvas.xmax, columns):
         ys = _poly_roots([
             c[6],
             c[3] * x + c[7],
@@ -117,7 +195,7 @@ def _curve_dots(canvas: _Canvas, cubic: Cubic, columns=420):
         for y in ys:
             if canvas.ymin <= y <= canvas.ymax:
                 canvas.circle(x, y, 0.9, "#b0c4d8")
-    for y in np.linspace(canvas.ymin, canvas.ymax, columns):
+    for y in _samples(canvas.ymin, canvas.ymax, columns):
         xs = _poly_roots([
             c[0],
             c[1] * y + c[2],
@@ -142,9 +220,10 @@ def _tangent_segment(canvas: _Canvas, cubic: Cubic, point):
     except SchroeterError:
         return
     # Scale into [-1, 1] exactly before going to floats: the integer
-    # coefficients can exceed the float range.
+    # coefficients can exceed the float range, and int / int divides
+    # exactly before rounding.
     scale = max(abs(c) for c in line.coeffs)
-    u, v, w = (float(Fraction(c, scale)) for c in line.coeffs)
+    u, v, w = (c / scale for c in line.coeffs)
     hits = []
     for x in (canvas.xmin, canvas.xmax):
         if v:
@@ -163,22 +242,21 @@ def _tangent_segment(canvas: _Canvas, cubic: Cubic, point):
 
 def render_svg(pairs, cubic: Cubic | None = None, *, tangents: bool = False) -> str:
     """Render the pair points (colored per pair) over the sampled curve."""
-    all_points = [p for pair in pairs for p in pair.points]
-    canvas = _Canvas(_viewport(all_points))
+    points = [p for pair in pairs for p in pair.points]
+    xys = [_finite_xy(p) for p in points]
+    canvas = _Canvas(_viewport(xys))
     _axes(canvas)
     if cubic is not None:
         _curve_dots(canvas, cubic)
     skipped = 0
-    for idx, pair in enumerate(pairs):
-        color = _PALETTE[idx % len(_PALETTE)]
-        for point in pair.points:
-            xy = _finite_xy(point)
-            if xy is None:
-                skipped += 1
-                continue
-            if tangents and cubic is not None:
-                _tangent_segment(canvas, cubic, point)
-            canvas.circle(xy[0], xy[1], 3.2, color, "0.9")
+    for idx, (point, xy) in enumerate(zip(points, xys)):
+        if xy is None:
+            skipped += 1
+            continue
+        if tangents and cubic is not None:
+            _tangent_segment(canvas, cubic, point)
+        # a pair's two points are adjacent in `points` and share its color
+        canvas.circle(xy[0], xy[1], 3.2, _PALETTE[idx // 2 % len(_PALETTE)], "0.9")
     canvas.text(8, 14, f"{len(pairs)} pairs, {2 * len(pairs)} points")
     if skipped:
         canvas.text(8, 28, f"{skipped} point(s) outside the view or at infinity")

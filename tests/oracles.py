@@ -19,11 +19,13 @@ from schroeter.errors import (
     InvariantViolation,
     TooDegenerate,
     ValidationError,
+    SeedFormatError,
     ZeroDenominator,
     brief,
 )
 from schroeter.involution import Involution, _pencil_param, _require_in_pencil
 from schroeter.projective import ProjLine, ProjPoint, incident, join, meet, span_coordinates
+from schroeter.serialize import rat_from_str
 from schroeter.weierstrass import (
     NEUTRAL,
     TWO_TORSION,
@@ -365,3 +367,27 @@ def bootstrap_seed(seed: SeedConfig) -> SeedBootstrap:
         if evaluate(curve, point) != 0:
             raise BarNotOnCurve(f"crossed meet {brief(point)} misses the fitted cubic")
     return SeedBootstrap(tuple(direct), tuple(crossed), curve)
+
+
+def point_from_json_by_fraction(arr) -> ProjPoint:
+    """`serialize.point_from_json` on a 2- or 3-element list as it read every
+    point before its integer path: each coordinate through `Fraction`."""
+    coords = [rat_from_str(v) for v in arr]
+    if len(coords) == 2:
+        coords.append(Fraction(1))
+    try:
+        return ProjPoint.of(*coords)
+    except ValueError as exc:
+        raise SeedFormatError(str(exc)) from exc
+
+
+def numpy_poly_roots(coeffs) -> list[float]:
+    """`svgplot._poly_roots` as numpy computed it: the real parts of the
+    companion-matrix eigenvalues whose imaginary part is below 1e-9."""
+    import numpy as np
+
+    trimmed = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
+    if trimmed.size <= 1:
+        return []
+    roots = np.roots(trimmed)
+    return [float(r.real) for r in roots if abs(r.imag) < 1e-9]

@@ -15,6 +15,8 @@ from schroeter.errors import SeedFormatError
 from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
 
+from oracles import point_from_json_by_fraction
+
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6
@@ -50,6 +52,52 @@ class TestPoints:
             serialize.point_from_json(["1"])
         with pytest.raises(SeedFormatError):
             serialize.point_from_json(["0", "0", "0"])
+
+
+def _read(reader, arr):
+    """The point a reader makes of `arr`, or the message of its SeedFormatError."""
+    try:
+        return reader(arr)
+    except SeedFormatError as exc:
+        return f"SeedFormatError: {exc}"
+
+
+signs = st.sampled_from(["", "-"])
+integer_strings = st.one_of(
+    st.just("-0"),
+    st.builds(lambda sign, zeros, body: sign + "0" * zeros + body,
+              signs, st.integers(0, 3), st.text("0123456789", min_size=1, max_size=40)),
+    st.builds(lambda sign, digit, n: sign + digit * n,
+              signs, st.sampled_from("123456789"), st.integers(1, 10**4)),
+)
+fall_through = st.one_of(
+    st.sampled_from(["1/16", "-3/4", "6/4", "+5", " 5", "5 ", "1e3", "1.5", "1_0",
+                     "\u0663", "\uff11\uff12", "0x10", "", "-", "1/0", "abc"]),
+    st.integers(-10**6, 10**6),
+    st.floats(),
+)
+
+
+class TestIntegerReads:
+    """`point_from_json` reads three integer strings without Fraction; any
+    point reads as it did when every coordinate went through Fraction."""
+
+    @given(st.lists(st.one_of(integer_strings, fall_through), min_size=2, max_size=3))
+    def test_same_point_or_error_as_the_fraction_path(self, arr):
+        assert _read(serialize.point_from_json, arr) == _read(point_from_json_by_fraction, arr)
+
+    @given(st.tuples(*[st.integers(-10**30, 10**30)] * 3), st.integers(-10**6, 10**6))
+    def test_non_canonical_triples(self, coords, factor):
+        arr = [str(factor * v) for v in coords]
+        expected = _read(point_from_json_by_fraction, arr)
+        assert _read(serialize.point_from_json, arr) == expected
+        if any(coords) and factor:
+            assert expected == ProjPoint(coords)
+
+    def test_all_zero(self):
+        arr = ["0", "0", "0"]
+        assert _read(serialize.point_from_json, arr) == _read(point_from_json_by_fraction, arr)
+        assert _read(serialize.point_from_json, arr).startswith("SeedFormatError: ")
 
 
 class TestSeed:

@@ -1,12 +1,23 @@
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 import schroeter
+from schroeter import svgplot
+from schroeter.cli import main
 from schroeter.cubic import tangent_at
 from schroeter.engine import run
-from schroeter.svgplot import render_svg
+from schroeter.svgplot import _poly_roots, render_svg
+
+from oracles import numpy_poly_roots
+
+SEEDS = Path(__file__).parents[1] / "seeds"
 
 
 def test_tangents_with_coefficients_beyond_float_range(curve12, curve12_seed):
@@ -25,3 +36,141 @@ def test_the_cli_loads_numpy_only_to_draw():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout == "False\n"
+
+
+def test_no_command_imports_numpy(tmp_path):
+    """`construct --svg` and `plot`, tangents and curve included, draw
+    without numpy."""
+    code = (
+        "import sys\n"
+        "from schroeter.cli import main\n"
+        "seed, report, svg = sys.argv[1:]\n"
+        "assert main(['construct', '--seed', seed, '--out', report, '--svg', svg, '--tangents']) == 0\n"
+        "assert main(['plot', '--report', report, '--tangents', '--out', svg]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    source = str(Path(schroeter.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+    args = [str(SEEDS / "torsion.json"), str(tmp_path / "run.json"), str(tmp_path / "run.svg")]
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=env
+    )
+    assert 'stroke="#999999"' in (tmp_path / "run.svg").read_text()
+    assert out.stdout.splitlines()[-1] == "False"
+
+
+def _expand(lead, roots):
+    """lead times the product of (x - r), highest coefficient first, in floats."""
+    coeffs = [lead]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0.0], [0.0] + coeffs)]
+    return coeffs
+
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(float)
+leads = st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(bool).map(float)
+
+
+class TestPolyRoots:
+    @given(leads, st.lists(small, min_size=1, max_size=3, unique=True))
+    def test_rational_real_roots(self, lead, roots):
+        found = _poly_roots(_expand(lead, roots))
+        assert sorted(found) == pytest.approx(sorted(roots), rel=1e-9)
+
+    @given(leads, st.lists(small, max_size=1), st.integers(-5, 5), st.integers(1, 40))
+    def test_a_complex_pair_has_no_real_roots(self, lead, roots, b, lift):
+        # x^2 + bx + c with c = b^2/4 + lift/4: discriminant -lift
+        coeffs = _expand(lead, roots)
+        quadratic = [1.0, float(b), (b * b + lift) / 4]
+        product = [0.0] * (len(coeffs) + 2)
+        for i, u in enumerate(coeffs):
+            for j, v in enumerate(quadratic):
+                product[i + j] += u * v
+        assert sorted(_poly_roots(product)) == pytest.approx(sorted(roots), rel=1e-9)
+
+    def test_degenerate_lists(self):
+        assert _poly_roots([0.0, 0.0, 0.0, 0.0]) == []
+        assert _poly_roots([3.0]) == []
+        assert _poly_roots([0.0, 0.0, 5.0]) == []
+
+    def test_leading_zeros_lower_the_degree(self):
+        assert _poly_roots([0.0, 0.0, 2.0, -4.0]) == [2.0]
+        assert sorted(_poly_roots([0.0, 1.0, -3.0, 2.0])) == [1.0, 2.0]
+
+    def test_trailing_zeros_are_roots_at_zero(self):
+        assert _poly_roots([1.0, -1.0, 0.0, 0.0]) == [1.0, 0.0, 0.0]
+        assert _poly_roots([2.0, 0.0]) == [0.0]
+        assert _poly_roots([1.0, 0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
+
+    def test_a_complex_pair(self):
+        assert _poly_roots([1.0, 0.0, 1.0]) == []
+        assert _poly_roots([1.0, -2.0, 1.0, -2.0]) == [2.0]
+
+    def test_an_exact_double_root(self):
+        assert _poly_roots([1.0, -2.0, 1.0]) == [1.0, 1.0]
+        assert _poly_roots([1.0, -3.0, 0.0, 4.0]) == [2.0, 2.0, -1.0]
+        # (x + 6)^2 (x + 1): the depressed cubic's discriminant rounds above
+        # zero, and the pair comes from the quadratic left after x = -1
+        assert _poly_roots([1.0, 13.0, 48.0, 36.0]) == [-6.0, -6.0, -1.0]
+        assert _poly_roots([2.0, -12.0, 24.0, -16.0]) == [2.0, 2.0, 2.0]
+        assert sorted(_poly_roots([1.0, 0.0, -3.0, 2.0])) == pytest.approx([-2.0, 1.0, 1.0])
+
+    def test_a_constant_below_the_float_grain(self):
+        # x^2 (x - 1) + 1e-300: dividing out x = 1 leaves x^2 in floats
+        assert _poly_roots([1.0, -1.0, 0.0, 1e-300]) == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("name", ["curve12", "frame"])
+    def test_matches_numpy_on_the_render_columns(self, request, monkeypatch, name):
+        pytest.importorskip("numpy")
+        if name == "curve12":
+            curve = request.getfixturevalue("curve12").cubic
+            state = run(request.getfixturevalue("curve12_seed"), max_points=64, curve=curve)
+        else:
+            state = run(request.getfixturevalue("golden_frame_seed"), max_generations=3)
+        columns = []
+
+        def recording(coeffs):
+            columns.append(coeffs)
+            return _poly_roots(coeffs)
+
+        monkeypatch.setattr(svgplot, "_poly_roots", recording)
+        render_svg(state.pairs, state.curve)
+        assert len(columns) == 840
+        for coeffs in columns:
+            expected = sorted(numpy_poly_roots(coeffs))
+            assert sorted(_poly_roots(coeffs)) == pytest.approx(expected, rel=1e-9)
+
+
+def _svg_argv(tmp_path, name, svg):
+    """The commands that draw each pinned SVG."""
+    if name == "torsion":
+        return ["construct", "--seed", str(SEEDS / "torsion.json"), "--tangents", "--svg", svg]
+    if name == "frame":
+        return ["construct", "--seed", str(SEEDS / "frame.json"), "--max-generations", "3",
+                "--svg", svg]
+    if name == "curve12":
+        seed = str(tmp_path / "curve12.json")
+        points = "1,2;2,4;1/16,23/64"
+        assert main(["seed-from-curve", "--a", "1", "--b", "2", "--points", points,
+                     "--out", seed]) == 0
+        return ["construct", "--seed", seed, "--max-points", "64", "--tangents", "--svg", svg]
+    report = str(tmp_path / "frame512.json")
+    assert main(["construct", "--seed", str(SEEDS / "frame.json"), "--max-points", "512",
+                 "--out", report]) == 0
+    return ["plot", "--report", report, "--tangents", "--out", svg]
+
+
+class TestSvg:
+    @pytest.mark.parametrize(
+        "name, digest",
+        [("torsion", "8b0eb0835abcc23420f9f88b786928906f26eacca8a520b3935c70d6a1a49141"),
+         ("frame", "b2c57f4995b5b3a7fe824c9a1450c47e663e54c992eb0e4f9f1b9a64dbc7b027"),
+         ("curve12", "7d4caa3a629a8f1fb7717ea9f959753ae8baf040c606f01988b39b11d2163c22"),
+         ("plot-frame512", "e00bc762f4dbfd66b7202c814ab32c5c26e7e3e757b50d1ce571259d1e8f71d1")],
+    )
+    def test_svg_bytes_pinned(self, tmp_path, name, digest):
+        """Any change to the curve sampler, the float conversions or the
+        drawing that moves an SVG fails here."""
+        svg = tmp_path / "run.svg"
+        assert main(_svg_argv(tmp_path, name, str(svg))) == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
