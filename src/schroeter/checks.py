@@ -7,7 +7,7 @@ claim from an inapplicable configuration.
 
 from __future__ import annotations
 
-from .cubic import Cubic, chord_third, evaluate, gradient, tangent_third
+from .cubic import Cubic, _eval_triple, chord_third, evaluate, gradient, tangent_third
 from .engine import PointPair
 from .errors import (
     DegenerateHexagon,
@@ -19,7 +19,7 @@ from .errors import (
     TooDegenerate,
     brief,
 )
-from .projective import ProjLine, ProjPoint, collinear, cross, join, meet
+from .projective import ProjLine, ProjPoint, Triple, collinear, cross, join, meet
 from .involution import Involution, conjugate_line
 from .weierstrass import TWO_TORSION, WeierstrassCurve, conjugate_point
 
@@ -34,24 +34,34 @@ def _dot(u, v) -> int:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _tangents_meet_on_cubic(cubic: Cubic, p: ProjPoint, pbar: ProjPoint) -> bool:
-    """Whether the tangents at p and pbar meet at a point m of the cubic and
-    neither tangent is a component of it: m is then the tangential point of
-    both.  False decides nothing.
+# A Mersenne prime: a nonzero residue modulo it proves an integer nonzero.
+_PRIME = 2**61 - 1
+
+
+def tangent_meet(cubic: Cubic, p: ProjPoint, pbar: ProjPoint) -> Triple | None:
+    """The meet m of the tangents at p and pbar as a raw triple, when m is a
+    point of the cubic and neither tangent is a component of it: m is then
+    the tangential point of both, at some scale.  None decides nothing.
 
     With dF the gradient, F(lam*p + mu*m) = lam^3 F(p) + lam^2 mu dF(p).m
-    + lam mu^2 dF(m).p + mu^3 F(m), and 3 F(v) = dF(v).v.  When p and m are
-    on the cubic and m is on the tangent at p, only the lam mu^2 term is
-    left.  If dF(m).p is not zero, the tangent meets the cubic at p twice
-    and at m once, so m is not p and the tangent is no component.  A zero
-    meet has a zero gradient, so it never passes.
+    + lam mu^2 dF(m).p + mu^3 F(m).  When p and m are on the cubic and m is
+    on the tangent at p, only the lam mu^2 term is left.  If dF(m).p is not
+    zero, the tangent meets the cubic at p twice and at m once, so m is not
+    p and the tangent is no component.  A zero meet has a zero gradient, so
+    it never passes.  The two nonzero tests run modulo _PRIME first; a zero
+    residue falls back to the exact dot.
     """
     gp, gpbar = gradient(cubic, p.coords), gradient(cubic, pbar.coords)
     if _dot(gp, p.coords) or _dot(gpbar, pbar.coords):
-        return False
+        return None
     m = cross(gp, gpbar)
-    gm = gradient(cubic, m)
-    return _dot(gm, m) == 0 and _dot(gm, p.coords) != 0 and _dot(gm, pbar.coords) != 0
+    if _eval_triple(cubic, m):
+        return None
+    gm = gradient(cubic, [c % _PRIME for c in m])
+    for q in (p.coords, pbar.coords):
+        if not _dot(gm, [c % _PRIME for c in q]) % _PRIME and not _dot(gradient(cubic, m), q):
+            return None
+    return m
 
 
 def chasles_check(
@@ -109,7 +119,9 @@ def tangent_by_involution(
     return conjugate_line(_pair_involution(contact, p_pair, q_pair), join(contact, sbar))
 
 
-def chord_tangency_check(curve: WeierstrassCurve, a: ProjPoint, abar: ProjPoint) -> bool:
+def chord_tangency_check(
+    curve: WeierstrassCurve, a: ProjPoint, abar: ProjPoint, tangential: Triple | None = None
+) -> bool:
     """The chord through a pair meets the cubic again at b = -(2a + T), whose
     conjugate -2a is the tangential point of a.  This holds exactly when
     abar = a + T, so that premise is tested only when the identity fails.
@@ -119,11 +131,26 @@ def chord_tangency_check(curve: WeierstrassCurve, a: ProjPoint, abar: ProjPoint)
     by construction: the tangential point is, and a Weierstrass form is
     even in y.  When b, T and n are distinct the identity is then one
     collinearity: a line meets the smooth cubic in three points, so n on
-    the line bT is b.T."""
+    the line bT is b.T.
+
+    `tangential` is the pair's tangent meet from tangent_meet, if known:
+    the tangential point of a at some scale.  The identity then passes
+    without tangent_third when b != T, n != T, b != n and det(b, T, n) = 0;
+    any other case is decided as without it."""
     cubic = curve.cubic
     b = chord_third(cubic, a, abar)
     if b in (a, abar):
         raise TooDegenerate("tangent chord")
+    if tangential is not None:
+        b0, b1, b2 = b.coords
+        n0, n1, n2 = tangential[0], -tangential[1], tangential[2]
+        if (
+            b != TWO_TORSION
+            and (n0 or n1)
+            and b0 * n1 == b1 * n0
+            and (b0 * n2 != b2 * n0 or b1 * n2 != b2 * n1)
+        ):
+            return True
     x, y, z = tangent_third(cubic, a).coords
     n = ProjPoint((x, -y, z))
     if len({b, TWO_TORSION, n}) == 3:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .cubic import Cubic, tangent_at
-from .errors import SchroeterError
+from .cubic import Cubic, evaluate, gradient
 
 _SIZE = 640
 _PAD = 0.08
@@ -215,15 +214,21 @@ def _axes(canvas: _Canvas):
 
 
 def _tangent_segment(canvas: _Canvas, cubic: Cubic, point):
-    try:
-        line = tangent_at(cubic, point)
-    except SchroeterError:
+    # no tangent off the cubic or at a singular point
+    if evaluate(cubic, point):
         return
-    # Scale into [-1, 1] exactly before going to floats: the integer
-    # coefficients can exceed the float range, and int / int divides
-    # exactly before rounding.
-    scale = max(abs(c) for c in line.coeffs)
-    u, v, w = (c / scale for c in line.coeffs)
+    grad = gradient(cubic, point.coords)
+    if not any(grad):
+        return
+    # With the first nonzero coefficient made positive, c / scale is the
+    # same rational as for the canonical line (tangent_at), so the floats
+    # are the same too, zeros included.  Scale into [-1, 1] exactly before
+    # going to floats: the integer coefficients can exceed the float range,
+    # and int / int divides exactly before rounding.
+    if next(c for c in grad if c) < 0:
+        grad = [-c for c in grad]
+    scale = max(abs(c) for c in grad)
+    u, v, w = (c / scale for c in grad)
     hits = []
     for x in (canvas.xmin, canvas.xmax):
         if v:

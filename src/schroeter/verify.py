@@ -11,11 +11,11 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .checks import (
-    _tangents_meet_on_cubic,
     chasles_check,
     chord_tangency_check,
     conjugate_lines_check,
     tangent_by_involution,
+    tangent_meet,
 )
 from .cubic import evaluate, tangent_at, tangent_third
 from .engine import ConstructionState
@@ -139,9 +139,17 @@ def _suite_chasles(state: ConstructionState, report: VerificationReport):
         ))
 
 
-def _suite_pair_tangents(state, report, cubic):
+def _meet(meets: dict, cubic, pair):
+    """The pair's tangent meet (tangent_meet), computed once per memo."""
+    key = (cubic, pair.points)
+    if key not in meets:
+        meets[key] = tangent_meet(cubic, *pair.points)
+    return meets[key]
+
+
+def _suite_pair_tangents(state, report, cubic, meets):
     def tangential_points(pair):
-        if _tangents_meet_on_cubic(cubic, *pair.points):
+        if _meet(meets, cubic, pair) is not None:
             return True
         t1 = tangent_third(cubic, pair.first)
         t2 = tangent_third(cubic, pair.second)
@@ -171,13 +179,15 @@ def _suite_tangents(state, report, cubic):
             ))
 
 
-def _suite_chords(state, report, curve: WeierstrassCurve):
+def _suite_chords(state, report, curve: WeierstrassCurve, meets):
     checked = 0
     for pair in state.pairs:
         if checked >= LIMIT:
             break
         name = f"chord through {brief(_key_head(pair.points, 49))}"
-        checked += _check(report, "chords", name, lambda: chord_tangency_check(curve, *pair.points))
+        checked += _check(report, "chords", name, lambda: chord_tangency_check(
+            curve, *pair.points, tangential=_meet(meets, curve.cubic, pair)
+        ))
 
 
 def _suite_lines(state, report, cubic):
@@ -244,6 +254,8 @@ def run_suites(
         raise ValidationError(f"unknown suites: {sorted(unknown)}; choose from {SUITES}")
     report = VerificationReport()
     models = {"cubic": curve.cubic if curve is not None else state.curve, "curve": curve}
+    # tangent meets shared by pair-tangents and chords, for this call only
+    meets = {}
     for suite in SUITES:
         if suite not in wanted:
             continue
@@ -255,7 +267,8 @@ def run_suites(
         elif models[need] is None:
             report.results.append(CheckResult(suite, "suite", "skipped", _MISSING[need]))
         else:
-            run_suite(state, report, models[need])
+            shared = (meets,) if suite in ("pair-tangents", "chords") else ()
+            run_suite(state, report, models[need], *shared)
     return report
 
 

@@ -2,19 +2,20 @@ from types import SimpleNamespace
 
 import pytest
 
-from schroeter import cubic
+from schroeter import checks, cubic
 from schroeter.checks import (
     chasles_check,
     chord_tangency_check,
     conjugate_lines_check,
     tangent_by_involution,
+    tangent_meet,
 )
-from schroeter.cubic import tangent_at
+from schroeter.cubic import Cubic, gradient, tangent_at
 from schroeter.engine import PointPair, run
 from schroeter.errors import HypothesisFailed, LinesNotDistinct
 from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
-from schroeter.weierstrass import add
+from schroeter.weierstrass import WeierstrassCurve, add
 
 from oracles import multiply, tangency_transport_check, tangent_meet_check
 
@@ -177,8 +178,10 @@ class TestChordTangency:
         x, y, z = cubic.tangent_third(curve12.cubic, a).coords
         assert cubic.evaluate(curve12.cubic, ProjPoint((x, -y, z))) == 0
 
-    def test_evaluates_the_cubic_nine_times(self, monkeypatch, curve12):
-        # the pair's chord (4), one tangential point (5)
+    def test_evaluates_the_cubic_four_times_given_the_meet(self, monkeypatch, curve12):
+        # the pair's chord (4); without the meet, one tangential point (5) more
+        a, abar = pt(1, 2), pt(2, -4)
+        meet = tangent_meet(curve12.cubic, a, abar)
         calls = []
         original = cubic._eval_triple
 
@@ -187,8 +190,69 @@ class TestChordTangency:
             return original(form, t)
 
         monkeypatch.setattr(cubic, "_eval_triple", counting)
-        assert chord_tangency_check(curve12, pt(1, 2), pt(2, -4))
-        assert len(calls) == 9
+        assert chord_tangency_check(curve12, a, abar, tangential=meet)
+        assert len(calls) == 4
+        assert chord_tangency_check(curve12, a, abar)
+        assert len(calls) == 4 + 9
+
+    @pytest.mark.parametrize(
+        "a, b, p, shift",
+        [
+            # p of infinite order: the chord third b = -(2p + T') gives
+            # b.T = 2p + T'', so b, T and n = 2p are not collinear
+            (18, 72, (6, 36), (-12, 0)),
+            # p of order 8 with 4p = T': b = n, and b.T is not n
+            (-431, 44800, (40, 1080), (256, 0)),
+        ],
+    )
+    def test_partner_shifted_by_another_two_torsion_point_given_the_meet(self, a, b, p, shift):
+        curve = WeierstrassCurve(a, b)
+        p = pt(*p)
+        pbar = add(curve, p, pt(*shift))
+        meet = tangent_meet(curve.cubic, p, pbar)
+        assert meet is not None
+        with pytest.raises(HypothesisFailed):
+            chord_tangency_check(curve, p, pbar, tangential=meet)
+
+
+class TestPairTangentMeet:
+    # p = (1:0:0) and pbar = (0:1:0) are on the cubic
+    # x^2y + x^2z + xy^2 + c5 xz^2 + y^2z + c9 z^3, and their tangents meet
+    # at m = (1 : 1 : -1), where F(m) = c5 - c9, dF(m).p = 1 + c5 and
+    # dF(m).pbar = 1
+    P, PBAR, M = ProjPoint.of(1, 0, 0), ProjPoint.of(0, 1, 0), (1, 1, -1)
+
+    def form(self, c5, c9):
+        return Cubic.of([0, 1, 1, 1, 0, c5, 0, 1, 0, c9])
+
+    def test_a_nonzero_multiple_of_the_prime_is_decided_exactly(self):
+        prime = checks._PRIME
+        form = self.form(prime - 1, prime - 1)
+        assert cubic._eval_triple(form, self.M) == 0
+        assert checks._dot(gradient(form, self.M), self.P.coords) == prime
+        assert tangent_meet(form, self.P, self.PBAR) == self.M
+        assert ProjPoint(self.M) == cubic.tangent_third(form, self.P) == cubic.tangent_third(form, self.PBAR)
+
+    def test_a_zero_dot_decides_nothing(self):
+        # dF(m).p = 0: m is a second contact of the tangent at p
+        form = self.form(-1, -1)
+        assert cubic._eval_triple(form, self.M) == 0
+        assert checks._dot(gradient(form, self.M), self.P.coords) == 0
+        assert tangent_meet(form, self.P, self.PBAR) is None
+
+    def test_a_meet_off_the_cubic_decides_nothing(self):
+        form = self.form(1, 0)
+        assert cubic._eval_triple(form, self.M) != 0
+        assert tangent_meet(form, self.P, self.PBAR) is None
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_the_meet_is_the_tangential_point_at_any_scale(self, curve12, k):
+        a = multiply(curve12, k, pt(1, 2))
+        abar = add(curve12, a, ProjPoint.of(0, 0, 1))
+        meet = tangent_meet(curve12.cubic, a, abar)
+        assert ProjPoint(meet) == cubic.tangent_third(curve12.cubic, a)
+        for scale in (1, -1, 7):
+            assert chord_tangency_check(curve12, a, abar, tangential=tuple(scale * c for c in meet))
 
 
 class TestConjugateLines:

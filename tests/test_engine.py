@@ -218,7 +218,7 @@ class TestCombine:
                 ))
             messages.append(str(exc.value))
             # distinct tangential points for every member: each pair fails
-            patch.setattr(verify, "_tangents_meet_on_cubic", lambda cubic, p, pbar: False)
+            patch.setattr(verify, "tangent_meet", lambda cubic, p, pbar: None)
             tangentials = count(1)
             patch.setattr(verify, "tangent_third", lambda c, p: ProjPoint((huge, 1, next(tangentials))))
             fails = run_suites(run(golden_frame_seed, max_points=12), suites=("pair-tangents",)).results

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 import schroeter
 from schroeter import svgplot
 from schroeter.cli import main
-from schroeter.cubic import tangent_at
+from schroeter.cubic import Cubic, tangent_at
 from schroeter.engine import run
+from schroeter.projective import ProjPoint
 from schroeter.svgplot import _poly_roots, render_svg
+from schroeter.weierstrass import WeierstrassCurve
 
 from oracles import numpy_poly_roots
 
@@ -26,6 +28,40 @@ def test_tangents_with_coefficients_beyond_float_range(curve12, curve12_seed):
     assert max(abs(c) for p in points for c in tangent_at(curve12.cubic, p).coeffs) > 10**308
     text = render_svg(state.pairs, curve12.cubic, tangents=True)
     assert text.startswith("<svg") and 'stroke="#999999"' in text
+
+
+def test_tangent_segments_are_those_of_the_canonical_line(monkeypatch):
+    # raw gradients with a negative or zero entry, in boxes whose edges meet
+    # the tangents at 0, where a flipped sign would show as -0.00
+    curves = {(a, b): WeierstrassCurve(a, b).cubic for a, b in ((5, 4), (0, -1), (1, 2))}
+    cases = [
+        (curves[5, 4], (0, 0)), (curves[5, 4], (-1, 0)), (curves[5, 4], (-2, -2)),
+        (curves[5, 4], (2, 6)), (curves[0, -1], (0, 0)), (curves[0, -1], (1, 0)),
+        (curves[1, 2], (1, -2)), (curves[1, 2], (2, 4)),
+    ]
+    boxes = [(0.0, 1.0, 0.0, 1.0), (-1.0, 0.0, -1.0, 0.0), (-1.0, 1.0, 0.0, 2.0), (0.0, 3.0, -3.0, 0.0)]
+
+    def draw():
+        parts = []
+        for form, (x, y) in cases:
+            for box in boxes:
+                canvas = svgplot._Canvas(box)
+                svgplot._tangent_segment(canvas, form, ProjPoint.affine(x, y))
+                parts += canvas.parts
+        return parts
+
+    raw = draw()
+    assert len(raw) > len(cases) and any("-0.00" in part for part in raw)
+    monkeypatch.setattr(svgplot, "gradient", lambda form, t: tangent_at(form, ProjPoint(t)).coeffs)
+    assert draw() == raw
+
+
+def test_no_tangent_off_the_cubic_or_at_a_singular_point():
+    node = Cubic.of([1, 0, 1, 0, 0, 0, 0, -1, 0, 0])  # y^2 = x^3 + x^2, node at (0, 0)
+    for point in (ProjPoint.affine(0, 0), ProjPoint.affine(1, 1)):
+        canvas = svgplot._Canvas((-1.0, 1.0, -1.0, 1.0))
+        svgplot._tangent_segment(canvas, node, point)
+        assert canvas.parts == []
 
 
 def test_the_cli_loads_numpy_only_to_draw():

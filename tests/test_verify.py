@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from schroeter import verify
+from schroeter import checks, verify
 from schroeter.cubic import Cubic
 from schroeter.engine import PointPair, run
 from schroeter.errors import HypothesisFailed, NotOnCurve, ValidationError
@@ -90,7 +90,7 @@ def test_chasles_outcomes(monkeypatch, golden_frame_seed, check, status, detail)
     assert report.ok is (status != "fail")
 
 
-def _invalid(*args):
+def _invalid(*args, **kwargs):
     raise NotCollinear("input outside the check's domain")
 
 
@@ -133,23 +133,53 @@ def test_fast_paths_match_the_full_computation(
         *_non_pairs(curve12, curve54),
     ]
     fast = Counter()
-    meets = verify._tangents_meet_on_cubic
+    meets = verify.tangent_meet
 
     def counting(cubic, p, pbar):
-        decided = meets(cubic, p, pbar)
-        fast[decided] += 1
-        return decided
+        meet = meets(cubic, p, pbar)
+        fast[meet is not None] += 1
+        return meet
 
-    monkeypatch.setattr(verify, "_tangents_meet_on_cubic", counting)
+    full_chords = []
+    tangential_point = checks.tangent_third
+    monkeypatch.setattr(verify, "tangent_meet", counting)
+    monkeypatch.setattr(checks, "tangent_third", lambda c, p: full_chords.append(p) or tangential_point(c, p))
     rows = [_rows(state, curve) for state, curve in runs]
-    monkeypatch.setattr(verify, "_tangents_meet_on_cubic", lambda cubic, p, pbar: False)
-    monkeypatch.setattr(verify, "chord_tangency_check", chord_tangency_reference)
-    assert rows == [_rows(state, curve) for state, curve in runs]
     statuses = {status for table in rows for _, _, status, _ in table}
     assert statuses == {"pass", "fail", "degenerate", "hypothesis-failed"}
     # all pairs decide fast but {O, T} (in curve12@128 and the full torsion
     # seed) and the five curve12 non-pairs
     assert fast == {True: 63 + 3 + 3 + 1, False: 1 + 1 + 5}
+    # chords decides every curve12 pair fast; it computes the tangential
+    # point on the torsion pairs, where b or n is T, and on the five + one
+    # non-pairs ({O, T} is a tangent chord, degenerate before either path)
+    assert len(full_chords) == 3 + 3 + 5 + 1
+    monkeypatch.setattr(verify, "tangent_meet", lambda cubic, p, pbar: None)
+    assert rows == [_rows(state, curve) for state, curve in runs]
+    monkeypatch.setattr(
+        verify, "chord_tangency_check",
+        lambda curve, a, abar, tangential: chord_tangency_reference(curve, a, abar),
+    )
+    assert rows == [_rows(state, curve) for state, curve in runs]
+
+
+def test_each_pair_meet_is_computed_once(monkeypatch, curve12, curve12_seed):
+    state = run(curve12_seed, max_points=128, curve=curve12.cubic)
+    calls = Counter()
+    meets = verify.tangent_meet
+
+    def counting(cubic, p, pbar):
+        calls[p, pbar] += 1
+        return meets(cubic, p, pbar)
+
+    monkeypatch.setattr(verify, "tangent_meet", counting)
+    run_suites(state, suites=("pair-tangents", "chords"), curve=curve12)
+    assert calls == Counter(pair.points for pair in state.pairs)
+    # chords alone computes each meet it needs, again on every call
+    calls.clear()
+    run_suites(state, suites=("chords",), curve=curve12)
+    run_suites(state, suites=("chords",), curve=curve12)
+    assert calls == Counter({points: 2 for points in (pair.points for pair in state.pairs)})
 
 
 def test_tangent_on_a_line_component_stays_degenerate():
