@@ -18,7 +18,7 @@ from .engine import DEFAULT_MAX_GENERATIONS, DEFAULT_MAX_POINTS, run
 from .errors import SchroeterError, SeedFormatError, ValidationError, brief
 from .cubic import fit_cubic_9
 from .svgplot import render_svg
-from .verify import SUITES, revalidate_points, run_suites
+from .verify import SUITES, replay_report, revalidate_points, run_suites
 from .weierstrass import WeierstrassCurve, seed_from_curve
 
 SEED_DIR_ENV = "SCHROETER_SEED_DIR"
@@ -121,12 +121,13 @@ def cmd_fit(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.report:
-        pairs, curve, basis = serialize.report_from_json(serialize.load_json(args.report))
-        cubics = basis or ([curve] if curve else [])
+        report = serialize.report_from_json(serialize.load_json(args.report))
+        cubics = report.curve_basis or ([report.curve] if report.curve else [])
         if not cubics:
             raise ValidationError("report carries no curve to check against")
-        revalidate_points((p for pair in pairs for p in pair.points), cubics)
-        print(f"report ok: {2 * len(pairs)} points on the recorded curve")
+        revalidate_points((p for pair in report.pairs for p in pair.points), cubics)
+        replay_report(report)
+        print(f"report ok: {2 * len(report.pairs)} points on the recorded curve")
         return 0
 
     seed, curve = _load_seed(args.seed)
@@ -147,8 +148,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    pairs, cubic, _ = serialize.report_from_json(serialize.load_json(args.report))
-    _write(args.out, render_svg(pairs, cubic, tangents=args.tangents))
+    report = serialize.report_from_json(serialize.load_json(args.report))
+    _write(args.out, render_svg(report.pairs, report.curve, tangents=args.tangents))
     print(f"wrote {args.out}")
     return 0
 

@@ -49,19 +49,15 @@ class Cubic:
 
 
 def _eval_triple(cubic: Cubic, t) -> int:
+    """The form at a coordinate triple, in Horner form: each product of two
+    coordinates is formed once."""
     x, y, z = t
-    c = cubic.coeffs
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = cubic.coeffs
+    zz = z * z
     return (
-        c[0] * x * x * x
-        + c[1] * x * x * y
-        + c[2] * x * x * z
-        + c[3] * x * y * y
-        + c[4] * x * y * z
-        + c[5] * x * z * z
-        + c[6] * y * y * y
-        + c[7] * y * y * z
-        + c[8] * y * z * z
-        + c[9] * z * z * z
+        x * (x * (c0 * x + c1 * y + c2 * z) + y * (c3 * y + c4 * z) + c5 * zz)
+        + y * (y * (c6 * y + c7 * z) + c8 * zz)
+        + c9 * zz * z
     )
 
 
@@ -73,10 +69,11 @@ def evaluate(cubic: Cubic, point: ProjPoint) -> int:
 def gradient(cubic: Cubic, t) -> tuple[int, int, int]:
     """The partial derivatives of the form at a coordinate triple, at any scale."""
     x, y, z = t
-    c = cubic.coeffs
-    gx = 3 * c[0] * x * x + 2 * c[1] * x * y + 2 * c[2] * x * z + c[3] * y * y + c[4] * y * z + c[5] * z * z
-    gy = c[1] * x * x + 2 * c[3] * x * y + c[4] * x * z + 3 * c[6] * y * y + 2 * c[7] * y * z + c[8] * z * z
-    gz = c[2] * x * x + c[4] * x * y + 2 * c[5] * x * z + c[7] * y * y + 2 * c[8] * y * z + 3 * c[9] * z * z
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = cubic.coeffs
+    xx, xy, xz, yy, yz, zz = x * x, x * y, x * z, y * y, y * z, z * z
+    gx = 3 * c0 * xx + 2 * c1 * xy + 2 * c2 * xz + c3 * yy + c4 * yz + c5 * zz
+    gy = c1 * xx + 2 * c3 * xy + c4 * xz + 3 * c6 * yy + 2 * c7 * yz + c8 * zz
+    gz = c2 * xx + c4 * xy + 2 * c5 * xz + c7 * yy + 2 * c8 * yz + 3 * c9 * zz
     return (gx, gy, gz)
 
 

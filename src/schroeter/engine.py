@@ -19,12 +19,15 @@ So each pair carries a group-law label: its class as an integer
 combination of the seed pairs' classes and kappa, reduced modulo the
 relations learned so far.  A child whose label is known is a duplicate of
 that pair and costs no geometry; a geometric duplicate under a new label
-teaches a relation.
+teaches a relation.  Under the final relations every duplicate is implied
+by its parents' labels, so a run report keeps only the attempts that ran
+the geometry.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -50,6 +53,9 @@ DEFAULT_MAX_GENERATIONS = 16
 # The bootstrap is never capped: it admits the seed and up to three derived
 # pairs, 6 pairs in all.
 MIN_MAX_POINTS = 12
+
+# The reasons a combination is skipped, as the names of the errors raised.
+SKIP_REASONS = ("DegenerateLines", "SharedPoint")
 
 PairKey = tuple[tuple[int, int, int], tuple[int, int, int]]
 # A group-law label: coefficients of the three seed pairs' classes, then of kappa.
@@ -168,7 +174,9 @@ class Derivation:
 
     Parents and child are pair keys; the run report writes them as
     indices into its sorted pairs (coordinates can run to thousands of
-    digits).
+    digits).  `reason` names the error of a "skipped" attempt, and is
+    "relation" for a "duplicate" that the labels did not predict: it ran
+    the geometry and taught a relation.
     """
 
     parents: tuple[PairKey, PairKey]
@@ -178,11 +186,30 @@ class Derivation:
 
 
 @dataclass
+class Generation:
+    """The counts of one generation; generation 0 is the bootstrap.
+
+    `pending` counts the combinations due, those of a pair admitted in the
+    generation before with any older pair; a run cut by the point cap
+    attempts fewer in its last generation.
+    """
+
+    pending: int
+    attempted: int
+    new: int
+    duplicate: int
+    skipped: dict[str, int]  # by reason, every one of SKIP_REASONS
+
+
+@dataclass
 class ConstructionState:
     """Result of a construction run.
 
     `frontier` counts the combinations of the final pairs that were never
-    attempted; the run is closed when there are none.
+    attempted; the run is closed when there are none.  `labels` holds each
+    pair's label, aligned with `pairs` and reduced by `relations`, which
+    are in Hermite normal form.  `provenance` has one derivation per
+    attempt, and `stats` one entry per generation.
     """
 
     seed: SeedConfig
@@ -192,6 +219,9 @@ class ConstructionState:
     generations: int
     frontier: int
     provenance: list[Derivation] = field(default_factory=list)
+    labels: tuple[_Label, ...] = ()
+    relations: tuple[_Label, ...] = ()
+    stats: tuple[Generation, ...] = ()
 
     @property
     def closed(self) -> bool:
@@ -369,7 +399,7 @@ def run(
             return
         if child.key in ws.pairs:
             ws.learn(tuple(a - b for a, b in zip(label, ws.labels[child.key])))
-            provenance.append(Derivation(parents, child.key, "duplicate"))
+            provenance.append(Derivation(parents, child.key, "duplicate", "relation"))
             return
         for point in child.points:
             narrow(point)
@@ -425,6 +455,8 @@ def run(
     generation = 0
     met = len(seed_keys)  # the first `met` pairs have all been combined with each other
     capped = ws.point_count >= max_points
+    due = [3]  # the combinations due in each generation
+    starts = [0]  # the ordinal of each generation's first attempt
 
     while not capped and generation < max_generations:
         # Combinations as rank pairs (i, j), i < j, in the sorted keys: their
@@ -434,8 +466,10 @@ def run(
         fresh = [rank[key] for key in islice(ws.pairs, met, None)]
         if not fresh:
             break
+        due.append(len(ordered) * (len(ordered) - 1) // 2 - met * (met - 1) // 2)
         met = len(ordered)
         generation += 1
+        starts.append(len(provenance))
         for i, j in _pending(len(ordered), fresh):
             if ws.point_count + 2 > max_points:
                 capped = True
@@ -444,13 +478,32 @@ def run(
 
     unique = basis[0] if len(basis) == 1 else curve
     count = len(ws.pairs)
-    ordered = tuple(ws.pairs[k] for k in sorted(ws.pairs.keys()))
+    keys = sorted(ws.pairs)
+    ends = [*starts[1:], len(provenance)]
     return ConstructionState(
         seed=seed,
-        pairs=ordered,
+        pairs=tuple(ws.pairs[k] for k in keys),
         curve=unique,
         curve_basis=basis,
         generations=generation,
         frontier=count * (count - 1) // 2 - len(provenance),
         provenance=provenance,
+        labels=tuple(ws.labels[k] for k in keys),
+        relations=tuple(ws.relations),
+        stats=tuple(
+            _generation(pending, provenance[start:end])
+            for pending, start, end in zip(due, starts, ends)
+        ),
+    )
+
+
+def _generation(pending: int, attempts: list[Derivation]) -> Generation:
+    """The counts of one generation's attempts."""
+    counts = Counter(d.reason if d.status == "skipped" else d.status for d in attempts)
+    return Generation(
+        pending=pending,
+        attempted=len(attempts),
+        new=counts["new"],
+        duplicate=counts["duplicate"],
+        skipped={reason: counts[reason] for reason in SKIP_REASONS},
     )

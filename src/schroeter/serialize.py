@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .cubic import Cubic
 from .engine import ConstructionState, PointPair, SeedConfig, validate_seed
-from .errors import SeedFormatError, brief
+from .errors import InvariantViolation, SeedFormatError, brief
 from .projective import ProjPoint
 from .weierstrass import WeierstrassCurve
 
@@ -107,56 +110,203 @@ def seed_from_json(obj) -> tuple[SeedConfig, WeierstrassCurve | None]:
 
 
 # Run reports: v1 (no "format_version") wrote each provenance parent and
-# child as full coordinates; v2 writes indices into the sorted "pairs".
-REPORT_FORMAT = 2
+# child as full coordinates; v2 wrote one row [i, j, status, k] per attempt,
+# the pairs named by their indices in "pairs"; v3 writes the labels and
+# keeps only the rows that the labels do not imply.
+REPORT_FORMAT = 3
+
+
+def _digits(pair: list[list[str]]) -> int:
+    """Decimal digits of the largest coordinate of a pair as written."""
+    return max(len(c) - (c[0] == "-") for point in pair for c in point)
 
 
 def state_to_json(state: ConstructionState) -> dict:
-    """The run report.  Each provenance row is [i, j, status, k]: the two
-    parents as indices into `pairs`, in recorded order, then the child's
-    index for "new" and "duplicate" or the reason for "skipped"."""
+    """The run report.
+
+    `labels` holds each pair's group-law label, reduced by `relations`.
+    `provenance` keeps the attempts that ran the geometry: the new pairs,
+    the skipped combinations and the duplicates that taught a relation.
+    Each row is [n, i, j, status, k]: the attempt's ordinal, the two
+    parents as indices into `pairs`, then the child's index for "new" and
+    "duplicate" or the reason for "skipped".  Every other attempt is a
+    duplicate of the pair labelled kappa - l_i - l_j.  `stats` has one
+    entry per generation, the bootstrap first.
+    """
     # A point belongs to one pair only, so a key's first point names its pair.
     index = {pair.first.coords: i for i, pair in enumerate(state.pairs)}
+    seed = [pair_to_json(p) for p in state.seed.pairs]
+    pairs = [pair_to_json(p) for p in state.pairs]
+    rows = [
+        [
+            n,
+            index[d.parents[0][0]],
+            index[d.parents[1][0]],
+            d.status,
+            d.reason if d.child is None else index[d.child[0]],
+        ]
+        for n, d in enumerate(state.provenance)
+        if d.status != "duplicate" or d.reason is not None
+    ]
+    # the largest coordinate admitted in each generation; the seed in the first
+    ends = list(accumulate(g.attempted for g in state.stats))
+    digits = [0] * len(ends)
+    if digits:
+        digits[0] = max(map(_digits, seed))
+    for n, _, _, status, k in rows:
+        if status == "new":
+            g = bisect_right(ends, n)
+            digits[g] = max(digits[g], _digits(pairs[k]))
     return {
         "format_version": REPORT_FORMAT,
-        "seed": [pair_to_json(p) for p in state.seed.pairs],
+        "seed": seed,
         "curve": cubic_to_json(state.curve) if state.curve is not None else None,
         "curve_basis": [cubic_to_json(c) for c in state.curve_basis],
-        "pairs": [pair_to_json(p) for p in state.pairs],
+        "pairs": pairs,
         "pair_count": len(state.pairs),
         "point_count": state.point_count,
         "closed": state.closed,
         "generations": state.generations,
-        "provenance": [
-            [
-                index[d.parents[0][0]],
-                index[d.parents[1][0]],
-                d.status,
-                d.reason if d.child is None else index[d.child[0]],
-            ]
-            for d in state.provenance
-        ],
+        "labels": [list(label) for label in state.labels],
+        "relations": [list(row) for row in state.relations],
+        "stats": [{**asdict(g), "digits": d} for g, d in zip(state.stats, digits)],
+        "provenance": rows,
     }
 
 
-def report_from_json(obj) -> tuple[list[PointPair], Cubic | None, list[Cubic]]:
-    """The pairs, the curve and the curve basis of a run report of either
-    format; provenance is not read."""
+@dataclass
+class RunReport:
+    """A run report as read.
+
+    `rows` are the provenance rows that replay, as (n, i, j, status, k)
+    with n the attempt's ordinal.  v1 and v2 reports hold every attempt;
+    only their new and skipped rows are kept, since a duplicate row may be
+    one that the labels predicted.  `seed`, `labels`, `relations`, `stats`
+    and `generations` come from v3 reports only, and are None before.
+    """
+
+    pairs: list[PointPair]
+    curve: Cubic | None
+    curve_basis: list[Cubic]
+    rows: list[tuple]
+    seed: list[PointPair] | None = None
+    labels: list[tuple[int, ...]] | None = None
+    relations: list[tuple[int, ...]] | None = None
+    stats: list[dict] | None = None
+    generations: int | None = None
+
+
+_STATUSES = ("new", "duplicate", "skipped")
+_STATS = {"pending", "attempted", "new", "duplicate", "skipped", "digits"}
+
+
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _int_rows(obj, key: str, width: int) -> list[tuple[int, ...]]:
+    """A v3 report's list of integer rows of one width."""
+    rows = obj.get(key)
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and len(r) == width and all(map(_is_int, r)) for r in rows
+    ):
+        raise SeedFormatError(f"a v3 run report needs {key!r} as rows of {width} integers")
+    return [tuple(r) for r in rows]
+
+
+def _row(n, i, j, status, k) -> tuple:
+    """A provenance row, checked for shape: k names a pair unless skipped."""
+    if not (
+        all(map(_is_int, (n, i, j)))
+        and status in _STATUSES
+        and (type(k) is str if status == "skipped" else _is_int(k))
+    ):
+        raise SeedFormatError(f"bad run report provenance row {brief(repr([n, i, j, status, k]))}")
+    return (n, i, j, status, k)
+
+
+def _v3_fields(obj) -> dict:
+    """The seed, labels, relations, stats and stored rows of a v3 report."""
+    stats = obj.get("stats")
+    if not isinstance(stats, list) or not all(
+        isinstance(g, dict) and set(g) == _STATS
+        and all(_is_int(v) for key, v in g.items() if key != "skipped")
+        and isinstance(g["skipped"], dict) and all(map(_is_int, g["skipped"].values()))
+        for g in stats
+    ):
+        raise SeedFormatError(f"a v3 run report needs 'stats' as objects with keys {sorted(_STATS)}")
+    seed, rows = obj.get("seed"), obj.get("provenance")
+    if not isinstance(seed, list) or len(seed) != 3:
+        raise SeedFormatError("a v3 run report needs its 3 'seed' pairs")
+    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 5 for r in rows):
+        raise SeedFormatError("a v3 run report needs 'provenance' as rows [n, i, j, status, k]")
+    if not _is_int(obj.get("generations")):
+        raise SeedFormatError("a v3 run report needs an integer 'generations'")
+    return {
+        "seed": [pair_from_json(p) for p in seed],
+        "labels": _int_rows(obj, "labels", 4),
+        "relations": _int_rows(obj, "relations", 4),
+        "stats": stats,
+        "generations": obj["generations"],
+        "rows": [_row(*r) for r in rows],
+    }
+
+
+def _old_rows(obj, pairs: list[PointPair]) -> list[tuple]:
+    """The new and skipped rows of a v1 or v2 report's provenance, which
+    has one row per attempt: [i, j, status, k] in v2, and in v1 an object
+    naming each pair by its coordinates, "x:y:z|x:y:z"."""
+    rows = obj.get("provenance") or []
+    if not isinstance(rows, list):
+        raise SeedFormatError("a run report's 'provenance' must be a list")
+    if "format_version" not in obj:
+        names = {
+            "|".join(":".join(map(str, p.coords)) for p in pair.points): i
+            for i, pair in enumerate(pairs)
+        }
+        rows = [_v1_row(r, names) for r in rows]
+    if not all(isinstance(r, list) and len(r) == 4 for r in rows):
+        raise SeedFormatError("a v2 run report needs 'provenance' as rows [i, j, status, k]")
+    return [_row(n, *r) for n, r in enumerate(rows) if r[2] != "duplicate"]
+
+
+def _v1_row(entry, names: dict[str, int]) -> list:
+    """A v1 provenance entry as the v2 row [i, j, status, k], each pair
+    looked up by its name in `names`."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("parents"), list):
+        raise SeedFormatError(f"bad run report provenance entry {brief(repr(entry))}")
+
+    def index(name):
+        if name not in names:
+            raise InvariantViolation(f"provenance names no pair of the report: {brief(name)}")
+        return names[name]
+
+    status = entry.get("status")
+    if status == "duplicate":
+        return [None, None, status, None]
+    child = entry.get("reason") if status == "skipped" else index(str(entry.get("child")))
+    return [*(index(str(name)) for name in entry["parents"]), status, child]
+
+
+def report_from_json(obj) -> RunReport:
+    """A run report of any format: v1 (no "format_version"), v2 or v3."""
     if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
         raise SeedFormatError("a run report needs a 'pairs' list")
-    # v1 has no "format_version"; its pairs, curve and basis read as v2's
-    version = obj.get("format_version", REPORT_FORMAT)
-    if type(version) is not int or version != REPORT_FORMAT:
+    version = obj.get("format_version")
+    if "format_version" in obj and (type(version) is not int or version not in (2, REPORT_FORMAT)):
         raise SeedFormatError(
             f"unsupported run report format_version {brief(repr(version))}; "
-            f"expected {REPORT_FORMAT} or none"
+            f"expected 2, {REPORT_FORMAT} or none"
         )
     basis = obj.get("curve_basis", [])
     if not isinstance(basis, list):
         raise SeedFormatError("a run report's 'curve_basis' must be a list")
     pairs = [pair_from_json(p) for p in obj["pairs"]]
     curve = cubic_from_json(obj["curve"]) if obj.get("curve") else None
-    return pairs, curve, [cubic_from_json(c) for c in basis]
+    basis = [cubic_from_json(c) for c in basis]
+    if version == REPORT_FORMAT:
+        return RunReport(pairs, curve, basis, **_v3_fields(obj))
+    return RunReport(pairs, curve, basis, _old_rows(obj, pairs))
 
 
 def state_points_csv(state: ConstructionState) -> str:
@@ -168,8 +318,8 @@ def state_points_csv(state: ConstructionState) -> str:
     return "\n".join(lines) + "\n"
 
 
-# One run report provenance row [i, j, status, k] as `json.dumps` indents it.
-_ROW = "    [\n      %d,\n      %d,\n      %s,\n      %s\n    ]"
+# One run report provenance row [n, i, j, status, k] as `json.dumps` indents it.
+_ROW = "    [\n      %d,\n      %d,\n      %d,\n      %s,\n      %s\n    ]"
 
 
 def dumps(obj) -> str:
@@ -187,8 +337,8 @@ def dumps(obj) -> str:
     )
     body = ",\n".join(
         [
-            _ROW % (i, j, _json_string(s), k if type(k) is int else _json_string(k))
-            for i, j, s, k in rows
+            _ROW % (n, i, j, _json_string(s), k if type(k) is int else _json_string(k))
+            for n, i, j, s, k in rows
         ]
     )
     return f'{head}\n  "provenance": [\n{body}\n  ]{tail}\n'

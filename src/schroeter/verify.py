@@ -7,8 +7,10 @@ law are skipped unless a Weierstrass model is supplied.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 
 from .checks import (
     chasles_check,
@@ -18,14 +20,24 @@ from .checks import (
     tangent_meet,
 )
 from .cubic import evaluate, tangent_at, tangent_third
-from .engine import ConstructionState
+from .engine import (
+    _KAPPA,
+    SKIP_REASONS,
+    ConstructionState,
+    _hnf,
+    _reduce,
+    combine,
+)
 from .errors import (
     DegeneracyError,
+    DegenerateLines,
     HypothesisFailed,
     InvariantViolation,
+    SharedPoint,
     ValidationError,
     brief,
 )
+from .serialize import RunReport
 from .weierstrass import (
     WeierstrassCurve,
     involution_center_product,
@@ -283,3 +295,116 @@ def revalidate_points(points, cubics) -> None:
         for c in cubics:
             if evaluate(c, p) != 0:
                 raise InvariantViolation(f"point {brief(p)} is off the recorded curve")
+
+
+def replay_report(report: RunReport) -> None:
+    """Raise InvariantViolation unless a run report's provenance replays.
+
+    Every row read replays: combine(pairs[i], pairs[j]) is pairs[k], or
+    raises the error a skipped row names.  A v3 report is also checked
+    against its labels and stats (see _check_history).  Neither walks the
+    attempts that the labels imply.
+    """
+    pairs = report.pairs
+    for n, i, j, status, k in report.rows:
+        named = (i, j) if status == "skipped" else (i, j, k)
+        if not all(0 <= x < len(pairs) for x in named):
+            raise InvariantViolation(f"provenance row {n} names no pair of the report")
+        try:
+            outcome = combine(pairs[i], pairs[j])
+        except (SharedPoint, DegenerateLines) as exc:
+            outcome = type(exc).__name__
+        if outcome != (k if status == "skipped" else pairs[k]):
+            raise InvariantViolation(
+                f"provenance row {n} does not replay: pairs {i} and {j} do not give "
+                f"{brief(k) if status == 'skipped' else f'pair {k}'}"
+            )
+    if report.labels is not None:
+        _check_history(report)
+
+
+def _check_history(report: RunReport) -> None:
+    """The checks of a v3 report beyond the replay of its rows.
+
+    Each pair but the seed's three has exactly one "new" row, the rows'
+    ordinals increase below the attempt total, and each row combines pairs
+    due in its generation: one made in the generation before, the other no
+    later.  Walking the rows from the seed's unit labels gives each pair
+    its unreduced label kappa - x - y; the stored duplicates must each
+    teach a relation, and together exactly `relations`.  Each label is the
+    unreduced one reduced by them, and no two pairs share one.  Each
+    generation's stats match its rows, and its attempts are those due,
+    or fewer in the last one when the point cap ended it on a new pair.
+    """
+    pairs, stats, relations = report.pairs, report.stats, report.relations
+    if len(report.labels) != len(pairs):
+        raise InvariantViolation(f"{len(report.labels)} labels for {len(pairs)} pairs")
+    if len(stats) != report.generations + 1:
+        raise InvariantViolation(f"{len(stats)} stats entries for {report.generations} generations")
+    index = {pair.key: i for i, pair in enumerate(pairs)}
+    seeds = [index.get(pair.key) for pair in report.seed]
+    if None in seeds or len(set(seeds)) != 3:
+        raise InvariantViolation("the seed is not three of the report's pairs")
+    ends = list(accumulate(g["attempted"] for g in stats))
+    total = ends[-1] if ends else 0
+
+    unreduced = {s: tuple(int(c == m) for c in range(len(_KAPPA))) for m, s in enumerate(seeds)}
+    made_in = dict.fromkeys(seeds, -1)  # the generation each pair was made in
+    taught: list[tuple[int, ...]] = []
+    counts = defaultdict(Counter)
+    last = {}  # generation -> (ordinal, status) of its last row
+    previous = -1
+    for n, i, j, status, k in report.rows:
+        if not previous < n < total:
+            raise InvariantViolation(
+                f"provenance row {n} is out of order or beyond the {total} attempts"
+            )
+        previous = n
+        g = bisect_right(ends, n)
+        if i not in unreduced or j not in unreduced or max(made_in[i], made_in[j]) != g - 1:
+            raise InvariantViolation(f"provenance row {n} combines pairs not due in generation {g}")
+        child = tuple(c - a - b for c, a, b in zip(_KAPPA, unreduced[i], unreduced[j]))
+        if status == "new":
+            if k in unreduced:
+                raise InvariantViolation(f"pair {k} is made by more than one row")
+            unreduced[k], made_in[k] = child, g
+        elif status == "duplicate":
+            if k not in unreduced:
+                raise InvariantViolation(f"provenance row {n} repeats pair {k} before it is made")
+            relation = tuple(a - b for a, b in zip(child, unreduced[k]))
+            if not any(_reduce(relation, _hnf(taught))):
+                raise InvariantViolation(f"provenance row {n} is a duplicate its labels imply")
+            taught.append(relation)
+        counts[g][status if status != "skipped" else k] += 1
+        last[g] = (n, status)
+    if len(unreduced) != len(pairs):
+        orphan = min(set(range(len(pairs))) - set(unreduced))
+        raise InvariantViolation(f"pair {orphan} has no row that makes it")
+
+    if _hnf(taught) != relations:
+        raise InvariantViolation("the relations are not those the duplicate rows teach")
+    for p, label in enumerate(report.labels):
+        if _reduce(unreduced[p], relations) != label:
+            raise InvariantViolation(f"the label of pair {p} is not that of its parents")
+    if len(set(report.labels)) != len(pairs):
+        raise InvariantViolation("two pairs share a label")
+
+    made, met = 3, 0  # pairs made before the generation, and before the one before
+    for g, entry in enumerate(stats):
+        count = counts[g]
+        skipped = {reason: count[reason] for reason in SKIP_REASONS}
+        due = made * (made - 1) // 2 - met * (met - 1) // 2
+        if (
+            entry["pending"] != due
+            or entry["new"] != count["new"]
+            or entry["skipped"] != skipped
+            or entry["duplicate"] < count["duplicate"]
+            or entry["attempted"] != entry["new"] + entry["duplicate"] + sum(skipped.values())
+            or entry["attempted"] > due
+        ):
+            raise InvariantViolation(f"the stats of generation {g} disagree with its rows")
+        if entry["attempted"] < due and (
+            g != len(stats) - 1 or entry["attempted"] and last.get(g) != (ends[g] - 1, "new")
+        ):
+            raise InvariantViolation(f"generation {g} stops short of its {due} combinations")
+        made, met = made + entry["new"], made

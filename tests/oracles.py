@@ -5,8 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
+from schroeter import engine
 from schroeter.checks import _require_on
 from schroeter.cubic import Cubic, chord_third, evaluate, fit_cubic_9, tangent_third
 from schroeter.engine import ConstructionState, SeedConfig
@@ -25,7 +26,7 @@ from schroeter.errors import (
 )
 from schroeter.involution import Involution, _pencil_param, _require_in_pencil
 from schroeter.projective import ProjLine, ProjPoint, incident, join, meet, span_coordinates
-from schroeter.serialize import rat_from_str
+from schroeter.serialize import pair_from_json, rat_from_str
 from schroeter.weierstrass import (
     NEUTRAL,
     TWO_TORSION,
@@ -391,3 +392,73 @@ def numpy_poly_roots(coeffs) -> list[float]:
         return []
     roots = np.roots(trimmed)
     return [float(r.real) for r in roots if abs(r.imag) < 1e-9]
+
+
+def eval_triple_by_terms(cubic: Cubic, t) -> int:
+    """`cubic._eval_triple` as a sum of its ten monomials, term by term."""
+    x, y, z = t
+    c = cubic.coeffs
+    return (
+        c[0] * x * x * x
+        + c[1] * x * x * y
+        + c[2] * x * x * z
+        + c[3] * x * y * y
+        + c[4] * x * y * z
+        + c[5] * x * z * z
+        + c[6] * y * y * y
+        + c[7] * y * y * z
+        + c[8] * y * z * z
+        + c[9] * z * z * z
+    )
+
+
+def gradient_by_terms(cubic: Cubic, t) -> tuple[int, int, int]:
+    """`cubic.gradient` with each monomial multiplied out term by term."""
+    x, y, z = t
+    c = cubic.coeffs
+    gx = 3 * c[0] * x * x + 2 * c[1] * x * y + 2 * c[2] * x * z + c[3] * y * y + c[4] * y * z + c[5] * z * z
+    gy = c[1] * x * x + 2 * c[3] * x * y + c[4] * x * z + 3 * c[6] * y * y + 2 * c[7] * y * z + c[8] * z * z
+    gz = c[2] * x * x + c[4] * x * y + 2 * c[5] * x * z + c[7] * y * y + 2 * c[8] * y * z + 3 * c[9] * z * z
+    return (gx, gy, gz)
+
+
+def expand_provenance(report: dict) -> list[list]:
+    """Every attempt of a v3 run report, as the v2 row [i, j, status, k].
+
+    Generation 0 combines the seed pairs (a, b), (b, c), (c, a); each later
+    one draws `engine._pending` over the pairs made before it, in the order
+    of `pairs`, with those made in the generation before as the fresh ones,
+    and stops at its recorded attempt count.  A stored row keeps its
+    ordinal; every other attempt is a duplicate of the pair labelled
+    kappa - l_i - l_j, reduced by the final relations.
+    """
+    index = {pair_from_json(p).key: i for i, p in enumerate(report["pairs"])}
+    a, b, c = (index[pair_from_json(p).key] for p in report["seed"])
+    labels = [tuple(label) for label in report["labels"]]
+    relations = [tuple(row) for row in report["relations"]]
+    by_label = {label: i for i, label in enumerate(labels)}
+    stored = {n: [i, j, status, k] for n, i, j, status, k in report["provenance"]}
+    rows: list[list] = []
+    made, fresh = [a, b, c], []
+    for g, entry in enumerate(report["stats"]):
+        if g == 0:
+            due = iter([(a, b), (b, c), (c, a)])
+        else:
+            ordered = sorted(made)
+            rank = {p: r for r, p in enumerate(ordered)}
+            due = (
+                (ordered[r], ordered[s])
+                for r, s in engine._pending(len(ordered), [rank[p] for p in fresh])
+            )
+        fresh = []
+        for i, j in islice(due, entry["attempted"]):
+            row = stored.get(len(rows))
+            if row is None:
+                child = tuple(k - x - y for k, x, y in zip(engine._KAPPA, labels[i], labels[j]))
+                row = [i, j, "duplicate", by_label[engine._reduce(child, relations)]]
+            assert row[:2] == [i, j], f"stored row {len(rows)} is not the attempt due there"
+            rows.append(row)
+            if row[2] == "new":
+                fresh.append(row[3])
+        made += fresh
+    return rows

@@ -1,10 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schroeter import serialize
 from schroeter.cli import main
 from schroeter.projective import ProjPoint
+
+from oracles import expand_provenance
 
 TORSION_ARGS = ["--a", "5", "--b", "4", "--points", "0,0;2,6;-1,0"]
 
@@ -188,20 +193,7 @@ class TestVerify:
         each parent and child written out in full, still reads."""
         out = tmp_path / "run.json"
         main(["construct", "--seed", str(torsion_seed_file), "--out", str(out)])
-        data = json.loads(out.read_text())
-        del data["format_version"]
-        labels = ["|".join(":".join(point) for point in pair) for pair in data["pairs"]]
-        data["provenance"] = [
-            {
-                "parents": [labels[i], labels[j]],
-                "child": None if status == "skipped" else labels[k],
-                "skipped": status == "skipped",
-                "status": status,
-                "reason": k if status == "skipped" else None,
-            }
-            for i, j, status, k in data["provenance"]
-        ]
-        out.write_text(json.dumps(data))
+        out.write_text(json.dumps(_old_layout(json.loads(out.read_text()), 1)))
         assert main(["verify", "--report", str(out)]) == 0
         assert main(["plot", "--report", str(out), "--out", str(tmp_path / "run.svg")]) == 0
 
@@ -215,6 +207,7 @@ class TestVerify:
     [[], {"pairs": 5}, {"curve": None}, {"pairs": [], "curve_basis": 5},
      {"pairs": [], "curve": ["0"] * 10}, {"pairs": [], "curve_basis": [["0"] * 10]},
      {"pairs": [], "format_version": 1}, {"pairs": [], "format_version": 3},
+     {"pairs": [], "format_version": 4},
      {"pairs": [], "format_version": "2"}, {"pairs": [], "format_version": None}],
 )
 def test_malformed_report(tmp_path, capsys, command, content):
@@ -240,3 +233,154 @@ class TestPlot:
         svg = tmp_path / "empty.svg"
         assert main(["plot", "--report", str(report), "--out", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
+
+
+def _old_layout(report: dict, version: int, pairs=None) -> dict:
+    """A v3 run report in the v2 layout, with one row [i, j, status, k] per
+    attempt, or in the v1 layout, which has no "format_version" and names
+    each pair by its coordinates; with other `pairs` in place of its own,
+    if given."""
+    rows = expand_provenance(report)
+    old = {k: v for k, v in report.items() if k not in ("labels", "relations", "stats")}
+    old["pairs"] = pairs = pairs or report["pairs"]
+    if version == 2:
+        return {**old, "format_version": 2, "provenance": rows}
+    del old["format_version"]
+    names = [
+        "|".join(":".join(map(str, p.coords)) for p in serialize.pair_from_json(pair).points)
+        for pair in pairs
+    ]
+    old["provenance"] = [
+        {
+            "parents": [names[i], names[j]],
+            "child": None if status == "skipped" else names[k],
+            "skipped": status == "skipped",
+            "status": status,
+            "reason": k if status == "skipped" else None,
+        }
+        for i, j, status, k in rows
+    ]
+    return old
+
+
+@pytest.fixture(scope="module")
+def frame_report(tmp_path_factory):
+    """The v3 report of frame@128, cut by the point cap in its last
+    generation, and a directory to write altered copies to."""
+    directory = tmp_path_factory.mktemp("reports")
+    out = directory / "frame.json"
+    seed = Path(__file__).parents[1] / "seeds" / "frame.json"
+    assert main(["construct", "--seed", str(seed), "--max-points", "128", "--out", str(out)]) == 0
+    return json.loads(out.read_text()), directory
+
+
+def _verify(report: dict, directory) -> int:
+    path = directory / "altered.json"
+    path.write_text(json.dumps(report))
+    return main(["verify", "--report", str(path)])
+
+
+def _two(data, n: int, label: str) -> tuple[int, int]:
+    """Two distinct indices below n, in increasing order."""
+    a = data.draw(st.integers(0, n - 1), label=f"{label} a")
+    b = data.draw(st.integers(0, n - 1).filter(lambda b: b != a), label=f"{label} b")
+    return min(a, b), max(a, b)
+
+
+class TestReportReplay:
+    """`verify --report` exits 3 on a report whose rows, labels or stats do
+    not hold, and 0 on each layout as written."""
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_unaltered_reports_pass(self, frame_report, version):
+        report, directory = frame_report
+        old = report if version == 3 else _old_layout(report, version)
+        assert _verify(old, directory) == 0
+        path = directory / "altered.json"
+        assert main(["plot", "--report", str(path), "--out", str(directory / "run.svg")]) == 0
+
+    def test_stored_rows_are_few(self, frame_report):
+        report, _ = frame_report
+        stats = report["stats"]
+        assert stats[-1]["attempted"] < stats[-1]["pending"]
+        assert len(report["provenance"]) < sum(g["attempted"] for g in stats) / 2
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_swapped_partners(self, frame_report, version, data):
+        """Two pairs trade one member each: every point stays on the curve
+        and appears once, but a row that makes or uses them fails to replay."""
+        report, directory = frame_report
+        altered = json.loads(json.dumps(report))
+        pairs = altered["pairs"]
+        a, b = _two(data, len(pairs), "pair")
+        ma, mb = data.draw(st.integers(0, 1), label="member a"), data.draw(st.integers(0, 1))
+        pairs[a][ma], pairs[b][mb] = pairs[b][mb], pairs[a][ma]
+        if version < 3:
+            altered = _old_layout(report, version, pairs)
+        assert _verify(altered, directory) == 3
+
+    @pytest.mark.parametrize(
+        "row, code",
+        [([5, 5, "skipped", "SharedPoint"], 0), ([5, 5, "skipped", "DegenerateLines"], 3),
+         ([0, 3, "skipped", "DegenerateLines"], 3)],
+    )
+    def test_skipped_rows_replay_their_error(self, frame_report, row, code):
+        """A skipped row replays when `combine` raises the error it names."""
+        report, directory = frame_report
+        old = _old_layout(report, 2)
+        old["provenance"].append(row)
+        assert _verify(old, directory) == code
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_edited_label(self, frame_report, data):
+        report, directory = frame_report
+        altered = json.loads(json.dumps(report))
+        label = altered["labels"][data.draw(st.integers(0, len(altered["labels"]) - 1))]
+        label[data.draw(st.integers(0, 3))] += data.draw(st.integers(-3, 3).filter(bool))
+        assert _verify(altered, directory) == 3
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_dropped_row(self, frame_report, data):
+        report, directory = frame_report
+        altered = json.loads(json.dumps(report))
+        del altered["provenance"][data.draw(st.integers(0, len(altered["provenance"]) - 1))]
+        assert _verify(altered, directory) == 3
+
+    def test_dropped_relation_row(self, frame_report):
+        """The duplicate row that taught the frame's relation is the one
+        that explains it."""
+        report, directory = frame_report
+        altered = json.loads(json.dumps(report))
+        rows = altered["provenance"]
+        (duplicate,) = [row for row in rows if row[3] == "duplicate"]
+        rows.remove(duplicate)
+        assert _verify(altered, directory) == 3
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_reordered_rows(self, frame_report, data):
+        report, directory = frame_report
+        altered = json.loads(json.dumps(report))
+        rows = altered["provenance"]
+        a, b = _two(data, len(rows), "row")
+        rows[a], rows[b] = rows[b], rows[a]
+        assert _verify(altered, directory) == 3
+
+    def test_wrong_duplicate_count(self, frame_report):
+        report, directory = frame_report
+        altered = json.loads(json.dumps(report))
+        altered["stats"][-1]["duplicate"] += 1
+        assert _verify(altered, directory) == 3
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_wrong_attempt_count(self, frame_report, data):
+        report, directory = frame_report
+        altered = json.loads(json.dumps(report))
+        entry = altered["stats"][data.draw(st.integers(0, len(altered["stats"]) - 1))]
+        entry["attempted"] += data.draw(st.integers(-min(5, entry["attempted"]), 5).filter(bool))
+        assert _verify(altered, directory) == 3

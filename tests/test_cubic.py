@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from schroeter.cubic import (
     Cubic,
+    _eval_triple,
     chord_third,
     cubic_family_through,
     evaluate,
     fit_cubic_9,
+    gradient,
     tangent_at,
     tangent_third,
     third_intersection,
@@ -23,13 +27,33 @@ from schroeter.projective import ProjLine, ProjPoint, join
 from schroeter.weierstrass import WeierstrassCurve
 
 from conftest import random_frame_seeds
-from oracles import NotAffine, bootstrap_seed, multiply, normalized_frame_cubic
+from oracles import (
+    NotAffine,
+    bootstrap_seed,
+    eval_triple_by_terms,
+    gradient_by_terms,
+    multiply,
+    normalized_frame_cubic,
+)
 
 TWISTED = Cubic.of([1, 0, 0, 0, 0, 0, 0, 0, -1, 0])  # x^3 = y z^2
 W12 = WeierstrassCurve(1, 2)
 
 
+# integers with zero, small ones and ones of up to about 100 digits
+entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**100, 10**100))
+
+
 class TestEvaluate:
+    @given(st.lists(entries, min_size=10, max_size=10), st.tuples(entries, entries, entries))
+    def test_horner_forms_equal_the_monomial_sums(self, coeffs, t):
+        """The Horner value and the shared-product gradient are the integers
+        that the term-by-term sums give."""
+        assume(any(coeffs))
+        cubic = Cubic.of(coeffs)
+        assert _eval_triple(cubic, t) == eval_triple_by_terms(cubic, t)
+        assert gradient(cubic, t) == gradient_by_terms(cubic, t)
+
     def test_parametrized_points(self):
         assert evaluate(TWISTED, ProjPoint.of(2, 8, 1)) == 0
 

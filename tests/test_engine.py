@@ -467,7 +467,12 @@ class TestEnumeration:
         provenance, keys, closed, generations, frontier = reference_run(
             seed, max_points, max_generations
         )
-        assert [(d.parents, d.child, d.status, d.reason) for d in state.provenance] == provenance
+        # the rescan cannot tell a duplicate the labels predicted from one
+        # that ran the geometry; the engine marks the latter "relation"
+        assert [
+            (d.parents, d.child, d.status, None if d.status == "duplicate" else d.reason)
+            for d in state.provenance
+        ] == provenance
         assert [pair.key for pair in state.pairs] == keys
         assert (state.closed, state.generations, state.frontier) == (closed, generations, frontier)
         if name in ("torsion", "quadrilateral", "hook"):
@@ -517,6 +522,47 @@ class TestEnumeration:
         monkeypatch.setattr(engine, "combine", counting)
         state = run(curve12_seed, max_points=256, curve=curve12.cubic)
         assert (len(calls), len(state.provenance)) == (127, 2740)
+
+    def test_stats_and_labels_of_frame_2048(self, golden_frame_seed):
+        state = run(golden_frame_seed, max_points=2048)
+        stats = state.stats
+        assert len(stats) == state.generations + 1 == 7
+        assert sum(g.attempted for g in stats) == len(state.provenance) == 19_438
+        assert 3 + sum(g.new for g in stats) == len(state.pairs) == 1024
+        assert [g.pending for g in stats[:2]] == [3, 7]
+        for g in stats:
+            assert g.attempted == g.new + g.duplicate + sum(g.skipped.values())
+            assert set(g.skipped) == set(engine.SKIP_REASONS)
+        assert [g.attempted == g.pending for g in stats] == [True] * 6 + [False]
+        assert state.relations == ((0, 2, 1, -1),)
+        assert len(set(state.labels)) == len(state.labels) == len(state.pairs)
+        assert all(engine._reduce(label, state.relations) == label for label in state.labels)
+
+    @pytest.mark.parametrize("name", ["frame", "curve12", "torsion"])
+    def test_duplicates_that_ran_the_geometry_are_marked(self, monkeypatch, request, name):
+        """A duplicate is marked "relation" exactly when it ran `combine`;
+        each such duplicate taught a relation."""
+        combined = []
+
+        def recording(p, q):
+            combined.append((p.key, q.key))
+            return combine(p, q)
+
+        monkeypatch.setattr(engine, "combine", recording)
+        seed, curve, max_points = {
+            "frame": ("golden_frame_seed", None, 512),
+            "curve12": ("curve12_seed", "curve12", 256),
+            "torsion": ("torsion_seed_full", "curve54", 512),
+        }[name]
+        cubic = request.getfixturevalue(curve).cubic if curve else None
+        state = run(request.getfixturevalue(seed), max_points, curve=cubic)
+        assert {d.reason for d in state.provenance if d.status == "duplicate"} <= {None, "relation"}
+        ran = [d for d in state.provenance if d.status != "duplicate" or d.reason == "relation"]
+        assert [d.parents for d in ran] == combined
+        marked = sum(d.reason == "relation" for d in state.provenance)
+        assert marked >= len(state.relations) > 0
+        if name == "curve12":
+            assert marked == 2
 
 
 class TestLabels:

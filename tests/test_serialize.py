@@ -15,7 +15,7 @@ from schroeter.errors import SeedFormatError
 from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
 
-from oracles import point_from_json_by_fraction
+from oracles import expand_provenance, point_from_json_by_fraction
 
 
 rationals = st.fractions(
@@ -130,24 +130,25 @@ class TestCubic:
             serialize.cubic_from_json(["0"] * 10)
 
 
-def _decoded_provenance(obj) -> list:
-    """A v2 report's provenance rows as (parents, child, status, reason),
-    pair indices looked up in its `pairs`."""
-    keys = [serialize.pair_from_json(p).key for p in obj["pairs"]]
+def _v2_rows(state) -> list:
+    """The state's provenance as v2 rows [i, j, status, k]."""
+    index = {pair.key: i for i, pair in enumerate(state.pairs)}
     return [
-        ((keys[i], keys[j]), None, status, k) if status == "skipped"
-        else ((keys[i], keys[j]), keys[k], status, None)
-        for i, j, status, k in obj["provenance"]
+        [index[d.parents[0]], index[d.parents[1]], d.status,
+         d.reason if d.child is None else index[d.child]]
+        for d in state.provenance
     ]
 
 
-def _run_named(request, name):
-    """frame@512, curve12@128 with its curve, or the full torsion seed."""
+def _run_named(request, name, max_points=None):
+    """frame@512, curve12@128 with its curve, or the full torsion seed;
+    frame and curve12 at another size when `max_points` is given."""
     if name == "frame":
-        return run(request.getfixturevalue("golden_frame_seed"), max_points=512)
+        return run(request.getfixturevalue("golden_frame_seed"), max_points=max_points or 512)
     if name == "curve12":
         curve = request.getfixturevalue("curve12").cubic
-        return run(request.getfixturevalue("curve12_seed"), max_points=128, curve=curve)
+        seed = request.getfixturevalue("curve12_seed")
+        return run(seed, max_points=max_points or 128, curve=curve)
     curve = request.getfixturevalue("curve54").cubic
     return run(request.getfixturevalue("torsion_seed_full"), curve=curve)
 
@@ -160,15 +161,27 @@ class TestState:
         assert tuple(pairs) == state.pairs
         assert serialize.cubic_from_json(obj["curve"]) == state.curve
         assert obj["point_count"] == state.point_count
-        assert len(obj["provenance"]) == len(state.provenance)
+        assert len(expand_provenance(obj)) == len(state.provenance)
 
-    @pytest.mark.parametrize("name", ["frame", "curve12", "torsion"])
-    def test_provenance_is_lossless(self, request, name):
-        state = _run_named(request, name)
+    @pytest.mark.parametrize(
+        "name, max_points",
+        [pytest.param("frame", 512, id="frame"), pytest.param("frame", 2048, id="frame-2048"),
+         pytest.param("curve12", 128, id="curve12"), pytest.param("curve12", 256, id="curve12-256"),
+         pytest.param("torsion", None, id="torsion")],
+    )
+    def test_provenance_is_lossless(self, request, name, max_points):
+        """`expand_provenance` gives back every attempt from a v3 report's
+        stored rows and labels; the stored rows are the attempts that ran
+        the geometry."""
+        state = _run_named(request, name, max_points)
         obj = json.loads(serialize.dumps(serialize.state_to_json(state)))
-        assert obj["format_version"] == 2
-        assert _decoded_provenance(obj) == [
-            (d.parents, d.child, d.status, d.reason) for d in state.provenance
+        assert obj["format_version"] == 3
+        rows = _v2_rows(state)
+        assert expand_provenance(obj) == rows
+        assert [[n, *rows[n]] for n, *_ in obj["provenance"]] == obj["provenance"]
+        assert [n for n, *_ in obj["provenance"]] == [
+            n for n, d in enumerate(state.provenance)
+            if d.status != "duplicate" or d.reason == "relation"
         ]
 
     def test_skipped_row_keeps_its_reason(self, golden_frame_seed):
@@ -177,17 +190,21 @@ class TestState:
         skipped = Derivation(parents, None, "skipped", "DegenerateLines")
         state = dataclasses.replace(state, provenance=[*state.provenance, skipped])
         obj = json.loads(serialize.dumps(serialize.state_to_json(state)))
-        assert obj["provenance"][-1] == [2, 0, "skipped", "DegenerateLines"]
-        assert _decoded_provenance(obj)[-1] == (parents, None, "skipped", "DegenerateLines")
+        assert obj["provenance"][-1] == [len(state.provenance) - 1, 2, 0, "skipped", "DegenerateLines"]
+        assert _v2_rows(state)[-1] == [2, 0, "skipped", "DegenerateLines"]
 
     def test_provenance_writes_no_coordinates(self, golden_frame_seed):
         """Each attempt costs a bounded number of bytes, however long the
-        coordinates of the pairs it names."""
+        coordinates of the pairs it names: the report with every attempt
+        written as a row, as `expand_provenance` rebuilds them."""
         state = run(golden_frame_seed, max_points=512)
         obj = serialize.state_to_json(state)
+        rows = expand_provenance(obj)
+        full = {**obj, "provenance": [[n, *row] for n, row in enumerate(rows)]}
         rest = {k: v for k, v in obj.items() if k != "provenance"}
-        size = len(serialize.dumps(obj).encode())
-        assert size <= len(serialize.dumps(rest).encode()) + 80 * len(state.provenance)
+        size = len(serialize.dumps(full).encode())
+        assert size <= len(serialize.dumps(rest).encode()) + 80 * len(rows)
+        assert len(serialize.dumps(obj)) < size
 
     def test_csv_shape(self, golden_frame_seed):
         state = run(golden_frame_seed, max_points=24)
@@ -198,9 +215,9 @@ class TestState:
 
     @pytest.mark.parametrize(
         "name, digest",
-        [("frame", "25ea2d0bba442eb4d772e4a82210ee655b76fa8de355d26e34ece2727e288e74"),
-         ("curve12", "eae4da7bc6acb474365ae8f8fdda2cc34ef4d871162d38ee3cba59ba62b29e49"),
-         ("torsion", "e98fb86918d7cdf14429c0cd056f6c10059fb9842a8a470b9877697b0f1190ed")],
+        [("frame", "d6c0d017807a180be2ad48c3f1854a03a08a10d95101cb48b983380ea6240e4e"),
+         ("curve12", "6c23f6e30bcf8a9f21bf527ea52a71f10bd6fc84e6163b139fde4b9924a2e946"),
+         ("torsion", "d987fa2d2da8a18e068c1ec96795060b6b943d90543e2243146333810454a528")],
     )
     def test_report_bytes_pinned(self, request, name, digest):
         """Any change to the engine or the writer that moves a report fails here."""
