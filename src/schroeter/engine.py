@@ -18,18 +18,21 @@ kappa - x - y, since its first point is the third point of the chord PQ.
 So each pair carries a group-law label: its class as an integer
 combination of the seed pairs' classes and kappa, reduced modulo the
 relations learned so far.  A child whose label is known is a duplicate of
-that pair and costs no geometry; a geometric duplicate under a new label
-teaches a relation.  Under the final relations every duplicate is implied
-by its parents' labels, so a run report keeps only the attempts that ran
-the geometry.
+that pair and costs no geometry: each row of combinations is screened by
+label at once, and such duplicates are only counted.  A geometric
+duplicate under a new label teaches a relation.  Under the final relations
+every duplicate is implied by its parents' labels, so the state, like a
+run report, keeps only the attempts that ran the geometry; the full list
+of attempts is rebuilt from them on demand.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
 
 from .cubic import Cubic, cubic_family_through, evaluate
@@ -170,13 +173,13 @@ def combine(p: PointPair, q: PointPair) -> PointPair:
 
 @dataclass
 class Derivation:
-    """One attempted combination, recorded in processing order.
+    """One attempted combination, as `ConstructionState.provenance` lists it.
 
-    Parents and child are pair keys; the run report writes them as
-    indices into its sorted pairs (coordinates can run to thousands of
-    digits).  `reason` names the error of a "skipped" attempt, and is
-    "relation" for a "duplicate" that the labels did not predict: it ran
-    the geometry and taught a relation.
+    Parents and child are pair keys; the state's rows and the run report
+    name them as indices into the sorted pairs (coordinates can run to
+    thousands of digits).  `reason` names the error of a "skipped"
+    attempt, and is "relation" for a "duplicate" that the labels did not
+    predict: it ran the geometry and taught a relation.
     """
 
     parents: tuple[PairKey, PairKey]
@@ -205,11 +208,17 @@ class Generation:
 class ConstructionState:
     """Result of a construction run.
 
-    `frontier` counts the combinations of the final pairs that were never
-    attempted; the run is closed when there are none.  `labels` holds each
-    pair's label, aligned with `pairs` and reduced by `relations`, which
-    are in Hermite normal form.  `provenance` has one derivation per
-    attempt, and `stats` one entry per generation.
+    `pairs` are in canonical order.  `labels` holds each pair's label,
+    aligned with `pairs` and reduced by `relations`, which are in Hermite
+    normal form.  `rows` keeps only the attempts that the labels could not
+    predict: the new pairs, the skipped combinations and the duplicates
+    that taught a relation.  Each is (n, i, j, status, k): the attempt's
+    ordinal, the parents as indices into `pairs`, then the child's index,
+    or the reason a "skipped" attempt names.  Every other attempt was a
+    duplicate of the pair labelled kappa - l_i - l_j.  `stats` has the
+    counts of each generation, and `frontier` those of the combinations of
+    the final pairs that were never attempted; the run is closed when there
+    are none.  `provenance` is built from these when first read.
     """
 
     seed: SeedConfig
@@ -218,7 +227,7 @@ class ConstructionState:
     curve_basis: tuple[Cubic, ...]
     generations: int
     frontier: int
-    provenance: list[Derivation] = field(default_factory=list)
+    rows: tuple[tuple, ...] = ()
     labels: tuple[_Label, ...] = ()
     relations: tuple[_Label, ...] = ()
     stats: tuple[Generation, ...] = ()
@@ -233,7 +242,54 @@ class ConstructionState:
 
     @property
     def point_count(self) -> int:
-        return len(self.points)
+        # the points of distinct pairs are distinct (`_Workspace.admit`)
+        return 2 * len(self.pairs)
+
+    @cached_property
+    def provenance(self) -> list[Derivation]:
+        """One derivation per attempt, in processing order: each stored row
+        as it is, and at every other ordinal the duplicate that the final
+        labels imply.  The attempts are drawn as the run drew them: the
+        bootstrap combines the seed pairs (a, b), (b, c) and (c, a), and
+        each later generation takes `_pending` over the pairs made before
+        it, with those made in the generation before as the fresh ones, up
+        to its attempt count.  Built on first read; neither the run nor
+        the report writer reads it."""
+        keys = [pair.key for pair in self.pairs]
+        by_label = {label: key for label, key in zip(self.labels, keys)}
+        a, b, c = (keys.index(pair.key) for pair in self.seed.pairs)
+        stored = iter(self.rows)
+        row = next(stored, None)
+        out: list[Derivation] = []
+        made, fresh = [a, b, c], []
+        for g, entry in enumerate(self.stats):
+            if g == 0:
+                due = iter([(a, b), (b, c), (c, a)])
+            else:
+                ordered = sorted(made)
+                rank = {p: r for r, p in enumerate(ordered)}
+                due = (
+                    (ordered[r], ordered[s])
+                    for r, s in _pending(len(ordered), [rank[p] for p in fresh])
+                )
+            fresh = []
+            for i, j in islice(due, entry.attempted):
+                if row is None or row[0] != len(out):
+                    child = by_label[_child_label(self.labels[i], self.labels[j], self.relations)]
+                    out.append(Derivation((keys[i], keys[j]), child, "duplicate"))
+                    continue
+                _, i, j, status, k = row
+                parents = (keys[i], keys[j])
+                if status == "skipped":
+                    out.append(Derivation(parents, None, status, k))
+                else:
+                    reason = "relation" if status == "duplicate" else None
+                    out.append(Derivation(parents, keys[k], status, reason))
+                if status == "new":
+                    fresh.append(k)
+                row = next(stored, None)
+            made += fresh
+        return out
 
 
 def _reduce(label: _Label, rows: list[_Label]) -> _Label:
@@ -250,6 +306,14 @@ def _reduce(label: _Label, rows: list[_Label]) -> _Label:
             b0, b1, b2, b3 = row
             label = (a0 - q * b0, a1 - q * b1, a2 - q * b2, a3 - q * b3)
     return label
+
+
+def _child_label(x: _Label, y: _Label, relations) -> _Label:
+    """The label kappa - x - y of the child of pairs labelled x and y,
+    reduced by `relations`; kappa = `_KAPPA` = (0, 0, 0, 1)."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return _reduce((-x0 - y0, -x1 - y1, -x2 - y2, 1 - x3 - y3), relations)
 
 
 def _hnf(rows: list[_Label]) -> list[_Label]:
@@ -307,13 +371,6 @@ class _Workspace:
         for p in pair.points:
             self.point_owner[p] = pair.key
 
-    def child_label(self, k1: PairKey, k2: PairKey) -> _Label:
-        """The reduced label kappa - x - y of the child of two pairs, with
-        kappa = `_KAPPA` = (0, 0, 0, 1)."""
-        x0, x1, x2, x3 = self.labels[k1]
-        y0, y1, y2, y3 = self.labels[k2]
-        return _reduce((-x0 - y0, -x1 - y1, -x2 - y2, 1 - x3 - y3), self.relations)
-
     def learn(self, relation: _Label):
         """Add a relation between labels and re-key every pair by it; two
         pairs that come to share a label mean the relation is wrong."""
@@ -330,15 +387,22 @@ class _Workspace:
         return 2 * len(self.pairs)
 
 
-def _pending(n: int, fresh: list[int]) -> Iterator[tuple[int, int]]:
-    """The rank pairs (i, j), i < j < n, with i or j in `fresh`, in
-    lexicographic order.  They are drawn one at a time, so a capped run
-    enumerates no more combinations than it attempts."""
+def _rows(n: int, fresh: list[int]) -> Iterator[tuple[int, Sequence[int]]]:
+    """The rank pairs (i, j), i < j < n, with i or j in `fresh`, row by row:
+    each i in ascending order with its ascending js, empty rows left out.
+    They are drawn one row at a time, so a capped run screens no row after
+    the one the cap falls in."""
     fresh = sorted(fresh)
     is_fresh = set(fresh)
     for i in range(n):
-        for j in range(i + 1, n) if i in is_fresh else fresh[bisect_right(fresh, i):]:
-            yield i, j
+        js = range(i + 1, n) if i in is_fresh else fresh[bisect_right(fresh, i):]
+        if js:
+            yield i, js
+
+
+def _pending(n: int, fresh: list[int]) -> Iterator[tuple[int, int]]:
+    """The rank pairs of `_rows`, one at a time, in lexicographic order."""
+    return ((i, j) for i, js in _rows(n, fresh) for j in js)
 
 
 def run(
@@ -352,21 +416,25 @@ def run(
     """Breadth-first closure of the pair-combination construction.
 
     Every unordered pair of pairs is combined exactly once: a generation
-    combines the pairs admitted in the one before with all pairs.  A child
-    whose group-law label is known is a duplicate without any geometry;
-    otherwise the geometry runs, and a child whose canonical key is known is
-    a duplicate that teaches a relation between labels.  Each generation's
-    combinations are drawn lazily in canonical order, that of their rank
-    pairs in the sorted keys, and a capped run stops drawing at the cap.
-    `scheduler_seed` is accepted but does not yet change that order, so
-    every seed gives the same output.  Each admitted point is evaluated
-    once per distinct cubic of the family through the bootstrap points and
-    of `curve` when one is supplied.  It must lie on `curve`; a family
-    member it misses narrows the family to the cubics through it, and
-    `curve_basis` is the final family.  A duplicate is never re-checked.
-    The run stops when no combination is pending (closed) or when a cap is
-    reached (not closed); `frontier` counts the combinations left
-    unattempted.
+    combines the pairs admitted in the one before with all pairs, in
+    canonical order, that of their rank pairs in the sorted keys.  It takes
+    them row by row: for a pair i, the child labels kappa - l_i - l_j of
+    all its due partners j are computed at once, and only the children
+    whose label is unknown run the geometry; the others are counted as
+    duplicates.  An admission never makes a later child of the row known,
+    since labels are distinct; a geometric duplicate teaches a relation,
+    and the rest of the row is screened again under it.  The state keeps
+    the attempts that ran the geometry as `rows`, and the counts of each
+    generation as `stats`.  `scheduler_seed` is accepted but does not yet
+    change the order, so every seed gives the same output.  Each admitted
+    point is evaluated once per distinct cubic of the family through the
+    bootstrap points and of `curve` when one is supplied.  It must lie on
+    `curve`; a family member it misses narrows the family to the cubics
+    through it, and `curve_basis` is the final family.  A duplicate is
+    never re-checked.  The run stops when no combination is pending
+    (closed) or when a cap is reached (not closed): the point cap is tested
+    before a generation's first attempt and after each admission, and
+    `frontier` counts the combinations left unattempted.
 
     The bootstrap is never capped and admits up to 6 pairs, so `max_points`
     must be at least 12; `max_generations` must not be negative.
@@ -379,32 +447,45 @@ def run(
     if max_generations < 0:
         raise ValidationError(f"max_generations must not be negative, got {max_generations}")
     ws = _Workspace()
-    provenance: list[Derivation] = []
+    # the attempts that ran the geometry, as (n, parent key, parent key, status, child key or reason)
+    rows: list[tuple] = []
 
     for pair in seed.pairs:
         ws.admit(pair)
 
-    def process(k1: PairKey, k2: PairKey):
-        """Combine one pending pair of pairs and record the outcome."""
-        parents = (k1, k2)
-        label = ws.child_label(k1, k2)
-        known = ws.key_of_label.get(label)
-        if known is not None:
-            provenance.append(Derivation(parents, known, "duplicate"))
-            return
+    def attempt(n: int, k1: PairKey, k2: PairKey, label: _Label) -> str:
+        """Combine two pairs whose child has an unknown label, record the
+        outcome as attempt n and return its status ("relation" for a
+        duplicate)."""
         try:
             child = combine(ws.pairs[k1], ws.pairs[k2])
         except (SharedPoint, DegenerateLines) as exc:
-            provenance.append(Derivation(parents, None, "skipped", type(exc).__name__))
-            return
+            rows.append((n, k1, k2, "skipped", type(exc).__name__))
+            return "skipped"
         if child.key in ws.pairs:
             ws.learn(tuple(a - b for a, b in zip(label, ws.labels[child.key])))
-            provenance.append(Derivation(parents, child.key, "duplicate", "relation"))
-            return
+            rows.append((n, k1, k2, "duplicate", child.key))
+            return "relation"
         for point in child.points:
             narrow(point)
         ws.admit(child, label)
-        provenance.append(Derivation(parents, child.key, "new"))
+        rows.append((n, k1, k2, "new", child.key))
+        return "new"
+
+    def misses(labels: list[_Label], i: int, js: Sequence[int], t: int):
+        """The positions s >= t of row i whose child label is unknown, each
+        with that label.  The labels are those of `_child_label`, computed
+        in one comprehension: most children are known, and a call per
+        child makes screening a row about 1.5 times as slow."""
+        x0, x1, x2, x3 = labels[i]
+        children = [
+            (-x0 - y0, -x1 - y1, -x2 - y2, 1 - x3 - y3)
+            for y0, y1, y2, y3 in map(labels.__getitem__, js[t:])
+        ]
+        if ws.relations:
+            children = [_reduce(child, ws.relations) for child in children]
+        known = ws.key_of_label
+        return [(s, child) for s, child in enumerate(children, t) if child not in known]
 
     def narrow(point: ProjPoint):
         """Keep the cubics of the family through a constructed point.
@@ -437,8 +518,10 @@ def run(
     # curve family through everything derived so far.
     basis: tuple[Cubic, ...] = ()
     seed_keys = [pair.key for pair in seed.pairs]
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        process(seed_keys[i], seed_keys[j])
+    for n, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+        label = _child_label(ws.labels[seed_keys[i]], ws.labels[seed_keys[j]], ws.relations)
+        if label not in ws.key_of_label:
+            attempt(n, seed_keys[i], seed_keys[j], label)
 
     pool = [p for pair in ws.pairs.values() for p in pair.points]
     basis = cubic_family_through(pool)
@@ -457,53 +540,81 @@ def run(
     capped = ws.point_count >= max_points
     due = [3]  # the combinations due in each generation
     starts = [0]  # the ordinal of each generation's first attempt
+    done = 3  # the attempts so far
 
     while not capped and generation < max_generations:
         # Combinations as rank pairs (i, j), i < j, in the sorted keys: their
         # order is that of the key pairs, without sorting big-integer tuples.
-        ordered = sorted(ws.pairs)
-        rank = {key: i for i, key in enumerate(ordered)}
-        fresh = [rank[key] for key in islice(ws.pairs, met, None)]
-        if not fresh:
+        admitted = list(ws.pairs)
+        count = len(admitted)
+        if count == met:
             break
-        due.append(len(ordered) * (len(ordered) - 1) // 2 - met * (met - 1) // 2)
-        met = len(ordered)
+        order = sorted(range(count), key=admitted.__getitem__)
+        ordered = [admitted[a] for a in order]
+        fresh = [r for r, a in enumerate(order) if a >= met]
+        due.append(count * (count - 1) // 2 - met * (met - 1) // 2)
+        met = count
         generation += 1
-        starts.append(len(provenance))
-        for i, j in _pending(len(ordered), fresh):
-            if ws.point_count + 2 > max_points:
-                capped = True
+        starts.append(done)
+        if ws.point_count + 2 > max_points:  # an odd cap, before any attempt
+            capped = True
+            break
+        labels = [ws.labels[key] for key in ordered]
+        for i, js in _rows(count, fresh):
+            t = 0  # the attempts of row i so far
+            while t < len(js):
+                for s, label in misses(labels, i, js, t):
+                    status = attempt(done + s, ordered[i], ordered[js[s]], label)
+                    if status == "relation":
+                        labels = [ws.labels[key] for key in ordered]
+                    elif status == "new" and ws.point_count + 2 > max_points:
+                        capped = True
+                    else:
+                        continue
+                    t = s + 1
+                    break
+                else:
+                    t = len(js)
+                if capped:
+                    break
+            done += t
+            if capped:
                 break
-            process(ordered[i], ordered[j])
 
-    unique = basis[0] if len(basis) == 1 else curve
-    count = len(ws.pairs)
     keys = sorted(ws.pairs)
-    ends = [*starts[1:], len(provenance)]
+    # A point belongs to one pair only, so a key's first point names its pair.
+    index = {key[0]: r for r, key in enumerate(keys)}
+    ends = [*starts[1:], done]
+    tallies = [Counter() for _ in due]  # by status, a skip by its reason
+    for n, _, _, status, k in rows:
+        tallies[bisect_right(ends, n)][k if status == "skipped" else status] += 1
     return ConstructionState(
         seed=seed,
         pairs=tuple(ws.pairs[k] for k in keys),
-        curve=unique,
+        curve=basis[0] if len(basis) == 1 else curve,
         curve_basis=basis,
         generations=generation,
-        frontier=count * (count - 1) // 2 - len(provenance),
-        provenance=provenance,
+        frontier=len(keys) * (len(keys) - 1) // 2 - done,
+        rows=tuple(
+            (n, index[k1[0]], index[k2[0]], status, k if status == "skipped" else index[k[0]])
+            for n, k1, k2, status, k in rows
+        ),
         labels=tuple(ws.labels[k] for k in keys),
         relations=tuple(ws.relations),
         stats=tuple(
-            _generation(pending, provenance[start:end])
-            for pending, start, end in zip(due, starts, ends)
+            _generation(pending, end - start, tally)
+            for pending, start, end, tally in zip(due, starts, ends, tallies)
         ),
     )
 
 
-def _generation(pending: int, attempts: list[Derivation]) -> Generation:
-    """The counts of one generation's attempts."""
-    counts = Counter(d.reason if d.status == "skipped" else d.status for d in attempts)
+def _generation(pending: int, attempted: int, tally: Counter) -> Generation:
+    """The counts of one generation, from the tally of its stored rows."""
+    skipped = {reason: tally[reason] for reason in SKIP_REASONS}
     return Generation(
         pending=pending,
-        attempted=len(attempts),
-        new=counts["new"],
-        duplicate=counts["duplicate"],
-        skipped={reason: counts[reason] for reason in SKIP_REASONS},
+        attempted=attempted,
+        new=tally["new"],
+        duplicate=attempted - tally["new"] - sum(skipped.values()),
+        skipped=skipped,
     )

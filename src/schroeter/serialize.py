@@ -125,29 +125,18 @@ def state_to_json(state: ConstructionState) -> dict:
     """The run report.
 
     `labels` holds each pair's group-law label, reduced by `relations`.
-    `provenance` keeps the attempts that ran the geometry: the new pairs,
-    the skipped combinations and the duplicates that taught a relation.
-    Each row is [n, i, j, status, k]: the attempt's ordinal, the two
-    parents as indices into `pairs`, then the child's index for "new" and
-    "duplicate" or the reason for "skipped".  Every other attempt is a
-    duplicate of the pair labelled kappa - l_i - l_j.  `stats` has one
-    entry per generation, the bootstrap first.
+    `provenance` holds the state's rows, the attempts that ran the
+    geometry: the new pairs, the skipped combinations and the duplicates
+    that taught a relation.  Each row is [n, i, j, status, k]: the
+    attempt's ordinal, the two parents as indices into `pairs`, then the
+    child's index for "new" and "duplicate" or the reason for "skipped".
+    Every other attempt is a duplicate of the pair labelled
+    kappa - l_i - l_j.  `stats` has one entry per generation, the
+    bootstrap first.
     """
-    # A point belongs to one pair only, so a key's first point names its pair.
-    index = {pair.first.coords: i for i, pair in enumerate(state.pairs)}
     seed = [pair_to_json(p) for p in state.seed.pairs]
     pairs = [pair_to_json(p) for p in state.pairs]
-    rows = [
-        [
-            n,
-            index[d.parents[0][0]],
-            index[d.parents[1][0]],
-            d.status,
-            d.reason if d.child is None else index[d.child[0]],
-        ]
-        for n, d in enumerate(state.provenance)
-        if d.status != "duplicate" or d.reason is not None
-    ]
+    rows = [list(row) for row in state.rows]
     # the largest coordinate admitted in each generation; the seed in the first
     ends = list(accumulate(g.attempted for g in state.stats))
     digits = [0] * len(ends)
@@ -318,30 +307,38 @@ def state_points_csv(state: ConstructionState) -> str:
     return "\n".join(lines) + "\n"
 
 
-# One run report provenance row [n, i, j, status, k] as `json.dumps` indents it.
+# A run report's rows as `json.dumps` indents them: a provenance row
+# [n, i, j, status, k], and a label of four integers.
 _ROW = "    [\n      %d,\n      %d,\n      %d,\n      %s,\n      %s\n    ]"
+_LABEL = "    [\n      %d,\n      %d,\n      %d,\n      %d\n    ]"
+
+
+def _provenance_row(row) -> str:
+    n, i, j, s, k = row
+    return _ROW % (n, i, j, _json_string(s), k if type(k) is int else _json_string(k))
+
+
+def _label_row(label) -> str:
+    return _LABEL % tuple(label)
+
+
+_TEMPLATES = {"labels": _label_row, "provenance": _provenance_row}
 
 
 def dumps(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` and a newline.
 
-    The provenance rows of a run report are written from `_ROW` and spliced
-    into the encoding of its other keys: `json` indents through its
-    pure-Python encoder, which is slow on many small rows.
+    The labels and provenance rows of a run report are written from
+    templates and spliced into the encoding of its other keys: `json`
+    indents through its pure-Python encoder, which is slow on many small
+    rows.
     """
-    rows = obj.get("provenance") if isinstance(obj, dict) else None
-    if not rows:
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    head, tail = json.dumps({**obj, "provenance": None}, indent=2, sort_keys=True).split(
-        '\n  "provenance": null', 1
-    )
-    body = ",\n".join(
-        [
-            _ROW % (n, i, j, _json_string(s), k if type(k) is int else _json_string(k))
-            for n, i, j, s, k in rows
-        ]
-    )
-    return f'{head}\n  "provenance": [\n{body}\n  ]{tail}\n'
+    rows = {key: obj[key] for key in _TEMPLATES if obj.get(key)} if isinstance(obj, dict) else {}
+    text = json.dumps({**obj, **dict.fromkeys(rows)} if rows else obj, indent=2, sort_keys=True)
+    for key, values in rows.items():
+        body = ",\n".join(map(_TEMPLATES[key], values))
+        text = text.replace(f'\n  "{key}": null', f'\n  "{key}": [\n{body}\n  ]', 1)
+    return text + "\n"
 
 
 def load_json(path):

@@ -127,14 +127,10 @@ def _check(report, suite, name, check, drop_invalid=False) -> bool:
 
 
 def _suite_chasles(state: ConstructionState, report: VerificationReport):
-    by_key = {pair.key: pair for pair in state.pairs}
-    for derivation in state.provenance:
-        if derivation.status != "new":
+    for _, i, j, status, _ in state.rows:
+        if status != "new":
             continue
-        pa = by_key.get(derivation.parents[0])
-        pb = by_key.get(derivation.parents[1])
-        if pa is None or pb is None:
-            continue
+        pa, pb = state.pairs[i], state.pairs[j]
         # the first pair disjoint from both parents serves as the third side
         used = {*pa.points, *pb.points}
         third = next((cand for cand in state.pairs if used.isdisjoint(cand.points)), None)

@@ -1,6 +1,7 @@
 import json
 import random
-from itertools import combinations, count
+from itertools import accumulate, combinations, count
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -57,6 +58,7 @@ from oracles import (
     conjugate_pairs_from_quadrangle,
     cross_ratio_lines,
     cross_ratio_points,
+    expand_provenance,
     multiply,
     normalized_frame_cubic,
     subgroup_generated,
@@ -447,7 +449,7 @@ class TestEnumeration:
         "name, max_points, max_generations",
         [("frame", 120, 16), ("torsion", 512, 16), ("frame", 10_000, 2), ("curve12", 64, 16),
          ("frame", 512, 16), ("curve12", 128, 16), ("quadrilateral", 512, 16), ("hook", 512, 16),
-         *((f"random{i}", 200, 16) for i in range(4))],
+         *((f"random{i}", 200, 16) for i in range(4)), ("random0", 13, 16)],
     )
     def test_matches_rescan(self, request, name, max_points, max_generations):
         if name.startswith("random"):
@@ -498,19 +500,29 @@ class TestEnumeration:
         )
         assert list(engine._pending(n, fresh)) == expected
 
-    def test_a_capped_run_stops_drawing_at_the_cap(self, monkeypatch, golden_frame_seed):
-        pending, drawn = engine._pending, []
+    def test_a_capped_run_screens_no_row_past_the_cap(self, monkeypatch, golden_frame_seed):
+        """Each combination that runs the geometry is a stored row, and the
+        admission that reaches the cap is the last attempt of the last row
+        drawn."""
+        rows, drawn, calls = engine._rows, [], []
 
-        def counting(n, fresh):
-            for item in pending(n, fresh):
-                drawn.append(item)
-                yield item
+        def counting_rows(n, fresh):
+            for row in rows(n, fresh):
+                drawn.append(row)
+                yield row
 
-        monkeypatch.setattr(engine, "_pending", counting)
+        def counting_combine(p, q):
+            calls.append(len(drawn))
+            return combine(p, q)
+
+        monkeypatch.setattr(engine, "_rows", counting_rows)
+        monkeypatch.setattr(engine, "combine", counting_combine)
         state = run(golden_frame_seed, max_points=120)
-        assert not state.closed
-        # the three bootstrap attempts draw nothing; the cap check draws one more
-        assert len(drawn) == len(state.provenance) - 3 + 1
+        assert not state.closed and state.point_count == 120
+        assert len(calls) == len(state.rows)
+        n, *_, status, _ = state.rows[-1]
+        assert status == "new" and sum(g.attempted for g in state.stats) == n + 1
+        assert calls[-1] == len(drawn)
 
     def test_duplicates_skip_the_geometry(self, monkeypatch, curve12, curve12_seed):
         calls = []
@@ -563,6 +575,86 @@ class TestEnumeration:
         assert marked >= len(state.relations) > 0
         if name == "curve12":
             assert marked == 2
+
+
+def _named_run(request, name, max_points):
+    """A run of the frame, curve12 (with its curve) or full torsion seed."""
+    seed, curve = {
+        "frame": ("golden_frame_seed", None),
+        "curve12": ("curve12_seed", "curve12"),
+        "torsion": ("torsion_seed_full", "curve54"),
+    }[name]
+    seed = request.getfixturevalue(seed)
+    cubic = request.getfixturevalue(curve).cubic if curve else None
+    return seed, run(seed, max_points, curve=cubic)
+
+
+class TestProvenanceView:
+    """`state.provenance`, built on demand from the stored rows, the stats
+    and the labels, is every attempt: as the brute-force rescan makes them,
+    and as `oracles.expand_provenance` reads them back from the report."""
+
+    @pytest.mark.parametrize(
+        "name, max_points",
+        [("frame", 512), ("frame", 2048), ("curve12", 256), ("torsion", 512), ("frame", 120)],
+    )
+    def test_view_is_every_attempt(self, request, name, max_points):
+        seed, state = _named_run(request, name, max_points)
+        provenance, *_ = reference_run(seed, max_points, engine.DEFAULT_MAX_GENERATIONS)
+        view = state.provenance
+        assert [
+            (d.parents, d.child, d.status, None if d.status == "duplicate" else d.reason)
+            for d in view
+        ] == provenance
+        index = {pair.key: i for i, pair in enumerate(state.pairs)}
+        report = json.loads(serialize.dumps(serialize.state_to_json(state)))
+        assert expand_provenance(report) == [
+            [index[d.parents[0]], index[d.parents[1]], d.status,
+             d.reason if d.child is None else index[d.child]]
+            for d in view
+        ]
+        assert [r[0] for r in state.rows] == [
+            n for n, d in enumerate(view) if d.status != "duplicate" or d.reason == "relation"
+        ]
+        # the counts the tracer reads off the view are the stats totals
+        stats = state.stats
+        assert len(view) == sum(g.attempted for g in stats)
+        assert [sum(d.status == s for d in view) for s in ("new", "duplicate", "skipped")] == [
+            sum(g.new for g in stats),
+            sum(g.duplicate for g in stats),
+            sum(sum(g.skipped.values()) for g in stats),
+        ]
+
+    def test_a_cap_mid_row(self, golden_frame_seed):
+        """frame@120 stops in the middle of a row: the larger run's next
+        attempt has the same first parent."""
+        capped = run(golden_frame_seed, max_points=120).provenance
+        longer = run(golden_frame_seed, max_points=512).provenance
+        assert longer[: len(capped)] == capped
+        assert longer[len(capped)].parents[0] == capped[-1].parents[0]
+
+    def test_a_relation_mid_row(self, curve12, curve12_seed):
+        """curve12@256 learns its second relation in generation 2, two
+        attempts before the end of a row; frame@2048 learns (0, 2, 1, -1)
+        in the bootstrap."""
+        state = run(curve12_seed, max_points=256, curve=curve12.cubic)
+        view = state.provenance
+        n = [r[0] for r in state.rows if r[3] == "duplicate"][-1]
+        starts = list(accumulate(g.attempted for g in state.stats))
+        assert starts[1] <= n and n + 2 < starts[2]
+        assert [d.parents[0] for d in view[n : n + 3]] == [view[n].parents[0]] * 3
+
+    def test_construct_and_verify_never_build_it(self, monkeypatch, tmp_path):
+        def unread(state):
+            raise AssertionError("state.provenance was built")
+
+        monkeypatch.setattr(engine.ConstructionState, "provenance", property(unread))
+        frame = str(Path(__file__).parents[1] / "seeds" / "frame.json")
+        out, svg = tmp_path / "run.json", tmp_path / "run.svg"
+        args = ["--seed", frame, "--max-points", "256"]
+        assert main(["construct", *args, "--out", str(out), "--svg", str(svg)]) == 0
+        assert main(["verify", *args, "--out", str(tmp_path / "verify.json")]) == 0
+        assert main(["verify", "--report", str(out)]) == 0
 
 
 class TestLabels:

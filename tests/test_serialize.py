@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from schroeter import serialize
 from schroeter.cubic import Cubic
-from schroeter.engine import Derivation, run
+from schroeter.engine import run
 from schroeter.errors import SeedFormatError
 from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
@@ -140,6 +140,19 @@ def _v2_rows(state) -> list:
     ]
 
 
+def _with_skipped_row(state):
+    """The state with one more attempt at the end of its last generation:
+    pairs 2 and 0, skipped for DegenerateLines, stored as a row and counted
+    in the stats."""
+    last = state.stats[-1]
+    skipped = {**last.skipped, "DegenerateLines": last.skipped["DegenerateLines"] + 1}
+    last = dataclasses.replace(last, attempted=last.attempted + 1, skipped=skipped)
+    row = (sum(g.attempted for g in state.stats), 2, 0, "skipped", "DegenerateLines")
+    return dataclasses.replace(
+        state, rows=(*state.rows, row), stats=(*state.stats[:-1], last), frontier=state.frontier - 1
+    )
+
+
 def _run_named(request, name, max_points=None):
     """frame@512, curve12@128 with its curve, or the full torsion seed;
     frame and curve12 at another size when `max_points` is given."""
@@ -162,6 +175,7 @@ class TestState:
         assert serialize.cubic_from_json(obj["curve"]) == state.curve
         assert obj["point_count"] == state.point_count
         assert len(expand_provenance(obj)) == len(state.provenance)
+        assert serialize.report_from_json(obj).rows == list(state.rows)
 
     @pytest.mark.parametrize(
         "name, max_points",
@@ -185,10 +199,7 @@ class TestState:
         ]
 
     def test_skipped_row_keeps_its_reason(self, golden_frame_seed):
-        state = run(golden_frame_seed, max_points=24)
-        parents = (state.pairs[2].key, state.pairs[0].key)
-        skipped = Derivation(parents, None, "skipped", "DegenerateLines")
-        state = dataclasses.replace(state, provenance=[*state.provenance, skipped])
+        state = _with_skipped_row(run(golden_frame_seed, max_points=24))
         obj = json.loads(serialize.dumps(serialize.state_to_json(state)))
         assert obj["provenance"][-1] == [len(state.provenance) - 1, 2, 0, "skipped", "DegenerateLines"]
         assert _v2_rows(state)[-1] == [2, 0, "skipped", "DegenerateLines"]
@@ -259,11 +270,10 @@ class TestState:
         byte for byte, a reason string in place of a child index included."""
         if name in ("skipped", "empty"):
             state = run(request.getfixturevalue("golden_frame_seed"), max_points=24)
-            skipped = Derivation(
-                (state.pairs[2].key, state.pairs[0].key), None, "skipped", "DegenerateLines"
-            )
-            provenance = [*state.provenance, skipped] if name == "skipped" else []
-            state = dataclasses.replace(state, provenance=provenance)
+            if name == "skipped":
+                state = _with_skipped_row(state)
+            else:
+                state = dataclasses.replace(state, rows=(), stats=())
         else:
             state = _run_named(request, name)
         obj = serialize.state_to_json(state)
