@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import serialize
 from .engine import DEFAULT_MAX_GENERATIONS, DEFAULT_MAX_POINTS, run
@@ -19,7 +18,7 @@ from .errors import SchroeterError, SeedFormatError, ValidationError, brief
 from .cubic import fit_cubic_9
 from .svgplot import render_svg
 from .verify import SUITES, replay_report, revalidate_points, run_suites
-from .weierstrass import WeierstrassCurve, seed_from_curve
+from .weierstrass import seed_from_curve
 
 SEED_DIR_ENV = "SCHROETER_SEED_DIR"
 
@@ -93,7 +92,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_seed_from_curve(args) -> int:
-    curve = WeierstrassCurve(Fraction(args.a), Fraction(args.b))
+    curve = serialize.curve_from_json({"a": args.a, "b": args.b})
     points = _parse_points_arg(args.points)
     if len(points) != 3:
         raise ValidationError(f"need exactly three points, got {len(points)}")
@@ -131,8 +130,10 @@ def cmd_verify(args) -> int:
         return 0
 
     seed, curve = _load_seed(args.seed)
-    if args.a is not None and args.b is not None:
-        curve = WeierstrassCurve(Fraction(args.a), Fraction(args.b))
+    if (args.a is None) != (args.b is None):
+        raise ValidationError("verify needs both --a and --b, or neither")
+    if args.a is not None:
+        curve = serialize.curve_from_json({"a": args.a, "b": args.b})
     state = run(seed, max_points=args.max_points, curve=curve.cubic if curve else None)
     report = run_suites(state, suites=args.suite, curve=curve)
     counts = report.counts()

@@ -34,6 +34,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
+from typing import NamedTuple
 
 from .cubic import Cubic, cubic_family_through, evaluate
 from .errors import (
@@ -115,10 +116,6 @@ class SeedConfig:
     def pairs(self) -> tuple[PointPair, PointPair, PointPair]:
         return (self.pair_a, self.pair_b, self.pair_c)
 
-    @property
-    def points(self) -> tuple[ProjPoint, ...]:
-        return tuple(p for pair in self.pairs for p in pair.points)
-
 
 def validate_seed(
     pair_a: PointPair,
@@ -171,21 +168,17 @@ def combine(p: PointPair, q: PointPair) -> PointPair:
     return PointPair.of(s, sbar)
 
 
-@dataclass
-class Derivation:
-    """One attempted combination, as `ConstructionState.provenance` lists it.
+class Attempt(NamedTuple):
+    """One attempted combination: its ordinal `n`, the parents `i` and `j`
+    as indices into the sorted pairs (coordinates can run to thousands of
+    digits), its `status` ("new", "duplicate" or "skipped"), and `k`, the
+    child's index or the reason a "skipped" attempt names."""
 
-    Parents and child are pair keys; the state's rows and the run report
-    name them as indices into the sorted pairs (coordinates can run to
-    thousands of digits).  `reason` names the error of a "skipped"
-    attempt, and is "relation" for a "duplicate" that the labels did not
-    predict: it ran the geometry and taught a relation.
-    """
-
-    parents: tuple[PairKey, PairKey]
-    child: PairKey | None
-    status: str  # "new" | "duplicate" | "skipped"
-    reason: str | None = None
+    n: int
+    i: int
+    j: int
+    status: str
+    k: int | str
 
 
 @dataclass
@@ -211,14 +204,13 @@ class ConstructionState:
     `pairs` are in canonical order.  `labels` holds each pair's label,
     aligned with `pairs` and reduced by `relations`, which are in Hermite
     normal form.  `rows` keeps only the attempts that the labels could not
-    predict: the new pairs, the skipped combinations and the duplicates
-    that taught a relation.  Each is (n, i, j, status, k): the attempt's
-    ordinal, the parents as indices into `pairs`, then the child's index,
-    or the reason a "skipped" attempt names.  Every other attempt was a
-    duplicate of the pair labelled kappa - l_i - l_j.  `stats` has the
-    counts of each generation, and `frontier` those of the combinations of
-    the final pairs that were never attempted; the run is closed when there
-    are none.  `provenance` is built from these when first read.
+    predict, those that ran the geometry: the new pairs, the skipped
+    combinations and the duplicates that taught a relation.  Every other
+    attempt was a duplicate of the pair labelled kappa - l_i - l_j.
+    `stats` has the counts of each generation, and `frontier` those of the
+    combinations of the final pairs that were never attempted; the run is
+    closed when there are none.  `provenance` is built from these when
+    first read.
     """
 
     seed: SeedConfig
@@ -227,7 +219,7 @@ class ConstructionState:
     curve_basis: tuple[Cubic, ...]
     generations: int
     frontier: int
-    rows: tuple[tuple, ...] = ()
+    rows: tuple[Attempt, ...] = ()
     labels: tuple[_Label, ...] = ()
     relations: tuple[_Label, ...] = ()
     stats: tuple[Generation, ...] = ()
@@ -237,30 +229,25 @@ class ConstructionState:
         return self.frontier == 0
 
     @property
-    def points(self) -> tuple[ProjPoint, ...]:
-        return tuple(p for pair in self.pairs for p in pair.points)
-
-    @property
     def point_count(self) -> int:
         # the points of distinct pairs are distinct (`_Workspace.admit`)
         return 2 * len(self.pairs)
 
     @cached_property
-    def provenance(self) -> list[Derivation]:
-        """One derivation per attempt, in processing order: each stored row
-        as it is, and at every other ordinal the duplicate that the final
-        labels imply.  The attempts are drawn as the run drew them: the
-        bootstrap combines the seed pairs (a, b), (b, c) and (c, a), and
-        each later generation takes `_pending` over the pairs made before
-        it, with those made in the generation before as the fresh ones, up
-        to its attempt count.  Built on first read; neither the run nor
-        the report writer reads it."""
-        keys = [pair.key for pair in self.pairs]
-        by_label = {label: key for label, key in zip(self.labels, keys)}
-        a, b, c = (keys.index(pair.key) for pair in self.seed.pairs)
-        stored = iter(self.rows)
-        row = next(stored, None)
-        out: list[Derivation] = []
+    def provenance(self) -> list[Attempt]:
+        """Every attempt, in processing order: each stored row as it is, and
+        at every other ordinal the duplicate that the final labels imply.
+        The attempts are drawn as the run drew them: the bootstrap combines
+        the seed pairs (a, b), (b, c) and (c, a), and each later generation
+        takes `_pending` over the pairs made before it, with those made in
+        the generation before as the fresh ones, up to its attempt count.
+        Built on first read; neither the run nor the report writer reads
+        it."""
+        index = {pair.key: k for k, pair in enumerate(self.pairs)}
+        by_label = {label: k for k, label in enumerate(self.labels)}
+        a, b, c = (index[pair.key] for pair in self.seed.pairs)
+        stored = {row.n: row for row in self.rows}
+        out: list[Attempt] = []
         made, fresh = [a, b, c], []
         for g, entry in enumerate(self.stats):
             if g == 0:
@@ -274,20 +261,14 @@ class ConstructionState:
                 )
             fresh = []
             for i, j in islice(due, entry.attempted):
-                if row is None or row[0] != len(out):
-                    child = by_label[_child_label(self.labels[i], self.labels[j], self.relations)]
-                    out.append(Derivation((keys[i], keys[j]), child, "duplicate"))
-                    continue
-                _, i, j, status, k = row
-                parents = (keys[i], keys[j])
-                if status == "skipped":
-                    out.append(Derivation(parents, None, status, k))
-                else:
-                    reason = "relation" if status == "duplicate" else None
-                    out.append(Derivation(parents, keys[k], status, reason))
-                if status == "new":
-                    fresh.append(k)
-                row = next(stored, None)
+                n = len(out)
+                row = stored.get(n) or Attempt(
+                    n, i, j, "duplicate",
+                    by_label[_child_label(self.labels[i], self.labels[j], self.relations)],
+                )
+                out.append(row)
+                if row.status == "new":
+                    fresh.append(row.k)
             made += fresh
         return out
 
@@ -421,9 +402,11 @@ def run(
     them row by row: for a pair i, the child labels kappa - l_i - l_j of
     all its due partners j are computed at once, and only the children
     whose label is unknown run the geometry; the others are counted as
-    duplicates.  An admission never makes a later child of the row known,
-    since labels are distinct; a geometric duplicate teaches a relation,
-    and the rest of the row is screened again under it.  The state keeps
+    duplicates.  Each row is screened once.  An admission never makes a
+    later child of the row known, since labels are distinct, and a child
+    that screened as known stays known, since a relation only merges label
+    classes.  A geometric duplicate teaches a relation, so each unknown
+    child is reduced again and looked up before it runs.  The state keeps
     the attempts that ran the geometry as `rows`, and the counts of each
     generation as `stats`.  `scheduler_seed` is accepted but does not yet
     change the order, so every seed gives the same output.  Each admitted
@@ -455,8 +438,7 @@ def run(
 
     def attempt(n: int, k1: PairKey, k2: PairKey, label: _Label) -> str:
         """Combine two pairs whose child has an unknown label, record the
-        outcome as attempt n and return its status ("relation" for a
-        duplicate)."""
+        outcome as attempt n and return its status."""
         try:
             child = combine(ws.pairs[k1], ws.pairs[k2])
         except (SharedPoint, DegenerateLines) as exc:
@@ -465,27 +447,27 @@ def run(
         if child.key in ws.pairs:
             ws.learn(tuple(a - b for a, b in zip(label, ws.labels[child.key])))
             rows.append((n, k1, k2, "duplicate", child.key))
-            return "relation"
+            return "duplicate"
         for point in child.points:
             narrow(point)
         ws.admit(child, label)
         rows.append((n, k1, k2, "new", child.key))
         return "new"
 
-    def misses(labels: list[_Label], i: int, js: Sequence[int], t: int):
-        """The positions s >= t of row i whose child label is unknown, each
-        with that label.  The labels are those of `_child_label`, computed
-        in one comprehension: most children are known, and a call per
-        child makes screening a row about 1.5 times as slow."""
+    def misses(labels: list[_Label], i: int, js: Sequence[int]):
+        """The positions s of row i whose child label is unknown, each with
+        that label.  The labels are those of `_child_label`, computed in one
+        comprehension: most children are known, and a call per child makes
+        screening a row about 1.5 times as slow."""
         x0, x1, x2, x3 = labels[i]
         children = [
             (-x0 - y0, -x1 - y1, -x2 - y2, 1 - x3 - y3)
-            for y0, y1, y2, y3 in map(labels.__getitem__, js[t:])
+            for y0, y1, y2, y3 in map(labels.__getitem__, js)
         ]
         if ws.relations:
             children = [_reduce(child, ws.relations) for child in children]
         known = ws.key_of_label
-        return [(s, child) for s, child in enumerate(children, t) if child not in known]
+        return [(s, child) for s, child in enumerate(children) if child not in known]
 
     def narrow(point: ProjPoint):
         """Keep the cubics of the family through a constructed point.
@@ -561,23 +543,17 @@ def run(
             break
         labels = [ws.labels[key] for key in ordered]
         for i, js in _rows(count, fresh):
-            t = 0  # the attempts of row i so far
-            while t < len(js):
-                for s, label in misses(labels, i, js, t):
-                    status = attempt(done + s, ordered[i], ordered[js[s]], label)
-                    if status == "relation":
-                        labels = [ws.labels[key] for key in ordered]
-                    elif status == "new" and ws.point_count + 2 > max_points:
-                        capped = True
-                    else:
-                        continue
-                    t = s + 1
+            for s, label in misses(labels, i, js):
+                # a relation learned earlier in the row may have made it known
+                label = _reduce(label, ws.relations)
+                if label in ws.key_of_label:
+                    continue
+                status = attempt(done + s, ordered[i], ordered[js[s]], label)
+                if status == "new" and ws.point_count + 2 > max_points:
+                    capped = True
+                    js = js[: s + 1]  # the rest of the row is never attempted
                     break
-                else:
-                    t = len(js)
-                if capped:
-                    break
-            done += t
+            done += len(js)
             if capped:
                 break
 
@@ -596,7 +572,9 @@ def run(
         generations=generation,
         frontier=len(keys) * (len(keys) - 1) // 2 - done,
         rows=tuple(
-            (n, index[k1[0]], index[k2[0]], status, k if status == "skipped" else index[k[0]])
+            Attempt(
+                n, index[k1[0]], index[k2[0]], status, k if status == "skipped" else index[k[0]]
+            )
             for n, k1, k2, status, k in rows
         ),
         labels=tuple(ws.labels[k] for k in keys),

@@ -16,7 +16,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .cubic import Cubic
-from .engine import ConstructionState, PointPair, SeedConfig, validate_seed
+from .engine import Attempt, ConstructionState, PointPair, SeedConfig, validate_seed
 from .errors import InvariantViolation, SeedFormatError, brief
 from .projective import ProjPoint
 from .weierstrass import WeierstrassCurve
@@ -167,22 +167,24 @@ def state_to_json(state: ConstructionState) -> dict:
 class RunReport:
     """A run report as read.
 
-    `rows` are the provenance rows that replay, as (n, i, j, status, k)
-    with n the attempt's ordinal.  v1 and v2 reports hold every attempt;
-    only their new and skipped rows are kept, since a duplicate row may be
-    one that the labels predicted.  `seed`, `labels`, `relations`, `stats`
-    and `generations` come from v3 reports only, and are None before.
+    `rows` are the provenance rows that replay.  v1 and v2 reports hold
+    every attempt; only their new and skipped rows are kept, since a
+    duplicate row may be one that the labels predicted.  The other fields
+    come from v3 reports only, and are None before.
     """
 
     pairs: list[PointPair]
     curve: Cubic | None
     curve_basis: list[Cubic]
-    rows: list[tuple]
+    rows: list[Attempt]
     seed: list[PointPair] | None = None
     labels: list[tuple[int, ...]] | None = None
     relations: list[tuple[int, ...]] | None = None
     stats: list[dict] | None = None
     generations: int | None = None
+    pair_count: int | None = None
+    point_count: int | None = None
+    closed: bool | None = None
 
 
 _STATUSES = ("new", "duplicate", "skipped")
@@ -203,7 +205,7 @@ def _int_rows(obj, key: str, width: int) -> list[tuple[int, ...]]:
     return [tuple(r) for r in rows]
 
 
-def _row(n, i, j, status, k) -> tuple:
+def _row(n, i, j, status, k) -> Attempt:
     """A provenance row, checked for shape: k names a pair unless skipped."""
     if not (
         all(map(_is_int, (n, i, j)))
@@ -211,11 +213,12 @@ def _row(n, i, j, status, k) -> tuple:
         and (type(k) is str if status == "skipped" else _is_int(k))
     ):
         raise SeedFormatError(f"bad run report provenance row {brief(repr([n, i, j, status, k]))}")
-    return (n, i, j, status, k)
+    return Attempt(n, i, j, status, k)
 
 
 def _v3_fields(obj) -> dict:
-    """The seed, labels, relations, stats and stored rows of a v3 report."""
+    """The fields of a v3 report that earlier layouts lack, and its stored
+    rows."""
     stats = obj.get("stats")
     if not isinstance(stats, list) or not all(
         isinstance(g, dict) and set(g) == _STATS
@@ -229,15 +232,18 @@ def _v3_fields(obj) -> dict:
         raise SeedFormatError("a v3 run report needs its 3 'seed' pairs")
     if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 5 for r in rows):
         raise SeedFormatError("a v3 run report needs 'provenance' as rows [n, i, j, status, k]")
-    if not _is_int(obj.get("generations")):
-        raise SeedFormatError("a v3 run report needs an integer 'generations'")
+    for key in ("generations", "pair_count", "point_count"):
+        if not _is_int(obj.get(key)) or obj[key] < 0:
+            raise SeedFormatError(f"a v3 run report needs a non-negative integer {key!r}")
+    if type(obj.get("closed")) is not bool:
+        raise SeedFormatError("a v3 run report needs 'closed' as true or false")
     return {
         "seed": [pair_from_json(p) for p in seed],
         "labels": _int_rows(obj, "labels", 4),
         "relations": _int_rows(obj, "relations", 4),
         "stats": stats,
-        "generations": obj["generations"],
         "rows": [_row(*r) for r in rows],
+        **{key: obj[key] for key in ("generations", "pair_count", "point_count", "closed")},
     }
 
 

@@ -331,6 +331,8 @@ def _check_history(report: RunReport) -> None:
     unreduced one reduced by them, and no two pairs share one.  Each
     generation's stats match its rows, and its attempts are those due,
     or fewer in the last one when the point cap ended it on a new pair.
+    `pair_count` and `point_count` count the pairs and their points, and
+    the run is `closed` when it attempted every combination of its pairs.
     """
     pairs, stats, relations = report.pairs, report.stats, report.relations
     if len(report.labels) != len(pairs):
@@ -343,6 +345,12 @@ def _check_history(report: RunReport) -> None:
         raise InvariantViolation("the seed is not three of the report's pairs")
     ends = list(accumulate(g["attempted"] for g in stats))
     total = ends[-1] if ends else 0
+    if (report.pair_count, report.point_count, report.closed) != (
+        len(pairs), 2 * len(pairs), total == len(pairs) * (len(pairs) - 1) // 2
+    ):
+        raise InvariantViolation(
+            "pair_count, point_count or closed disagrees with the pairs and attempts"
+        )
 
     unreduced = {s: tuple(int(c == m) for c in range(len(_KAPPA))) for m, s in enumerate(seeds)}
     made_in = dict.fromkeys(seeds, -1)  # the generation each pair was made in

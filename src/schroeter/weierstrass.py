@@ -60,9 +60,6 @@ class WeierstrassCurve:
             )
         return p
 
-    def point(self, x, y) -> ProjPoint:
-        return self.require(ProjPoint.affine(Fraction(x), Fraction(y)))
-
 
 def neg(curve: WeierstrassCurve, p: ProjPoint) -> ProjPoint:
     """-P = O.P; the chord operator checks P and gives O.O = O (an inflection)."""

@@ -360,7 +360,7 @@ def bootstrap_seed(seed: SeedConfig) -> SeedBootstrap:
         p, q = pairs[i], pairs[j]
         direct.append(meet(join(p.first, q.first), join(p.second, q.second)))
         crossed.append(meet(join(p.first, q.second), join(p.second, q.first)))
-    nine = list(seed.points) + direct
+    nine = [p for pair in pairs for p in pair.points] + direct
     if len(set(nine)) != 9:
         raise DegenerateNine("seed points and derived meets are not pairwise distinct")
     curve = fit_cubic_9(nine)
@@ -422,8 +422,8 @@ def gradient_by_terms(cubic: Cubic, t) -> tuple[int, int, int]:
     return (gx, gy, gz)
 
 
-def expand_provenance(report: dict) -> list[list]:
-    """Every attempt of a v3 run report, as the v2 row [i, j, status, k].
+def expand_provenance(report: dict) -> list[engine.Attempt]:
+    """Every attempt of a v3 run report, as `engine.Attempt` rows.
 
     Generation 0 combines the seed pairs (a, b), (b, c), (c, a); each later
     one draws `engine._pending` over the pairs made before it, in the order
@@ -437,8 +437,8 @@ def expand_provenance(report: dict) -> list[list]:
     labels = [tuple(label) for label in report["labels"]]
     relations = [tuple(row) for row in report["relations"]]
     by_label = {label: i for i, label in enumerate(labels)}
-    stored = {n: [i, j, status, k] for n, i, j, status, k in report["provenance"]}
-    rows: list[list] = []
+    stored = {row[0]: engine.Attempt(*row) for row in report["provenance"]}
+    rows: list[engine.Attempt] = []
     made, fresh = [a, b, c], []
     for g, entry in enumerate(report["stats"]):
         if g == 0:
@@ -452,13 +452,14 @@ def expand_provenance(report: dict) -> list[list]:
             )
         fresh = []
         for i, j in islice(due, entry["attempted"]):
-            row = stored.get(len(rows))
+            n = len(rows)
+            row = stored.get(n)
             if row is None:
                 child = tuple(k - x - y for k, x, y in zip(engine._KAPPA, labels[i], labels[j]))
-                row = [i, j, "duplicate", by_label[engine._reduce(child, relations)]]
-            assert row[:2] == [i, j], f"stored row {len(rows)} is not the attempt due there"
+                row = engine.Attempt(n, i, j, "duplicate", by_label[engine._reduce(child, relations)])
+            assert (row.i, row.j) == (i, j), f"stored row {n} is not the attempt due there"
             rows.append(row)
-            if row[2] == "new":
-                fresh.append(row[3])
+            if row.status == "new":
+                fresh.append(row.k)
         made += fresh
     return rows

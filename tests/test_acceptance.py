@@ -71,7 +71,7 @@ def test_01_every_constructed_point_on_curve(frame_states):
     for seed, state in frame_states:
         assert state.point_count == 512 or state.closed
         curves = state.curve_basis if state.curve is None else (state.curve,)
-        for point in state.points:
+        for point in (p for pair in state.pairs for p in pair.points):
             for cubic in curves:
                 assert evaluate(cubic, point) == 0
     total = sum(s.point_count for _, s in frame_states)
@@ -84,7 +84,7 @@ def test_02_nine_point_fit_contains_crossed_meets():
     seeds = random_frame_seeds(rng, 20, strict=True)
     for seed in seeds:
         boot = bootstrap_seed(seed)
-        nine = list(seed.points) + list(boot.direct)
+        nine = [p for pair in seed.pairs for p in pair.points] + list(boot.direct)
         cubic = fit_cubic_9(nine)
         for crossed in boot.crossed:
             assert evaluate(cubic, crossed) == 0
@@ -116,7 +116,7 @@ def test_04_torsion_closure(curve54):
         pt(2, 6), pt(2, -6), pt(-2, 2), pt(-2, -2),
     }
     assert group == expected
-    assert set(state.points) <= expected
+    assert {p for pair in state.pairs for p in pair.points} <= expected
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 4 PASS: torsion seed closed with {state.point_count} points "
           f"inside the order-8 subgroup in {elapsed * 1000:.0f} ms")

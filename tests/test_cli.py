@@ -12,6 +12,7 @@ from schroeter.projective import ProjPoint
 from oracles import expand_provenance
 
 TORSION_ARGS = ["--a", "5", "--b", "4", "--points", "0,0;2,6;-1,0"]
+SEEDS = Path(__file__).parents[1] / "seeds"
 
 
 @pytest.fixture
@@ -36,13 +37,18 @@ class TestSeedFromCurve:
         ])
         assert code == 0
         seed, _ = serialize.seed_from_json(serialize.load_json(out))
-        assert ProjPoint.of(4, 23, 64) in seed.points
+        assert ProjPoint.of(4, 23, 64) in (p for pair in seed.pairs for p in pair.points)
 
     def test_point_off_curve(self, capsys):
         assert main(["seed-from-curve", "--a", "1", "--b", "2", "--points", "1,3;2,4;1,2"]) == 1
 
     def test_quadrilateral_rejected(self):
         assert main(["seed-from-curve", "--a", "5", "--b", "4", "--points", "2,6;-2,2;-1,0"]) == 1
+
+    @pytest.mark.parametrize("a", ["x", "1/0"])
+    def test_bad_rational(self, capsys, a):
+        assert main(["seed-from-curve", "--a", a, *TORSION_ARGS[2:]]) == 1
+        assert capsys.readouterr().err.startswith("error: bad rational")
 
 
 class TestConstruct:
@@ -200,6 +206,27 @@ class TestVerify:
     def test_unknown_suite(self, torsion_seed_file):
         assert main(["verify", "--seed", str(torsion_seed_file), "--suite", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("model", [["--a", "1", "--b", "zz"], ["--a", "5"], ["--b", "4"]])
+    def test_bad_model(self, torsion_seed_file, capsys, model):
+        """A bad rational, or only one of --a and --b, is an input error."""
+        assert main(["verify", "--seed", str(torsion_seed_file), *model]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def _seed_only_report(generations: int) -> dict:
+    """A v3 report of the three seed pairs of seeds/torsion.json, with unit
+    labels and no attempts."""
+    obj = serialize.load_json(SEEDS / "torsion.json")
+    seed, curve = serialize.seed_from_json(obj)
+    pairs = [serialize.pair_to_json(pair) for pair in seed.pairs]
+    return {
+        "format_version": 3, "seed": pairs, "pairs": pairs,
+        "curve": serialize.cubic_to_json(curve.cubic), "curve_basis": [],
+        "labels": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], "relations": [],
+        "stats": [], "provenance": [], "generations": generations,
+        "pair_count": 3, "point_count": 6, "closed": False,
+    }
+
 
 @pytest.mark.parametrize("command", ["verify", "plot"])
 @pytest.mark.parametrize(
@@ -208,7 +235,8 @@ class TestVerify:
      {"pairs": [], "curve": ["0"] * 10}, {"pairs": [], "curve_basis": [["0"] * 10]},
      {"pairs": [], "format_version": 1}, {"pairs": [], "format_version": 3},
      {"pairs": [], "format_version": 4},
-     {"pairs": [], "format_version": "2"}, {"pairs": [], "format_version": None}],
+     {"pairs": [], "format_version": "2"}, {"pairs": [], "format_version": None},
+     _seed_only_report(-1)],
 )
 def test_malformed_report(tmp_path, capsys, command, content):
     report = tmp_path / "bad.json"
@@ -240,7 +268,7 @@ def _old_layout(report: dict, version: int, pairs=None) -> dict:
     attempt, or in the v1 layout, which has no "format_version" and names
     each pair by its coordinates; with other `pairs` in place of its own,
     if given."""
-    rows = expand_provenance(report)
+    rows = [[i, j, status, k] for _, i, j, status, k in expand_provenance(report)]
     old = {k: v for k, v in report.items() if k not in ("labels", "relations", "stats")}
     old["pairs"] = pairs = pairs or report["pairs"]
     if version == 2:
@@ -369,6 +397,12 @@ class TestReportReplay:
         a, b = _two(data, len(rows), "row")
         rows[a], rows[b] = rows[b], rows[a]
         assert _verify(altered, directory) == 3
+
+    @pytest.mark.parametrize("field, value", [("closed", True), ("pair_count", 7), ("point_count", 99)])
+    def test_edited_summary(self, frame_report, field, value):
+        report, directory = frame_report
+        assert report[field] != value
+        assert _verify({**report, field: value}, directory) == 3
 
     def test_wrong_duplicate_count(self, frame_report):
         report, directory = frame_report

@@ -84,7 +84,7 @@ class TestFit:
         rng = random.Random(3)
         (seed,) = random_frame_seeds(rng, 1)
         boot = bootstrap_seed(seed)
-        nine = list(seed.points) + list(boot.direct)
+        nine = [p for pair in seed.pairs for p in pair.points] + list(boot.direct)
         cubic = fit_cubic_9(nine)
         for p in nine:
             assert evaluate(cubic, p) == 0

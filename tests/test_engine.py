@@ -13,6 +13,7 @@ from schroeter.checks import chasles_check, chord_tangency_check, conjugate_line
 from schroeter.cli import main
 from schroeter.cubic import Cubic, evaluate, tangent_at, third_intersection
 from schroeter.engine import (
+    Attempt,
     PointPair,
     combine,
     run,
@@ -283,22 +284,23 @@ class TestRun:
         assert state.closed
         assert state.point_count == 6
         group = subgroup_generated(curve54, [pt(2, 6), pt(-2, 2), pt(-1, 0)])
-        assert set(state.points) <= group
+        assert {p for pair in state.pairs for p in pair.points} <= group
 
     def test_full_torsion_closure(self, curve54, torsion_seed_full):
         state = run(torsion_seed_full, curve=curve54.cubic)
         assert state.closed
         assert state.point_count == 8
         group = subgroup_generated(curve54, [pt(2, 6), pt(-1, 0), pt(0, 0)])
-        assert set(state.points) == group
+        assert {p for pair in state.pairs for p in pair.points} == group
 
     def test_generic_capped_run(self, golden_frame_seed):
         state = run(golden_frame_seed, max_points=100)
         assert not state.closed
         assert state.point_count == 100
         assert state.curve is not None
-        for p in state.points:
-            assert evaluate(state.curve, p) == 0
+        for pair in state.pairs:
+            for p in pair.points:
+                assert evaluate(state.curve, p) == 0
 
     def test_pool_fit_equals_closed_form(self, golden_frame_seed):
         # the strict nine-point fit is degenerate for this seed, but the
@@ -314,9 +316,7 @@ class TestRun:
         reference = states[0]
         for other in states[1:]:
             assert other.pairs == reference.pairs
-            assert [d.parents for d in other.provenance] == [
-                d.parents for d in reference.provenance
-            ]
+            assert other.provenance == reference.provenance
             assert other.closed == reference.closed
 
     def test_generation_cap(self, golden_frame_seed):
@@ -329,11 +329,11 @@ class TestRun:
         state = run(torsion_seed_full, curve=curve54.cubic)
         statuses = {d.status for d in state.provenance}
         assert statuses <= {"new", "duplicate", "skipped"}
-        new_children = [d.child for d in state.provenance if d.status == "new"]
+        new_children = [d.k for d in state.provenance if d.status == "new"]
         assert len(new_children) == len(set(new_children))
-        # every non-seed pair has exactly one creating derivation
-        seed_keys = {p.key for p in torsion_seed_full.pairs}
-        derived = {p.key for p in state.pairs} - seed_keys
+        # every non-seed pair has exactly one creating attempt
+        seeds = set(torsion_seed_full.pairs)
+        derived = {k for k, pair in enumerate(state.pairs) if pair not in seeds}
         assert derived == set(new_children)
 
     @pytest.mark.parametrize(
@@ -388,7 +388,8 @@ class TestRun:
 def reference_run(seed, max_points, max_generations):
     """The engine loop as a brute-force rescan, without its on-curve checks:
     every generation takes all combinations of the current pairs, in sorted
-    order, and skips the visited ones."""
+    order, and skips the visited ones.  Its attempts are `Attempt` rows,
+    each pair named by its index in the final sorted keys."""
     pairs = {pair.key: pair for pair in seed.pairs}
     provenance = []
     visited = set()
@@ -407,11 +408,11 @@ def reference_run(seed, max_points, max_generations):
         try:
             child = combine(pairs[k1], pairs[k2])
         except (SharedPoint, DegenerateLines) as exc:
-            provenance.append(((k1, k2), None, "skipped", type(exc).__name__))
+            provenance.append((k1, k2, "skipped", type(exc).__name__))
             return
         status = "duplicate" if child.key in pairs else "new"
         pairs.setdefault(child.key, child)
-        provenance.append(((k1, k2), child.key, status, None))
+        provenance.append((k1, k2, status, child.key))
 
     keys = [pair.key for pair in seed.pairs]
     for i, j in ((0, 1), (1, 2), (2, 0)):
@@ -429,7 +430,12 @@ def reference_run(seed, max_points, max_generations):
                 break
             process(k1, k2)
     remaining = len(unvisited())
-    return provenance, sorted(pairs), remaining == 0, generation, remaining
+    index = {key: r for r, key in enumerate(sorted(pairs))}
+    attempts = [
+        Attempt(n, index[k1], index[k2], status, k if status == "skipped" else index[k])
+        for n, (k1, k2, status, k) in enumerate(provenance)
+    ]
+    return attempts, sorted(pairs), remaining == 0, generation, remaining
 
 
 def quadrilateral_hook_seed():
@@ -469,12 +475,7 @@ class TestEnumeration:
         provenance, keys, closed, generations, frontier = reference_run(
             seed, max_points, max_generations
         )
-        # the rescan cannot tell a duplicate the labels predicted from one
-        # that ran the geometry; the engine marks the latter "relation"
-        assert [
-            (d.parents, d.child, d.status, None if d.status == "duplicate" else d.reason)
-            for d in state.provenance
-        ] == provenance
+        assert state.provenance == provenance
         assert [pair.key for pair in state.pairs] == keys
         assert (state.closed, state.generations, state.frontier) == (closed, generations, frontier)
         if name in ("torsion", "quadrilateral", "hook"):
@@ -552,8 +553,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("name", ["frame", "curve12", "torsion"])
     def test_duplicates_that_ran_the_geometry_are_marked(self, monkeypatch, request, name):
-        """A duplicate is marked "relation" exactly when it ran `combine`;
-        each such duplicate taught a relation."""
+        """The stored rows are exactly the attempts that ran `combine`;
+        each stored duplicate taught a relation."""
         combined = []
 
         def recording(p, q):
@@ -568,10 +569,9 @@ class TestEnumeration:
         }[name]
         cubic = request.getfixturevalue(curve).cubic if curve else None
         state = run(request.getfixturevalue(seed), max_points, curve=cubic)
-        assert {d.reason for d in state.provenance if d.status == "duplicate"} <= {None, "relation"}
-        ran = [d for d in state.provenance if d.status != "duplicate" or d.reason == "relation"]
-        assert [d.parents for d in ran] == combined
-        marked = sum(d.reason == "relation" for d in state.provenance)
+        keys = [pair.key for pair in state.pairs]
+        assert [(keys[r.i], keys[r.j]) for r in state.rows] == combined
+        marked = sum(r.status == "duplicate" for r in state.rows)
         assert marked >= len(state.relations) > 0
         if name == "curve12":
             assert marked == 2
@@ -602,20 +602,14 @@ class TestProvenanceView:
         seed, state = _named_run(request, name, max_points)
         provenance, *_ = reference_run(seed, max_points, engine.DEFAULT_MAX_GENERATIONS)
         view = state.provenance
-        assert [
-            (d.parents, d.child, d.status, None if d.status == "duplicate" else d.reason)
-            for d in view
-        ] == provenance
-        index = {pair.key: i for i, pair in enumerate(state.pairs)}
+        assert view == provenance
         report = json.loads(serialize.dumps(serialize.state_to_json(state)))
-        assert expand_provenance(report) == [
-            [index[d.parents[0]], index[d.parents[1]], d.status,
-             d.reason if d.child is None else index[d.child]]
-            for d in view
-        ]
-        assert [r[0] for r in state.rows] == [
-            n for n, d in enumerate(view) if d.status != "duplicate" or d.reason == "relation"
-        ]
+        assert expand_provenance(report) == view
+        # the rows stored at their ordinals: every attempt but the duplicates
+        # that the labels predicted
+        assert [d.n for d in view] == list(range(len(view)))
+        stored = set(state.rows)
+        assert [d for d in view if d.status != "duplicate" or d in stored] == list(state.rows)
         # the counts the tracer reads off the view are the stats totals
         stats = state.stats
         assert len(view) == sum(g.attempted for g in stats)
@@ -628,10 +622,19 @@ class TestProvenanceView:
     def test_a_cap_mid_row(self, golden_frame_seed):
         """frame@120 stops in the middle of a row: the larger run's next
         attempt has the same first parent."""
-        capped = run(golden_frame_seed, max_points=120).provenance
-        longer = run(golden_frame_seed, max_points=512).provenance
+        def by_pair(state):
+            """The attempts with pairs in place of their indices, which
+            differ between runs of different sizes."""
+            pairs = state.pairs
+            return [
+                (pairs[d.i], pairs[d.j], d.status, d.k if d.status == "skipped" else pairs[d.k])
+                for d in state.provenance
+            ]
+
+        capped = by_pair(run(golden_frame_seed, max_points=120))
+        longer = by_pair(run(golden_frame_seed, max_points=512))
         assert longer[: len(capped)] == capped
-        assert longer[len(capped)].parents[0] == capped[-1].parents[0]
+        assert longer[len(capped)][0] == capped[-1][0]
 
     def test_a_relation_mid_row(self, curve12, curve12_seed):
         """curve12@256 learns its second relation in generation 2, two
@@ -639,10 +642,10 @@ class TestProvenanceView:
         in the bootstrap."""
         state = run(curve12_seed, max_points=256, curve=curve12.cubic)
         view = state.provenance
-        n = [r[0] for r in state.rows if r[3] == "duplicate"][-1]
+        n = [r.n for r in state.rows if r.status == "duplicate"][-1]
         starts = list(accumulate(g.attempted for g in state.stats))
         assert starts[1] <= n and n + 2 < starts[2]
-        assert [d.parents[0] for d in view[n : n + 3]] == [view[n].parents[0]] * 3
+        assert [d.i for d in view[n : n + 3]] == [view[n].i] * 3
 
     def test_construct_and_verify_never_build_it(self, monkeypatch, tmp_path):
         def unread(state):

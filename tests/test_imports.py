@@ -1,5 +1,6 @@
 """Every module of the package and of the tests uses each name it imports,
-and every top-level definition of the package is used by the package itself.
+and every top-level definition, method and property of the package is used
+by the package itself.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.
 `__init__.py` is skipped because it re-exports, and `__future__` imports
@@ -63,17 +64,22 @@ def references(nodes) -> set[str]:
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def parse_modules(package: Path) -> dict[str, ast.Module]:
+    """The syntax tree of each module of `package` but `__init__.py`."""
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
 def unreferenced_definitions(package: Path) -> dict[str, list[str]]:
     """Per module of `package` (`__init__.py` aside), the top-level functions
     and classes referenced nowhere in those modules outside their own body.
 
     `_suite_*` functions are exempt: `verify.run_suites` looks them up by name.
     """
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(package.glob("*.py"))
-        if path.name != "__init__.py"
-    }
+    trees = parse_modules(package)
     dead = {}
     for name, tree in trees.items():
         elsewhere = references(other for n, other in trees.items() if n != name)
@@ -109,6 +115,68 @@ def test_guard_sees_an_unreferenced_definition(tmp_path):
     )
     assert unreferenced_definitions(package) == {
         "geometry.py": ["oracle (line 5)", "recursive (line 9)"],
+    }
+
+
+def attribute_reads(roots, skip) -> set[str]:
+    """Every attribute name read under the nodes, outside the node `skip`."""
+    names, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+# Members that code outside the package calls: argparse calls the parser's
+# `error`, and the benchmark's tracer reads `provenance` off a run's state.
+CALLED_FROM_OUTSIDE = {"_Parser.error", "ConstructionState.provenance"}
+
+
+def unread_members(package: Path, exempt=CALLED_FROM_OUTSIDE) -> dict[str, list[str]]:
+    """Per module of `package` (`__init__.py` aside), the methods and
+    properties of its top-level classes whose name no attribute read in
+    those modules names, outside their own body.  Dunders are exempt, since
+    Python calls them, and so are the "Class.member" names in `exempt`."""
+    trees = parse_modules(package)
+    dead = {}
+    for name, tree in trees.items():
+        found = [
+            f"{cls.name}.{node.name} (line {node.lineno})"
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and f"{cls.name}.{node.name}" not in exempt
+            and node.name not in attribute_reads(trees.values(), skip=node)
+        ]
+        if found:
+            dead[name] = found
+    return dead
+
+
+def test_no_unread_members():
+    assert unread_members(PACKAGE) == {}
+
+
+def test_guard_sees_an_unread_member(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "geometry.py").write_text(
+        "class Point:\n"
+        "    def __eq__(self, other):\n        return True\n\n"
+        "    @property\n    def norm(self):\n        return 0\n\n"
+        "    def oracle(self):\n        return self.norm\n\n"
+        "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n\n"
+        "    def hook(self):\n        pass\n"
+    )
+    (package / "cli.py").write_text("from .geometry import Point\n\nPoint()\n")
+    (package / "__init__.py").write_text("from .geometry import Point\n\nPoint().oracle()\n")
+    assert unread_members(package, exempt={"Point.hook"}) == {
+        "geometry.py": ["Point.oracle (line 9)", "Point.recursive (line 12)"],
     }
 
 

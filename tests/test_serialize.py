@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from schroeter import serialize
 from schroeter.cubic import Cubic
-from schroeter.engine import run
+from schroeter.engine import Attempt, run
 from schroeter.errors import SeedFormatError
 from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
@@ -130,16 +130,6 @@ class TestCubic:
             serialize.cubic_from_json(["0"] * 10)
 
 
-def _v2_rows(state) -> list:
-    """The state's provenance as v2 rows [i, j, status, k]."""
-    index = {pair.key: i for i, pair in enumerate(state.pairs)}
-    return [
-        [index[d.parents[0]], index[d.parents[1]], d.status,
-         d.reason if d.child is None else index[d.child]]
-        for d in state.provenance
-    ]
-
-
 def _with_skipped_row(state):
     """The state with one more attempt at the end of its last generation:
     pairs 2 and 0, skipped for DegenerateLines, stored as a row and counted
@@ -147,7 +137,7 @@ def _with_skipped_row(state):
     last = state.stats[-1]
     skipped = {**last.skipped, "DegenerateLines": last.skipped["DegenerateLines"] + 1}
     last = dataclasses.replace(last, attempted=last.attempted + 1, skipped=skipped)
-    row = (sum(g.attempted for g in state.stats), 2, 0, "skipped", "DegenerateLines")
+    row = Attempt(sum(g.attempted for g in state.stats), 2, 0, "skipped", "DegenerateLines")
     return dataclasses.replace(
         state, rows=(*state.rows, row), stats=(*state.stats[:-1], last), frontier=state.frontier - 1
     )
@@ -174,7 +164,7 @@ class TestState:
         assert tuple(pairs) == state.pairs
         assert serialize.cubic_from_json(obj["curve"]) == state.curve
         assert obj["point_count"] == state.point_count
-        assert len(expand_provenance(obj)) == len(state.provenance)
+        assert expand_provenance(obj) == state.provenance
         assert serialize.report_from_json(obj).rows == list(state.rows)
 
     @pytest.mark.parametrize(
@@ -190,19 +180,17 @@ class TestState:
         state = _run_named(request, name, max_points)
         obj = json.loads(serialize.dumps(serialize.state_to_json(state)))
         assert obj["format_version"] == 3
-        rows = _v2_rows(state)
-        assert expand_provenance(obj) == rows
-        assert [[n, *rows[n]] for n, *_ in obj["provenance"]] == obj["provenance"]
-        assert [n for n, *_ in obj["provenance"]] == [
-            n for n, d in enumerate(state.provenance)
-            if d.status != "duplicate" or d.reason == "relation"
-        ]
+        rows = expand_provenance(obj)
+        assert rows == state.provenance
+        assert [list(rows[n]) for n, *_ in obj["provenance"]] == obj["provenance"]
+        assert [list(row) for row in state.rows] == obj["provenance"]
 
     def test_skipped_row_keeps_its_reason(self, golden_frame_seed):
         state = _with_skipped_row(run(golden_frame_seed, max_points=24))
         obj = json.loads(serialize.dumps(serialize.state_to_json(state)))
-        assert obj["provenance"][-1] == [len(state.provenance) - 1, 2, 0, "skipped", "DegenerateLines"]
-        assert _v2_rows(state)[-1] == [2, 0, "skipped", "DegenerateLines"]
+        n = len(state.provenance) - 1
+        assert obj["provenance"][-1] == [n, 2, 0, "skipped", "DegenerateLines"]
+        assert state.provenance[-1] == (n, 2, 0, "skipped", "DegenerateLines")
 
     def test_provenance_writes_no_coordinates(self, golden_frame_seed):
         """Each attempt costs a bounded number of bytes, however long the
@@ -211,7 +199,7 @@ class TestState:
         state = run(golden_frame_seed, max_points=512)
         obj = serialize.state_to_json(state)
         rows = expand_provenance(obj)
-        full = {**obj, "provenance": [[n, *row] for n, row in enumerate(rows)]}
+        full = {**obj, "provenance": [list(row) for row in rows]}
         rest = {k: v for k, v in obj.items() if k != "provenance"}
         size = len(serialize.dumps(full).encode())
         assert size <= len(serialize.dumps(rest).encode()) + 80 * len(rows)
