@@ -23,7 +23,10 @@ label at once, and such duplicates are only counted.  A geometric
 duplicate under a new label teaches a relation.  Under the final relations
 every duplicate is implied by its parents' labels, so the state, like a
 run report, keeps only the attempts that ran the geometry; the full list
-of attempts is rebuilt from them on demand.
+of attempts is rebuilt from them on demand.  From those rows and each
+generation's attempt count, `_schedule` gives which attempt each ordinal
+is and `_stats` each generation's counts; the run, the view of every
+attempt and `verify --report` all use these two.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from .cubic import Cubic, cubic_family_through, evaluate
@@ -236,41 +239,21 @@ class ConstructionState:
     @cached_property
     def provenance(self) -> list[Attempt]:
         """Every attempt, in processing order: each stored row as it is, and
-        at every other ordinal the duplicate that the final labels imply.
-        The attempts are drawn as the run drew them: the bootstrap combines
-        the seed pairs (a, b), (b, c) and (c, a), and each later generation
-        takes `_pending` over the pairs made before it, with those made in
-        the generation before as the fresh ones, up to its attempt count.
-        Built on first read; neither the run nor the report writer reads
-        it."""
+        at every other ordinal of `_schedule` the duplicate that the final
+        labels imply.  Built on first read; neither the run nor the report
+        writer reads it."""
         index = {pair.key: k for k, pair in enumerate(self.pairs)}
         by_label = {label: k for k, label in enumerate(self.labels)}
-        a, b, c = (index[pair.key] for pair in self.seed.pairs)
+        seeds = [index[pair.key] for pair in self.seed.pairs]
         stored = {row.n: row for row in self.rows}
-        out: list[Attempt] = []
-        made, fresh = [a, b, c], []
-        for g, entry in enumerate(self.stats):
-            if g == 0:
-                due = iter([(a, b), (b, c), (c, a)])
-            else:
-                ordered = sorted(made)
-                rank = {p: r for r, p in enumerate(ordered)}
-                due = (
-                    (ordered[r], ordered[s])
-                    for r, s in _pending(len(ordered), [rank[p] for p in fresh])
-                )
-            fresh = []
-            for i, j in islice(due, entry.attempted):
-                n = len(out)
-                row = stored.get(n) or Attempt(
-                    n, i, j, "duplicate",
-                    by_label[_child_label(self.labels[i], self.labels[j], self.relations)],
-                )
-                out.append(row)
-                if row.status == "new":
-                    fresh.append(row.k)
-            made += fresh
-        return out
+        return [
+            stored.get(n) or Attempt(
+                n, i, j, "duplicate",
+                by_label[_child_label(self.labels[i], self.labels[j], self.relations)],
+            )
+            for start, i, js in _schedule(seeds, self.rows, [g.attempted for g in self.stats])
+            for n, j in enumerate(js, start)
+        ]
 
 
 def _reduce(label: _Label, rows: list[_Label]) -> _Label:
@@ -368,22 +351,65 @@ class _Workspace:
         return 2 * len(self.pairs)
 
 
-def _rows(n: int, fresh: list[int]) -> Iterator[tuple[int, Sequence[int]]]:
-    """The rank pairs (i, j), i < j < n, with i or j in `fresh`, row by row:
-    each i in ascending order with its ascending js, empty rows left out.
+def _rows(items: Sequence[int], fresh: list[int]) -> Iterator[tuple[int, Sequence[int]]]:
+    """The pairs (x, y) of the ascending `items`, x before y, with x or y in
+    `fresh`, row by row: each x in turn with its ys, empty rows left out.
     They are drawn one row at a time, so a capped run screens no row after
     the one the cap falls in."""
     fresh = sorted(fresh)
     is_fresh = set(fresh)
-    for i in range(n):
-        js = range(i + 1, n) if i in is_fresh else fresh[bisect_right(fresh, i):]
-        if js:
-            yield i, js
+    for r, x in enumerate(items):
+        ys = items[r + 1:] if x in is_fresh else fresh[bisect_right(fresh, x):]
+        if ys:
+            yield x, ys
 
 
-def _pending(n: int, fresh: list[int]) -> Iterator[tuple[int, int]]:
-    """The rank pairs of `_rows`, one at a time, in lexicographic order."""
-    return ((i, j) for i, js in _rows(n, fresh) for j in js)
+def _schedule(
+    seeds: Sequence[int], rows: Sequence[Attempt], attempted: Sequence[int]
+) -> Iterator[tuple[int, int, Sequence[int]]]:
+    """A run's attempts row by row, as (n, i, js): attempts n, n + 1, ...
+    combine pair i with each pair of js, pairs named by index in the sorted
+    pairs.  The bootstrap combines the seed pairs (a, b), (b, c), (c, a);
+    each later generation takes `_rows` over the pairs made before it, the
+    fresh ones made by the "new" rows of the generation before, and stops
+    at its count in `attempted`.  `rows`, the stored rows in ordinal order,
+    are read a generation at a time, once all its attempts are drawn."""
+    a, b, c = seeds
+    made, fresh, n, p = [a, b, c], [], 0, 0
+    for g, count in enumerate(attempted):
+        due = [(a, [b]), (b, [c]), (c, [a])] if g == 0 else _rows(sorted(made), fresh)
+        end = n + count
+        for i, js in due:
+            if n >= end:
+                break
+            js = js[: end - n]
+            yield n, i, js
+            n += len(js)
+        fresh = []
+        while p < len(rows) and rows[p].n < n:
+            if rows[p].status == "new":
+                fresh.append(rows[p].k)
+            p += 1
+        made += fresh
+
+
+def _stats(rows: Sequence[Attempt], attempted: Sequence[int]) -> tuple[Generation, ...]:
+    """Each generation's counts, from the stored rows, all below the total
+    of `attempted`, and its attempt count: `pending` from the "new" counts
+    of the generations before, `new` and `skipped` from the rows, and
+    `duplicate` the rest."""
+    ends = list(accumulate(attempted))
+    tallies = [Counter() for _ in ends]  # by status, a skip by its reason
+    for n, _, _, status, k in rows:
+        tallies[bisect_right(ends, n)][k if status == "skipped" else status] += 1
+    stats, made, met = [], 3, 0
+    for count, tally in zip(attempted, tallies):
+        skipped = {reason: tally[reason] for reason in SKIP_REASONS}
+        new = tally["new"]
+        pending = made * (made - 1) // 2 - met * (met - 1) // 2
+        stats.append(Generation(pending, count, new, count - new - sum(skipped.values()), skipped))
+        made, met = made + new, made
+    return tuple(stats)
 
 
 def run(
@@ -520,7 +546,6 @@ def run(
     generation = 0
     met = len(seed_keys)  # the first `met` pairs have all been combined with each other
     capped = ws.point_count >= max_points
-    due = [3]  # the combinations due in each generation
     starts = [0]  # the ordinal of each generation's first attempt
     done = 3  # the attempts so far
 
@@ -534,7 +559,6 @@ def run(
         order = sorted(range(count), key=admitted.__getitem__)
         ordered = [admitted[a] for a in order]
         fresh = [r for r, a in enumerate(order) if a >= met]
-        due.append(count * (count - 1) // 2 - met * (met - 1) // 2)
         met = count
         generation += 1
         starts.append(done)
@@ -542,7 +566,7 @@ def run(
             capped = True
             break
         labels = [ws.labels[key] for key in ordered]
-        for i, js in _rows(count, fresh):
+        for i, js in _rows(range(count), fresh):
             for s, label in misses(labels, i, js):
                 # a relation learned earlier in the row may have made it known
                 label = _reduce(label, ws.relations)
@@ -560,10 +584,10 @@ def run(
     keys = sorted(ws.pairs)
     # A point belongs to one pair only, so a key's first point names its pair.
     index = {key[0]: r for r, key in enumerate(keys)}
-    ends = [*starts[1:], done]
-    tallies = [Counter() for _ in due]  # by status, a skip by its reason
-    for n, _, _, status, k in rows:
-        tallies[bisect_right(ends, n)][k if status == "skipped" else status] += 1
+    attempts = tuple(
+        Attempt(n, index[k1[0]], index[k2[0]], status, k if status == "skipped" else index[k[0]])
+        for n, k1, k2, status, k in rows
+    )
     return ConstructionState(
         seed=seed,
         pairs=tuple(ws.pairs[k] for k in keys),
@@ -571,28 +595,8 @@ def run(
         curve_basis=basis,
         generations=generation,
         frontier=len(keys) * (len(keys) - 1) // 2 - done,
-        rows=tuple(
-            Attempt(
-                n, index[k1[0]], index[k2[0]], status, k if status == "skipped" else index[k[0]]
-            )
-            for n, k1, k2, status, k in rows
-        ),
+        rows=attempts,
         labels=tuple(ws.labels[k] for k in keys),
         relations=tuple(ws.relations),
-        stats=tuple(
-            _generation(pending, end - start, tally)
-            for pending, start, end, tally in zip(due, starts, ends, tallies)
-        ),
-    )
-
-
-def _generation(pending: int, attempted: int, tally: Counter) -> Generation:
-    """The counts of one generation, from the tally of its stored rows."""
-    skipped = {reason: tally[reason] for reason in SKIP_REASONS}
-    return Generation(
-        pending=pending,
-        attempted=attempted,
-        new=tally["new"],
-        duplicate=attempted - tally["new"] - sum(skipped.values()),
-        skipped=skipped,
+        stats=_stats(attempts, [end - start for start, end in zip(starts, [*starts[1:], done])]),
     )

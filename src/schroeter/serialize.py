@@ -116,9 +116,21 @@ def seed_from_json(obj) -> tuple[SeedConfig, WeierstrassCurve | None]:
 REPORT_FORMAT = 3
 
 
-def _digits(pair: list[list[str]]) -> int:
-    """Decimal digits of the largest coordinate of a pair as written."""
-    return max(len(c) - (c[0] == "-") for point in pair for c in point)
+def stats_to_json(seed, pairs, rows, stats) -> list[dict]:
+    """A run report's `stats`: each generation's counts and `digits`, the
+    decimal digits of the largest |coordinate| among the pairs it made (0
+    if none; the seed pairs count in generation 0).  One integer per
+    generation becomes text: the conversion takes quadratic time."""
+    ends = list(accumulate(g.attempted for g in stats))
+    made = [list(seed), *([] for _ in ends[1:])]
+    for n, _, _, status, k in rows:
+        if status == "new":
+            made[bisect_right(ends, n)].append(pairs[k])
+    largest = (
+        max((abs(c) for pair in group for p in pair.points for c in p.coords), default=0)
+        for group in made
+    )
+    return [{**asdict(g), "digits": len(str(m)) if m else 0} for g, m in zip(stats, largest)]
 
 
 def state_to_json(state: ConstructionState) -> dict:
@@ -134,32 +146,20 @@ def state_to_json(state: ConstructionState) -> dict:
     kappa - l_i - l_j.  `stats` has one entry per generation, the
     bootstrap first.
     """
-    seed = [pair_to_json(p) for p in state.seed.pairs]
-    pairs = [pair_to_json(p) for p in state.pairs]
-    rows = [list(row) for row in state.rows]
-    # the largest coordinate admitted in each generation; the seed in the first
-    ends = list(accumulate(g.attempted for g in state.stats))
-    digits = [0] * len(ends)
-    if digits:
-        digits[0] = max(map(_digits, seed))
-    for n, _, _, status, k in rows:
-        if status == "new":
-            g = bisect_right(ends, n)
-            digits[g] = max(digits[g], _digits(pairs[k]))
     return {
         "format_version": REPORT_FORMAT,
-        "seed": seed,
+        "seed": [pair_to_json(p) for p in state.seed.pairs],
         "curve": cubic_to_json(state.curve) if state.curve is not None else None,
         "curve_basis": [cubic_to_json(c) for c in state.curve_basis],
-        "pairs": pairs,
+        "pairs": [pair_to_json(p) for p in state.pairs],
         "pair_count": len(state.pairs),
         "point_count": state.point_count,
         "closed": state.closed,
         "generations": state.generations,
         "labels": [list(label) for label in state.labels],
         "relations": [list(row) for row in state.relations],
-        "stats": [{**asdict(g), "digits": d} for g, d in zip(state.stats, digits)],
-        "provenance": rows,
+        "stats": stats_to_json(state.seed.pairs, state.pairs, state.rows, state.stats),
+        "provenance": [list(row) for row in state.rows],
     }
 
 
@@ -221,12 +221,18 @@ def _v3_fields(obj) -> dict:
     rows."""
     stats = obj.get("stats")
     if not isinstance(stats, list) or not all(
-        isinstance(g, dict) and set(g) == _STATS
-        and all(_is_int(v) for key, v in g.items() if key != "skipped")
-        and isinstance(g["skipped"], dict) and all(map(_is_int, g["skipped"].values()))
-        for g in stats
+        isinstance(g, dict) and set(g) == _STATS and isinstance(g["skipped"], dict) for g in stats
     ):
         raise SeedFormatError(f"a v3 run report needs 'stats' as objects with keys {sorted(_STATS)}")
+    for g in stats:
+        counts = [(repr(key), g[key]) for key in sorted(_STATS - {"skipped"})]
+        counts += [(f"'skipped' {brief(repr(r))}", v) for r, v in g["skipped"].items()]
+        for name, v in counts:
+            if not _is_int(v) or v < 0:
+                raise SeedFormatError(
+                    f"a v3 run report needs stats count {name} as a non-negative integer, "
+                    f"got {brief(repr(v))}"
+                )
     seed, rows = obj.get("seed"), obj.get("provenance")
     if not isinstance(seed, list) or len(seed) != 3:
         raise SeedFormatError("a v3 run report needs its 3 'seed' pairs")

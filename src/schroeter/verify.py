@@ -7,10 +7,8 @@ law are skipped unless a Weierstrass model is supplied.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate
 
 from .checks import (
     chasles_check,
@@ -20,14 +18,7 @@ from .checks import (
     tangent_meet,
 )
 from .cubic import evaluate, tangent_at, tangent_third
-from .engine import (
-    _KAPPA,
-    SKIP_REASONS,
-    ConstructionState,
-    _hnf,
-    _reduce,
-    combine,
-)
+from .engine import _KAPPA, ConstructionState, _hnf, _reduce, _schedule, _stats, combine
 from .errors import (
     DegeneracyError,
     DegenerateLines,
@@ -37,7 +28,7 @@ from .errors import (
     ValidationError,
     brief,
 )
-from .serialize import RunReport
+from .serialize import RunReport, stats_to_json
 from .weierstrass import (
     WeierstrassCurve,
     involution_center_product,
@@ -133,9 +124,7 @@ def _suite_chasles(state: ConstructionState, report: VerificationReport):
         pa, pb = state.pairs[i], state.pairs[j]
         # the first pair disjoint from both parents serves as the third side
         used = {*pa.points, *pb.points}
-        third = next((cand for cand in state.pairs if used.isdisjoint(cand.points)), None)
-        if third is None:
-            continue
+        third = next(cand for cand in state.pairs if used.isdisjoint(cand.points))
         name = "hexagon " + " / ".join(brief(_key_head(p.points, 49)) for p in (pa, pb, third))
         _check(report, "chasles", name, lambda: all(
             chasles_check(
@@ -175,10 +164,7 @@ def _suite_tangents(state, report, cubic):
     for s_pair in pairs:
         if checked >= LIMIT:
             break
-        others = [p for p in pairs if p is not s_pair]
-        if len(others) < 2:
-            break
-        p_pair, q_pair = others[0], others[1]
+        p_pair, q_pair = [p for p in pairs if p is not s_pair][:2]
         for contact in s_pair.points:
             name = f"ruler tangent at {_key_head([contact], 48)}"
             checked += _check(report, "tangents", name, lambda: (
@@ -322,19 +308,19 @@ def replay_report(report: RunReport) -> None:
 def _check_history(report: RunReport) -> None:
     """The checks of a v3 report beyond the replay of its rows.
 
-    Each pair but the seed's three has exactly one "new" row, the rows'
-    ordinals increase below the attempt total, and each row combines pairs
-    due in its generation: one made in the generation before, the other no
-    later.  Walking the rows from the seed's unit labels gives each pair
-    its unreduced label kappa - x - y; the stored duplicates must each
-    teach a relation, and together exactly `relations`.  Each label is the
-    unreduced one reduced by them, and no two pairs share one.  Each
-    generation's stats match its rows, and its attempts are those due,
-    or fewer in the last one when the point cap ended it on a new pair.
-    `pair_count` and `point_count` count the pairs and their points, and
-    the run is `closed` when it attempted every combination of its pairs.
+    Each stored row is the attempt that `_schedule` draws at its ordinal,
+    and the ordinals strictly increase.  Each pair but the seed's three has
+    exactly one "new" row.  Walking the rows from the seed's unit labels
+    gives each pair its unreduced label kappa - x - y; the stored
+    duplicates must each teach a relation, and together exactly
+    `relations`.  Each label is the unreduced one reduced by them, and no
+    two pairs share one.  Then every derived field must be what the rows
+    give: `stats` (by `_stats` and `stats_to_json`), `generations`,
+    `pair_count`, `point_count` and `closed`.  A generation attempts all of
+    its pending combinations, except the last one when the point cap ended
+    it on a new pair.
     """
-    pairs, stats, relations = report.pairs, report.stats, report.relations
+    pairs, stats, rows = report.pairs, report.stats, report.rows
     if len(report.labels) != len(pairs):
         raise InvariantViolation(f"{len(report.labels)} labels for {len(pairs)} pairs")
     if len(stats) != report.generations + 1:
@@ -343,72 +329,60 @@ def _check_history(report: RunReport) -> None:
     seeds = [index.get(pair.key) for pair in report.seed]
     if None in seeds or len(set(seeds)) != 3:
         raise InvariantViolation("the seed is not three of the report's pairs")
-    ends = list(accumulate(g["attempted"] for g in stats))
-    total = ends[-1] if ends else 0
+
+    attempted = [g["attempted"] for g in stats]
+    unreduced = {s: tuple(int(c == m) for c in range(len(_KAPPA))) for m, s in enumerate(seeds)}
+    taught: list[tuple[int, ...]] = []
+    p = low = 0  # the next stored row, and the least ordinal it may have
+    for start, i, js in _schedule(seeds, rows, attempted):
+        while p < len(rows) and rows[p].n < start + len(js):
+            n, ri, rj, status, k = rows[p]
+            if n < low or (ri, rj) != (i, js[n - start]):
+                raise InvariantViolation(
+                    f"provenance row {n} is out of order or not the attempt due at its ordinal"
+                )
+            child = tuple(c - a - b for c, a, b in zip(_KAPPA, unreduced[i], unreduced[rj]))
+            if status == "new":
+                if k in unreduced:
+                    raise InvariantViolation(f"pair {k} is made by more than one row")
+                unreduced[k] = child
+            elif status == "duplicate":
+                if k not in unreduced:
+                    raise InvariantViolation(f"provenance row {n} repeats pair {k} before it is made")
+                relation = tuple(a - b for a, b in zip(child, unreduced[k]))
+                if not any(_reduce(relation, _hnf(taught))):
+                    raise InvariantViolation(f"provenance row {n} is a duplicate its labels imply")
+                taught.append(relation)
+            p, low = p + 1, n + 1
+    total = sum(attempted)
+    if p < len(rows):
+        raise InvariantViolation(
+            f"provenance row {rows[p].n} is out of order or beyond the {total} attempts"
+        )
+    if len(unreduced) != len(pairs):
+        orphan = min(set(range(len(pairs))) - set(unreduced))
+        raise InvariantViolation(f"pair {orphan} has no row that makes it")
+
+    if _hnf(taught) != report.relations:
+        raise InvariantViolation("the relations are not those the duplicate rows teach")
+    for k, label in enumerate(report.labels):
+        if _reduce(unreduced[k], report.relations) != label:
+            raise InvariantViolation(f"the label of pair {k} is not that of its parents")
+    if len(set(report.labels)) != len(pairs):
+        raise InvariantViolation("two pairs share a label")
+
+    derived = stats_to_json(report.seed, pairs, rows, _stats(rows, attempted))
+    ends_new = bool(rows) and (rows[-1].n, rows[-1].status) == (total - 1, "new")
+    for g, (entry, due) in enumerate(zip(stats, derived)):
+        if entry != due or entry["attempted"] > entry["pending"]:
+            raise InvariantViolation(f"the stats of generation {g} disagree with its rows")
+        if entry["attempted"] < entry["pending"] and (
+            g != len(stats) - 1 or entry["attempted"] and not ends_new
+        ):
+            raise InvariantViolation(f"generation {g} stops short of its {entry['pending']} combinations")
     if (report.pair_count, report.point_count, report.closed) != (
         len(pairs), 2 * len(pairs), total == len(pairs) * (len(pairs) - 1) // 2
     ):
         raise InvariantViolation(
             "pair_count, point_count or closed disagrees with the pairs and attempts"
         )
-
-    unreduced = {s: tuple(int(c == m) for c in range(len(_KAPPA))) for m, s in enumerate(seeds)}
-    made_in = dict.fromkeys(seeds, -1)  # the generation each pair was made in
-    taught: list[tuple[int, ...]] = []
-    counts = defaultdict(Counter)
-    last = {}  # generation -> (ordinal, status) of its last row
-    previous = -1
-    for n, i, j, status, k in report.rows:
-        if not previous < n < total:
-            raise InvariantViolation(
-                f"provenance row {n} is out of order or beyond the {total} attempts"
-            )
-        previous = n
-        g = bisect_right(ends, n)
-        if i not in unreduced or j not in unreduced or max(made_in[i], made_in[j]) != g - 1:
-            raise InvariantViolation(f"provenance row {n} combines pairs not due in generation {g}")
-        child = tuple(c - a - b for c, a, b in zip(_KAPPA, unreduced[i], unreduced[j]))
-        if status == "new":
-            if k in unreduced:
-                raise InvariantViolation(f"pair {k} is made by more than one row")
-            unreduced[k], made_in[k] = child, g
-        elif status == "duplicate":
-            if k not in unreduced:
-                raise InvariantViolation(f"provenance row {n} repeats pair {k} before it is made")
-            relation = tuple(a - b for a, b in zip(child, unreduced[k]))
-            if not any(_reduce(relation, _hnf(taught))):
-                raise InvariantViolation(f"provenance row {n} is a duplicate its labels imply")
-            taught.append(relation)
-        counts[g][status if status != "skipped" else k] += 1
-        last[g] = (n, status)
-    if len(unreduced) != len(pairs):
-        orphan = min(set(range(len(pairs))) - set(unreduced))
-        raise InvariantViolation(f"pair {orphan} has no row that makes it")
-
-    if _hnf(taught) != relations:
-        raise InvariantViolation("the relations are not those the duplicate rows teach")
-    for p, label in enumerate(report.labels):
-        if _reduce(unreduced[p], relations) != label:
-            raise InvariantViolation(f"the label of pair {p} is not that of its parents")
-    if len(set(report.labels)) != len(pairs):
-        raise InvariantViolation("two pairs share a label")
-
-    made, met = 3, 0  # pairs made before the generation, and before the one before
-    for g, entry in enumerate(stats):
-        count = counts[g]
-        skipped = {reason: count[reason] for reason in SKIP_REASONS}
-        due = made * (made - 1) // 2 - met * (met - 1) // 2
-        if (
-            entry["pending"] != due
-            or entry["new"] != count["new"]
-            or entry["skipped"] != skipped
-            or entry["duplicate"] < count["duplicate"]
-            or entry["attempted"] != entry["new"] + entry["duplicate"] + sum(skipped.values())
-            or entry["attempted"] > due
-        ):
-            raise InvariantViolation(f"the stats of generation {g} disagree with its rows")
-        if entry["attempted"] < due and (
-            g != len(stats) - 1 or entry["attempted"] and last.get(g) != (ends[g] - 1, "new")
-        ):
-            raise InvariantViolation(f"generation {g} stops short of its {due} combinations")
-        made, met = made + entry["new"], made

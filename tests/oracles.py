@@ -3,6 +3,7 @@ of `schroeter` because no command runs them.  Imported as `oracles`."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
@@ -422,11 +423,17 @@ def gradient_by_terms(cubic: Cubic, t) -> tuple[int, int, int]:
     return (gx, gy, gz)
 
 
+def pending_pairs(n: int, fresh: list[int]) -> Iterator[tuple[int, int]]:
+    """The rank pairs (i, j), i < j < n, of `engine._rows`, one at a time,
+    in lexicographic order."""
+    return ((i, j) for i, js in engine._rows(range(n), fresh) for j in js)
+
+
 def expand_provenance(report: dict) -> list[engine.Attempt]:
     """Every attempt of a v3 run report, as `engine.Attempt` rows.
 
     Generation 0 combines the seed pairs (a, b), (b, c), (c, a); each later
-    one draws `engine._pending` over the pairs made before it, in the order
+    one draws `pending_pairs` over the pairs made before it, in the order
     of `pairs`, with those made in the generation before as the fresh ones,
     and stops at its recorded attempt count.  A stored row keeps its
     ordinal; every other attempt is a duplicate of the pair labelled
@@ -448,7 +455,7 @@ def expand_provenance(report: dict) -> list[engine.Attempt]:
             rank = {p: r for r, p in enumerate(ordered)}
             due = (
                 (ordered[r], ordered[s])
-                for r, s in engine._pending(len(ordered), [rank[p] for p in fresh])
+                for r, s in pending_pairs(len(ordered), [rank[p] for p in fresh])
             )
         fresh = []
         for i, j in islice(due, entry["attempted"]):

@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schroeter import serialize
@@ -228,6 +228,13 @@ def _seed_only_report(generations: int) -> dict:
     }
 
 
+# The stats of a bootstrap whose three attempts were all duplicates.
+_BOOTSTRAP = {
+    "pending": 3, "attempted": 3, "new": 0, "duplicate": 3,
+    "skipped": {"DegenerateLines": 0, "SharedPoint": 0}, "digits": 1,
+}
+
+
 @pytest.mark.parametrize("command", ["verify", "plot"])
 @pytest.mark.parametrize(
     "content",
@@ -236,7 +243,10 @@ def _seed_only_report(generations: int) -> dict:
      {"pairs": [], "format_version": 1}, {"pairs": [], "format_version": 3},
      {"pairs": [], "format_version": 4},
      {"pairs": [], "format_version": "2"}, {"pairs": [], "format_version": None},
-     _seed_only_report(-1)],
+     _seed_only_report(-1),
+     {**_seed_only_report(0), "stats": [{**_BOOTSTRAP, "attempted": -5}]},
+     {**_seed_only_report(0),
+      "stats": [{**_BOOTSTRAP, "skipped": {"DegenerateLines": 0, "SharedPoint": -1}}]}],
 )
 def test_malformed_report(tmp_path, capsys, command, content):
     report = tmp_path / "bad.json"
@@ -396,6 +406,47 @@ class TestReportReplay:
         rows = altered["provenance"]
         a, b = _two(data, len(rows), "row")
         rows[a], rows[b] = rows[b], rows[a]
+        assert _verify(altered, directory) == 3
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_moved_row(self, frame_report, data):
+        """A stored row moved to a free ordinal of its own generation keeps
+        every count and label; only the attempt due there tells."""
+        report, directory = frame_report
+        altered = json.loads(json.dumps(report))
+        rows = altered["provenance"]
+        # the run's last row stays: it ends the generation the point cap cut
+        row = rows[data.draw(st.integers(0, len(rows) - 2), label="row")]
+        end = 0
+        for entry in altered["stats"]:
+            start, end = end, end + entry["attempted"]
+            if row[0] < end:
+                break
+        free = sorted(set(range(start, end)) - {r[0] for r in rows})
+        assume(free)
+        row[0] = data.draw(st.sampled_from(free), label="ordinal")
+        rows.sort()
+        assert _verify(altered, directory) == 3
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_swapped_parents(self, frame_report, data):
+        """`combine` is symmetric, so a row with its parents swapped still
+        replays, but it is not the attempt due at its ordinal."""
+        report, directory = frame_report
+        altered = json.loads(json.dumps(report))
+        row = altered["provenance"][data.draw(st.integers(0, len(altered["provenance"]) - 1))]
+        row[1], row[2] = row[2], row[1]
+        assert _verify(altered, directory) == 3
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_edited_digits(self, frame_report, data):
+        report, directory = frame_report
+        altered = json.loads(json.dumps(report))
+        entry = altered["stats"][data.draw(st.integers(0, len(altered["stats"]) - 1))]
+        entry["digits"] += data.draw(st.integers(-min(5, entry["digits"]), 5).filter(bool))
         assert _verify(altered, directory) == 3
 
     @pytest.mark.parametrize("field, value", [("closed", True), ("pair_count", 7), ("point_count", 99)])

@@ -62,6 +62,7 @@ from oracles import (
     expand_provenance,
     multiply,
     normalized_frame_cubic,
+    pending_pairs,
     subgroup_generated,
     verify_involution,
 )
@@ -499,7 +500,7 @@ class TestEnumeration:
         expected = sorted(
             (i, j) for i, j in combinations(range(n), 2) if i in fresh or j in fresh
         )
-        assert list(engine._pending(n, fresh)) == expected
+        assert list(pending_pairs(n, fresh)) == expected
 
     def test_a_capped_run_screens_no_row_past_the_cap(self, monkeypatch, golden_frame_seed):
         """Each combination that runs the geometry is a stored row, and the
@@ -507,8 +508,8 @@ class TestEnumeration:
         drawn."""
         rows, drawn, calls = engine._rows, [], []
 
-        def counting_rows(n, fresh):
-            for row in rows(n, fresh):
+        def counting_rows(items, fresh):
+            for row in rows(items, fresh):
                 drawn.append(row)
                 yield row
 
