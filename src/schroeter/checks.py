@@ -7,19 +7,25 @@ claim from an inapplicable configuration.
 
 from __future__ import annotations
 
-from .cubic import Cubic, _eval_triple, chord_third, evaluate, gradient, tangent_third
+from .cubic import (
+    Cubic,
+    _chord_coefficients,
+    _eval_triple,
+    chord_third,
+    evaluate,
+    gradient,
+    tangent_third,
+)
 from .engine import PointPair
 from .errors import (
     DegenerateHexagon,
     HypothesisFailed,
-    IdenticalLines,
-    IdenticalPoints,
     LinesNotDistinct,
     NotOnCurve,
     TooDegenerate,
     brief,
 )
-from .projective import ProjLine, ProjPoint, Triple, collinear, cross, join, meet
+from .projective import ProjLine, ProjPoint, Triple, collinear, cross, join
 from .involution import Involution, conjugate_line
 from .weierstrass import TWO_TORSION, WeierstrassCurve, conjugate_point
 
@@ -64,6 +70,46 @@ def tangent_meet(cubic: Cubic, p: ProjPoint, pbar: ProjPoint) -> Triple | None:
     return m
 
 
+# The opposite sides of the hexagon (a, b, c, abar, bbar, cbar): the two
+# lines of each as vertex indices, in the order their joins are tested, and
+# whether _meets_on_curve combines the second line's vertices rather than
+# the first's, so that it combines each vertex once.
+_SIDES = (((0, 1), (3, 4), False), ((1, 2), (4, 5), True), ((2, 3), (5, 0), False))
+
+
+def _meets_on_curve(curve: Cubic, hexagon) -> list[bool]:
+    """Whether each opposite-side meet of an inscribed hexagon lies on the
+    cubic, decided without forming the meet.
+
+    The meet of the lines u v and s t is m = alpha*u + beta*v, with
+    l = s x t, alpha = l.v and beta = -l.u.  When u and v are on the cubic,
+    F(m) = alpha*beta*(alpha*dF(u).v + beta*dF(v).u), so m is on it exactly
+    when alpha or beta is zero (m is then a vertex) or the bracket is.
+    Each vertex's gradient dF is taken once, and by Euler's identity
+    dF(p).p = 3F(p) it also tests that the vertex is on the cubic.  The two
+    lines of a side are one exactly when alpha = beta = 0.  NotOnCurve names
+    the first vertex off the cubic; then the sides are tested in order, and
+    a degenerate one raises DegenerateHexagon whatever the others' meets.
+    """
+    grads = [gradient(curve, p.coords) for p in hexagon]
+    for p, g in zip(hexagon, grads):
+        if _dot(g, p.coords):
+            raise NotOnCurve(f"{brief(p)} is not on the cubic")
+    on_curve = []
+    for first, second, swap in _SIDES:
+        for s, t in (first, second):
+            if hexagon[s] == hexagon[t]:
+                raise DegenerateHexagon(f"cannot join {brief(hexagon[s])} with itself")
+        (u, v), (s, t) = (second, first) if swap else (first, second)
+        line = cross(hexagon[s].coords, hexagon[t].coords)
+        pu, pv = hexagon[u].coords, hexagon[v].coords
+        alpha, beta = _dot(line, pv), -_dot(line, pu)
+        if not (alpha or beta):
+            raise DegenerateHexagon(f"cannot intersect {brief(ProjLine(line))} with itself")
+        on_curve.append(not (alpha and beta and alpha * _dot(grads[u], pv) + beta * _dot(grads[v], pu)))
+    return on_curve
+
+
 def chasles_check(
     curve: Cubic,
     a: ProjPoint,
@@ -76,18 +122,12 @@ def chasles_check(
     """Chasles: for a hexagon a b c abar bbar cbar inscribed in the cubic,
     if two opposite-side meets lie on the curve then so does the third.
 
-    Returns True vacuously when a hypothesis meet is off the curve.
+    Returns True vacuously when a hypothesis meet is off the curve.  The
+    meets are the lines ab and abar bbar, bc and bbar cbar, c abar and
+    cbar a; no meet is formed (see _meets_on_curve).
     """
-    _require_on(curve, a, b, c, abar, bbar, cbar)
-    try:
-        m1 = meet(join(a, b), join(abar, bbar))
-        m2 = meet(join(b, c), join(bbar, cbar))
-        m3 = meet(join(c, abar), join(cbar, a))
-    except (IdenticalPoints, IdenticalLines) as exc:
-        raise DegenerateHexagon(str(exc)) from exc
-    if evaluate(curve, m1) == 0 and evaluate(curve, m2) == 0:
-        return evaluate(curve, m3) == 0
-    return True
+    on1, on2, on3 = _meets_on_curve(curve, (a, b, c, abar, bbar, cbar))
+    return on3 or not (on1 and on2)
 
 
 def _pair_involution(s: ProjPoint, pair_a: PointPair, pair_b: PointPair) -> Involution:
@@ -136,21 +176,27 @@ def chord_tangency_check(
     `tangential` is the pair's tangent meet from tangent_meet, if known:
     the tangential point of a at some scale.  The identity then passes
     without tangent_third when b != T, n != T, b != n and det(b, T, n) = 0;
-    any other case is decided as without it."""
+    any other case is decided as without it.  That fast path takes b as the
+    raw triple c1*a - c2*abar, with (c3, c2, c1, c0) the chord's
+    coefficients: b is neither a nor abar exactly when c1*c2 != 0, and b is
+    T = (0 : 0 : 1) exactly when b0 = b1 = 0.  The canonical chord_third
+    runs only when the fast path decides nothing."""
     cubic = curve.cubic
+    if tangential is not None:
+        c3, c2, c1, c0 = _chord_coefficients(cubic, a.coords, abar.coords)
+        if not (c3 or c0) and c1 and c2:
+            b0, b1, b2 = (c1 * p - c2 * q for p, q in zip(a.coords, abar.coords))
+            n0, n1, n2 = tangential[0], -tangential[1], tangential[2]
+            if (
+                (b0 or b1)
+                and (n0 or n1)
+                and b0 * n1 == b1 * n0
+                and (b0 * n2 != b2 * n0 or b1 * n2 != b2 * n1)
+            ):
+                return True
     b = chord_third(cubic, a, abar)
     if b in (a, abar):
         raise TooDegenerate("tangent chord")
-    if tangential is not None:
-        b0, b1, b2 = b.coords
-        n0, n1, n2 = tangential[0], -tangential[1], tangential[2]
-        if (
-            b != TWO_TORSION
-            and (n0 or n1)
-            and b0 * n1 == b1 * n0
-            and (b0 * n2 != b2 * n0 or b1 * n2 != b2 * n1)
-        ):
-            return True
     x, y, z = tangent_third(cubic, a).coords
     n = ProjPoint((x, -y, z))
     if len({b, TWO_TORSION, n}) == 3:

@@ -10,7 +10,7 @@ pencil parameter.  The two must agree exactly; a mismatch raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 from .errors import (
     DegenerateChoice,
@@ -86,21 +86,20 @@ def _algebraic_conjugate(inv: Involution, d: ProjLine) -> ProjLine:
 
 
 def _ruler_conjugate(inv: Involution, d: ProjLine, choice: int) -> ProjLine:
+    """The ruler construction of the conjugate of d.
+
+    The base point on d is the first admissible of six candidates: the
+    first six points of points_on_line(d) other than the carrier, rotated
+    left by choice % 6.  They are drawn lazily, so a construction that
+    succeeds on its first base canonicalizes no further point of d.
+    """
     carrier = inv.carrier
     a, abar = inv.pair_a
     b, bbar = inv.pair_b
 
-    candidates = []
-    gen = points_on_line(d)
-    for p in gen:
-        if p != carrier:
-            candidates.append(p)
-        if len(candidates) >= 6:
-            break
-    shift = choice % len(candidates)
-    candidates = candidates[shift:] + candidates[:shift]
-
-    for base in candidates:
+    candidates = islice((p for p in points_on_line(d) if p != carrier), 6)
+    skipped = list(islice(candidates, choice % 6))
+    for base in chain(candidates, skipped):
         aux_lines = []
         for ref in _AUX_POOL[choice % 3:] + _AUX_POOL[: choice % 3]:
             if ref == base or incident(ref, d):

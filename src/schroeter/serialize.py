@@ -319,10 +319,13 @@ def state_points_csv(state: ConstructionState) -> str:
     return "\n".join(lines) + "\n"
 
 
-# A run report's rows as `json.dumps` indents them: a provenance row
-# [n, i, j, status, k], and a label of four integers.
+# A report's rows as `json.dumps` indents them: a provenance row
+# [n, i, j, status, k], a label of four integers, and a pair of two points
+# of three coordinate strings each.
 _ROW = "    [\n      %d,\n      %d,\n      %d,\n      %s,\n      %s\n    ]"
 _LABEL = "    [\n      %d,\n      %d,\n      %d,\n      %d\n    ]"
+_POINT = "      [\n        %s,\n        %s,\n        %s\n      ]"
+_PAIR = "    [\n" + _POINT + ",\n" + _POINT + "\n    ]"
 
 
 def _provenance_row(row) -> str:
@@ -334,14 +337,19 @@ def _label_row(label) -> str:
     return _LABEL % tuple(label)
 
 
-_TEMPLATES = {"labels": _label_row, "provenance": _provenance_row}
+def _pair_row(pair) -> str:
+    first, second = pair
+    return _PAIR % tuple(map(_json_string, (*first, *second)))
+
+
+_TEMPLATES = {"labels": _label_row, "pairs": _pair_row, "provenance": _provenance_row}
 
 
 def dumps(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` and a newline.
 
-    The labels and provenance rows of a run report are written from
-    templates and spliced into the encoding of its other keys: `json`
+    The pairs, labels and provenance rows of a report or a seed are written
+    from templates and spliced into the encoding of its other keys: `json`
     indents through its pure-Python encoder, which is slow on many small
     rows.
     """

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 from .checks import (
     chasles_check,
@@ -164,7 +165,7 @@ def _suite_tangents(state, report, cubic):
     for s_pair in pairs:
         if checked >= LIMIT:
             break
-        p_pair, q_pair = [p for p in pairs if p is not s_pair][:2]
+        p_pair, q_pair = islice((p for p in pairs if p is not s_pair), 2)
         for contact in s_pair.points:
             name = f"ruler tangent at {_key_head([contact], 48)}"
             checked += _check(report, "tangents", name, lambda: (
@@ -191,11 +192,11 @@ def _suite_lines(state, report, cubic):
         for r in r_pair.points:
             if checked >= LIMIT:
                 return
-            others = [p for p in pairs if p is not r_pair and r not in p]
+            others = list(islice((p for p in pairs if p is not r_pair and r not in p), 3))
             if len(others) < 3:
                 continue
             name = f"line involution at {_key_head([r], 48)}"
-            checked += _check(report, "lines", name, lambda: conjugate_lines_check(cubic, r, *others[:3]))
+            checked += _check(report, "lines", name, lambda: conjugate_lines_check(cubic, r, *others))
 
 
 def _suite_center(state, report, curve: WeierstrassCurve):

@@ -12,8 +12,9 @@ from schroeter import (
     WeierstrassCurve,
     seed_from_curve,
 )
-from schroeter.engine import PointPair, SeedConfig, validate_seed
+from schroeter.engine import PointPair, SeedConfig, run, validate_seed
 from schroeter.errors import SchroeterError
+from schroeter.weierstrass import add
 
 from oracles import bootstrap_seed
 
@@ -77,7 +78,6 @@ def random_smooth_frame_seeds(rng: random.Random, count: int):
     no tangential points, so tangent-based acceptance checks re-roll them.
     """
     from schroeter.cubic import tangent_third
-    from schroeter.engine import run
 
     seeds = []
     while len(seeds) < count:
@@ -91,6 +91,22 @@ def random_smooth_frame_seeds(rng: random.Random, count: int):
             continue
         seeds.append(seed)
     return seeds
+
+
+def cubics_with_points():
+    """(cubic, points on it) for two cubics: curve12's, with the seed points
+    (1, 2) and (1/16, 23/64) and eight more, each the sum of the two before
+    by the group law (the last has 1,133 digits); and the cubic of the
+    golden frame seed's run to 64 points, with its pairs' points."""
+    curve12 = WeierstrassCurve(1, 2)
+    points = [ProjPoint.affine(1, 2), ProjPoint.of(4, 23, 64)]
+    while len(points) < 10:
+        points.append(add(curve12, points[-2], points[-1]))
+    frame = run(frame_seed(ProjPoint.of(2, 3, 1), ProjPoint.of(5, 1, 1)), max_points=64)
+    return [
+        (curve12.cubic, points),
+        (frame.curve, [p for pair in frame.pairs for p in pair.points]),
+    ]
 
 
 @pytest.fixture(scope="session")

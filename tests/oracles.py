@@ -14,6 +14,7 @@ from schroeter.cubic import Cubic, chord_third, evaluate, fit_cubic_9, tangent_t
 from schroeter.engine import ConstructionState, SeedConfig
 from schroeter.errors import (
     DegeneracyError,
+    DegenerateHexagon,
     DuplicatePoints,
     HypothesisFailed,
     IdenticalLines,
@@ -281,6 +282,30 @@ def check_pair_differences(state: ConstructionState, curve: WeierstrassCurve) ->
             )
         count += 1
     return count
+
+
+def chasles_reference(
+    curve: Cubic,
+    a: ProjPoint,
+    b: ProjPoint,
+    c: ProjPoint,
+    abar: ProjPoint,
+    bbar: ProjPoint,
+    cbar: ProjPoint,
+) -> bool:
+    """`checks.chasles_check` as it was before it decided the meets by the
+    polar identity: each opposite-side meet formed in canonical form and
+    evaluated."""
+    _require_on(curve, a, b, c, abar, bbar, cbar)
+    try:
+        m1 = meet(join(a, b), join(abar, bbar))
+        m2 = meet(join(b, c), join(bbar, cbar))
+        m3 = meet(join(c, abar), join(cbar, a))
+    except (IdenticalPoints, IdenticalLines) as exc:
+        raise DegenerateHexagon(str(exc)) from exc
+    if evaluate(curve, m1) == 0 and evaluate(curve, m2) == 0:
+        return evaluate(curve, m3) == 0
+    return True
 
 
 def tangent_meet_check(

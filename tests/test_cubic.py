@@ -26,7 +26,7 @@ from schroeter.errors import (
 from schroeter.projective import ProjLine, ProjPoint, join
 from schroeter.weierstrass import WeierstrassCurve
 
-from conftest import random_frame_seeds
+from conftest import cubics_with_points, random_frame_seeds
 from oracles import (
     NotAffine,
     bootstrap_seed,
@@ -42,6 +42,14 @@ W12 = WeierstrassCurve(1, 2)
 
 # integers with zero, small ones and ones of up to about 100 digits
 entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**100, 10**100))
+nonzero = entries.filter(bool)
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+ON_CURVE = cubics_with_points()
 
 
 class TestEvaluate:
@@ -53,6 +61,25 @@ class TestEvaluate:
         cubic = Cubic.of(coeffs)
         assert _eval_triple(cubic, t) == eval_triple_by_terms(cubic, t)
         assert gradient(cubic, t) == gradient_by_terms(cubic, t)
+
+    @given(st.lists(entries, min_size=10, max_size=10), st.tuples(entries, entries, entries))
+    def test_euler_identity(self, coeffs, t):
+        """dF(t).t = 3F(t) for any triple, on or off the curve."""
+        assume(any(coeffs))
+        cubic = Cubic.of(coeffs)
+        assert _dot(gradient(cubic, t), t) == 3 * _eval_triple(cubic, t)
+
+    @given(st.sampled_from(ON_CURVE).flatmap(
+        lambda case: st.tuples(st.just(case[0]), st.sampled_from(case[1]), st.sampled_from(case[1]))
+    ), nonzero, nonzero)
+    def test_polar_identity(self, case, alpha, beta):
+        """For u and v on the cubic, F(alpha u + beta v) =
+        alpha beta (alpha dF(u).v + beta dF(v).u)."""
+        cubic, u, v = case
+        u, v = u.coords, v.coords
+        m = tuple(alpha * a + beta * b for a, b in zip(u, v))
+        polar = alpha * _dot(gradient(cubic, u), v) + beta * _dot(gradient(cubic, v), u)
+        assert _eval_triple(cubic, m) == alpha * beta * polar
 
     def test_parametrized_points(self):
         assert evaluate(TWISTED, ProjPoint.of(2, 8, 1)) == 0

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schroeter import serialize
+from schroeter.cli import main
 from schroeter.cubic import Cubic
 from schroeter.engine import Attempt, run
 from schroeter.errors import SeedFormatError
@@ -16,6 +17,8 @@ from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
 
 from oracles import expand_provenance, point_from_json_by_fraction
+
+SEEDS = Path(__file__).parents[1] / "seeds"
 
 
 rationals = st.fractions(
@@ -111,6 +114,20 @@ class TestSeed:
         obj = serialize.seed_to_json(torsion_seed_full, curve54)
         seed, curve = serialize.seed_from_json(obj)
         assert curve == curve54
+
+    @pytest.mark.parametrize("name", ["frame", "torsion"])
+    def test_dumps_is_the_generic_encoding(self, tmp_path, name):
+        """A seed's pairs go through the pairs' template: the checked-in
+        seeds and the one seed-from-curve writes are the generic encoding."""
+        path = SEEDS / f"{name}.json"
+        if name == "torsion":
+            path = tmp_path / "torsion.json"
+            assert main(["seed-from-curve", "--a", "5", "--b", "4", "--points", "0,0;2,6;-1,0",
+                         "--out", str(path)]) == 0
+            assert path.read_text() == (SEEDS / "torsion.json").read_text()
+        obj = serialize.load_json(path)
+        assert serialize.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert serialize.dumps(obj) == path.read_text()
 
     def test_malformed(self):
         with pytest.raises(SeedFormatError):
@@ -226,7 +243,7 @@ class TestState:
             curve = request.getfixturevalue("curve12").cubic
             state = run(request.getfixturevalue("curve12_seed"), max_points=128, curve=curve)
         else:
-            path = Path(__file__).parents[1] / "seeds" / "torsion.json"
+            path = SEEDS / "torsion.json"
             seed, curve = serialize.seed_from_json(serialize.load_json(path))
             state = run(seed, curve=curve.cubic)
         text = serialize.dumps(serialize.state_to_json(state))
@@ -235,14 +252,17 @@ class TestState:
     @pytest.mark.parametrize(
         "name, digest",
         [("curve12", "a38b9a6c99285fda8528ff3019633acbe24fa2652bb119f712cd168f0b37186e"),
+         ("curve12@256", "9287db82ae7c2bcf411b42a74d8d98d13ccd67e078faac9697aa328ac764d76e"),
          ("torsion", "501b1824a5a9e72f4c96bab79e7908e5b764007b27463dda11769b4420ace6d5"),
          ("frame", "268bbed95ebeab147372cb622f6d8cfa5a75d31823289093d2067cd03ac066db")],
     )
     def test_verify_report_bytes_pinned(self, request, name, digest):
-        """Any change to a verify suite that moves a verdict or a detail fails here."""
-        if name == "curve12":
+        """Any change to a verify suite that moves a verdict or a detail fails
+        here; curve12@256 is the verify input of perfbench's verify-curve12-256."""
+        if name.startswith("curve12"):
             curve = request.getfixturevalue("curve12")
-            state = run(request.getfixturevalue("curve12_seed"), max_points=128, curve=curve.cubic)
+            max_points = 256 if name == "curve12@256" else 128
+            state = run(request.getfixturevalue("curve12_seed"), max_points=max_points, curve=curve.cubic)
         elif name == "torsion":
             curve = request.getfixturevalue("curve54")
             state = run(request.getfixturevalue("torsion_seed_full"), curve=curve.cubic)

@@ -7,18 +7,23 @@ and `chords` are compared row by row with the full computations.
 """
 
 from collections import Counter
+from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from schroeter import checks, verify
-from schroeter.cubic import Cubic
+from schroeter.checks import _meets_on_curve, chasles_check
+from schroeter.cubic import Cubic, chord_third, evaluate
 from schroeter.engine import PointPair, run
-from schroeter.errors import HypothesisFailed, NotOnCurve, ValidationError
-from schroeter.projective import ProjPoint
+from schroeter.errors import HypothesisFailed, NotOnCurve, SchroeterError, ValidationError
+from schroeter.projective import ProjPoint, join, meet
 from schroeter.verify import run_suites
 
-from oracles import NotCollinear, chord_tangency_reference, multiply
+from conftest import cubics_with_points
+from oracles import NotCollinear, chasles_reference, chord_tangency_reference, multiply
 
 
 def outcome_counts(report):
@@ -206,3 +211,136 @@ def test_check_names_cut_the_full_coordinates(curve12, curve12_seed):
         for width in (1, 5, 48, 49, len(full), len(full) + 1):
             assert verify._key_head(pair.points, width) == full[:width]
             assert verify._key_head(pair.points[:1], width) == full.split("|")[0][:width]
+
+
+# points on curve12's cubic and on a frame run's, and one off both
+HEXAGON_POINTS = [
+    (cubic, [*points, ProjPoint.of(3, 5, 7)]) for cubic, points in cubics_with_points()
+]
+
+
+class TestChaslesAgainstTheReference:
+    """`chasles_check` decides each meet by the polar identity; the reference
+    forms each meet in canonical form and evaluates the cubic there.  They
+    must agree on the verdict, the detail or the exception, and on which
+    meets lie on the cubic."""
+
+    # y(x^2 + y^2 - z^2): the line y = 0 is a component
+    LINE_AND_CONIC = Cubic.of([0, 1, 0, 0, 0, 0, 1, 0, -1, 0])
+
+    @staticmethod
+    def outcome(check, curve, hexagon):
+        try:
+            return check(curve, *hexagon)
+        except SchroeterError as exc:
+            return type(exc).__name__, str(exc)
+
+    @staticmethod
+    def reference_meets(curve, hexagon):
+        a, b, c, abar, bbar, cbar = hexagon
+        sides = ((a, b, abar, bbar), (b, c, bbar, cbar), (c, abar, cbar, a))
+        return [evaluate(curve, meet(join(p, q), join(u, v))) == 0 for p, q, u, v in sides]
+
+    def agree(self, curve, hexagon):
+        """Assert that the check and the reference agree; return the outcome."""
+        outcome = self.outcome(chasles_check, curve, hexagon)
+        assert outcome == self.outcome(chasles_reference, curve, hexagon)
+        if isinstance(outcome, bool):
+            assert _meets_on_curve(curve, hexagon) == self.reference_meets(curve, hexagon)
+        return outcome
+
+    @pytest.mark.parametrize("name", ["curve12", "torsion-full", "torsion-quadrilateral", "frame"])
+    def test_every_chasles_row(self, monkeypatch, request, name):
+        if name == "frame":
+            state = run(request.getfixturevalue("golden_frame_seed"), max_points=128)
+        else:
+            fixture, curve = {
+                "curve12": ("curve12_seed", "curve12"),
+                "torsion-full": ("torsion_seed_full", "curve54"),
+                "torsion-quadrilateral": ("torsion_seed_quadrilateral", "curve54"),
+            }[name]
+            cubic = request.getfixturevalue(curve).cubic
+            state = run(request.getfixturevalue(fixture), max_points=128, curve=cubic)
+        calls = []
+        monkeypatch.setattr(verify, "chasles_check", lambda curve, *hexagon: (
+            calls.append((curve, hexagon)) or chasles_check(curve, *hexagon)
+        ))
+        rows = [(r.name, r.status, r.detail) for r in run_suites(state, suites=("chasles",)).results]
+        # one call per row and basis cubic: the full torsion seed's family
+        # has two; the quadrilateral seed makes no pair, so it has no row
+        assert len(calls) == {"curve12": 61, "torsion-full": 2, "torsion-quadrilateral": 0, "frame": 61}[name]
+        assert {self.agree(curve, hexagon) for curve, hexagon in calls} <= {True}
+        monkeypatch.setattr(verify, "chasles_check", chasles_reference)
+        assert rows == [(r.name, r.status, r.detail) for r in run_suites(state, suites=("chasles",)).results]
+
+    @pytest.mark.parametrize("fixture", ["torsion_seed_full", "torsion_seed_quadrilateral"])
+    def test_every_hexagon_of_three_torsion_pairs(self, request, curve54, fixture):
+        """Each ordered choice of three pairs of the closed run, with each
+        pair's members either way round."""
+        state = run(request.getfixturevalue(fixture), curve=curve54.cubic)
+        for pairs in permutations(state.pairs, 3):
+            for flips in product((False, True), repeat=3):
+                members = [pair.points[::-1] if flip else pair.points for pair, flip in zip(pairs, flips)]
+                hexagon = tuple(p for p, _ in members) + tuple(q for _, q in members)
+                assert self.agree(curve54.cubic, hexagon) is True
+
+    @given(st.sampled_from(HEXAGON_POINTS).flatmap(lambda case: st.tuples(
+        st.just(case[0]), st.lists(st.sampled_from(case[1]), min_size=6, max_size=6)
+    )))
+    def test_random_hexagons(self, case):
+        cubic, hexagon = case
+        self.agree(cubic, tuple(hexagon))
+
+    def test_a_side_of_coincident_points(self, curve12):
+        p = [ProjPoint.affine(*xy) for xy in ((1, 2), (2, -4), (2, 4), (1, -2), (32, -184))]
+        golden = ProjPoint.of(4, 23, 64)
+        for hexagon in (
+            (p[0], p[0], p[2], p[1], p[3], golden),  # a = b
+            (p[0], p[2], golden, p[1], p[4], p[4]),  # bbar = cbar
+            (p[0], p[2], golden, p[1], p[3], p[0]),  # cbar = a
+        ):
+            name, detail = self.agree(curve12.cubic, hexagon)
+            assert name == "DegenerateHexagon" and detail.startswith("cannot join ")
+
+    def test_opposite_sides_on_one_line(self):
+        on_line = [ProjPoint.of(*t) for t in ((1, 0, 0), (2, 0, 1), (3, 0, 1), (0, 0, 1))]
+        on_conic = [ProjPoint.of(*t) for t in ((0, 1, 1), (3, 4, 5), (4, 3, 5))]
+        cubic = self.LINE_AND_CONIC
+        # the sides ab and abar bbar
+        first = (on_line[0], on_line[1], on_conic[0], on_line[2], on_line[3], on_conic[1])
+        # the sides c abar and cbar a; the meet of ab and abar bbar is off the
+        # cubic, so only a test of every side before any meet finds this
+        third = (on_line[0], on_conic[0], on_line[1], on_line[2], on_conic[2], on_line[3])
+        a, b, _, abar, bbar, _ = third
+        assert evaluate(cubic, meet(join(a, b), join(abar, bbar))) != 0
+        for hexagon in (first, third):
+            assert self.agree(cubic, hexagon) == (
+                "DegenerateHexagon", "cannot intersect [0 : 1 : 0] with itself"
+            )
+
+    def test_a_hypothesis_meet_off_the_cubic(self, curve12):
+        a, b, c = ProjPoint.affine(1, 2), ProjPoint.affine(2, 4), ProjPoint.affine(32, -184)
+        abar, bbar, cbar = ProjPoint.affine(1, -2), ProjPoint.affine(2, -4), ProjPoint.of(4, 23, 64)
+        assert self.agree(curve12.cubic, (a, b, c, abar, bbar, cbar)) is True
+        assert not all(_meets_on_curve(curve12.cubic, (a, b, c, abar, bbar, cbar))[:2])
+
+    def test_a_vertex_off_the_cubic(self, curve12):
+        on = [ProjPoint.affine(1, 2), ProjPoint.affine(2, 4), ProjPoint.affine(1, -2), ProjPoint.affine(2, -4)]
+        off = [ProjPoint.affine(1, 1), ProjPoint.affine(3, 5)]
+        hexagon = (on[0], off[0], on[1], on[2], on[3], off[1])
+        assert self.agree(curve12.cubic, hexagon) == ("NotOnCurve", "(1 : 1 : 1) is not on the cubic")
+
+    def test_meets_at_a_vertex(self, curve12):
+        """alpha = 0 or beta = 0: a side's meet is one of its vertices."""
+        cubic = curve12.cubic
+        a, b, c, abar, bbar, cbar = HEXAGON_POINTS[0][1][2:8]
+        for k, hexagon in (
+            (0, (a, chord_third(cubic, abar, bbar), c, abar, bbar, cbar)),  # m1 = b
+            (0, (chord_third(cubic, abar, bbar), b, c, abar, bbar, cbar)),  # m1 = a
+            (1, (a, b, c, abar, bbar, chord_third(cubic, b, c))),  # m2 = cbar
+            (1, (a, b, c, abar, chord_third(cubic, b, c), cbar)),  # m2 = bbar
+            (2, (a, b, c, chord_third(cubic, cbar, a), bbar, cbar)),  # m3 = abar
+            (2, (a, b, chord_third(cubic, cbar, a), abar, bbar, cbar)),  # m3 = c
+        ):
+            assert self.agree(cubic, hexagon) is True
+            assert _meets_on_curve(cubic, hexagon)[k] is True
