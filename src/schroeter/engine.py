@@ -186,11 +186,14 @@ class Attempt(NamedTuple):
 
 @dataclass
 class Generation:
-    """The counts of one generation; generation 0 is the bootstrap.
+    """The counts of one generation; generation 0 is the bootstrap.  The
+    state, the run report and the report as read all hold these records.
 
     `pending` counts the combinations due, those of a pair admitted in the
     generation before with any older pair; a run cut by the point cap
-    attempts fewer in its last generation.
+    attempts fewer in its last generation.  `digits` counts the decimal
+    digits of the largest |coordinate| among the pairs it made, 0 if none;
+    the seed pairs count in generation 0.
     """
 
     pending: int
@@ -198,6 +201,7 @@ class Generation:
     new: int
     duplicate: int
     skipped: dict[str, int]  # by reason, every one of SKIP_REASONS
+    digits: int
 
 
 @dataclass
@@ -210,22 +214,28 @@ class ConstructionState:
     predict, those that ran the geometry: the new pairs, the skipped
     combinations and the duplicates that taught a relation.  Every other
     attempt was a duplicate of the pair labelled kappa - l_i - l_j.
-    `stats` has the counts of each generation, and `frontier` those of the
-    combinations of the final pairs that were never attempted; the run is
-    closed when there are none.  `provenance` is built from these when
-    first read.
+    `stats` has one `Generation` per generation, the bootstrap first, and
+    `generations`, `frontier` (the combinations never attempted) and
+    `closed` (no frontier) follow from it.  `provenance` is built when read.
     """
 
     seed: SeedConfig
     pairs: tuple[PointPair, ...]
     curve: Cubic | None
     curve_basis: tuple[Cubic, ...]
-    generations: int
-    frontier: int
     rows: tuple[Attempt, ...] = ()
     labels: tuple[_Label, ...] = ()
     relations: tuple[_Label, ...] = ()
     stats: tuple[Generation, ...] = ()
+
+    @property
+    def generations(self) -> int:
+        return len(self.stats) - 1
+
+    @property
+    def frontier(self) -> int:
+        n = len(self.pairs)
+        return n * (n - 1) // 2 - sum(g.attempted for g in self.stats)
 
     @property
     def closed(self) -> bool:
@@ -242,9 +252,8 @@ class ConstructionState:
         at every other ordinal of `_schedule` the duplicate that the final
         labels imply.  Built on first read; neither the run nor the report
         writer reads it."""
-        index = {pair.key: k for k, pair in enumerate(self.pairs)}
         by_label = {label: k for k, label in enumerate(self.labels)}
-        seeds = [index[pair.key] for pair in self.seed.pairs]
+        seeds = [self.pairs.index(pair) for pair in self.seed.pairs]
         stored = {row.n: row for row in self.rows}
         return [
             stored.get(n) or Attempt(
@@ -307,48 +316,57 @@ def _hnf(rows: list[_Label]) -> list[_Label]:
 
 
 class _Workspace:
+    """A run's pairs so far, named by admission index (the seed pairs are
+    0, 1 and 2): `pairs` and `labels` in admission order, and the index of
+    each point's pair in `owner` and of each label's in `index_of_label`."""
+
     def __init__(self):
-        self.pairs: dict[PairKey, PointPair] = {}
-        self.point_owner: dict[ProjPoint, PairKey] = {}
-        self.labels: dict[PairKey, _Label] = {}
-        self.key_of_label: dict[_Label, PairKey] = {}
+        self.pairs: list[PointPair] = []
+        self.labels: list[_Label] = []
+        self.owner: dict[ProjPoint, int] = {}
+        self.index_of_label: dict[_Label, int] = {}
         self.relations: list[_Label] = []  # in Hermite normal form
 
-    def admit(self, pair: PointPair, label: _Label | None = None):
-        """Add a pair whose key is new; its points must be new as well.
+    def find(self, pair: PointPair) -> int | None:
+        """The index of the admitted pair equal to `pair`, if any: a point
+        belongs to one pair only, so its first point's owner is the one candidate."""
+        k = self.owner.get(pair.first)
+        return k if k is not None and self.pairs[k] == pair else None
 
-        A pair admitted without a label is a seed pair: the i-th one gets
-        the unit label e_i.
-        """
+    def admit(self, pair: PointPair, label: _Label | None = None) -> int:
+        """Add a pair whose points are all new and return its index.  A pair
+        admitted without a label is a seed pair: the i-th one gets e_i."""
         for p in pair.points:
-            owner = self.point_owner.get(p)
+            owner = self.owner.get(p)
             if owner is not None:
                 raise InvariantViolation(
                     f"point {brief(p)} of {brief(pair)} already belongs to "
                     f"pair {brief(self.pairs[owner])}"
                 )
+        k = len(self.pairs)
         if label is None:
-            label = tuple(int(i == len(self.pairs)) for i in range(len(_KAPPA)))
-        self.pairs[pair.key] = pair
-        self.labels[pair.key] = label
-        self.key_of_label[label] = pair.key
+            label = tuple(int(i == k) for i in range(len(_KAPPA)))
+        self.pairs.append(pair)
+        self.labels.append(label)
+        self.index_of_label[label] = k
         for p in pair.points:
-            self.point_owner[p] = pair.key
+            self.owner[p] = k
+        return k
 
     def learn(self, relation: _Label):
-        """Add a relation between labels and re-key every pair by it; two
+        """Add a relation between labels and reduce every label by it; two
         pairs that come to share a label mean the relation is wrong."""
         self.relations = _hnf([*self.relations, relation])
-        self.labels = {k: _reduce(label, self.relations) for k, label in self.labels.items()}
-        self.key_of_label = {label: k for k, label in self.labels.items()}
-        if len(self.key_of_label) != len(self.labels):
+        self.labels = [_reduce(label, self.relations) for label in self.labels]
+        self.index_of_label = {label: k for k, label in enumerate(self.labels)}
+        if len(self.index_of_label) != len(self.labels):
             raise InvariantViolation(
                 f"the learned relation {relation} gives two distinct pairs one label"
             )
 
-    @property
-    def point_count(self) -> int:
-        return 2 * len(self.pairs)
+    def order(self) -> list[int]:
+        """The admission indices in the order of the pairs' keys."""
+        return sorted(range(len(self.pairs)), key=lambda k: self.pairs[k].key)
 
 
 def _rows(items: Sequence[int], fresh: list[int]) -> Iterator[tuple[int, Sequence[int]]]:
@@ -393,21 +411,27 @@ def _schedule(
         made += fresh
 
 
-def _stats(rows: Sequence[Attempt], attempted: Sequence[int]) -> tuple[Generation, ...]:
-    """Each generation's counts, from the stored rows, all below the total
-    of `attempted`, and its attempt count: `pending` from the "new" counts
-    of the generations before, `new` and `skipped` from the rows, and
-    `duplicate` the rest."""
+def _stats(pairs, seeds, rows: Sequence[Attempt], attempted: Sequence[int]) -> tuple[Generation, ...]:
+    """Each generation's record from the sorted pairs, the seed pairs, the
+    stored rows (all below the total of `attempted`) and its attempt count,
+    sorting the rows into generations in one pass.  `pending` follows from
+    the "new" counts before; `duplicate` is what the rows leave over."""
     ends = list(accumulate(attempted))
     tallies = [Counter() for _ in ends]  # by status, a skip by its reason
+    groups = [list(seeds), *([] for _ in ends[1:])]  # the pairs each one made
     for n, _, _, status, k in rows:
-        tallies[bisect_right(ends, n)][k if status == "skipped" else status] += 1
+        g = bisect_right(ends, n)
+        tallies[g][k if status == "skipped" else status] += 1
+        if status == "new":
+            groups[g].append(pairs[k])
     stats, made, met = [], 3, 0
-    for count, tally in zip(attempted, tallies):
+    for count, tally, group in zip(attempted, tallies, groups):
         skipped = {reason: tally[reason] for reason in SKIP_REASONS}
         new = tally["new"]
         pending = made * (made - 1) // 2 - met * (met - 1) // 2
-        stats.append(Generation(pending, count, new, count - new - sum(skipped.values()), skipped))
+        largest = max((abs(c) for pair in group for p in pair.points for c in p.coords), default=0)
+        digits = len(str(largest)) if largest else 0
+        stats.append(Generation(pending, count, new, count - new - sum(skipped.values()), skipped, digits))
         made, met = made + new, made
     return tuple(stats)
 
@@ -432,10 +456,12 @@ def run(
     later child of the row known, since labels are distinct, and a child
     that screened as known stays known, since a relation only merges label
     classes.  A geometric duplicate teaches a relation, so each unknown
-    child is reduced again and looked up before it runs.  The state keeps
-    the attempts that ran the geometry as `rows`, and the counts of each
-    generation as `stats`.  `scheduler_seed` is accepted but does not yet
-    change the order, so every seed gives the same output.  Each admitted
+    child is reduced again and looked up before it runs.  A pair is named
+    by its admission index while the run goes and by its rank in the
+    sorted keys in the state, which keeps the attempts that ran the
+    geometry as `rows` and a `Generation` for each generation as `stats`.
+    `scheduler_seed` is accepted but does not yet change the order, so
+    every seed gives the same output.  Each admitted
     point is evaluated once per distinct cubic of the family through the
     bootstrap points and of `curve` when one is supplied.  It must lie on
     `curve`; a family member it misses narrows the family to the cubics
@@ -456,28 +482,28 @@ def run(
     if max_generations < 0:
         raise ValidationError(f"max_generations must not be negative, got {max_generations}")
     ws = _Workspace()
-    # the attempts that ran the geometry, as (n, parent key, parent key, status, child key or reason)
-    rows: list[tuple] = []
+    # the attempts that ran the geometry, pairs named by admission index
+    rows: list[Attempt] = []
 
     for pair in seed.pairs:
         ws.admit(pair)
 
-    def attempt(n: int, k1: PairKey, k2: PairKey, label: _Label) -> str:
-        """Combine two pairs whose child has an unknown label, record the
-        outcome as attempt n and return its status."""
+    def attempt(n: int, i: int, j: int, label: _Label) -> str:
+        """Combine pairs i and j, whose child has an unknown label, record
+        the outcome as attempt n and return its status."""
         try:
-            child = combine(ws.pairs[k1], ws.pairs[k2])
+            child = combine(ws.pairs[i], ws.pairs[j])
         except (SharedPoint, DegenerateLines) as exc:
-            rows.append((n, k1, k2, "skipped", type(exc).__name__))
+            rows.append(Attempt(n, i, j, "skipped", type(exc).__name__))
             return "skipped"
-        if child.key in ws.pairs:
-            ws.learn(tuple(a - b for a, b in zip(label, ws.labels[child.key])))
-            rows.append((n, k1, k2, "duplicate", child.key))
+        k = ws.find(child)
+        if k is not None:
+            ws.learn(tuple(a - b for a, b in zip(label, ws.labels[k])))
+            rows.append(Attempt(n, i, j, "duplicate", k))
             return "duplicate"
         for point in child.points:
             narrow(point)
-        ws.admit(child, label)
-        rows.append((n, k1, k2, "new", child.key))
+        rows.append(Attempt(n, i, j, "new", ws.admit(child, label)))
         return "new"
 
     def misses(labels: list[_Label], i: int, js: Sequence[int]):
@@ -492,7 +518,7 @@ def run(
         ]
         if ws.relations:
             children = [_reduce(child, ws.relations) for child in children]
-        known = ws.key_of_label
+        known = ws.index_of_label
         return [(s, child) for s, child in enumerate(children) if child not in known]
 
     def narrow(point: ProjPoint):
@@ -525,13 +551,13 @@ def run(
     # Bootstrap: combine the three seed pairs among themselves, then pin the
     # curve family through everything derived so far.
     basis: tuple[Cubic, ...] = ()
-    seed_keys = [pair.key for pair in seed.pairs]
     for n, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-        label = _child_label(ws.labels[seed_keys[i]], ws.labels[seed_keys[j]], ws.relations)
-        if label not in ws.key_of_label:
-            attempt(n, seed_keys[i], seed_keys[j], label)
+        label = _child_label(ws.labels[i], ws.labels[j], ws.relations)
+        if label not in ws.index_of_label:
+            attempt(n, i, j, label)
 
-    pool = [p for pair in ws.pairs.values() for p in pair.points]
+    # The family is the exact nullspace of the pool's rows: no pool point misses it.
+    pool = [p for pair in ws.pairs for p in pair.points]
     basis = cubic_family_through(pool)
     if not basis:
         raise InvariantViolation("no cubic passes through the bootstrap points")
@@ -539,41 +565,34 @@ def run(
         for point in pool:
             if evaluate(curve, point) != 0:
                 raise NotOnCurve(f"bootstrap point {brief(point)} is not on the supplied curve")
-    for point in pool:
-        if any(evaluate(c, point) for c in basis):
-            raise InvariantViolation("bootstrap point misses its own fitted family")
 
-    generation = 0
-    met = len(seed_keys)  # the first `met` pairs have all been combined with each other
-    capped = ws.point_count >= max_points
+    met = len(seed.pairs)  # the first `met` pairs have all been combined with each other
+    capped = 2 * len(ws.pairs) >= max_points
     starts = [0]  # the ordinal of each generation's first attempt
     done = 3  # the attempts so far
 
-    while not capped and generation < max_generations:
+    while not capped and len(starts) <= max_generations:
         # Combinations as rank pairs (i, j), i < j, in the sorted keys: their
         # order is that of the key pairs, without sorting big-integer tuples.
-        admitted = list(ws.pairs)
-        count = len(admitted)
+        count = len(ws.pairs)
         if count == met:
             break
-        order = sorted(range(count), key=admitted.__getitem__)
-        ordered = [admitted[a] for a in order]
+        order = ws.order()
         fresh = [r for r, a in enumerate(order) if a >= met]
         met = count
-        generation += 1
         starts.append(done)
-        if ws.point_count + 2 > max_points:  # an odd cap, before any attempt
+        if 2 * count + 2 > max_points:  # an odd cap, before any attempt
             capped = True
             break
-        labels = [ws.labels[key] for key in ordered]
+        labels = [ws.labels[a] for a in order]
         for i, js in _rows(range(count), fresh):
             for s, label in misses(labels, i, js):
                 # a relation learned earlier in the row may have made it known
                 label = _reduce(label, ws.relations)
-                if label in ws.key_of_label:
+                if label in ws.index_of_label:
                     continue
-                status = attempt(done + s, ordered[i], ordered[js[s]], label)
-                if status == "new" and ws.point_count + 2 > max_points:
+                status = attempt(done + s, order[i], order[js[s]], label)
+                if status == "new" and 2 * len(ws.pairs) + 2 > max_points:
                     capped = True
                     js = js[: s + 1]  # the rest of the row is never attempted
                     break
@@ -581,22 +600,21 @@ def run(
             if capped:
                 break
 
-    keys = sorted(ws.pairs)
-    # A point belongs to one pair only, so a key's first point names its pair.
-    index = {key[0]: r for r, key in enumerate(keys)}
+    # The state names each pair by its rank in the sorted keys.
+    order = ws.order()
+    rank = {a: r for r, a in enumerate(order)}
     attempts = tuple(
-        Attempt(n, index[k1[0]], index[k2[0]], status, k if status == "skipped" else index[k[0]])
-        for n, k1, k2, status, k in rows
+        Attempt(n, rank[i], rank[j], status, k if status == "skipped" else rank[k])
+        for n, i, j, status, k in rows
     )
+    pairs = tuple(ws.pairs[a] for a in order)
     return ConstructionState(
         seed=seed,
-        pairs=tuple(ws.pairs[k] for k in keys),
+        pairs=pairs,
         curve=basis[0] if len(basis) == 1 else curve,
         curve_basis=basis,
-        generations=generation,
-        frontier=len(keys) * (len(keys) - 1) // 2 - done,
         rows=attempts,
-        labels=tuple(ws.labels[k] for k in keys),
+        labels=tuple(ws.labels[a] for a in order),
         relations=tuple(ws.relations),
-        stats=_stats(attempts, [end - start for start, end in zip(starts, [*starts[1:], done])]),
+        stats=_stats(pairs, seed.pairs, attempts, [b - a for a, b in zip(starts, [*starts[1:], done])]),
     )

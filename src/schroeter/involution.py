@@ -10,7 +10,7 @@ pencil parameter.  The two must agree exactly; a mismatch raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, islice
 
 from .errors import (
     DegenerateChoice,
@@ -90,8 +90,10 @@ def _ruler_conjugate(inv: Involution, d: ProjLine, choice: int) -> ProjLine:
 
     The base point on d is the first admissible of six candidates: the
     first six points of points_on_line(d) other than the carrier, rotated
-    left by choice % 6.  They are drawn lazily, so a construction that
-    succeeds on its first base canonicalizes no further point of d.
+    left by choice % 6.  At each base, the pairs of its first four
+    auxiliary lines are tried, each new line with those before it.  Both
+    are drawn lazily: a construction that succeeds on its first base and
+    pair canonicalizes no further point of d and joins no further line.
     """
     carrier = inv.carrier
     a, abar = inv.pair_a
@@ -104,24 +106,24 @@ def _ruler_conjugate(inv: Involution, d: ProjLine, choice: int) -> ProjLine:
         for ref in _AUX_POOL[choice % 3:] + _AUX_POOL[: choice % 3]:
             if ref == base or incident(ref, d):
                 continue
-            g = join(base, ref)
-            if incident(carrier, g) or g in aux_lines:
+            gbar = join(base, ref)
+            if incident(carrier, gbar) or gbar in aux_lines:
                 continue
-            aux_lines.append(g)
-            if len(aux_lines) >= 4:
+            for g in aux_lines:
+                try:
+                    pa = meet(g, a)
+                    pb = meet(g, b)
+                    pabar = meet(gbar, abar)
+                    pbbar = meet(gbar, bbar)
+                    l1 = join(pa, pbbar)
+                    l2 = join(pabar, pb)
+                    dbar_point = meet(l1, l2)
+                    return join(carrier, dbar_point)
+                except (IdenticalPoints, IdenticalLines):
+                    continue
+            aux_lines.append(gbar)
+            if len(aux_lines) == 4:
                 break
-        for g, gbar in combinations(aux_lines, 2):
-            try:
-                pa = meet(g, a)
-                pb = meet(g, b)
-                pabar = meet(gbar, abar)
-                pbbar = meet(gbar, bbar)
-                l1 = join(pa, pbbar)
-                l2 = join(pabar, pb)
-                dbar_point = meet(l1, l2)
-                return join(carrier, dbar_point)
-            except (IdenticalPoints, IdenticalLines):
-                continue
     raise DegenerateChoice("no admissible auxiliary configuration found")
 
 

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .cubic import Cubic
-from .engine import Attempt, ConstructionState, PointPair, SeedConfig, validate_seed
+from .engine import Attempt, ConstructionState, Generation, PointPair, SeedConfig, validate_seed
 from .errors import InvariantViolation, SeedFormatError, brief
 from .projective import ProjPoint
 from .weierstrass import WeierstrassCurve
@@ -116,23 +114,6 @@ def seed_from_json(obj) -> tuple[SeedConfig, WeierstrassCurve | None]:
 REPORT_FORMAT = 3
 
 
-def stats_to_json(seed, pairs, rows, stats) -> list[dict]:
-    """A run report's `stats`: each generation's counts and `digits`, the
-    decimal digits of the largest |coordinate| among the pairs it made (0
-    if none; the seed pairs count in generation 0).  One integer per
-    generation becomes text: the conversion takes quadratic time."""
-    ends = list(accumulate(g.attempted for g in stats))
-    made = [list(seed), *([] for _ in ends[1:])]
-    for n, _, _, status, k in rows:
-        if status == "new":
-            made[bisect_right(ends, n)].append(pairs[k])
-    largest = (
-        max((abs(c) for pair in group for p in pair.points for c in p.coords), default=0)
-        for group in made
-    )
-    return [{**asdict(g), "digits": len(str(m)) if m else 0} for g, m in zip(stats, largest)]
-
-
 def state_to_json(state: ConstructionState) -> dict:
     """The run report.
 
@@ -143,7 +124,7 @@ def state_to_json(state: ConstructionState) -> dict:
     attempt's ordinal, the two parents as indices into `pairs`, then the
     child's index for "new" and "duplicate" or the reason for "skipped".
     Every other attempt is a duplicate of the pair labelled
-    kappa - l_i - l_j.  `stats` has one entry per generation, the
+    kappa - l_i - l_j.  `stats` has one `Generation` per generation, the
     bootstrap first.
     """
     return {
@@ -158,7 +139,7 @@ def state_to_json(state: ConstructionState) -> dict:
         "generations": state.generations,
         "labels": [list(label) for label in state.labels],
         "relations": [list(row) for row in state.relations],
-        "stats": stats_to_json(state.seed.pairs, state.pairs, state.rows, state.stats),
+        "stats": [asdict(g) for g in state.stats],
         "provenance": [list(row) for row in state.rows],
     }
 
@@ -180,7 +161,7 @@ class RunReport:
     seed: list[PointPair] | None = None
     labels: list[tuple[int, ...]] | None = None
     relations: list[tuple[int, ...]] | None = None
-    stats: list[dict] | None = None
+    stats: list[Generation] | None = None
     generations: int | None = None
     pair_count: int | None = None
     point_count: int | None = None
@@ -188,7 +169,7 @@ class RunReport:
 
 
 _STATUSES = ("new", "duplicate", "skipped")
-_STATS = {"pending", "attempted", "new", "duplicate", "skipped", "digits"}
+_STATS = {f.name for f in fields(Generation)}
 
 
 def _is_int(v) -> bool:
@@ -247,7 +228,7 @@ def _v3_fields(obj) -> dict:
         "seed": [pair_from_json(p) for p in seed],
         "labels": _int_rows(obj, "labels", 4),
         "relations": _int_rows(obj, "relations", 4),
-        "stats": stats,
+        "stats": [Generation(**g) for g in stats],
         "rows": [_row(*r) for r in rows],
         **{key: obj[key] for key in ("generations", "pair_count", "point_count", "closed")},
     }

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     brief,
 )
-from .serialize import RunReport, stats_to_json
+from .serialize import RunReport
 from .weierstrass import (
     WeierstrassCurve,
     involution_center_product,
@@ -316,22 +316,20 @@ def _check_history(report: RunReport) -> None:
     duplicates must each teach a relation, and together exactly
     `relations`.  Each label is the unreduced one reduced by them, and no
     two pairs share one.  Then every derived field must be what the rows
-    give: `stats` (by `_stats` and `stats_to_json`), `generations`,
-    `pair_count`, `point_count` and `closed`.  A generation attempts all of
-    its pending combinations, except the last one when the point cap ended
-    it on a new pair.
+    give: `stats` (by `_stats`), `generations`, `pair_count`, `point_count`
+    and `closed`.  A generation attempts all of its pending combinations,
+    except the last one when the point cap ended it on a new pair.
     """
     pairs, stats, rows = report.pairs, report.stats, report.rows
     if len(report.labels) != len(pairs):
         raise InvariantViolation(f"{len(report.labels)} labels for {len(pairs)} pairs")
     if len(stats) != report.generations + 1:
         raise InvariantViolation(f"{len(stats)} stats entries for {report.generations} generations")
-    index = {pair.key: i for i, pair in enumerate(pairs)}
-    seeds = [index.get(pair.key) for pair in report.seed]
-    if None in seeds or len(set(seeds)) != 3:
+    seeds = [pairs.index(pair) for pair in report.seed if pair in pairs]
+    if len(set(seeds)) != 3:
         raise InvariantViolation("the seed is not three of the report's pairs")
 
-    attempted = [g["attempted"] for g in stats]
+    attempted = [g.attempted for g in stats]
     unreduced = {s: tuple(int(c == m) for c in range(len(_KAPPA))) for m, s in enumerate(seeds)}
     taught: list[tuple[int, ...]] = []
     p = low = 0  # the next stored row, and the least ordinal it may have
@@ -372,15 +370,15 @@ def _check_history(report: RunReport) -> None:
     if len(set(report.labels)) != len(pairs):
         raise InvariantViolation("two pairs share a label")
 
-    derived = stats_to_json(report.seed, pairs, rows, _stats(rows, attempted))
+    derived = _stats(pairs, report.seed, rows, attempted)
     ends_new = bool(rows) and (rows[-1].n, rows[-1].status) == (total - 1, "new")
     for g, (entry, due) in enumerate(zip(stats, derived)):
-        if entry != due or entry["attempted"] > entry["pending"]:
+        if entry != due or entry.attempted > entry.pending:
             raise InvariantViolation(f"the stats of generation {g} disagree with its rows")
-        if entry["attempted"] < entry["pending"] and (
-            g != len(stats) - 1 or entry["attempted"] and not ends_new
+        if entry.attempted < entry.pending and (
+            g != len(stats) - 1 or entry.attempted and not ends_new
         ):
-            raise InvariantViolation(f"generation {g} stops short of its {entry['pending']} combinations")
+            raise InvariantViolation(f"generation {g} stops short of its {entry.pending} combinations")
     if (report.pair_count, report.point_count, report.closed) != (
         len(pairs), 2 * len(pairs), total == len(pairs) * (len(pairs) - 1) // 2
     ):

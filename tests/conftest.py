@@ -26,6 +26,17 @@ FRAME = (
 )
 
 
+# The pencil seed: its bootstrap repeats two seed pairs, so its 8 points
+# leave a pencil of cubics, and no member of it holds the first constructed
+# point.
+PENCIL_PAIRS = [[(0, 0, 1), (0, 1, 0)], [(1, 0, 0), (1, 1, 1)], [(0, 1, -3), (3, -1, -1)]]
+
+
+@pytest.fixture(scope="session")
+def pencil_seed() -> SeedConfig:
+    return validate_seed(*(PointPair.of(*map(ProjPoint, pair)) for pair in PENCIL_PAIRS))
+
+
 @pytest.fixture(scope="session")
 def curve12() -> WeierstrassCurve:
     return WeierstrassCurve(1, 2)

@@ -396,6 +396,23 @@ def bootstrap_seed(seed: SeedConfig) -> SeedBootstrap:
     return SeedBootstrap(tuple(direct), tuple(crossed), curve)
 
 
+def rank(rows) -> int:
+    """The rank of a matrix of rationals, by Gaussian elimination over
+    Fraction."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    done = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(done, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[done], rows[pivot] = rows[pivot], rows[done]
+        for r in range(done + 1, len(rows)):
+            f = rows[r][col] / rows[done][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[done])]
+        done += 1
+    return done
+
+
 def point_from_json_by_fraction(arr) -> ProjPoint:
     """`serialize.point_from_json` on a 2- or 3-element list as it read every
     point before its integer path: each coordinate through `Fraction`."""

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from schroeter.cubic import (
@@ -16,6 +16,7 @@ from schroeter.cubic import (
     tangent_third,
     third_intersection,
 )
+from schroeter.engine import run
 from schroeter.errors import (
     AmbiguousFit,
     IdenticalPoints,
@@ -34,6 +35,7 @@ from oracles import (
     gradient_by_terms,
     multiply,
     normalized_frame_cubic,
+    rank,
 )
 
 TWISTED = Cubic.of([1, 0, 0, 0, 0, 0, 0, 0, -1, 0])  # x^3 = y z^2
@@ -116,11 +118,33 @@ class TestFit:
         for p in nine:
             assert evaluate(cubic, p) == 0
 
-    def test_family_through_few_points(self):
-        basis = cubic_family_through([ProjPoint.of(0, 0, 1), ProjPoint.of(1, 1, 1)])
-        assert len(basis) == 8
-        for c in basis:
-            assert evaluate(c, ProjPoint.of(0, 0, 1)) == 0
+    @staticmethod
+    def check_family(points):
+        """The family through the points: each basis cubic vanishes at every
+        point, and the independent basis has 10 - rank cubics, the rank
+        that of the points' rows of the ten cubic monomials."""
+        basis = cubic_family_through(points)
+        monomials = [
+            [x**i * y**j * z ** (3 - i - j) for i in range(4) for j in range(4 - i)]
+            for x, y, z in (p.coords for p in points)
+        ]
+        assert len(basis) == 10 - rank(monomials) == rank([c.coeffs for c in basis])
+        assert all(evaluate(c, p) == 0 for c in basis for p in points)
+        return basis
+
+    @given(st.lists(st.tuples(*[st.integers(-5, 5)] * 3).filter(any), min_size=1, max_size=12))
+    @example([(0, 0, 1), (1, 1, 1)])
+    def test_family_through_few_points(self, coords):
+        self.check_family([ProjPoint(c) for c in coords])
+
+    @pytest.mark.parametrize(
+        "seed, size", [("golden_frame_seed", 1), ("torsion_seed_full", 2), ("pencil_seed", 2)]
+    )
+    def test_family_through_a_bootstrap_pool(self, request, seed, size):
+        """The engine keeps no check that the bootstrap points are on the
+        family fitted through them: this is that check."""
+        state = run(request.getfixturevalue(seed), max_generations=0)
+        assert len(self.check_family([p for pair in state.pairs for p in pair.points])) == size
 
 
 class TestTangent:

@@ -50,7 +50,7 @@ from schroeter.weierstrass import (
     to_abc_chart,
 )
 
-from conftest import FRAME, frame_seed, random_frame_seeds
+from conftest import FRAME, PENCIL_PAIRS, frame_seed, random_frame_seeds
 from oracles import (
     BarNotOnCurve,
     DegenerateNine,
@@ -361,28 +361,26 @@ class TestRun:
         state = run(curve12_seed, max_points=64, curve=curve12.cubic)
         # the supplied curve is the fitted one, so it is checked once
         assert state.curve_basis == (curve12.cubic,)
+        # the bootstrap points are checked against the supplied curve only:
+        # the basis is fitted through them
         pool = 2 * (3 + sum(d.status == "new" for d in state.provenance[:3]))
-        bootstrap_checks = 2 * pool  # against the supplied curve, then the basis
         new_pairs = sum(d.status == "new" for d in state.provenance[3:])
-        assert len(evaluated) == bootstrap_checks + 2 * new_pairs
+        assert len(evaluated) == pool + 2 * new_pairs
 
-    def test_a_pencil_narrows_to_the_construction_cubic(self, tmp_path):
-        # the bootstrap repeats two seed pairs, so its 8 points leave a pencil
-        # of cubics, and no member of it holds the first constructed point
-        pairs = [[(0, 0, 1), (0, 1, 0)], [(1, 0, 0), (1, 1, 1)], [(0, 1, -3), (3, -1, -1)]]
-        seed = validate_seed(*(PointPair.of(*map(ProjPoint, pair)) for pair in pairs))
-        pencil = run(seed, max_generations=0).curve_basis
+    def test_a_pencil_narrows_to_the_construction_cubic(self, tmp_path, pencil_seed):
+        pencil = run(pencil_seed, max_generations=0).curve_basis
         assert len(pencil) == 2
         cubic = Cubic.of([0, 3, 1, -3, 12, -1, 0, -9, -3, 0])
         for curve in (None, cubic):
-            state = run(seed, max_points=200, curve=curve)
+            state = run(pencil_seed, max_points=200, curve=curve)
             assert state.point_count == 200
             assert (state.curve,) == state.curve_basis == (cubic,)
         for curve in pencil:
             with pytest.raises(InvariantViolation, match="off the construction cubic"):
-                run(seed, max_points=200, curve=curve)
+                run(pencil_seed, max_points=200, curve=curve)
         path = tmp_path / "pencil.json"
-        path.write_text(json.dumps({"pairs": [[[str(c) for c in p] for p in pair] for pair in pairs]}))
+        pairs = [[[str(c) for c in p] for p in pair] for pair in PENCIL_PAIRS]
+        path.write_text(json.dumps({"pairs": pairs}))
         assert main(["construct", "--seed", str(path), "--max-points", "12"]) == 0
 
 
@@ -430,7 +428,7 @@ def reference_run(seed, max_points, max_generations):
                 capped = True
                 break
             process(k1, k2)
-    remaining = len(unvisited())
+    remaining = len(pairs) * (len(pairs) - 1) // 2 - len(visited)
     index = {key: r for r, key in enumerate(sorted(pairs))}
     attempts = [
         Attempt(n, index[k1], index[k2], status, k if status == "skipped" else index[k])
@@ -686,6 +684,25 @@ class TestLabels:
         workspace = engine._Workspace()
         for pair in golden_frame_seed.pairs:
             workspace.admit(pair)
-        assert list(workspace.key_of_label) == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+        assert list(workspace.index_of_label) == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
         with pytest.raises(InvariantViolation, match="two distinct pairs one label"):
             workspace.learn((1, -1, 0, 0))
+
+
+class TestWorkspace:
+    """`_Workspace` names each pair by its admission index and finds a child
+    among the admitted pairs through the owner of its first point."""
+
+    def test_find_compares_the_whole_pair(self, golden_frame_seed):
+        workspace = engine._Workspace()
+        assert [workspace.admit(pair) for pair in golden_frame_seed.pairs] == [0, 1, 2]
+        assert [workspace.find(pair) for pair in golden_frame_seed.pairs] == [0, 1, 2]
+        a = golden_frame_seed.pair_a
+        far = ProjPoint((10**6, 1, 1))
+        stranger = PointPair.of(a.first, far)  # shares only its first point with a
+        assert stranger.first == a.first and workspace.find(stranger) is None
+        assert workspace.find(PointPair.of(far, a.second)) is None
+        with pytest.raises(InvariantViolation) as exc:
+            workspace.admit(stranger)
+        assert str(exc.value) == f"point {a.first} of {stranger} already belongs to pair {a}"
+        assert workspace.find(stranger) is None and len(workspace.pairs) == 3

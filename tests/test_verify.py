@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schroeter import checks, verify
+from schroeter import checks, involution, verify
 from schroeter.checks import _meets_on_curve, chasles_check
 from schroeter.cubic import Cubic, chord_third, evaluate
 from schroeter.engine import PointPair, run
@@ -166,6 +166,25 @@ def test_fast_paths_match_the_full_computation(
         lambda curve, a, abar, tangential: chord_tangency_reference(curve, a, abar),
     )
     assert rows == [_rows(state, curve) for state, curve in runs]
+
+
+def test_ruler_conjugate_draws_only_the_lines_it_uses(monkeypatch, curve12, curve12_seed):
+    """Each ruler construction of the tangents and lines suites succeeds on
+    its first base and first pair of auxiliary lines, so it joins five
+    lines (the two auxiliary lines, the two cross-joins and the conjugate)
+    and takes five meets."""
+    state = run(curve12_seed, max_points=128, curve=curve12.cubic)
+    calls = Counter()
+
+    def counting(name):
+        function = getattr(involution, name)
+        return lambda *args: calls.update([name]) or function(*args)
+
+    for name in ("_ruler_conjugate", "join", "meet"):
+        monkeypatch.setattr(involution, name, counting(name))
+    report = run_suites(state, suites=("tangents", "lines"), curve=curve12)
+    assert calls == {"_ruler_conjugate": 241, "join": 5 * 241, "meet": 5 * 241}
+    assert Counter(r.status for r in report.results) == {"pass": 241, "degenerate": 14}
 
 
 def test_each_pair_meet_is_computed_once(monkeypatch, curve12, curve12_seed):
