@@ -180,8 +180,9 @@ def chord_tangency_check(
     raw triple c1*a - c2*abar, with (c3, c2, c1, c0) the chord's
     coefficients: b is neither a nor abar exactly when c1*c2 != 0, and b is
     T = (0 : 0 : 1) exactly when b0 = b1 = 0.  b != n is decided modulo
-    _PRIME, and exactly only on zero residues.  The canonical chord_third
-    runs only when the fast path decides nothing."""
+    _PRIME: a nonzero residue of either cross term proves it, and zero
+    residues leave the decision to the full computation.  The canonical
+    chord_third runs only when the fast path decides nothing."""
     cubic = curve.cubic
     if tangential is not None:
         c3, c2, c1, c0 = _chord_coefficients(cubic, a.coords, abar.coords)
@@ -191,8 +192,6 @@ def chord_tangency_check(
             if (b0 or b1) and (n0 or n1) and b0 * n1 == b1 * n0:
                 r0, r1, r2, m0, m1, m2 = (c % _PRIME for c in (b0, b1, b2, n0, n1, n2))
                 if (r0 * m2 - r2 * m0) % _PRIME or (r1 * m2 - r2 * m1) % _PRIME:
-                    return True
-                if b0 * n2 != b2 * n0 or b1 * n2 != b2 * n1:
                     return True
     b = chord_third(cubic, a, abar)
     if b in (a, abar):

@@ -36,7 +36,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, pairwise
 from typing import NamedTuple
 
 from .cubic import Cubic, cubic_family_through, evaluate
@@ -411,14 +411,16 @@ def _schedule(
         made += fresh
 
 
-def _stats(pairs, seeds, rows: Sequence[Attempt], attempted: Sequence[int]) -> tuple[Generation, ...]:
-    """Each generation's record from the sorted pairs, the seed pairs, the
-    stored rows (all below the total of `attempted`) and its attempt count,
-    sorting the rows into generations in one pass.  `pending` follows from
-    the "new" counts before; `duplicate` is what the rows leave over."""
+def _stats(
+    pairs: Sequence[PointPair], seeds: Sequence[int], rows: Sequence[Attempt], attempted: Sequence[int]
+) -> tuple[Generation, ...]:
+    """Each generation's record from the sorted pairs, the seeds' indices in
+    them (as `_schedule` takes them), the stored rows (all below the total
+    of `attempted`) and its attempt count, in one pass over the rows.
+    `pending` follows from the "new" counts before; `duplicate` is the rest."""
     ends = list(accumulate(attempted))
     tallies = [Counter() for _ in ends]  # by status, a skip by its reason
-    groups = [list(seeds), *([] for _ in ends[1:])]  # the pairs each one made
+    groups = [[pairs[s] for s in seeds], *([] for _ in ends[1:])]  # the pairs each one made
     for n, _, _, status, k in rows:
         g = bisect_right(ends, n)
         tallies[g][k if status == "skipped" else status] += 1
@@ -602,7 +604,7 @@ def run(
 
     # The state names each pair by its rank in the sorted keys.
     order = ws.order()
-    rank = {a: r for r, a in enumerate(order)}
+    rank = sorted(range(len(order)), key=order.__getitem__)  # by admission index
     attempts = tuple(
         Attempt(n, rank[i], rank[j], status, k if status == "skipped" else rank[k])
         for n, i, j, status, k in rows
@@ -616,5 +618,5 @@ def run(
         rows=attempts,
         labels=tuple(ws.labels[a] for a in order),
         relations=tuple(ws.relations),
-        stats=_stats(pairs, seed.pairs, attempts, [b - a for a, b in zip(starts, [*starts[1:], done])]),
+        stats=_stats(pairs, rank[:3], attempts, [b - a for a, b in pairwise([*starts, done])]),
     )

@@ -370,7 +370,7 @@ def _check_history(report: RunReport) -> None:
     if len(set(report.labels)) != len(pairs):
         raise InvariantViolation("two pairs share a label")
 
-    derived = _stats(pairs, report.seed, rows, attempted)
+    derived = _stats(pairs, seeds, rows, attempted)
     ends_new = bool(rows) and (rows[-1].n, rows[-1].status) == (total - 1, "new")
     for g, (entry, due) in enumerate(zip(stats, derived)):
         if entry != due or entry.attempted > entry.pending:
