@@ -120,6 +120,11 @@ def cmd_fit(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.report:
+        given = [
+            f"--{name}" for name in ("seed", "suite", "a", "b", "out") if getattr(args, name) is not None
+        ]
+        if given:
+            raise ValidationError(f"verify --report does not take {', '.join(given)}")
         report = serialize.report_from_json(serialize.load_json(args.report))
         cubics = report.curve_basis or ([report.curve] if report.curve else [])
         if not cubics:
@@ -128,6 +133,8 @@ def cmd_verify(args) -> int:
         replay_report(report)
         print(f"report ok: {2 * len(report.pairs)} points on the recorded curve")
         return 0
+    if not args.seed:
+        raise ValidationError("verify needs --seed or --report")
 
     seed, curve = _load_seed(args.seed)
     if (args.a is None) != (args.b is None):
@@ -135,7 +142,7 @@ def cmd_verify(args) -> int:
     if args.a is not None:
         curve = serialize.curve_from_json({"a": args.a, "b": args.b})
     state = run(seed, max_points=args.max_points, curve=curve.cubic if curve else None)
-    report = run_suites(state, suites=args.suite, curve=curve)
+    report = run_suites(state, suites=args.suite or ["all"], curve=curve)
     counts = report.counts()
     for result in report.results:
         if result.status == "fail" or args.verbose:
@@ -210,11 +217,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "suite", None) is None and args.command == "verify":
-        args.suite = ["all"]
-    if args.command == "verify" and not args.report and not args.seed:
-        print("error: verify needs --seed or --report", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except SchroeterError as exc:

@@ -348,3 +348,5 @@ def load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SeedFormatError(f"{path}: invalid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise SeedFormatError(f"{path}: not UTF-8 text ({exc})") from exc

@@ -1,14 +1,18 @@
 """Verification suites over a finished construction run.
 
-Each suite replays one family of claims against the emitted pairs and
-reports per-check pass/fail/degenerate results; suites that need a group
-law are skipped unless a Weierstrass model is supplied.
+Each suite replays one family of claims against the emitted pairs.  It
+hands its checks, in units, to one runner (`_run`), which records each
+check's pass/fail/degenerate result and alone applies the limit rule.
+Every suite takes (state, report, model, meet): the model `run_suites`
+gives it, and the call's memo of each pair's tangent meet.  Suites that
+need a group law are skipped unless a Weierstrass model is supplied.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import cache, partial
 from itertools import islice
 
 from .checks import (
@@ -39,7 +43,8 @@ from .weierstrass import (
 SUITES = ("chasles", "pair-tangents", "tangents", "chords", "lines", "center")
 
 # Checks with a pass/fail verdict after which tangents, chords, lines and
-# center stop (tangents tests it once per pair, so it can reach 121);
+# center start no further unit (see _run).  A unit of tangents is a pair's
+# two contact points, so it can reach 121; elsewhere a unit is one check.
 # chasles and pair-tangents are uncapped and cover every pair.
 LIMIT = 120
 
@@ -60,12 +65,8 @@ class VerificationReport:
     results: list[CheckResult] = field(default_factory=list)
 
     @property
-    def failed(self) -> list[CheckResult]:
-        return [r for r in self.results if r.status == "fail"]
-
-    @property
     def ok(self) -> bool:
-        return not self.failed
+        return all(r.status != "fail" for r in self.results)
 
     def counts(self) -> dict[str, int]:
         return dict(Counter(r.status for r in self.results))
@@ -118,88 +119,88 @@ def _check(report, suite, name, check, drop_invalid=False) -> bool:
     return status in ("pass", "fail")
 
 
-def _suite_chasles(state: ConstructionState, report: VerificationReport):
-    for _, i, j, status, _ in state.rows:
-        if status != "new":
-            continue
-        pa, pb = state.pairs[i], state.pairs[j]
-        # the first pair disjoint from both parents serves as the third side
-        used = {*pa.points, *pb.points}
-        third = next(cand for cand in state.pairs if used.isdisjoint(cand.points))
-        name = "hexagon " + " / ".join(brief(_key_head(p.points, 49)) for p in (pa, pb, third))
-        _check(report, "chasles", name, lambda: all(
-            chasles_check(
-                basis_curve,
-                pa.first, pb.first, third.first,
-                pa.second, pb.second, third.second,
-            )
-            for basis_curve in state.curve_basis
-        ))
+def _run(report, suite, units, capped=True, drop_invalid=False) -> None:
+    """Record the checks of each unit in turn, a unit being a sequence of
+    (name, check) pairs (see _check).  The one limit rule: a capped suite
+    starts no further unit once LIMIT of its checks have reached a verdict."""
+    verdicts = 0
+    for unit in units:
+        for name, check in unit:
+            verdicts += _check(report, suite, name, check, drop_invalid)
+        if capped and verdicts >= LIMIT:
+            return
 
 
-def _meet(meets: dict, cubic, pair):
-    """The pair's tangent meet (tangent_meet), computed once per memo."""
-    key = (cubic, pair.points)
-    if key not in meets:
-        meets[key] = tangent_meet(cubic, *pair.points)
-    return meets[key]
+def _suite_chasles(state, report, model, meet):
+    def units():
+        pairs = state.pairs
+        for _, i, j, status, _ in state.rows:
+            if status == "new":
+                # the pairs are disjoint, so the first pair other than the
+                # two parents serves as the third side
+                a, b, c = pairs[i], pairs[j], pairs[min({0, 1, 2} - {i, j})]
+                name = "hexagon " + " / ".join(brief(_key_head(p.points, 49)) for p in (a, b, c))
+                yield [(name, lambda a=a, b=b, c=c: all(
+                    chasles_check(basis, a.first, b.first, c.first, a.second, b.second, c.second)
+                    for basis in state.curve_basis
+                ))]
+
+    _run(report, "chasles", units(), capped=False)
 
 
-def _suite_pair_tangents(state, report, cubic, meets):
+def _suite_pair_tangents(state, report, cubic, meet):
     def tangential_points(pair):
-        if _meet(meets, cubic, pair) is not None:
+        if meet(pair) is not None:
             return True
         t1 = tangent_third(cubic, pair.first)
         t2 = tangent_third(cubic, pair.second)
         ok = t1 == t2 and evaluate(cubic, t1) == 0
         return ok, "" if ok else f"{brief(t1)} vs {brief(t2)}"
 
-    for pair in state.pairs:
-        name = f"tangential points of {brief(_key_head(pair.points, 49))}"
-        _check(report, "pair-tangents", name, lambda: tangential_points(pair))
+    _run(report, "pair-tangents", (
+        [(f"tangential points of {brief(_key_head(pair.points, 49))}",
+          partial(tangential_points, pair))]
+        for pair in state.pairs
+    ), capped=False)
 
 
-def _suite_tangents(state, report, cubic):
-    checked = 0
-    pairs = state.pairs
-    for s_pair in pairs:
-        if checked >= LIMIT:
-            break
-        p_pair, q_pair = islice((p for p in pairs if p is not s_pair), 2)
-        for contact in s_pair.points:
-            name = f"ruler tangent at {_key_head([contact], 48)}"
-            checked += _check(report, "tangents", name, lambda: (
-                tangent_by_involution(cubic, s_pair, p_pair, q_pair, contact)
-                == tangent_at(cubic, contact)
-            ))
+def _suite_tangents(state, report, cubic, meet):
+    def ruler_tangent(s_pair, contact):
+        p_pair, q_pair = islice((p for p in state.pairs if p is not s_pair), 2)
+        ruler = tangent_by_involution(cubic, s_pair, p_pair, q_pair, contact)
+        return ruler == tangent_at(cubic, contact)
+
+    # a unit is a pair's two contact points
+    _run(report, "tangents", (
+        [(f"ruler tangent at {_key_head([c], 48)}", partial(ruler_tangent, s_pair, c))
+         for c in s_pair.points]
+        for s_pair in state.pairs
+    ))
 
 
-def _suite_chords(state, report, curve: WeierstrassCurve, meets):
-    checked = 0
-    for pair in state.pairs:
-        if checked >= LIMIT:
-            break
-        name = f"chord through {brief(_key_head(pair.points, 49))}"
-        checked += _check(report, "chords", name, lambda: chord_tangency_check(
-            curve, *pair.points, tangential=_meet(meets, curve.cubic, pair)
-        ))
+def _suite_chords(state, report, curve: WeierstrassCurve, meet):
+    _run(report, "chords", (
+        [(f"chord through {brief(_key_head(pair.points, 49))}",
+          lambda pair=pair: chord_tangency_check(curve, *pair.points, tangential=meet(pair)))]
+        for pair in state.pairs
+    ))
 
 
-def _suite_lines(state, report, cubic):
-    checked = 0
-    pairs = state.pairs
-    for r_pair in pairs:
-        for r in r_pair.points:
-            if checked >= LIMIT:
-                return
-            others = list(islice((p for p in pairs if p is not r_pair and r not in p), 3))
+def _suite_lines(state, report, cubic, meet):
+    def units():
+        for r_pair in state.pairs:
+            # the pairs are disjoint, so the first three others miss r
+            others = list(islice((p for p in state.pairs if p is not r_pair), 3))
             if len(others) < 3:
                 continue
-            name = f"line involution at {_key_head([r], 48)}"
-            checked += _check(report, "lines", name, lambda: conjugate_lines_check(cubic, r, *others))
+            for r in r_pair.points:
+                yield [(f"line involution at {_key_head([r], 48)}",
+                        partial(conjugate_lines_check, cubic, r, *others))]
+
+    _run(report, "lines", units())
 
 
-def _suite_center(state, report, curve: WeierstrassCurve):
+def _suite_center(state, report, curve: WeierstrassCurve, meet):
     base = next(
         (p for pair in state.pairs for p in pair.points if not p.is_infinite and all(p.to_affine())),
         None,
@@ -216,25 +217,11 @@ def _suite_center(state, report, curve: WeierstrassCurve):
         product = involution_center_product(chart, a_chart, chart_map.to_chart(p)).product
         return product == expected, f"product {product}"
 
-    checked = 0
-    for pair in state.pairs:
-        for p in pair.points:
-            if checked >= LIMIT:
-                return
-            name = f"center product vs {_key_head([p], 48)}"
-            checked += _check(report, "center", name, lambda: center_product(p), drop_invalid=True)
-
-
-# The model each suite after chasles needs: "cubic" (the Weierstrass model's,
-# else the construction's unique curve) or "curve" (the Weierstrass model).
-_NEEDS = {
-    "pair-tangents": "cubic",
-    "tangents": "cubic",
-    "chords": "curve",
-    "lines": "cubic",
-    "center": "curve",
-}
-_MISSING = {"cubic": "no unique curve available", "curve": "needs a Weierstrass model"}
+    _run(report, "center", (
+        [(f"center product vs {_key_head([p], 48)}", partial(center_product, p))]
+        for pair in state.pairs
+        for p in pair.points
+    ), drop_invalid=True)
 
 
 def run_suites(
@@ -248,22 +235,28 @@ def run_suites(
     if unknown:
         raise ValidationError(f"unknown suites: {sorted(unknown)}; choose from {SUITES}")
     report = VerificationReport()
-    models = {"cubic": curve.cubic if curve is not None else state.curve, "curve": curve}
-    # tangent meets shared by pair-tangents and chords, for this call only
-    meets = {}
-    for suite in SUITES:
+    cubic = curve.cubic if curve is not None else state.curve
+    # each pair's tangent meet, computed once per call; pair-tangents and
+    # chords share it, and whenever chords runs both take curve.cubic
+    meet = cache(lambda pair: tangent_meet(cubic, *pair.points))
+    no_cubic, no_curve = "no unique curve available", "needs a Weierstrass model"
+    # (suite, function, model, detail when the model is missing; chasles
+    # needs none), built at each call so that a wrapper installed on a suite
+    # function is the one run
+    for suite, run_suite, model, missing in (
+        ("chasles", _suite_chasles, None, ""),
+        ("pair-tangents", _suite_pair_tangents, cubic, no_cubic),
+        ("tangents", _suite_tangents, cubic, no_cubic),
+        ("chords", _suite_chords, curve, no_curve),
+        ("lines", _suite_lines, cubic, no_cubic),
+        ("center", _suite_center, curve, no_curve),
+    ):
         if suite not in wanted:
             continue
-        # looked up at call time, so a wrapper installed on the module is used
-        run_suite = globals()["_suite_" + suite.replace("-", "_")]
-        need = _NEEDS.get(suite)
-        if need is None:
-            run_suite(state, report)
-        elif models[need] is None:
-            report.results.append(CheckResult(suite, "suite", "skipped", _MISSING[need]))
+        if model is None and missing:
+            report.results.append(CheckResult(suite, "suite", "skipped", missing))
         else:
-            shared = (meets,) if suite in ("pair-tangents", "chords") else ()
-            run_suite(state, report, models[need], *shared)
+            run_suite(state, report, model, meet)
     return report
 
 

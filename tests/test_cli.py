@@ -203,6 +203,22 @@ class TestVerify:
         assert main(["verify", "--report", str(out)]) == 0
         assert main(["plot", "--report", str(out), "--out", str(tmp_path / "run.svg")]) == 0
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--seed", "torsion.json"], ["--suite", "chords"], ["--a", "5"], ["--b", "4"],
+         ["--out", "verify.json"]],
+    )
+    def test_report_takes_no_run_option(self, torsion_seed_file, monkeypatch, capsys, option):
+        """`verify --report` re-checks a report; an option of a verify run is
+        an input error that names it, never silently dropped."""
+        monkeypatch.chdir(torsion_seed_file.parent)
+        main(["construct", "--seed", "torsion.json", "--out", "run.json"])
+        capsys.readouterr()
+        assert main(["verify", "--report", "run.json", *option]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and option[0] in err
+        assert not Path("verify.json").exists()
+
     def test_unknown_suite(self, torsion_seed_file):
         assert main(["verify", "--seed", str(torsion_seed_file), "--suite", "nonsense"]) == 1
 
@@ -254,6 +270,18 @@ def test_malformed_report(tmp_path, capsys, command, content):
     out = ["--out", str(tmp_path / "bad.svg")] if command == "plot" else []
     assert main([command, "--report", str(report), *out]) == 1
     assert "run report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["construct", "--seed"], ["verify", "--report"], ["plot", "--report"], ["fit", "--points"]],
+)
+def test_non_utf8_input(tmp_path, capsys, command):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    out = ["--out", str(tmp_path / "bad.svg")] if command[0] == "plot" else []
+    assert main([*command, str(path), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
 
 
 class TestPlot:

@@ -75,10 +75,7 @@ def parse_modules(package: Path) -> dict[str, ast.Module]:
 
 def unreferenced_definitions(package: Path) -> dict[str, list[str]]:
     """Per module of `package` (`__init__.py` aside), the top-level functions
-    and classes referenced nowhere in those modules outside their own body.
-
-    `_suite_*` functions are exempt: `verify.run_suites` looks them up by name.
-    """
+    and classes referenced nowhere in those modules outside their own body."""
     trees = parse_modules(package)
     dead = {}
     for name, tree in trees.items():
@@ -87,7 +84,6 @@ def unreferenced_definitions(package: Path) -> dict[str, list[str]]:
             f"{node.name} (line {node.lineno})"
             for node in tree.body
             if isinstance(node, DEFINITIONS)
-            and not node.name.startswith("_suite_")
             and node.name not in elsewhere
             and node.name not in references(n for n in tree.body if n is not node)
         ]

@@ -206,6 +206,34 @@ def test_each_pair_meet_is_computed_once(monkeypatch, curve12, curve12_seed):
     assert calls == Counter({points: 2 for points in (pair.points for pair in state.pairs)})
 
 
+def test_each_suite_records_its_rows_inside_its_own_call(monkeypatch, curve54, torsion_seed_full):
+    """A wrapper installed on `verify._suite_<name>`, as the benchmark's
+    tracer installs one, is what `run_suites` calls, once per suite and with
+    (state, report, model, meet), and the suite appends all its rows within
+    that call."""
+    state = run(torsion_seed_full, curve=curve54.cubic)
+    per_suite = dict(Counter(r.suite for r in run_suites(state, curve=curve54).results))
+    assert set(per_suite) == set(verify.SUITES)
+    calls, rows = Counter(), Counter()
+
+    def wrapping(suite, function):
+        def wrapper(state, report, model, meet):
+            before = len(report.results)
+            result = function(state, report, model, meet)
+            calls[suite] += 1
+            rows[suite] += len(report.results) - before
+            return result
+
+        return wrapper
+
+    for suite in verify.SUITES:
+        name = "_suite_" + suite.replace("-", "_")
+        monkeypatch.setattr(verify, name, wrapping(suite, getattr(verify, name)))
+    run_suites(state, curve=curve54)
+    assert calls == Counter(verify.SUITES)
+    assert dict(rows) == per_suite
+
+
 def test_tangent_on_a_line_component_stays_degenerate():
     # z(x^2 + y^2 - z^2): the tangents at the pair meet at (0 : 1 : 0), on
     # the cubic, but the one at (1 : 0 : 0) is the line component z = 0
