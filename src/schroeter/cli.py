@@ -21,6 +21,7 @@ from .verify import SUITES, replay_report, revalidate_points, run_suites
 from .weierstrass import seed_from_curve
 
 SEED_DIR_ENV = "SCHROETER_SEED_DIR"
+VERIFY_MAX_POINTS = 128
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,7 +122,9 @@ def cmd_fit(args) -> int:
 def cmd_verify(args) -> int:
     if args.report:
         given = [
-            f"--{name}" for name in ("seed", "suite", "a", "b", "out") if getattr(args, name) is not None
+            f"--{name.replace('_', '-')}"
+            for name in ("seed", "suite", "a", "b", "max_points", "out", "verbose")
+            if getattr(args, name) is not None
         ]
         if given:
             raise ValidationError(f"verify --report does not take {', '.join(given)}")
@@ -141,7 +144,8 @@ def cmd_verify(args) -> int:
         raise ValidationError("verify needs both --a and --b, or neither")
     if args.a is not None:
         curve = serialize.curve_from_json({"a": args.a, "b": args.b})
-    state = run(seed, max_points=args.max_points, curve=curve.cubic if curve else None)
+    max_points = VERIFY_MAX_POINTS if args.max_points is None else args.max_points
+    state = run(seed, max_points=max_points, curve=curve.cubic if curve else None)
     report = run_suites(state, suites=args.suite or ["all"], curve=curve)
     counts = report.counts()
     for result in report.results:
@@ -197,9 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"suite to run, repeatable; one of all, {', '.join(SUITES)}")
     p.add_argument("--a", default=None, help="rational a of a known Weierstrass model")
     p.add_argument("--b", default=None, help="rational b of a known Weierstrass model")
-    p.add_argument("--max-points", type=int, default=128)
+    # --max-points and --verbose default to None, so that --report can reject them
+    p.add_argument("--max-points", type=int, default=None,
+                   help=f"point cap of the run (default {VERIFY_MAX_POINTS})")
     p.add_argument("--out", help="write the verification report JSON")
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plot", help="render a construct report as SVG")

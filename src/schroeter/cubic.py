@@ -7,8 +7,8 @@ root-finding, so everything stays in exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     AmbiguousFit,
@@ -22,19 +22,20 @@ from .errors import (
     brief,
 )
 from .projective import ProjLine, ProjPoint, _as_integers, _canon, points_on_line
+from .record import record
 
 # Fixed monomial order for the 10 coefficients.
 MONOMIALS = ("x3", "x2y", "x2z", "xy2", "xyz", "xz2", "y3", "y2z", "yz2", "z3")
 
 
-@dataclass(frozen=True)
-class Cubic:
+@record
+class Cubic(NamedTuple("Cubic", [("coeffs", tuple[int, ...])])):
     """A ternary cubic form as 10 primitive integers in the MONOMIALS order."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _canon(_as_integers(self.coeffs)))
+    def __new__(cls, coeffs):
+        return tuple.__new__(cls, (_canon(_as_integers(coeffs)),))
 
     @classmethod
     def of(cls, coeffs) -> "Cubic":

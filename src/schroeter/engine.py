@@ -1,16 +1,18 @@
 """The iterated pair-combination construction.
 
 Starting from three validated point pairs, every unordered pair of pairs is
-combined exactly once: the like-joins and cross-joins of the four points are
-intersected to produce a new pair, which is deduplicated by canonical key.
-Each generation combines only the pairs admitted in the one before with all
-pairs, since older pairs have already met.  All points land on one cubic
-(or, in degenerate torsion configurations, on every cubic through the
-bootstrap points).  This is asserted at admission time, once per new point
-and distinct cubic; a duplicate child is never re-checked.  When the
-bootstrap points leave a family of cubics, a point that misses a member
-narrows the family to the members through it.  Combinations are
-processed in canonical order, so output is deterministic.
+combined exactly once: the like-joins and cross-joins of the four points
+are intersected to produce a new pair.  A point belongs to one pair only,
+so a child is a duplicate exactly when it equals the pair that owns its
+first point (`_Workspace.find`).  Each generation combines only the pairs
+admitted in the one before with all pairs, since older pairs have already
+met.  All points land on one cubic (or, in degenerate torsion
+configurations, on every cubic through the bootstrap points).  This is
+asserted at admission time, once per new point and distinct cubic; a
+duplicate child is never re-checked.  When the bootstrap points leave a
+family of cubics, a point that misses a member narrows the family to the
+members through it.  Combinations are processed in canonical order, so
+output is deterministic.
 
 Every pair is {P, P + T} for one point T of order two, and the child of
 pairs with classes x and y in G/<T> (G the curve's group) has class
@@ -34,7 +36,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, pairwise
 from typing import NamedTuple
@@ -54,6 +55,7 @@ from .errors import (
 )
 from .involution import is_complete_quadrilateral_pairing
 from .projective import ProjPoint, all_collinear, cross
+from .record import record
 
 DEFAULT_MAX_POINTS = 512
 DEFAULT_MAX_GENERATIONS = 16
@@ -70,8 +72,8 @@ _Label = tuple[int, int, int, int]
 _KAPPA: _Label = (0, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class PointPair:
+@record
+class PointPair(NamedTuple):
     """An unordered pair of distinct points, members in canonical order."""
 
     first: ProjPoint
@@ -107,8 +109,8 @@ class PointPair:
         return f"{{{self.first}, {self.second}}}"
 
 
-@dataclass(frozen=True)
-class SeedConfig:
+@record
+class SeedConfig(NamedTuple):
     """Three validated seed pairs; construct via validate_seed."""
 
     pair_a: PointPair
@@ -184,8 +186,8 @@ class Attempt(NamedTuple):
     k: int | str
 
 
-@dataclass
-class Generation:
+@record
+class Generation(NamedTuple):
     """The counts of one generation; generation 0 is the bootstrap.  The
     state, the run report and the report as read all hold these records.
 
@@ -204,8 +206,19 @@ class Generation:
     digits: int
 
 
-@dataclass
-class ConstructionState:
+class _StateFields(NamedTuple):
+    seed: SeedConfig
+    pairs: tuple[PointPair, ...]
+    curve: Cubic | None
+    curve_basis: tuple[Cubic, ...]
+    rows: tuple[Attempt, ...] = ()
+    labels: tuple[_Label, ...] = ()
+    relations: tuple[_Label, ...] = ()
+    stats: tuple[Generation, ...] = ()
+
+
+@record
+class ConstructionState(_StateFields):
     """Result of a construction run.
 
     `pairs` are in canonical order.  `labels` holds each pair's label,
@@ -216,17 +229,9 @@ class ConstructionState:
     attempt was a duplicate of the pair labelled kappa - l_i - l_j.
     `stats` has one `Generation` per generation, the bootstrap first, and
     `generations`, `frontier` (the combinations never attempted) and
-    `closed` (no frontier) follow from it.  `provenance` is built when read.
+    `closed` (no frontier) follow from it.  `provenance` is built when
+    first read and kept in the instance's `__dict__`.
     """
-
-    seed: SeedConfig
-    pairs: tuple[PointPair, ...]
-    curve: Cubic | None
-    curve_basis: tuple[Cubic, ...]
-    rows: tuple[Attempt, ...] = ()
-    labels: tuple[_Label, ...] = ()
-    relations: tuple[_Label, ...] = ()
-    stats: tuple[Generation, ...] = ()
 
     @property
     def generations(self) -> int:

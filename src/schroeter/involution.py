@@ -9,8 +9,8 @@ pencil parameter.  The two must agree exactly; a mismatch raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .errors import (
     DegenerateChoice,
@@ -31,6 +31,7 @@ from .projective import (
     points_on_line,
     span_coordinates,
 )
+from .record import record
 
 # Auxiliary reference points for the ruler construction, tried in order.
 _AUX_POOL = tuple(
@@ -48,20 +49,24 @@ def _require_in_pencil(carrier: ProjPoint, line: ProjLine):
         raise NotInPencil(f"{brief(line)} does not pass through the carrier {brief(carrier)}")
 
 
-@dataclass(frozen=True)
-class Involution:
+_LinePair = tuple[ProjLine, ProjLine]
+
+
+@record
+class Involution(
+    NamedTuple("Involution", [("carrier", ProjPoint), ("pair_a", _LinePair), ("pair_b", _LinePair)])
+):
     """A line involution given by two conjugate pairs through the carrier."""
 
-    carrier: ProjPoint
-    pair_a: tuple[ProjLine, ProjLine]
-    pair_b: tuple[ProjLine, ProjLine]
+    __slots__ = ()
 
-    def __post_init__(self):
-        lines = (*self.pair_a, *self.pair_b)
+    def __new__(cls, carrier, pair_a, pair_b):
+        lines = (*pair_a, *pair_b)
         for line in lines:
-            _require_in_pencil(self.carrier, line)
+            _require_in_pencil(carrier, line)
         if len(set(lines)) != 4:
             raise IdenticalLines("an involution needs two pairs of four distinct lines")
+        return tuple.__new__(cls, (carrier, pair_a, pair_b))
 
 
 def _pencil_param(inv: Involution, line: ProjLine) -> tuple[int, int]:

@@ -8,15 +8,16 @@ lines at infinity are ordinary values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import (
     IdenticalLines,
     IdenticalPoints,
     brief,
 )
+from .record import record
 
 Triple = tuple[int, int, int]
 
@@ -61,14 +62,14 @@ def _det3(m) -> int:
     )
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+@record
+class ProjPoint(NamedTuple("ProjPoint", [("coords", Triple)])):
     """A point of the rational projective plane in canonical integer form."""
 
-    coords: Triple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _canon(self.coords))
+    def __new__(cls, coords):
+        return tuple.__new__(cls, (_canon(coords),))
 
     @classmethod
     def of(cls, x, y, z) -> "ProjPoint":
@@ -94,14 +95,14 @@ class ProjPoint:
         return "({} : {} : {})".format(*self.coords)
 
 
-@dataclass(frozen=True)
-class ProjLine:
+@record
+class ProjLine(NamedTuple("ProjLine", [("coeffs", Triple)])):
     """The line ux + vy + wz = 0, canonicalized the same way as points."""
 
-    coeffs: Triple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _canon(self.coeffs))
+    def __new__(cls, coeffs):
+        return tuple.__new__(cls, (_canon(coeffs),))
 
     @classmethod
     def of(cls, u, v, w) -> "ProjLine":

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
+from typing import NamedTuple
 
 from .cubic import Cubic
 from .engine import Attempt, ConstructionState, Generation, PointPair, SeedConfig, validate_seed
 from .errors import InvariantViolation, SeedFormatError, brief
 from .projective import ProjPoint
+from .record import record
 from .weierstrass import WeierstrassCurve
 
 
@@ -139,13 +140,13 @@ def state_to_json(state: ConstructionState) -> dict:
         "generations": state.generations,
         "labels": [list(label) for label in state.labels],
         "relations": [list(row) for row in state.relations],
-        "stats": [asdict(g) for g in state.stats],
+        "stats": [g._asdict() for g in state.stats],
         "provenance": [list(row) for row in state.rows],
     }
 
 
-@dataclass
-class RunReport:
+@record
+class RunReport(NamedTuple):
     """A run report as read.
 
     `rows` are the provenance rows that replay.  v1 and v2 reports hold
@@ -169,7 +170,7 @@ class RunReport:
 
 
 _STATUSES = ("new", "duplicate", "skipped")
-_STATS = {f.name for f in fields(Generation)}
+_STATS = set(Generation._fields)
 
 
 def _is_int(v) -> bool:

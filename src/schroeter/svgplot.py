@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .cubic import Cubic, evaluate, gradient
+from .cubic import Cubic, gradient
 
 _SIZE = 640
 _PAD = 0.08
@@ -214,11 +214,10 @@ def _axes(canvas: _Canvas):
 
 
 def _tangent_segment(canvas: _Canvas, cubic: Cubic, point):
-    # no tangent off the cubic or at a singular point
-    if evaluate(cubic, point):
-        return
+    # No tangent off the cubic or at a singular point.  By Euler's identity
+    # grad F(p) . p = 3 F(p), exactly, so the gradient tells both.
     grad = gradient(cubic, point.coords)
-    if not any(grad):
+    if not any(grad) or sum(g * c for g, c in zip(grad, point.coords)):
         return
     # With the first nonzero coefficient made positive, c / scale is the
     # same rational as for the canonical line (tangent_at), so the floats

@@ -11,9 +11,9 @@ need a group law are skipped unless a Weierstrass model is supplied.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from itertools import islice
+from typing import NamedTuple
 
 from .checks import (
     chasles_check,
@@ -33,6 +33,7 @@ from .errors import (
     ValidationError,
     brief,
 )
+from .record import record
 from .serialize import RunReport
 from .weierstrass import (
     WeierstrassCurve,
@@ -49,20 +50,26 @@ SUITES = ("chasles", "pair-tangents", "tangents", "chords", "lines", "center")
 LIMIT = 120
 
 
-@dataclass
-class CheckResult:
+@record
+class CheckResult(NamedTuple):
     suite: str
     name: str
     status: str  # "pass" | "fail" | "degenerate" | "hypothesis-failed" | "skipped"
     detail: str = ""
 
     def to_json(self):
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class VerificationReport:
-    results: list[CheckResult] = field(default_factory=list)
+@record
+class VerificationReport(NamedTuple("VerificationReport", [("results", list[CheckResult])])):
+    """The checks' results, to which the suites append; a fresh list unless
+    one is given."""
+
+    __slots__ = ()
+
+    def __new__(cls, results=None):
+        return tuple.__new__(cls, ([] if results is None else results,))
 
     @property
     def ok(self) -> bool:

@@ -10,9 +10,9 @@ conjugation induces a line involution with a computable center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .cubic import Cubic, chord_third, evaluate
 from .engine import PointPair, SeedConfig, validate_seed
@@ -27,6 +27,7 @@ from .errors import (
     brief,
 )
 from .projective import ProjLine, ProjPoint, join, meet
+from .record import record
 
 NEUTRAL = ProjPoint((0, 1, 0))
 TWO_TORSION = ProjPoint((0, 0, 1))
@@ -34,19 +35,16 @@ TWO_TORSION = ProjPoint((0, 0, 1))
 _AXIS = ProjLine((1, 0, 0))  # the line x = 0
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    """y^2 = x^3 + a x^2 + b x, nonsingular (b != 0 and a^2 != 4b)."""
+@record
+class WeierstrassCurve(NamedTuple("WeierstrassCurve", [("a", Fraction), ("b", Fraction)])):
+    """y^2 = x^3 + a x^2 + b x, nonsingular (b != 0 and a^2 != 4b).  It
+    keeps `cubic` in its `__dict__`."""
 
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        a, b = Fraction(self.a), Fraction(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __new__(cls, a, b):
+        a, b = Fraction(a), Fraction(b)
         if b == 0 or a * a == 4 * b:
             raise ValidationError(f"curve a={brief(a)}, b={brief(b)} is singular")
+        return tuple.__new__(cls, (a, b))
 
     @cached_property
     def cubic(self) -> Cubic:
@@ -78,8 +76,8 @@ def conjugate_point(curve: WeierstrassCurve, p: ProjPoint) -> ProjPoint:
 
 # --- the alpha/beta/gamma chart ---------------------------------------------
 
-@dataclass(frozen=True)
-class AbcChart:
+@record
+class AbcChart(NamedTuple):
     """The curve chart y^2 x = alpha + beta x + gamma x^2."""
 
     alpha: Fraction
@@ -91,8 +89,8 @@ class AbcChart:
         return y * y * x == self.alpha + self.beta * x + self.gamma * x * x
 
 
-@dataclass(frozen=True)
-class ChartMap:
+@record
+class ChartMap(NamedTuple):
     """Bijective rational map from a Weierstrass curve to its chart.
 
     Scale x by the base point's x, y by its y, swap the roles of x and z,
@@ -135,8 +133,8 @@ def chart_conjugate(chart: AbcChart, point) -> tuple[Fraction, Fraction]:
     return chart.alpha / (chart.gamma * x), -y
 
 
-@dataclass(frozen=True)
-class CenterProduct:
+@record
+class CenterProduct(NamedTuple):
     """Signed intercept data of the induced line involution at a base point."""
 
     center: tuple[Fraction, Fraction]

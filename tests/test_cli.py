@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schroeter import serialize
+from schroeter import cli, serialize
 from schroeter.cli import main
+from schroeter.engine import run
 from schroeter.projective import ProjPoint
 
 from oracles import expand_provenance
@@ -206,7 +210,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "option",
         [["--seed", "torsion.json"], ["--suite", "chords"], ["--a", "5"], ["--b", "4"],
-         ["--out", "verify.json"]],
+         ["--max-points", "128"], ["--out", "verify.json"], ["--verbose"]],
     )
     def test_report_takes_no_run_option(self, torsion_seed_file, monkeypatch, capsys, option):
         """`verify --report` re-checks a report; an option of a verify run is
@@ -219,6 +223,23 @@ class TestVerify:
         assert err.startswith("error: ") and option[0] in err
         assert not Path("verify.json").exists()
 
+    def test_run_options_of_a_seed_run(self, torsion_seed_file, monkeypatch, capsys):
+        """A `verify --seed` run caps at 128 points unless --max-points says
+        otherwise, and prints each check only with --verbose."""
+        caps = []
+
+        def spy(seed, **kwargs):
+            caps.append(kwargs["max_points"])
+            return run(seed, **kwargs)
+
+        monkeypatch.setattr(cli, "run", spy)
+        assert main(["verify", "--seed", str(torsion_seed_file)]) == 0
+        quiet = capsys.readouterr().out
+        assert main(["verify", "--seed", str(torsion_seed_file), "--max-points", "64", "--verbose"]) == 0
+        verbose = capsys.readouterr().out
+        assert caps == [128, 64]
+        assert quiet.startswith("verify: ") and "[      pass] chasles: " in verbose
+
     def test_unknown_suite(self, torsion_seed_file):
         assert main(["verify", "--seed", str(torsion_seed_file), "--suite", "nonsense"]) == 1
 
@@ -227,6 +248,42 @@ class TestVerify:
         """A bad rational, or only one of --a and --b, is an input error."""
         assert main(["verify", "--seed", str(torsion_seed_file), *model]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_no_command_imports_dataclasses(tmp_path):
+    """Every command runs without `dataclasses` and the `inspect` it
+    imports, which cost each command start-up time.  Modules that a bare
+    interpreter has already loaded, through a site hook say, do not count."""
+    points = [[str(t), str(t ** 3)] for t in (-4, -3, -2, -1, 0, 1, 2, 3, 5)]
+    (tmp_path / "pts.json").write_text(json.dumps(points))
+    commands = [
+        ["seed-from-curve", *TORSION_ARGS, "--out", "seed.json"],
+        ["construct", "--seed", "seed.json", "--out", "run.json", "--svg", "run.svg", "--tangents"],
+        ["verify", "--seed", "seed.json"],
+        ["verify", "--report", "run.json"],
+        ["plot", "--report", "run.json", "--out", "plot.svg"],
+        ["fit", "--points", "pts.json"],
+    ]
+    loaded = "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = (
+        "import json, sys\n"
+        "from schroeter.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n" + loaded
+    )
+    source = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+
+    def modules(*args):
+        out = subprocess.run(
+            [sys.executable, "-c", *args], capture_output=True, text=True, check=True,
+            env=env, cwd=tmp_path,
+        )
+        return out.stdout.splitlines()[-1]
+
+    bare = modules("import sys; " + loaded)
+    assert modules(code, json.dumps(commands)) == bare
+    assert 'stroke="#999999"' in (tmp_path / "run.svg").read_text()
 
 
 def _seed_only_report(generations: int) -> dict:

@@ -1,6 +1,7 @@
 """Every module of the package and of the tests uses each name it imports,
-and every top-level definition, method and property of the package is used
-by the package itself.
+no module of the package imports `dataclasses` or `inspect`, and every
+top-level definition, method and property of the package is used by the
+package itself.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.
 `__init__.py` is skipped because it re-exports, and `__future__` imports
@@ -47,6 +48,35 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_import():
     source = "from .cubic import chord_third, third_intersection\nchord_third()\n"
     assert unused_imports(source) == ["third_intersection (line 1)"]
+
+
+# Modules whose import costs every command start-up time: `dataclasses`
+# imports `inspect`, and builds each class's methods when it is defined.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+def slow_imports(source: str) -> list[str]:
+    """The imports of SLOW_IMPORTS in the source, as "module (line n)"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{m} (line {node.lineno})" for m in modules if m.split(".")[0] in SLOW_IMPORTS]
+    return found
+
+
+@pytest.mark.parametrize("path", [PACKAGE / "__init__.py", *MODULES], ids=lambda p: p.name)
+def test_no_slow_imports(path):
+    assert slow_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_slow_import():
+    assert slow_imports("from dataclasses import dataclass\n") == ["dataclasses (line 1)"]
+    assert slow_imports("import json, inspect\nfrom .cubic import evaluate\n") == ["inspect (line 1)"]
 
 
 def references(nodes) -> set[str]:

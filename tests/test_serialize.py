@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -153,11 +152,9 @@ def _with_skipped_row(state):
     in the stats."""
     last = state.stats[-1]
     skipped = {**last.skipped, "DegenerateLines": last.skipped["DegenerateLines"] + 1}
-    last = dataclasses.replace(last, attempted=last.attempted + 1, skipped=skipped)
+    last = last._replace(attempted=last.attempted + 1, skipped=skipped)
     row = Attempt(sum(g.attempted for g in state.stats), 2, 0, "skipped", "DegenerateLines")
-    return dataclasses.replace(
-        state, rows=(*state.rows, row), stats=(*state.stats[:-1], last)
-    )
+    return state._replace(rows=(*state.rows, row), stats=(*state.stats[:-1], last))
 
 
 def _run_named(request, name, max_points=None):
@@ -287,7 +284,7 @@ class TestState:
             if name == "skipped":
                 state = _with_skipped_row(state)
             else:
-                state = dataclasses.replace(state, rows=(), stats=())
+                state = state._replace(rows=(), stats=())
         else:
             state = _run_named(request, name)
         obj = serialize.state_to_json(state)
