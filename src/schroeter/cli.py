@@ -128,13 +128,13 @@ def cmd_verify(args) -> int:
         ]
         if given:
             raise ValidationError(f"verify --report does not take {', '.join(given)}")
-        report = serialize.report_from_json(serialize.load_json(args.report))
-        cubics = report.curve_basis or ([report.curve] if report.curve else [])
+        state = serialize.report_from_json(serialize.load_json(args.report))
+        cubics = state.curve_basis or ([state.curve] if state.curve else [])
         if not cubics:
             raise ValidationError("report carries no curve to check against")
-        revalidate_points((p for pair in report.pairs for p in pair.points), cubics)
-        replay_report(report)
-        print(f"report ok: {2 * len(report.pairs)} points on the recorded curve")
+        revalidate_points((p for pair in state.pairs for p in pair.points), cubics)
+        replay_report(state)
+        print(f"report ok: {state.point_count} points on the recorded curve")
         return 0
     if not args.seed:
         raise ValidationError("verify needs --seed or --report")
@@ -160,8 +160,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    report = serialize.report_from_json(serialize.load_json(args.report))
-    _write(args.out, render_svg(report.pairs, report.curve, tangents=args.tangents))
+    state = serialize.report_from_json(serialize.load_json(args.report))
+    _write(args.out, render_svg(state.pairs, state.curve, tangents=args.tangents))
     print(f"wrote {args.out}")
     return 0
 

@@ -49,6 +49,7 @@ from .errors import (
     IdenticalPoints,
     InvariantViolation,
     NotOnCurve,
+    OverlappingBootstrap,
     SharedPoint,
     ValidationError,
     brief,
@@ -130,10 +131,13 @@ def validate_seed(
     allow_quadrilateral: bool = False,
 ) -> SeedConfig:
     """Check the seed conditions: six distinct points, no four collinear,
-    and not the opposite-vertex pairs of one complete quadrilateral.
+    not the opposite-vertex pairs of one complete quadrilateral, and no
+    bootstrap child that shares a point with a seed pair or an earlier
+    child without being that pair (the run would exit on it).
 
-    allow_quadrilateral skips the last check; such seeds reproduce only
-    their own six points (useful for exercising that degeneracy in tests).
+    allow_quadrilateral skips the quadrilateral check; such seeds reproduce
+    only their own six points (useful for exercising that degeneracy in
+    tests).
     """
     points = (*pair_a.points, *pair_b.points, *pair_c.points)
     if len(set(points)) != 6:
@@ -147,6 +151,21 @@ def validate_seed(
         raise CompleteQuadrilateral(
             "the seed pairs are opposite vertices of a complete quadrilateral"
         )
+    admitted = [pair_a, pair_b, pair_c]
+    for p, q in ((pair_a, pair_b), (pair_b, pair_c), (pair_c, pair_a)):
+        try:
+            child = combine(p, q)
+        except DegenerateLines:
+            continue
+        if child in admitted:
+            continue
+        owner = next((pair for pair in admitted if child.first in pair or child.second in pair), None)
+        if owner is not None:
+            raise OverlappingBootstrap(
+                f"the bootstrap child {brief(child)} of {brief(p)} and {brief(q)} "
+                f"shares a point with {brief(owner)}"
+            )
+        admitted.append(child)
     return SeedConfig(pair_a, pair_b, pair_c)
 
 

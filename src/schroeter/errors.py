@@ -61,6 +61,10 @@ class CompleteQuadrilateral(ValidationError):
     pass
 
 
+class OverlappingBootstrap(ValidationError):
+    pass
+
+
 class NotOnCurve(ValidationError):
     pass
 

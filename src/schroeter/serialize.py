@@ -11,13 +11,11 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import NamedTuple
 
 from .cubic import Cubic
 from .engine import Attempt, ConstructionState, Generation, PointPair, SeedConfig, validate_seed
 from .errors import InvariantViolation, SeedFormatError, brief
 from .projective import ProjPoint
-from .record import record
 from .weierstrass import WeierstrassCurve
 
 
@@ -108,15 +106,11 @@ def seed_from_json(obj) -> tuple[SeedConfig, WeierstrassCurve | None]:
     return seed, curve
 
 
-# Run reports: v1 (no "format_version") wrote each provenance parent and
-# child as full coordinates; v2 wrote one row [i, j, status, k] per attempt,
-# the pairs named by their indices in "pairs"; v3 writes the labels and
-# keeps only the rows that the labels do not imply.
 REPORT_FORMAT = 3
 
 
 def state_to_json(state: ConstructionState) -> dict:
-    """The run report.
+    """The run report, which `report_from_json` reads back as the state.
 
     `labels` holds each pair's group-law label, reduced by `relations`.
     `provenance` holds the state's rows, the attempts that ran the
@@ -126,7 +120,8 @@ def state_to_json(state: ConstructionState) -> dict:
     child's index for "new" and "duplicate" or the reason for "skipped".
     Every other attempt is a duplicate of the pair labelled
     kappa - l_i - l_j.  `stats` has one `Generation` per generation, the
-    bootstrap first.
+    bootstrap first.  `pair_count`, `point_count`, `closed` and
+    `generations` are fields the state derives.
     """
     return {
         "format_version": REPORT_FORMAT,
@@ -145,30 +140,6 @@ def state_to_json(state: ConstructionState) -> dict:
     }
 
 
-@record
-class RunReport(NamedTuple):
-    """A run report as read.
-
-    `rows` are the provenance rows that replay.  v1 and v2 reports hold
-    every attempt; only their new and skipped rows are kept, since a
-    duplicate row may be one that the labels predicted.  The other fields
-    come from v3 reports only, and are None before.
-    """
-
-    pairs: list[PointPair]
-    curve: Cubic | None
-    curve_basis: list[Cubic]
-    rows: list[Attempt]
-    seed: list[PointPair] | None = None
-    labels: list[tuple[int, ...]] | None = None
-    relations: list[tuple[int, ...]] | None = None
-    stats: list[Generation] | None = None
-    generations: int | None = None
-    pair_count: int | None = None
-    point_count: int | None = None
-    closed: bool | None = None
-
-
 _STATUSES = ("new", "duplicate", "skipped")
 _STATS = set(Generation._fields)
 
@@ -177,14 +148,14 @@ def _is_int(v) -> bool:
     return type(v) is int
 
 
-def _int_rows(obj, key: str, width: int) -> list[tuple[int, ...]]:
-    """A v3 report's list of integer rows of one width."""
+def _int_rows(obj, key: str, width: int) -> tuple[tuple[int, ...], ...]:
+    """A run report's list of integer rows of one width."""
     rows = obj.get(key)
     if not isinstance(rows, list) or not all(
         isinstance(r, list) and len(r) == width and all(map(_is_int, r)) for r in rows
     ):
-        raise SeedFormatError(f"a v3 run report needs {key!r} as rows of {width} integers")
-    return [tuple(r) for r in rows]
+        raise SeedFormatError(f"a run report needs {key!r} as rows of {width} integers")
+    return tuple(map(tuple, rows))
 
 
 def _row(n, i, j, status, k) -> Attempt:
@@ -198,98 +169,74 @@ def _row(n, i, j, status, k) -> Attempt:
     return Attempt(n, i, j, status, k)
 
 
-def _v3_fields(obj) -> dict:
-    """The fields of a v3 report that earlier layouts lack, and its stored
-    rows."""
+def _stats_from_json(obj) -> tuple[Generation, ...]:
+    """A run report's `stats`, each count a non-negative integer."""
     stats = obj.get("stats")
     if not isinstance(stats, list) or not all(
         isinstance(g, dict) and set(g) == _STATS and isinstance(g["skipped"], dict) for g in stats
     ):
-        raise SeedFormatError(f"a v3 run report needs 'stats' as objects with keys {sorted(_STATS)}")
+        raise SeedFormatError(f"a run report needs 'stats' as objects with keys {sorted(_STATS)}")
     for g in stats:
         counts = [(repr(key), g[key]) for key in sorted(_STATS - {"skipped"})]
         counts += [(f"'skipped' {brief(repr(r))}", v) for r, v in g["skipped"].items()]
         for name, v in counts:
             if not _is_int(v) or v < 0:
                 raise SeedFormatError(
-                    f"a v3 run report needs stats count {name} as a non-negative integer, "
+                    f"a run report needs stats count {name} as a non-negative integer, "
                     f"got {brief(repr(v))}"
                 )
-    seed, rows = obj.get("seed"), obj.get("provenance")
+    return tuple(Generation(**g) for g in stats)
+
+
+def report_from_json(obj) -> ConstructionState:
+    """The state of the run that a run report records.
+
+    Only `format_version` 3 reads: earlier layouts lack the labels and
+    stats, and a run is deterministic, so their reports are regenerated
+    from their seeds.  A field of the wrong shape is a SeedFormatError.
+    The stored `generations`, `pair_count`, `point_count` and `closed` must
+    be those the state derives from its pairs and stats, or the report is
+    corrupt (InvariantViolation); `verify.replay_report` checks the rest.
+    """
+    if not isinstance(obj, dict):
+        raise SeedFormatError("a run report must be a JSON object")
+    version = obj.get("format_version")
+    if not _is_int(version) or version != REPORT_FORMAT:
+        layout = f"format_version {brief(repr(version))}" if "format_version" in obj else "no format_version"
+        raise SeedFormatError(
+            f"this run report has {layout}; only format_version {REPORT_FORMAT} is read: "
+            "regenerate the report from its seed with `construct --out`"
+        )
+    seed, pairs, basis, rows = (obj.get(key) for key in ("seed", "pairs", "curve_basis", "provenance"))
     if not isinstance(seed, list) or len(seed) != 3:
-        raise SeedFormatError("a v3 run report needs its 3 'seed' pairs")
+        raise SeedFormatError("a run report needs its 3 'seed' pairs")
+    if not isinstance(pairs, list):
+        raise SeedFormatError("a run report needs a 'pairs' list")
+    if not isinstance(basis, list):
+        raise SeedFormatError("a run report needs a 'curve_basis' list")
     if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == 5 for r in rows):
-        raise SeedFormatError("a v3 run report needs 'provenance' as rows [n, i, j, status, k]")
+        raise SeedFormatError("a run report needs 'provenance' as rows [n, i, j, status, k]")
     for key in ("generations", "pair_count", "point_count"):
         if not _is_int(obj.get(key)) or obj[key] < 0:
-            raise SeedFormatError(f"a v3 run report needs a non-negative integer {key!r}")
+            raise SeedFormatError(f"a run report needs a non-negative integer {key!r}")
     if type(obj.get("closed")) is not bool:
-        raise SeedFormatError("a v3 run report needs 'closed' as true or false")
-    return {
-        "seed": [pair_from_json(p) for p in seed],
-        "labels": _int_rows(obj, "labels", 4),
-        "relations": _int_rows(obj, "relations", 4),
-        "stats": [Generation(**g) for g in stats],
-        "rows": [_row(*r) for r in rows],
-        **{key: obj[key] for key in ("generations", "pair_count", "point_count", "closed")},
-    }
-
-
-def _old_rows(obj, pairs: list[PointPair]) -> list[tuple]:
-    """The new and skipped rows of a v1 or v2 report's provenance, which
-    has one row per attempt: [i, j, status, k] in v2, and in v1 an object
-    naming each pair by its coordinates, "x:y:z|x:y:z"."""
-    rows = obj.get("provenance") or []
-    if not isinstance(rows, list):
-        raise SeedFormatError("a run report's 'provenance' must be a list")
-    if "format_version" not in obj:
-        names = {
-            "|".join(":".join(map(str, p.coords)) for p in pair.points): i
-            for i, pair in enumerate(pairs)
-        }
-        rows = [_v1_row(r, names) for r in rows]
-    if not all(isinstance(r, list) and len(r) == 4 for r in rows):
-        raise SeedFormatError("a v2 run report needs 'provenance' as rows [i, j, status, k]")
-    return [_row(n, *r) for n, r in enumerate(rows) if r[2] != "duplicate"]
-
-
-def _v1_row(entry, names: dict[str, int]) -> list:
-    """A v1 provenance entry as the v2 row [i, j, status, k], each pair
-    looked up by its name in `names`."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("parents"), list):
-        raise SeedFormatError(f"bad run report provenance entry {brief(repr(entry))}")
-
-    def index(name):
-        if name not in names:
-            raise InvariantViolation(f"provenance names no pair of the report: {brief(name)}")
-        return names[name]
-
-    status = entry.get("status")
-    if status == "duplicate":
-        return [None, None, status, None]
-    child = entry.get("reason") if status == "skipped" else index(str(entry.get("child")))
-    return [*(index(str(name)) for name in entry["parents"]), status, child]
-
-
-def report_from_json(obj) -> RunReport:
-    """A run report of any format: v1 (no "format_version"), v2 or v3."""
-    if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
-        raise SeedFormatError("a run report needs a 'pairs' list")
-    version = obj.get("format_version")
-    if "format_version" in obj and (type(version) is not int or version not in (2, REPORT_FORMAT)):
-        raise SeedFormatError(
-            f"unsupported run report format_version {brief(repr(version))}; "
-            f"expected 2, {REPORT_FORMAT} or none"
+        raise SeedFormatError("a run report needs 'closed' as true or false")
+    state = ConstructionState(
+        seed=validate_seed(*map(pair_from_json, seed), allow_quadrilateral=True),
+        pairs=tuple(map(pair_from_json, pairs)),
+        curve=cubic_from_json(obj["curve"]) if obj.get("curve") else None,
+        curve_basis=tuple(map(cubic_from_json, basis)),
+        rows=tuple(_row(*r) for r in rows),
+        labels=_int_rows(obj, "labels", 4),
+        relations=_int_rows(obj, "relations", 4),
+        stats=_stats_from_json(obj),
+    )
+    derived = (state.generations, len(state.pairs), state.point_count, state.closed)
+    if tuple(obj[key] for key in ("generations", "pair_count", "point_count", "closed")) != derived:
+        raise InvariantViolation(
+            "generations, pair_count, point_count or closed disagrees with the pairs and stats"
         )
-    basis = obj.get("curve_basis", [])
-    if not isinstance(basis, list):
-        raise SeedFormatError("a run report's 'curve_basis' must be a list")
-    pairs = [pair_from_json(p) for p in obj["pairs"]]
-    curve = cubic_from_json(obj["curve"]) if obj.get("curve") else None
-    basis = [cubic_from_json(c) for c in basis]
-    if version == REPORT_FORMAT:
-        return RunReport(pairs, curve, basis, **_v3_fields(obj))
-    return RunReport(pairs, curve, basis, _old_rows(obj, pairs))
+    return state
 
 
 def state_points_csv(state: ConstructionState) -> str:

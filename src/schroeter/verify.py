@@ -34,7 +34,6 @@ from .errors import (
     brief,
 )
 from .record import record
-from .serialize import RunReport
 from .weierstrass import (
     WeierstrassCurve,
     involution_center_product,
@@ -280,16 +279,17 @@ def revalidate_points(points, cubics) -> None:
                 raise InvariantViolation(f"point {brief(p)} is off the recorded curve")
 
 
-def replay_report(report: RunReport) -> None:
-    """Raise InvariantViolation unless a run report's provenance replays.
+def replay_report(state: ConstructionState) -> None:
+    """Raise InvariantViolation unless a run state read from a report
+    replays.
 
-    Every row read replays: combine(pairs[i], pairs[j]) is pairs[k], or
-    raises the error a skipped row names.  A v3 report is also checked
-    against its labels and stats (see _check_history).  Neither walks the
-    attempts that the labels imply.
+    Every stored row replays: combine(pairs[i], pairs[j]) is pairs[k], or
+    raises the error a skipped row names.  Then the rows, labels and stats
+    must be the run's (see _check_history).  Neither walks the attempts
+    that the labels imply.
     """
-    pairs = report.pairs
-    for n, i, j, status, k in report.rows:
+    pairs = state.pairs
+    for n, i, j, status, k in state.rows:
         named = (i, j) if status == "skipped" else (i, j, k)
         if not all(0 <= x < len(pairs) for x in named):
             raise InvariantViolation(f"provenance row {n} names no pair of the report")
@@ -302,12 +302,11 @@ def replay_report(report: RunReport) -> None:
                 f"provenance row {n} does not replay: pairs {i} and {j} do not give "
                 f"{brief(k) if status == 'skipped' else f'pair {k}'}"
             )
-    if report.labels is not None:
-        _check_history(report)
+    _check_history(state)
 
 
-def _check_history(report: RunReport) -> None:
-    """The checks of a v3 report beyond the replay of its rows.
+def _check_history(state: ConstructionState) -> None:
+    """The checks of a run state beyond the replay of its rows.
 
     Each stored row is the attempt that `_schedule` draws at its ordinal,
     and the ordinals strictly increase.  Each pair but the seed's three has
@@ -315,17 +314,16 @@ def _check_history(report: RunReport) -> None:
     gives each pair its unreduced label kappa - x - y; the stored
     duplicates must each teach a relation, and together exactly
     `relations`.  Each label is the unreduced one reduced by them, and no
-    two pairs share one.  Then every derived field must be what the rows
-    give: `stats` (by `_stats`), `generations`, `pair_count`, `point_count`
-    and `closed`.  A generation attempts all of its pending combinations,
-    except the last one when the point cap ended it on a new pair.
+    two pairs share one.  Each `stats` entry must be what `_stats` derives
+    from the rows; the fields that the state derives from `stats`, such as
+    `closed`, the report reader has already checked.  A generation
+    attempts all of its pending combinations, except the last one when
+    the point cap ended it on a new pair.
     """
-    pairs, stats, rows = report.pairs, report.stats, report.rows
-    if len(report.labels) != len(pairs):
-        raise InvariantViolation(f"{len(report.labels)} labels for {len(pairs)} pairs")
-    if len(stats) != report.generations + 1:
-        raise InvariantViolation(f"{len(stats)} stats entries for {report.generations} generations")
-    seeds = [pairs.index(pair) for pair in report.seed if pair in pairs]
+    pairs, stats, rows = state.pairs, state.stats, state.rows
+    if len(state.labels) != len(pairs):
+        raise InvariantViolation(f"{len(state.labels)} labels for {len(pairs)} pairs")
+    seeds = [pairs.index(pair) for pair in state.seed.pairs if pair in pairs]
     if len(set(seeds)) != 3:
         raise InvariantViolation("the seed is not three of the report's pairs")
 
@@ -362,12 +360,12 @@ def _check_history(report: RunReport) -> None:
         orphan = min(set(range(len(pairs))) - set(unreduced))
         raise InvariantViolation(f"pair {orphan} has no row that makes it")
 
-    if _hnf(taught) != report.relations:
+    if tuple(_hnf(taught)) != state.relations:
         raise InvariantViolation("the relations are not those the duplicate rows teach")
-    for k, label in enumerate(report.labels):
-        if _reduce(unreduced[k], report.relations) != label:
+    for k, label in enumerate(state.labels):
+        if _reduce(unreduced[k], state.relations) != label:
             raise InvariantViolation(f"the label of pair {k} is not that of its parents")
-    if len(set(report.labels)) != len(pairs):
+    if len(set(state.labels)) != len(pairs):
         raise InvariantViolation("two pairs share a label")
 
     derived = _stats(pairs, seeds, rows, attempted)
@@ -379,9 +377,3 @@ def _check_history(report: RunReport) -> None:
             g != len(stats) - 1 or entry.attempted and not ends_new
         ):
             raise InvariantViolation(f"generation {g} stops short of its {entry.pending} combinations")
-    if (report.pair_count, report.point_count, report.closed) != (
-        len(pairs), 2 * len(pairs), total == len(pairs) * (len(pairs) - 1) // 2
-    ):
-        raise InvariantViolation(
-            "pair_count, point_count or closed disagrees with the pairs and attempts"
-        )

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from schroeter import cli, serialize
 from schroeter.cli import main
-from schroeter.engine import run
+from schroeter.engine import Attempt, run
+from schroeter.errors import InvariantViolation
 from schroeter.projective import ProjPoint
-
-from oracles import expand_provenance
+from schroeter.verify import replay_report
 
 TORSION_ARGS = ["--a", "5", "--b", "4", "--points", "0,0;2,6;-1,0"]
 SEEDS = Path(__file__).parents[1] / "seeds"
@@ -70,6 +70,17 @@ class TestConstruct:
         assert report["closed"] is True
         assert report["point_count"] == 8
         assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("command", ["construct", "verify"])
+    def test_overlapping_bootstrap_seed(self, tmp_path, capsys, command):
+        """A seed whose bootstrap child {(0:0:1), (21:-3:1)} shares a point
+        with a seed pair is an input error, not an invariant violation."""
+        path = tmp_path / "seed.json"
+        pairs = [[(0, 0, 1), (0, 1, 0)], [(1, 0, 0), (1, 1, 1)], [(3, 3, -1), (6, 0, 1)]]
+        path.write_text(json.dumps({"pairs": [[[str(c) for c in p] for p in pair] for pair in pairs]}))
+        assert main([command, "--seed", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the bootstrap child {(0 : 0 : 1), (21 : -3 : 1)} ")
 
     def test_round_trip_points(self, torsion_seed_file, tmp_path):
         out = tmp_path / "run.json"
@@ -198,15 +209,6 @@ class TestVerify:
         assert main(["verify", "--report", str(out)]) == 0
         assert main(["plot", "--report", str(out), "--out", str(tmp_path / "run.svg")]) == 0
 
-    def test_version_1_report(self, torsion_seed_file, tmp_path):
-        """A report in the first layout, without "format_version" and with
-        each parent and child written out in full, still reads."""
-        out = tmp_path / "run.json"
-        main(["construct", "--seed", str(torsion_seed_file), "--out", str(out)])
-        out.write_text(json.dumps(_old_layout(json.loads(out.read_text()), 1)))
-        assert main(["verify", "--report", str(out)]) == 0
-        assert main(["plot", "--report", str(out), "--out", str(tmp_path / "run.svg")]) == 0
-
     @pytest.mark.parametrize(
         "option",
         [["--seed", "torsion.json"], ["--suite", "chords"], ["--a", "5"], ["--b", "4"],
@@ -319,7 +321,9 @@ _BOOTSTRAP = {
      _seed_only_report(-1),
      {**_seed_only_report(0), "stats": [{**_BOOTSTRAP, "attempted": -5}]},
      {**_seed_only_report(0),
-      "stats": [{**_BOOTSTRAP, "skipped": {"DegenerateLines": 0, "SharedPoint": -1}}]}],
+      "stats": [{**_BOOTSTRAP, "skipped": {"DegenerateLines": 0, "SharedPoint": -1}}]},
+     {**_seed_only_report(0), "pairs": 5}, {**_seed_only_report(0), "curve_basis": 5},
+     {**_seed_only_report(0), "curve": ["0"] * 10}, {**_seed_only_report(0), "seed": []}],
 )
 def test_malformed_report(tmp_path, capsys, command, content):
     report = tmp_path / "bad.json"
@@ -327,6 +331,28 @@ def test_malformed_report(tmp_path, capsys, command, content):
     out = ["--out", str(tmp_path / "bad.svg")] if command == "plot" else []
     assert main([command, "--report", str(report), *out]) == 1
     assert "run report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "plot"])
+@pytest.mark.parametrize("version", [None, 2])
+def test_earlier_layouts_are_not_read(torsion_seed_file, tmp_path, capsys, command, version):
+    """A report of the first layout, which has no format_version, or of
+    version 2 is an input error that names its layout and how to replace it."""
+    path = tmp_path / "run.json"
+    main(["construct", "--seed", str(torsion_seed_file), "--out", str(path)])
+    report = json.loads(path.read_text())
+    if version is None:
+        del report["format_version"]
+    else:
+        report["format_version"] = version
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    out = ["--out", str(tmp_path / "run.svg")] if command == "plot" else []
+    assert main([command, "--report", str(path), *out]) == 1
+    err = capsys.readouterr().err
+    layout = "no format_version" if version is None else f"format_version {version}"
+    assert err.startswith(f"error: this run report has {layout}; ")
+    assert "regenerate the report from its seed" in err
 
 
 @pytest.mark.parametrize(
@@ -349,41 +375,6 @@ class TestPlot:
         assert main(["plot", "--report", str(out), "--out", str(svg), "--tangents"]) == 0
         text = svg.read_text()
         assert text.startswith("<svg") and "circle" in text
-
-    def test_empty_point_set(self, tmp_path):
-        report = tmp_path / "empty.json"
-        report.write_text(json.dumps({"pairs": [], "curve": None}))
-        svg = tmp_path / "empty.svg"
-        assert main(["plot", "--report", str(report), "--out", str(svg)]) == 0
-        assert svg.read_text().startswith("<svg")
-
-
-def _old_layout(report: dict, version: int, pairs=None) -> dict:
-    """A v3 run report in the v2 layout, with one row [i, j, status, k] per
-    attempt, or in the v1 layout, which has no "format_version" and names
-    each pair by its coordinates; with other `pairs` in place of its own,
-    if given."""
-    rows = [[i, j, status, k] for _, i, j, status, k in expand_provenance(report)]
-    old = {k: v for k, v in report.items() if k not in ("labels", "relations", "stats")}
-    old["pairs"] = pairs = pairs or report["pairs"]
-    if version == 2:
-        return {**old, "format_version": 2, "provenance": rows}
-    del old["format_version"]
-    names = [
-        "|".join(":".join(map(str, p.coords)) for p in serialize.pair_from_json(pair).points)
-        for pair in pairs
-    ]
-    old["provenance"] = [
-        {
-            "parents": [names[i], names[j]],
-            "child": None if status == "skipped" else names[k],
-            "skipped": status == "skipped",
-            "status": status,
-            "reason": k if status == "skipped" else None,
-        }
-        for i, j, status, k in rows
-    ]
-    return old
 
 
 @pytest.fixture(scope="module")
@@ -412,13 +403,11 @@ def _two(data, n: int, label: str) -> tuple[int, int]:
 
 class TestReportReplay:
     """`verify --report` exits 3 on a report whose rows, labels or stats do
-    not hold, and 0 on each layout as written."""
+    not hold, and 0 on the report as written."""
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_unaltered_reports_pass(self, frame_report, version):
+    def test_unaltered_reports_pass(self, frame_report):
         report, directory = frame_report
-        old = report if version == 3 else _old_layout(report, version)
-        assert _verify(old, directory) == 0
+        assert _verify(report, directory) == 0
         path = directory / "altered.json"
         assert main(["plot", "--report", str(path), "--out", str(directory / "run.svg")]) == 0
 
@@ -428,10 +417,9 @@ class TestReportReplay:
         assert stats[-1]["attempted"] < stats[-1]["pending"]
         assert len(report["provenance"]) < sum(g["attempted"] for g in stats) / 2
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
-    def test_swapped_partners(self, frame_report, version, data):
+    def test_swapped_partners(self, frame_report, data):
         """Two pairs trade one member each: every point stays on the curve
         and appears once, but a row that makes or uses them fails to replay."""
         report, directory = frame_report
@@ -440,21 +428,33 @@ class TestReportReplay:
         a, b = _two(data, len(pairs), "pair")
         ma, mb = data.draw(st.integers(0, 1), label="member a"), data.draw(st.integers(0, 1))
         pairs[a][ma], pairs[b][mb] = pairs[b][mb], pairs[a][ma]
-        if version < 3:
-            altered = _old_layout(report, version, pairs)
         assert _verify(altered, directory) == 3
 
     @pytest.mark.parametrize(
-        "row, code",
-        [([5, 5, "skipped", "SharedPoint"], 0), ([5, 5, "skipped", "DegenerateLines"], 3),
-         ([0, 3, "skipped", "DegenerateLines"], 3)],
+        "row, replays",
+        [((5, 5, "SharedPoint"), True), ((5, 5, "DegenerateLines"), False),
+         ((0, 3, "DegenerateLines"), False)],
     )
-    def test_skipped_rows_replay_their_error(self, frame_report, row, code):
-        """A skipped row replays when `combine` raises the error it names."""
-        report, directory = frame_report
-        old = _old_layout(report, 2)
-        old["provenance"].append(row)
-        assert _verify(old, directory) == code
+    def test_skipped_rows_replay_their_error(self, frame_report, row, replays):
+        """A skipped row replays when `combine` raises the error it names.
+        The row is one more attempt at the end of the last generation,
+        counted in its stats.  It is never the attempt due there, so the
+        history check fails after the row replays; a row that does not
+        replay fails first."""
+        report, _ = frame_report
+        state = serialize.report_from_json(report)
+        i, j, reason = row
+        last = state.stats[-1]
+        skipped = {**last.skipped, reason: last.skipped[reason] + 1}
+        last = last._replace(attempted=last.attempted + 1, skipped=skipped)
+        appended = Attempt(sum(g.attempted for g in state.stats), i, j, "skipped", reason)
+        state = state._replace(rows=(*state.rows, appended), stats=(*state.stats[:-1], last))
+        with pytest.raises(InvariantViolation) as exc:
+            replay_report(state)
+        message = str(exc.value)
+        assert ("does not replay" not in message) == replays
+        if replays:
+            assert "not the attempt due at its ordinal" in message
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -534,11 +534,17 @@ class TestReportReplay:
         entry["digits"] += data.draw(st.integers(-min(5, entry["digits"]), 5).filter(bool))
         assert _verify(altered, directory) == 3
 
-    @pytest.mark.parametrize("field, value", [("closed", True), ("pair_count", 7), ("point_count", 99)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("closed", True), ("pair_count", 7), ("point_count", 99), ("generations", 2)],
+    )
     def test_edited_summary(self, frame_report, field, value):
+        """The reader checks the fields the state derives, for plot too."""
         report, directory = frame_report
         assert report[field] != value
         assert _verify({**report, field: value}, directory) == 3
+        path = directory / "altered.json"
+        assert main(["plot", "--report", str(path), "--out", str(directory / "run.svg")]) == 3
 
     def test_wrong_duplicate_count(self, frame_report):
         report, directory = frame_report

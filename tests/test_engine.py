@@ -15,6 +15,7 @@ from schroeter.cubic import Cubic, evaluate, tangent_at, third_intersection
 from schroeter.engine import (
     Attempt,
     PointPair,
+    SeedConfig,
     combine,
     run,
     validate_seed,
@@ -26,6 +27,7 @@ from schroeter.errors import (
     FourCollinear,
     IdenticalPoints,
     InvariantViolation,
+    OverlappingBootstrap,
     SchroeterError,
     SharedPoint,
     ValidationError,
@@ -50,7 +52,7 @@ from schroeter.weierstrass import (
     to_abc_chart,
 )
 
-from conftest import FRAME, PENCIL_PAIRS, frame_seed, random_frame_seeds
+from conftest import FRAME, PENCIL_PAIRS, frame_seed, random_affine_point, random_frame_seeds
 from oracles import (
     BarNotOnCurve,
     DegenerateNine,
@@ -110,6 +112,27 @@ class TestValidateSeed:
                 PointPair.of(pt(1, 0), ProjPoint.of(0, 1, 0)),
                 PointPair.of(pt(2, 0), pt(0, 1)),
             )
+
+    def test_overlapping_bootstrap_census(self):
+        """validate_seed rejects exactly the frame seeds whose bootstrap
+        would admit a pair over a point already taken, 10 of 600 here;
+        `TestConstruct.test_overlapping_bootstrap_seed` runs the first."""
+        rng = random.Random(11)
+        rejected = 0
+        for _ in range(600):
+            c, cbar = random_affine_point(rng), random_affine_point(rng)
+            try:
+                frame_seed(c, cbar)
+            except OverlappingBootstrap:
+                rejected += 1
+                raw = SeedConfig(PointPair.of(*FRAME[:2]), PointPair.of(*FRAME[2:]), PointPair.of(c, cbar))
+                with pytest.raises(InvariantViolation, match="already belongs"):
+                    run(raw, max_generations=0)
+                continue
+            except SchroeterError:
+                continue
+            run(frame_seed(c, cbar), max_generations=0)
+        assert rejected == 10
 
     def test_quadrilateral_hook(self):
         state = run(quadrilateral_hook_seed())

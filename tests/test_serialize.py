@@ -179,7 +179,31 @@ class TestState:
         assert serialize.cubic_from_json(obj["curve"]) == state.curve
         assert obj["point_count"] == state.point_count
         assert expand_provenance(obj) == state.provenance
-        assert serialize.report_from_json(obj).rows == list(state.rows)
+
+    @pytest.mark.parametrize("name", ["frame", "curve12", "torsion", "quadrilateral", "pencil"])
+    def test_report_reads_back_as_the_state(self, request, name):
+        """A written report reads back as the state of its run: frame@512,
+        curve12@128 with its curve, the full torsion seed, the quadrilateral
+        torsion seed, which only passes validation when allowed, and the
+        pencil seed's bootstrap, which leaves no unique curve."""
+        if name == "quadrilateral":
+            curve = request.getfixturevalue("curve54").cubic
+            state = run(request.getfixturevalue("torsion_seed_quadrilateral"), curve=curve)
+        elif name == "pencil":
+            state = run(request.getfixturevalue("pencil_seed"), max_generations=0)
+            assert state.curve is None and len(state.curve_basis) == 2
+        else:
+            state = _run_named(request, name)
+        obj = json.loads(serialize.dumps(serialize.state_to_json(state)))
+        assert serialize.report_from_json(obj) == state
+
+    def test_read_back_state_verifies_alike(self, curve12, curve12_seed):
+        """`run_suites` writes the same verify report on a run's state read
+        back from its report as on the state itself."""
+        state = run(curve12_seed, max_points=128, curve=curve12.cubic)
+        read = serialize.report_from_json(json.loads(serialize.dumps(serialize.state_to_json(state))))
+        verified = [serialize.dumps(run_suites(s, curve=curve12).to_json()) for s in (state, read)]
+        assert verified[0] == verified[1]
 
     @pytest.mark.parametrize(
         "name, max_points",
