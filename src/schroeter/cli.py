@@ -197,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-run a construction and check the classical claims")
     p.add_argument("--seed", help="seed JSON to construct and verify")
     p.add_argument("--report", help="instead: re-check a construct output file")
-    p.add_argument("--suite", action="append", default=None,
-                   help=f"suite to run, repeatable; one of all, {', '.join(SUITES)}")
+    # choices reject an unknown suite before the run
+    p.add_argument("--suite", action="append", default=None, choices=("all", *SUITES),
+                   help="suite to run, repeatable")
     p.add_argument("--a", default=None, help="rational a of a known Weierstrass model")
     p.add_argument("--b", default=None, help="rational b of a known Weierstrass model")
     # --max-points and --verbose default to None, so that --report can reject them

@@ -248,13 +248,12 @@ def state_points_csv(state: ConstructionState) -> str:
     return "\n".join(lines) + "\n"
 
 
-# A report's rows as `json.dumps` indents them: a provenance row
-# [n, i, j, status, k], a label of four integers, and a pair of two points
-# of three coordinate strings each.
-_ROW = "    [\n      %d,\n      %d,\n      %d,\n      %s,\n      %s\n    ]"
-_LABEL = "    [\n      %d,\n      %d,\n      %d,\n      %d\n    ]"
-_POINT = "      [\n        %s,\n        %s,\n        %s\n      ]"
-_PAIR = "    [\n" + _POINT + ",\n" + _POINT + "\n    ]"
+# A report's rows as `json.dumps(row, sort_keys=True)` writes them: a
+# provenance row [n, i, j, status, k], a label of four integers, and a pair
+# of two points of three coordinate strings each.
+_ROW = "[%d, %d, %d, %s, %s]"
+_LABEL = "[%d, %d, %d, %d]"
+_PAIR = "[[%s, %s, %s], [%s, %s, %s]]"
 
 
 def _provenance_row(row) -> str:
@@ -272,22 +271,30 @@ def _pair_row(pair) -> str:
 
 
 _TEMPLATES = {"labels": _label_row, "pairs": _pair_row, "provenance": _provenance_row}
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
-def dumps(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)` and a newline.
+def dumps(obj: dict) -> str:
+    """A JSON object written one row per line, and a closing newline.
 
-    The pairs, labels and provenance rows of a report or a seed are written
-    from templates and spliced into the encoding of its other keys: `json`
-    indents through its pure-Python encoder, which is slow on many small
-    rows.
+    Each top-level key starts a line, in sorted order.  Each element of a
+    nonempty top-level list has a line of its own, as
+    `json.dumps(element, sort_keys=True)` prints it; any other value stays
+    on its key's line.  The pairs, labels and provenance rows of a report
+    or a seed are written from templates, everything else through json's
+    C encoder: json indents only through its pure-Python encoder, which is
+    slow on many small rows.
     """
-    rows = {key: obj[key] for key in _TEMPLATES if obj.get(key)} if isinstance(obj, dict) else {}
-    text = json.dumps({**obj, **dict.fromkeys(rows)} if rows else obj, indent=2, sort_keys=True)
-    for key, values in rows.items():
-        body = ",\n".join(map(_TEMPLATES[key], values))
-        text = text.replace(f'\n  "{key}": null', f'\n  "{key}": [\n{body}\n  ]', 1)
-    return text + "\n"
+    lines = []
+    for key in sorted(obj):
+        value = obj[key]
+        head = f"  {_json_string(key)}: "
+        if isinstance(value, list) and value:
+            rows = map(_TEMPLATES.get(key, _ENCODE), value)
+            lines.append(head + "[\n    " + ",\n    ".join(rows) + "\n  ]")
+        else:
+            lines.append(head + _ENCODE(value))
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def load_json(path):

@@ -3,6 +3,7 @@ of `schroeter` because no command runs them.  Imported as `oracles`."""
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -423,6 +424,19 @@ def point_from_json_by_fraction(arr) -> ProjPoint:
         return ProjPoint.of(*coords)
     except ValueError as exc:
         raise SeedFormatError(str(exc)) from exc
+
+
+def row_per_line(obj: dict) -> str:
+    """`serialize.dumps` from `json.dumps` alone: one top-level key per line,
+    sorted, each element of a nonempty top-level list on a line of its own,
+    and a closing newline."""
+
+    def value(v) -> str:
+        if isinstance(v, list) and v:
+            return "[\n" + ",\n".join("    " + json.dumps(e, sort_keys=True) for e in v) + "\n  ]"
+        return json.dumps(v, sort_keys=True)
+
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {value(obj[k])}" for k in sorted(obj)) + "\n}\n"
 
 
 def numpy_poly_roots(coeffs) -> list[float]:

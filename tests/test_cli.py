@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -242,8 +243,16 @@ class TestVerify:
         assert caps == [128, 64]
         assert quiet.startswith("verify: ") and "[      pass] chasles: " in verbose
 
-    def test_unknown_suite(self, torsion_seed_file):
+    def test_unknown_suite(self, torsion_seed_file, capsys, monkeypatch):
+        """An unknown suite is rejected before the construction runs."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the construction ran")
+
+        monkeypatch.setattr(cli, "run", no_run)
         assert main(["verify", "--seed", str(torsion_seed_file), "--suite", "nonsense"]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "'nonsense'" in err
 
     @pytest.mark.parametrize("model", [["--a", "1", "--b", "zz"], ["--a", "5"], ["--b", "4"]])
     def test_bad_model(self, torsion_seed_file, capsys, model):
@@ -375,6 +384,28 @@ class TestPlot:
         assert main(["plot", "--report", str(out), "--out", str(svg), "--tangents"]) == 0
         text = svg.read_text()
         assert text.startswith("<svg") and "circle" in text
+
+    def test_old_layout_reports_still_read(self, tmp_path, capsys):
+        """A frame@2048 report in the layout written before each row had a
+        line of its own, its value through `json.dumps(indent=2)`, reads
+        as the same state, and `verify --report` and `plot --tangents` give
+        the same line and the same SVG as on the report as written."""
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        assert main(["construct", "--seed", str(SEEDS / "frame.json"), "--max-points", "2048",
+                     "--out", str(new)]) == 0
+        old.write_text(json.dumps(json.loads(new.read_text()), indent=2, sort_keys=True) + "\n")
+        assert old.read_bytes() != new.read_bytes()
+        states = [serialize.report_from_json(serialize.load_json(path)) for path in (new, old)]
+        assert states[0] == states[1]
+        capsys.readouterr()
+        for path in (new, old):
+            assert main(["verify", "--report", str(path)]) == 0
+            assert capsys.readouterr().out == "report ok: 2048 points on the recorded curve\n"
+            svg = path.with_suffix(".svg")
+            assert main(["plot", "--report", str(path), "--tangents", "--out", str(svg)]) == 0
+            capsys.readouterr()
+            digest = hashlib.sha256(svg.read_bytes()).hexdigest()
+            assert digest == "5ef3c4abbaa81a62666bc1752fe249b17b866a52b428d62b0b5e335ffc564c5b"
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from schroeter.errors import SeedFormatError
 from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
 
-from oracles import expand_provenance, point_from_json_by_fraction
+from oracles import expand_provenance, point_from_json_by_fraction, row_per_line
 
 SEEDS = Path(__file__).parents[1] / "seeds"
 
@@ -117,7 +117,8 @@ class TestSeed:
     @pytest.mark.parametrize("name", ["frame", "torsion"])
     def test_dumps_is_the_generic_encoding(self, tmp_path, name):
         """A seed's pairs go through the pairs' template: the checked-in
-        seeds and the one seed-from-curve writes are the generic encoding."""
+        seeds and the one seed-from-curve writes are the reference layout
+        of `oracles.row_per_line`."""
         path = SEEDS / f"{name}.json"
         if name == "torsion":
             path = tmp_path / "torsion.json"
@@ -125,7 +126,8 @@ class TestSeed:
                          "--out", str(path)]) == 0
             assert path.read_text() == (SEEDS / "torsion.json").read_text()
         obj = serialize.load_json(path)
-        assert serialize.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert serialize.dumps(obj) == row_per_line(obj)
+        assert json.loads(serialize.dumps(obj)) == obj
         assert serialize.dumps(obj) == path.read_text()
 
     def test_malformed(self):
@@ -155,6 +157,20 @@ def _with_skipped_row(state):
     last = last._replace(attempted=last.attempted + 1, skipped=skipped)
     row = Attempt(sum(g.attempted for g in state.stats), 2, 0, "skipped", "DegenerateLines")
     return state._replace(rows=(*state.rows, row), stats=(*state.stats[:-1], last))
+
+
+def _pins(*rows):
+    """Digest pins as (name, content, written): `content` is the sha256 of
+    the report's value as `json.dumps(value, indent=2, sort_keys=True)`
+    writes it, with a newline, and `written` that of the bytes `dumps`
+    writes.  Each test id is the name and the content digest."""
+    return [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in rows]
+
+
+def _assert_pinned(text, content, written):
+    indented = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == content
+    assert hashlib.sha256(text.encode()).hexdigest() == written
 
 
 def _run_named(request, name, max_points=None):
@@ -251,17 +267,22 @@ class TestState:
         assert len(lines) == 1 + state.point_count
 
     @pytest.mark.parametrize(
-        "name, digest",
-        [("frame", "d6c0d017807a180be2ad48c3f1854a03a08a10d95101cb48b983380ea6240e4e"),
-         ("curve12", "6c23f6e30bcf8a9f21bf527ea52a71f10bd6fc84e6163b139fde4b9924a2e946"),
-         ("torsion", "d987fa2d2da8a18e068c1ec96795060b6b943d90543e2243146333810454a528"),
-         ("frame@2048", "f031defc025420c1a077b5ee45e1c6a012c0754b7d716c61dad79ea4897f6d74"),
-         ("curve12@256", "082b6fb85f1a9581a45fd99436336a7be38b03f7217d92621d235201213b8a4b")],
+        "name, content, written",
+        _pins(("frame", "d6c0d017807a180be2ad48c3f1854a03a08a10d95101cb48b983380ea6240e4e",
+               "2477256be905df73b0b856b5d0aec9af56af99f53d483814827ce22e3f5927a2"),
+              ("curve12", "6c23f6e30bcf8a9f21bf527ea52a71f10bd6fc84e6163b139fde4b9924a2e946",
+               "2d943b433d37527d7985a1bf03831148a2274c2812ca4900190f915dbb71772c"),
+              ("torsion", "d987fa2d2da8a18e068c1ec96795060b6b943d90543e2243146333810454a528",
+               "e17750d81bcd35289abeb5afc38ce6b3a51a5733d6f27b42093155bbe153e074"),
+              ("frame@2048", "f031defc025420c1a077b5ee45e1c6a012c0754b7d716c61dad79ea4897f6d74",
+               "e3f16d320924a6c2dac3fd6d859f96462eb6e874cf42f920fa3138abee6e6879"),
+              ("curve12@256", "082b6fb85f1a9581a45fd99436336a7be38b03f7217d92621d235201213b8a4b",
+               "f1e3ecb7089054469903963d0167398d68aa77ba00f9240067e18741e8583e34")),
     )
-    def test_report_bytes_pinned(self, request, name, digest):
-        """Any change to the engine or the writer that moves a report fails
-        here; frame@2048 and curve12@256 are the reports of perfbench's
-        frame-2048 and curve12-256."""
+    def test_report_bytes_pinned(self, request, name, content, written):
+        """Any change to the engine that moves a report, or to the writer
+        that moves its bytes, fails here; frame@2048 and curve12@256 are the
+        reports of perfbench's frame-2048 and curve12-256."""
         name, _, size = name.partition("@")
         if name == "frame":
             state = run(request.getfixturevalue("golden_frame_seed"), max_points=int(size or 512))
@@ -273,17 +294,20 @@ class TestState:
             path = SEEDS / "torsion.json"
             seed, curve = serialize.seed_from_json(serialize.load_json(path))
             state = run(seed, curve=curve.cubic)
-        text = serialize.dumps(serialize.state_to_json(state))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        _assert_pinned(serialize.dumps(serialize.state_to_json(state)), content, written)
 
     @pytest.mark.parametrize(
-        "name, digest",
-        [("curve12", "a38b9a6c99285fda8528ff3019633acbe24fa2652bb119f712cd168f0b37186e"),
-         ("curve12@256", "9287db82ae7c2bcf411b42a74d8d98d13ccd67e078faac9697aa328ac764d76e"),
-         ("torsion", "501b1824a5a9e72f4c96bab79e7908e5b764007b27463dda11769b4420ace6d5"),
-         ("frame", "268bbed95ebeab147372cb622f6d8cfa5a75d31823289093d2067cd03ac066db")],
+        "name, content, written",
+        _pins(("curve12", "a38b9a6c99285fda8528ff3019633acbe24fa2652bb119f712cd168f0b37186e",
+               "35f7aad869a09b357ba8771c39df9d05ceef4d0a4da5fe34b18b87e870b5afc8"),
+              ("curve12@256", "9287db82ae7c2bcf411b42a74d8d98d13ccd67e078faac9697aa328ac764d76e",
+               "1fb41d1e0a34ca66ee2af113c398923e252a950011b7772eae8e7ac269908e50"),
+              ("torsion", "501b1824a5a9e72f4c96bab79e7908e5b764007b27463dda11769b4420ace6d5",
+               "59a2440d12f6f7e060355202ff3944c0f4785e5c9e1d2df1cb1953efebcdc641"),
+              ("frame", "268bbed95ebeab147372cb622f6d8cfa5a75d31823289093d2067cd03ac066db",
+               "576692faf6a9c23e09bd574a1734446f90b446061ee8d17199580a35cc40ef70")),
     )
-    def test_verify_report_bytes_pinned(self, request, name, digest):
+    def test_verify_report_bytes_pinned(self, request, name, content, written):
         """Any change to a verify suite that moves a verdict or a detail fails
         here; curve12@256 is the verify input of perfbench's verify-curve12-256."""
         if name.startswith("curve12"):
@@ -296,13 +320,13 @@ class TestState:
         else:
             curve = None
             state = run(request.getfixturevalue("golden_frame_seed"), max_points=128)
-        text = serialize.dumps(run_suites(state, curve=curve).to_json())
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        _assert_pinned(serialize.dumps(run_suites(state, curve=curve).to_json()), content, written)
 
-    @pytest.mark.parametrize("name", ["frame", "curve12", "torsion", "skipped", "empty"])
+    @pytest.mark.parametrize("name", ["frame", "curve12", "torsion", "skipped", "empty", "verify"])
     def test_dumps_is_the_generic_encoding(self, request, name):
-        """The provenance rows' template splices into the generic encoding
-        byte for byte, a reason string in place of a child index included."""
+        """A run report is written as `oracles.row_per_line` writes it, a
+        reason string in place of a child index included, and so is the
+        verify report of the torsion seed."""
         if name in ("skipped", "empty"):
             state = run(request.getfixturevalue("golden_frame_seed"), max_points=24)
             if name == "skipped":
@@ -310,9 +334,13 @@ class TestState:
             else:
                 state = state._replace(rows=(), stats=())
         else:
-            state = _run_named(request, name)
-        obj = serialize.state_to_json(state)
-        assert serialize.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+            state = _run_named(request, "torsion" if name == "verify" else name)
+        if name == "verify":
+            obj = run_suites(state, curve=request.getfixturevalue("curve54")).to_json()
+        else:
+            obj = serialize.state_to_json(state)
+        assert serialize.dumps(obj) == row_per_line(obj)
+        assert json.loads(serialize.dumps(obj)) == obj
 
     def test_deterministic_dump(self, golden_frame_seed):
         state1 = run(golden_frame_seed, max_points=24, scheduler_seed=5)
