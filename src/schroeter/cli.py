@@ -65,6 +65,12 @@ def _parse_points_arg(text: str):
 
 
 def cmd_construct(args) -> int:
+    for flag, given, output, path in (
+        ("--format", args.format, "--out", args.out),
+        ("--tangents", args.tangents, "--svg", args.svg),
+    ):
+        if given and not path:
+            raise ValidationError(f"construct {flag} takes effect only with {output}")
     seed, curve = _load_seed(args.seed)
     started = time.perf_counter()
     state = run(
@@ -175,9 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS)
     p.add_argument("--max-generations", type=int, default=DEFAULT_MAX_GENERATIONS)
     p.add_argument("--out", help="write the run report (JSON, or CSV with --format csv)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    # --format defaults to None, so that it can be rejected without --out
+    p.add_argument("--format", choices=("json", "csv"), default=None,
+                   help="format of --out (default json)")
     p.add_argument("--svg", help="write an SVG rendering")
-    p.add_argument("--tangents", action="store_true", help="draw tangent lines in the SVG")
+    p.add_argument("--tangents", action="store_true", help="draw tangent lines in the --svg")
     p.add_argument("--scheduler-seed", type=int, default=None,
                    help="accepted for scheduling tests; combinations are processed in "
                         "canonical order and the seed does not yet change that")

@@ -6,6 +6,14 @@ check's pass/fail/degenerate result and alone applies the limit rule.
 Every suite takes (state, report, model, meet): the model `run_suites`
 gives it, and the call's memo of each pair's tangent meet.  Suites that
 need a group law are skipped unless a Weierstrass model is supplied.
+
+A check is named by indices into the run's pairs, the indices that
+`construct --out` writes for the same seed and point cap: "row n: pairs
+i, j, c" in chasles (the new row's ordinal, its two parents and the third
+side), "pair k" in pair-tangents and chords, and "pair k point m" in
+tangents, lines and center, m being 0 for the pair's first member and 1
+for its second.  A skipped suite's row is named "suite", and center's
+row when it finds no chart base "chart base".
 """
 
 from __future__ import annotations
@@ -48,6 +56,9 @@ SUITES = ("chasles", "pair-tangents", "tangents", "chords", "lines", "center")
 # chasles and pair-tangents are uncapped and cover every pair.
 LIMIT = 120
 
+# 2, since the reports that named checks by coordinates had no format_version
+VERIFY_FORMAT = 2
+
 
 @record
 class CheckResult(NamedTuple):
@@ -55,9 +66,6 @@ class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "degenerate" | "hypothesis-failed" | "skipped"
     detail: str = ""
-
-    def to_json(self):
-        return self._asdict()
 
 
 @record
@@ -78,26 +86,14 @@ class VerificationReport(NamedTuple("VerificationReport", [("results", list[Chec
         return dict(Counter(r.status for r in self.results))
 
     def to_json(self):
+        """The verify report: each check as a row [suite, name, status,
+        detail], in the order the suites ran them."""
         return {
+            "format_version": VERIFY_FORMAT,
             "ok": self.ok,
             "counts": self.counts(),
-            "checks": [r.to_json() for r in self.results],
+            "checks": [list(r) for r in self.results],
         }
-
-
-def _key_head(points, width: int) -> str:
-    """The first `width` characters of the points' coordinates, written
-    "x:y:z" and joined by "|", converting one coordinate at a time and
-    stopping once there are enough (coordinates can run to thousands of
-    digits).  brief() of a text depends only on its first 49 characters."""
-    text = ""
-    for n, c in enumerate(c for p in points for c in p.coords):
-        if n:
-            text += ":" if n % 3 else "|"
-        text += str(c)
-        if len(text) >= width:
-            break
-    return text[:width]
 
 
 def _check(report, suite, name, check, drop_invalid=False) -> bool:
@@ -140,13 +136,13 @@ def _run(report, suite, units, capped=True, drop_invalid=False) -> None:
 def _suite_chasles(state, report, model, meet):
     def units():
         pairs = state.pairs
-        for _, i, j, status, _ in state.rows:
+        for n, i, j, status, _ in state.rows:
             if status == "new":
                 # the pairs are disjoint, so the first pair other than the
                 # two parents serves as the third side
-                a, b, c = pairs[i], pairs[j], pairs[min({0, 1, 2} - {i, j})]
-                name = "hexagon " + " / ".join(brief(_key_head(p.points, 49)) for p in (a, b, c))
-                yield [(name, lambda a=a, b=b, c=c: all(
+                third = min({0, 1, 2} - {i, j})
+                a, b, c = pairs[i], pairs[j], pairs[third]
+                yield [(f"row {n}: pairs {i}, {j}, {third}", lambda a=a, b=b, c=c: all(
                     chasles_check(basis, a.first, b.first, c.first, a.second, b.second, c.second)
                     for basis in state.curve_basis
                 ))]
@@ -164,9 +160,8 @@ def _suite_pair_tangents(state, report, cubic, meet):
         return ok, "" if ok else f"{brief(t1)} vs {brief(t2)}"
 
     _run(report, "pair-tangents", (
-        [(f"tangential points of {brief(_key_head(pair.points, 49))}",
-          partial(tangential_points, pair))]
-        for pair in state.pairs
+        [(f"pair {k}", partial(tangential_points, pair))]
+        for k, pair in enumerate(state.pairs)
     ), capped=False)
 
 
@@ -178,30 +173,29 @@ def _suite_tangents(state, report, cubic, meet):
 
     # a unit is a pair's two contact points
     _run(report, "tangents", (
-        [(f"ruler tangent at {_key_head([c], 48)}", partial(ruler_tangent, s_pair, c))
-         for c in s_pair.points]
-        for s_pair in state.pairs
+        [(f"pair {k} point {m}", partial(ruler_tangent, s_pair, c))
+         for m, c in enumerate(s_pair.points)]
+        for k, s_pair in enumerate(state.pairs)
     ))
 
 
 def _suite_chords(state, report, curve: WeierstrassCurve, meet):
     _run(report, "chords", (
-        [(f"chord through {brief(_key_head(pair.points, 49))}",
+        [(f"pair {k}",
           lambda pair=pair: chord_tangency_check(curve, *pair.points, tangential=meet(pair)))]
-        for pair in state.pairs
+        for k, pair in enumerate(state.pairs)
     ))
 
 
 def _suite_lines(state, report, cubic, meet):
     def units():
-        for r_pair in state.pairs:
+        for k, r_pair in enumerate(state.pairs):
             # the pairs are disjoint, so the first three others miss r
             others = list(islice((p for p in state.pairs if p is not r_pair), 3))
             if len(others) < 3:
                 continue
-            for r in r_pair.points:
-                yield [(f"line involution at {_key_head([r], 48)}",
-                        partial(conjugate_lines_check, cubic, r, *others))]
+            for m, r in enumerate(r_pair.points):
+                yield [(f"pair {k} point {m}", partial(conjugate_lines_check, cubic, r, *others))]
 
     _run(report, "lines", units())
 
@@ -224,9 +218,9 @@ def _suite_center(state, report, curve: WeierstrassCurve, meet):
         return product == expected, f"product {product}"
 
     _run(report, "center", (
-        [(f"center product vs {_key_head([p], 48)}", partial(center_product, p))]
-        for pair in state.pairs
-        for p in pair.points
+        [(f"pair {k} point {m}", partial(center_product, p))]
+        for k, pair in enumerate(state.pairs)
+        for m, p in enumerate(pair.points)
     ), drop_invalid=True)
 
 

@@ -14,6 +14,7 @@ from schroeter import (
 )
 from schroeter.engine import PointPair, SeedConfig, run, validate_seed
 from schroeter.errors import SchroeterError
+from schroeter.verify import run_suites
 from schroeter.weierstrass import add
 
 from oracles import bootstrap_seed
@@ -129,6 +130,31 @@ def curve12_seed(curve12) -> SeedConfig:
         ProjPoint.affine(2, 4),
         ProjPoint.of(4, 23, 64),
     )
+
+
+@pytest.fixture(scope="session")
+def verified(curve12, curve12_seed, curve54, torsion_seed_full, golden_frame_seed):
+    """The run state and verify report (all suites) of a named case, each
+    computed once a session: "curve12" at 128 points and "curve12@256" with
+    curve12, "torsion" (the full torsion seed with curve54), and "frame"
+    (the golden frame seed at 128 points, with no Weierstrass model)."""
+    done = {}
+
+    def get(name):
+        if name not in done:
+            if name.startswith("curve12"):
+                curve = curve12
+                state = run(curve12_seed, max_points=256 if name == "curve12@256" else 128, curve=curve.cubic)
+            elif name == "torsion":
+                curve = curve54
+                state = run(torsion_seed_full, curve=curve.cubic)
+            else:
+                curve = None
+                state = run(golden_frame_seed, max_points=128)
+            done[name] = state, run_suites(state, curve=curve)
+        return done[name]
+
+    return get
 
 
 @pytest.fixture(scope="session")

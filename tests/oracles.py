@@ -4,6 +4,7 @@ of `schroeter` because no command runs them.  Imported as `oracles`."""
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -526,3 +527,46 @@ def expand_provenance(report: dict) -> list[engine.Attempt]:
                 fresh.append(row.k)
         made += fresh
     return rows
+
+
+_COORDINATE_NAMES = {
+    "pair-tangents": "tangential points of ",
+    "chords": "chord through ",
+    "tangents": "ruler tangent at ",
+    "lines": "line involution at ",
+    "center": "center product vs ",
+}
+
+
+def coordinate_named(state: ConstructionState, report: dict) -> dict:
+    """A verify report's value as it was written before `format_version` 2,
+    when each check was named by the coordinates of its points: each check
+    an object {suite, name, status, detail}, and no `format_version`.
+
+    The points' coordinates are written "x:y:z" and joined by "|".  A
+    chasles check was "hexagon " and its three pairs' texts, each cut by
+    `brief`, joined by " / "; a check of one pair was its suite's prefix
+    and the pair's text cut by `brief`; a check of one point its suite's
+    prefix and the point's first 48 characters.  Each of these is rebuilt
+    from the pairs that the check's index name points at.
+    """
+
+    def text(points) -> str:
+        return "|".join(":".join(map(str, p.coords)) for p in points)
+
+    def name(suite: str, indices: str) -> str:
+        numbers = [int(n) for n in re.findall(r"\d+", indices)]
+        if suite == "chasles":
+            return "hexagon " + " / ".join(brief(text(state.pairs[k].points)) for k in numbers[1:])
+        if len(numbers) == 1:
+            return _COORDINATE_NAMES[suite] + brief(text(state.pairs[numbers[0]].points))
+        if len(numbers) == 2:
+            k, m = numbers
+            return _COORDINATE_NAMES[suite] + text([state.pairs[k].points[m]])[:48]
+        return indices  # "suite" and "chart base" name no pair
+
+    checks = [
+        {"suite": suite, "name": name(suite, indices), "status": status, "detail": detail}
+        for suite, indices, status, detail in report["checks"]
+    ]
+    return {"checks": checks, "counts": report["counts"], "ok": report["ok"]}

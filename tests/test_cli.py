@@ -100,6 +100,22 @@ class TestConstruct:
         assert lines[0] == "pair_id,member,x,y,z"
         assert len(lines) == 9
 
+    @pytest.mark.parametrize(
+        "option, output", [(["--format", "csv"], "--out"), (["--tangents"], "--svg")], ids=["format", "tangents"]
+    )
+    def test_option_without_its_output(self, torsion_seed_file, monkeypatch, capsys, option, output):
+        """`--format` without `--out`, or `--tangents` without `--svg`, is an
+        input error that names it, before the run and with nothing written."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the construction ran")
+
+        monkeypatch.chdir(torsion_seed_file.parent)
+        monkeypatch.setattr(cli, "run", no_run)
+        assert main(["construct", "--seed", "torsion.json", *option]) == 1
+        assert capsys.readouterr().err == f"error: construct {option[0]} takes effect only with {output}\n"
+        assert os.listdir() == ["torsion.json"]
+
     def test_capped_run(self, tmp_path):
         seed_path = tmp_path / "frame.json"
         seed_path.write_text(json.dumps({
@@ -253,6 +269,19 @@ class TestVerify:
         assert main(["verify", "--seed", str(torsion_seed_file), "--suite", "nonsense"]) == 1
         err = capsys.readouterr().err
         assert "error: " in err and "'nonsense'" in err
+
+    def test_curve12_256_report_counts(self, tmp_path, capsys):
+        """perfbench's verify-curve12-256 runs this command; it looks for the
+        count line on stdout and reads `counts` and `ok` from the report."""
+        seed, out = tmp_path / "curve12.json", tmp_path / "verify.json"
+        assert main(["seed-from-curve", "--a", "1", "--b", "2", "--points", "1,2;2,4;1/16,23/64",
+                     "--out", str(seed)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--seed", str(seed), "--max-points", "256", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["verify: degenerate=17 pass=734", f"wrote {out}"]
+        report = json.loads(out.read_text())
+        assert report["counts"] == {"degenerate": 17, "pass": 734}
+        assert report["ok"] is True
 
     @pytest.mark.parametrize("model", [["--a", "1", "--b", "zz"], ["--a", "5"], ["--b", "4"]])
     def test_bad_model(self, torsion_seed_file, capsys, model):

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import accumulate, combinations, count
 from pathlib import Path
 from types import SimpleNamespace
@@ -133,6 +134,14 @@ class TestValidateSeed:
                 continue
             run(frame_seed(c, cbar), max_generations=0)
         assert rejected == 10
+
+    def test_validated_seeds_run_census(self):
+        """Past its bootstrap, no validated seed of this census meets an
+        error: of 600 frame seeds that pass validation, 599 run to 64
+        points and one closes at 12."""
+        seeds = random_frame_seeds(random.Random(11), 600, strict=False)
+        ends = Counter((s.point_count, s.closed) for s in (run(seed, max_points=64) for seed in seeds))
+        assert ends == {(64, False): 599, (12, True): 1}
 
     def test_quadrilateral_hook(self):
         state = run(quadrilateral_hook_seed())

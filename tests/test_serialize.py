@@ -15,7 +15,7 @@ from schroeter.errors import SeedFormatError
 from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
 
-from oracles import expand_provenance, point_from_json_by_fraction, row_per_line
+from oracles import coordinate_named, expand_provenance, point_from_json_by_fraction, row_per_line
 
 SEEDS = Path(__file__).parents[1] / "seeds"
 
@@ -161,14 +161,18 @@ def _with_skipped_row(state):
 
 def _pins(*rows):
     """Digest pins as (name, content, written): `content` is the sha256 of
-    the report's value as `json.dumps(value, indent=2, sort_keys=True)`
-    writes it, with a newline, and `written` that of the bytes `dumps`
-    writes.  Each test id is the name and the content digest."""
+    the report's value (a verify report's in its earlier layout) as
+    `json.dumps(value, indent=2, sort_keys=True)` writes it, with a
+    newline, and `written` that of the bytes `dumps` writes.  Each test id
+    is the name and the content digest."""
     return [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in rows]
 
 
-def _assert_pinned(text, content, written):
-    indented = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+def _assert_pinned(text, content, written, value=None):
+    """`value` is the JSON value that `content` pins, by default the one
+    `text` holds."""
+    value = json.loads(text) if value is None else value
+    indented = json.dumps(value, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(indented.encode()).hexdigest() == content
     assert hashlib.sha256(text.encode()).hexdigest() == written
 
@@ -299,28 +303,25 @@ class TestState:
     @pytest.mark.parametrize(
         "name, content, written",
         _pins(("curve12", "a38b9a6c99285fda8528ff3019633acbe24fa2652bb119f712cd168f0b37186e",
-               "35f7aad869a09b357ba8771c39df9d05ceef4d0a4da5fe34b18b87e870b5afc8"),
+               "0f36edda0d6e73f0ab4e573ba8192df8f7d47e5abc0925ac7412510e548daf2a"),
               ("curve12@256", "9287db82ae7c2bcf411b42a74d8d98d13ccd67e078faac9697aa328ac764d76e",
-               "1fb41d1e0a34ca66ee2af113c398923e252a950011b7772eae8e7ac269908e50"),
+               "568b5fc9a585701fcbcf1363aafb4395773b23800620317b46db2d1bab5e489e"),
               ("torsion", "501b1824a5a9e72f4c96bab79e7908e5b764007b27463dda11769b4420ace6d5",
-               "59a2440d12f6f7e060355202ff3944c0f4785e5c9e1d2df1cb1953efebcdc641"),
+               "8d1e8f5ba464fa1a4af06dee52474b9b2d61ef2dda8b76564c2eba50a25b266c"),
               ("frame", "268bbed95ebeab147372cb622f6d8cfa5a75d31823289093d2067cd03ac066db",
-               "576692faf6a9c23e09bd574a1734446f90b446061ee8d17199580a35cc40ef70")),
+               "001fc08898ac543b14c96c623b32b66b131d80540d743d664a3e9d982e040868")),
     )
-    def test_verify_report_bytes_pinned(self, request, name, content, written):
-        """Any change to a verify suite that moves a verdict or a detail fails
-        here; curve12@256 is the verify input of perfbench's verify-curve12-256."""
-        if name.startswith("curve12"):
-            curve = request.getfixturevalue("curve12")
-            max_points = 256 if name == "curve12@256" else 128
-            state = run(request.getfixturevalue("curve12_seed"), max_points=max_points, curve=curve.cubic)
-        elif name == "torsion":
-            curve = request.getfixturevalue("curve54")
-            state = run(request.getfixturevalue("torsion_seed_full"), curve=curve.cubic)
-        else:
-            curve = None
-            state = run(request.getfixturevalue("golden_frame_seed"), max_points=128)
-        _assert_pinned(serialize.dumps(run_suites(state, curve=curve).to_json()), content, written)
+    def test_verify_report_bytes_pinned(self, verified, name, content, written):
+        """Any change to a verify suite that moves a verdict, a detail or a
+        check's name fails here; curve12@256 is the verify input of
+        perfbench's verify-curve12-256.  `content` pins the report as it
+        was before `format_version` 2, each check named by its points'
+        coordinates (`oracles.coordinate_named`): the verdicts, details,
+        counts and order are still those, and each check's indices name the
+        pairs that its coordinates did."""
+        state, report = verified(name)
+        text = serialize.dumps(report.to_json())
+        _assert_pinned(text, content, written, coordinate_named(state, json.loads(text)))
 
     @pytest.mark.parametrize("name", ["frame", "curve12", "torsion", "skipped", "empty", "verify"])
     def test_dumps_is_the_generic_encoding(self, request, name):

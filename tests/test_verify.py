@@ -251,13 +251,28 @@ def test_pair_off_the_cubic_names_its_first_point(curve12):
         run_suites(state, suites=("pair-tangents",), curve=curve12)
 
 
-def test_check_names_cut_the_full_coordinates(curve12, curve12_seed):
-    state = run(curve12_seed, max_points=64, curve=curve12.cubic)
-    for pair in (*state.pairs[:3], state.pairs[-1]):
-        full = "|".join(":".join(str(c) for c in p.coords) for p in pair.points)
-        for width in (1, 5, 48, 49, len(full), len(full) + 1):
-            assert verify._key_head(pair.points, width) == full[:width]
-            assert verify._key_head(pair.points[:1], width) == full.split("|")[0][:width]
+@pytest.mark.parametrize("name", ["curve12@256", "torsion"])
+def test_check_names_are_pair_indices(verified, name):
+    """Each check is named by indices into the run's pairs, and no two
+    checks of a suite share a name.  chasles names every new row (its
+    ordinal, its parents and the third side) and pair-tangents every pair,
+    in order; chords names a prefix of the pairs, tangents and lines a
+    prefix of their points, and center a subsequence of the points."""
+    state, report = verified(name)
+    names = [(r.suite, r.name) for r in report.results]
+    assert len(set(names)) == len(names)
+    by_suite = {suite: [r.name for r in report.results if r.suite == suite] for suite in verify.SUITES}
+    assert by_suite["chasles"] == [
+        f"row {n}: pairs {i}, {j}, {min({0, 1, 2} - {i, j})}"
+        for n, i, j, status, _ in state.rows if status == "new"
+    ]
+    pairs = [f"pair {k}" for k in range(len(state.pairs))]
+    points = [f"{pair} point {m}" for pair in pairs for m in (0, 1)]
+    assert by_suite["pair-tangents"] == pairs
+    assert by_suite["chords"] == pairs[:len(by_suite["chords"])]
+    for suite in ("tangents", "lines"):
+        assert by_suite[suite] == points[:len(by_suite[suite])]
+    assert by_suite["center"] == [p for p in points if p in set(by_suite["center"])]
 
 
 # points on curve12's cubic and on a frame run's, and one off both
