@@ -305,3 +305,5 @@ def load_json(path):
             raise SeedFormatError(f"{path}: invalid JSON ({exc})") from exc
         except UnicodeDecodeError as exc:
             raise SeedFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+        except RecursionError as exc:
+            raise SeedFormatError(f"{path}: invalid JSON (nested too deeply)") from exc

@@ -224,16 +224,26 @@ def _suite_center(state, report, curve: WeierstrassCurve, meet):
     ), drop_invalid=True)
 
 
+def wanted_suites(names) -> set[str]:
+    """The suites that the names select, "all" selecting every one; raise
+    on a name that is neither."""
+    choices = ("all", *SUITES)
+    unknown = set(names) - set(choices)
+    if unknown:
+        raise ValidationError(
+            f"unknown suite {', '.join(map(repr, sorted(unknown)))}; "
+            f"choose from {', '.join(map(repr, choices))}"
+        )
+    return set(SUITES) if "all" in names else set(names)
+
+
 def run_suites(
     state: ConstructionState,
     suites=("all",),
     curve: WeierstrassCurve | None = None,
 ) -> VerificationReport:
     """Run the selected verification suites over a construction state."""
-    wanted = set(SUITES) if "all" in suites else set(suites)
-    unknown = wanted - set(SUITES)
-    if unknown:
-        raise ValidationError(f"unknown suites: {sorted(unknown)}; choose from {SUITES}")
+    wanted = wanted_suites(suites)
     report = VerificationReport()
     cubic = curve.cubic if curve is not None else state.curve
     # each pair's tangent meet, computed once per call; pair-tangents and

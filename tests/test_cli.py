@@ -266,9 +266,9 @@ class TestVerify:
             raise AssertionError("the construction ran")
 
         monkeypatch.setattr(cli, "run", no_run)
-        assert main(["verify", "--seed", str(torsion_seed_file), "--suite", "nonsense"]) == 1
-        err = capsys.readouterr().err
-        assert "error: " in err and "'nonsense'" in err
+        for also in ([], ["--suite", "all"]):
+            assert main(["verify", "--seed", str(torsion_seed_file), *also, "--suite", "nonsense"]) == 1
+            assert capsys.readouterr().err.startswith("error: unknown suite 'nonsense'; choose from 'all', ")
 
     def test_curve12_256_report_counts(self, tmp_path, capsys):
         """perfbench's verify-curve12-256 runs this command; it looks for the
@@ -403,6 +403,77 @@ def test_non_utf8_input(tmp_path, capsys, command):
     assert main([*command, str(path), *out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [(["construct", "--seed"], "--out"), (["construct", "--seed"], "--svg"),
+     (["verify", "--seed"], "--out"), (["plot", "--report"], "--out")],
+    ids=["construct-out", "construct-svg", "verify-out", "plot-out"],
+)
+def test_output_in_a_missing_directory(tmp_path, capsys, monkeypatch, command, output):
+    """An output path whose directory does not exist is an input error
+    that names the path, before the run, and for `plot` before the read."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the construction ran")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    path = tmp_path / "missing" / "out.json"
+    assert main([*command, str(SEEDS / "torsion.json"), output, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: cannot write {path}: no such directory\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["construct", "--seed"], ["verify", "--report"], ["plot", "--report"], ["fit", "--points"]],
+)
+def test_deeply_nested_input(tmp_path, capsys, command):
+    """JSON nested deeper than the parser's recursion limit is an input
+    error that names the file, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    out = ["--out", str(tmp_path / "bad.svg")] if command[0] == "plot" else []
+    assert main([*command, str(path), *out]) == 1
+    assert capsys.readouterr().err == f"error: {path}: invalid JSON (nested too deeply)\n"
+
+
+# perfbench/tracer.py's TARGETS wraps these names on `schroeter.cli` to time
+# each layer; a refactor that drops one or stops calling it through the
+# module global would silently empty that layer's spans.
+TRACED_NAMES = ("main", "run", "run_suites", "revalidate_points", "render_svg")
+
+
+def test_benchmark_traced_names(torsion_seed_file, tmp_path, monkeypatch, capsys):
+    """The traced names are callables on `schroeter.cli`, and `construct
+    --svg`, `verify --seed`, `verify --report` and `plot` call their layers
+    through them."""
+    assert [name for name in TRACED_NAMES if not callable(getattr(cli, name, None))] == []
+    called = []
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in TRACED_NAMES:
+        spy(name)
+    report, svg = str(tmp_path / "run.json"), str(tmp_path / "run.svg")
+    commands = [
+        ["construct", "--seed", str(torsion_seed_file), "--out", report, "--svg", svg],
+        ["verify", "--seed", str(torsion_seed_file), "--suite", "chasles"],
+        ["verify", "--report", report],
+        ["plot", "--report", report, "--out", svg],
+    ]
+    assert [cli.main(argv) for argv in commands] == [0, 0, 0, 0]
+    assert called == [
+        "main", "run", "render_svg", "main", "run", "run_suites",
+        "main", "revalidate_points", "main", "render_svg",
+    ]
 
 
 class TestPlot:

@@ -1,7 +1,7 @@
 """Every module of the package and of the tests uses each name it imports,
-no module of the package imports `dataclasses` or `inspect`, and every
-top-level definition, method and property of the package is used by the
-package itself.
+no module of the package imports `dataclasses` or `inspect`, each command
+loads only the package modules it runs, and every top-level definition,
+method and property of the package is used by the package itself.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.
 `__init__.py` is skipped because it re-exports, and `__future__` imports
@@ -12,6 +12,10 @@ re-exports or from the definition's own body do not count.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +81,44 @@ def test_no_slow_imports(path):
 def test_guard_sees_a_slow_import():
     assert slow_imports("from dataclasses import dataclass\n") == ["dataclasses (line 1)"]
     assert slow_imports("import json, inspect\nfrom .cubic import evaluate\n") == ["inspect (line 1)"]
+
+
+def loaded_modules(argv, cwd) -> set[str]:
+    """The package modules loaded by a fresh interpreter that runs the
+    command `argv` in the directory `cwd`."""
+    code = (
+        "import json, sys\n"
+        "from schroeter.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True,
+        check=True, env=env, cwd=cwd,
+    )
+    return {m for m in json.loads(out.stdout.splitlines()[-1]) if m.startswith("schroeter.")}
+
+
+SEEDS = PACKAGE.parent.parent / "seeds"
+VERIFY_ONLY = {"schroeter.verify", "schroeter.checks"}
+
+
+def test_construct_loads_neither_verify_nor_svgplot(tmp_path):
+    argv = ["construct", "--seed", str(SEEDS / "frame.json"), "--max-points", "12", "--out", "run.json"]
+    loaded = loaded_modules(argv, tmp_path)
+    assert "schroeter.engine" in loaded and loaded & {*VERIFY_ONLY, "schroeter.svgplot"} == set()
+
+
+def test_plot_loads_no_verify(tmp_path):
+    loaded_modules(["construct", "--seed", str(SEEDS / "torsion.json"), "--out", "run.json"], tmp_path)
+    loaded = loaded_modules(["plot", "--report", "run.json", "--out", "run.svg"], tmp_path)
+    assert "schroeter.svgplot" in loaded and loaded & VERIFY_ONLY == set()
+
+
+def test_verify_loads_no_svgplot(tmp_path):
+    loaded = loaded_modules(["verify", "--seed", str(SEEDS / "torsion.json")], tmp_path)
+    assert VERIFY_ONLY <= loaded and "schroeter.svgplot" not in loaded
 
 
 def references(nodes) -> set[str]:
