@@ -64,8 +64,11 @@ def render_svg(*args, **kwargs):
 
 
 def _check_out_dir(path: str | None):
-    """Raise unless the directory that is to hold the output `path` exists,
-    so that a bad path fails before the run, not after it."""
+    """Raise unless the directory that is to hold the output `path` exists
+    and `path` is not itself a directory, so that a bad path fails before
+    the run, not after it."""
+    if path and os.path.isdir(path):
+        raise ValidationError(f"cannot write {path}: it is a directory")
     if path and not os.path.isdir(os.path.dirname(path) or "."):
         raise ValidationError(f"cannot write {path}: no such directory")
 
@@ -104,7 +107,6 @@ def cmd_construct(args) -> int:
         max_points=args.max_points,
         max_generations=args.max_generations,
         curve=curve.cubic if curve else None,
-        scheduler_seed=args.scheduler_seed,
     )
     elapsed = (time.perf_counter() - started) * 1000
     print(
@@ -218,9 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="format of --out (default json)")
     p.add_argument("--svg", help="write an SVG rendering")
     p.add_argument("--tangents", action="store_true", help="draw tangent lines in the --svg")
-    p.add_argument("--scheduler-seed", type=int, default=None,
-                   help="accepted for scheduling tests; combinations are processed in "
-                        "canonical order and the seed does not yet change that")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("seed-from-curve", help="build a seed from three points on y^2=x^3+ax^2+bx")

@@ -468,7 +468,6 @@ def run(
     max_generations: int = DEFAULT_MAX_GENERATIONS,
     *,
     curve: Cubic | None = None,
-    scheduler_seed: int | None = None,
 ) -> ConstructionState:
     """Breadth-first closure of the pair-combination construction.
 
@@ -486,16 +485,14 @@ def run(
     by its admission index while the run goes and by its rank in the
     sorted keys in the state, which keeps the attempts that ran the
     geometry as `rows` and a `Generation` for each generation as `stats`.
-    `scheduler_seed` is accepted but does not yet change the order, so
-    every seed gives the same output.  Each admitted
-    point is evaluated once per distinct cubic of the family through the
-    bootstrap points and of `curve` when one is supplied.  It must lie on
-    `curve`; a family member it misses narrows the family to the cubics
-    through it, and `curve_basis` is the final family.  A duplicate is
-    never re-checked.  The run stops when no combination is pending
-    (closed) or when a cap is reached (not closed): the point cap is tested
-    before a generation's first attempt and after each admission, and
-    `frontier` counts the combinations left unattempted.
+    Each admitted point is evaluated once per distinct cubic of the family
+    through the bootstrap points and of `curve` when one is supplied.  It
+    must lie on `curve`; a family member it misses narrows the family to
+    the cubics through it, and `curve_basis` is the final family.  A
+    duplicate is never re-checked.  The run stops when no combination is
+    pending (closed) or when a cap is reached (not closed): the point cap
+    is tested before a generation's first attempt and after each
+    admission, and `frontier` counts the combinations left unattempted.
 
     The bootstrap is never capped and admits up to 6 pairs, so `max_points`
     must be at least 12; `max_generations` must not be negative.

@@ -15,6 +15,7 @@ from .cubic import Cubic, gradient
 
 _SIZE = 640
 _PAD = 0.08
+_COLUMNS = 420  # curve samples across the view, each way
 _VIEW_LIMIT = 60.0
 _PALETTE = (
     "#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085",
@@ -179,12 +180,12 @@ def _samples(lo, hi, count):
     return [i * step + lo for i in range(count - 1)] + [hi]
 
 
-def _curve_dots(canvas: _Canvas, cubic: Cubic, columns=420):
+def _curve_dots(canvas: _Canvas, cubic: Cubic):
     # int / int divides exactly before rounding: the coefficients can
     # exceed the float range.
     scale = max(abs(c) for c in cubic.coeffs)
     c = [v / scale for v in cubic.coeffs]
-    for x in _samples(canvas.xmin, canvas.xmax, columns):
+    for x in _samples(canvas.xmin, canvas.xmax, _COLUMNS):
         ys = _poly_roots([
             c[6],
             c[3] * x + c[7],
@@ -194,7 +195,7 @@ def _curve_dots(canvas: _Canvas, cubic: Cubic, columns=420):
         for y in ys:
             if canvas.ymin <= y <= canvas.ymax:
                 canvas.circle(x, y, 0.9, "#b0c4d8")
-    for y in _samples(canvas.ymin, canvas.ymax, columns):
+    for y in _samples(canvas.ymin, canvas.ymax, _COLUMNS):
         xs = _poly_roots([
             c[0],
             c[1] * y + c[2],

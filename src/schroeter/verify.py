@@ -69,14 +69,10 @@ class CheckResult(NamedTuple):
 
 
 @record
-class VerificationReport(NamedTuple("VerificationReport", [("results", list[CheckResult])])):
-    """The checks' results, to which the suites append; a fresh list unless
-    one is given."""
+class VerificationReport(NamedTuple):
+    """The checks' results, to which the suites append."""
 
-    __slots__ = ()
-
-    def __new__(cls, results=None):
-        return tuple.__new__(cls, ([] if results is None else results,))
+    results: list[CheckResult]
 
     @property
     def ok(self) -> bool:
@@ -244,7 +240,7 @@ def run_suites(
 ) -> VerificationReport:
     """Run the selected verification suites over a construction state."""
     wanted = wanted_suites(suites)
-    report = VerificationReport()
+    report = VerificationReport([])
     cubic = curve.cubic if curve is not None else state.curve
     # each pair's tangent meet, computed once per call; pair-tangents and
     # chords share it, and whenever chords runs both take curve.cubic

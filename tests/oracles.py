@@ -136,6 +136,12 @@ def cross_ratio_lines(a: ProjLine, b: ProjLine, c: ProjLine, d: ProjLine):
     return cross_ratio_params(*params)
 
 
+def transform(m, point: ProjPoint) -> ProjPoint:
+    """The image of `point` under the homography of the nonsingular integer
+    matrix `m`, given as its three rows."""
+    return ProjPoint(tuple(sum(a * c for a, c in zip(row, point.coords)) for row in m))
+
+
 def involution_from_pairs(pair_a, pair_b) -> Involution:
     carrier = meet(pair_a[0], pair_a[1])
     return Involution(carrier, tuple(pair_a), tuple(pair_b))

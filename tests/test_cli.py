@@ -156,10 +156,8 @@ class TestConstruct:
 
     def test_determinism_bytes(self, torsion_seed_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        main(["construct", "--seed", str(torsion_seed_file), "--out", str(a),
-              "--scheduler-seed", "1"])
-        main(["construct", "--seed", str(torsion_seed_file), "--out", str(b),
-              "--scheduler-seed", "424242"])
+        main(["construct", "--seed", str(torsion_seed_file), "--out", str(a)])
+        main(["construct", "--seed", str(torsion_seed_file), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -405,24 +403,44 @@ def test_non_utf8_input(tmp_path, capsys, command):
     assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
+OUTPUTS = pytest.mark.parametrize(
     "command, output",
     [(["construct", "--seed"], "--out"), (["construct", "--seed"], "--svg"),
      (["verify", "--seed"], "--out"), (["plot", "--report"], "--out")],
     ids=["construct-out", "construct-svg", "verify-out", "plot-out"],
 )
-def test_output_in_a_missing_directory(tmp_path, capsys, monkeypatch, command, output):
-    """An output path whose directory does not exist is an input error
-    that names the path, before the run, and for `plot` before the read."""
+
+
+def bad_output(capsys, monkeypatch, command, output, path) -> str:
+    """The stderr of a command whose output `path` cannot be written; it
+    must exit 1 and print nothing, before the run, and for `plot` before
+    the read."""
 
     def no_run(*args, **kwargs):
         raise AssertionError("the construction ran")
 
     monkeypatch.setattr(cli, "run", no_run)
-    path = tmp_path / "missing" / "out.json"
     assert main([*command, str(SEEDS / "torsion.json"), output, str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: cannot write {path}: no such directory\n"
+    assert captured.out == ""
+    return captured.err
+
+
+@OUTPUTS
+def test_output_in_a_missing_directory(tmp_path, capsys, monkeypatch, command, output):
+    """An output path whose directory does not exist is an input error
+    that names the path."""
+    path = tmp_path / "missing" / "out.json"
+    err = bad_output(capsys, monkeypatch, command, output, path)
+    assert err == f"error: cannot write {path}: no such directory\n"
+
+
+@OUTPUTS
+def test_output_that_is_a_directory(tmp_path, capsys, monkeypatch, command, output):
+    """An output path that names a directory is an input error that names
+    the path, not an OSError once the run is done."""
+    err = bad_output(capsys, monkeypatch, command, output, tmp_path)
+    assert err == f"error: cannot write {tmp_path}: it is a directory\n"
 
 
 @pytest.mark.parametrize(

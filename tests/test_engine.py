@@ -6,7 +6,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schroeter import engine, involution, serialize, verify
@@ -40,6 +40,7 @@ from schroeter.involution import (
 from schroeter.projective import (
     ProjLine,
     ProjPoint,
+    _det3,
     join,
     meet,
 )
@@ -67,6 +68,7 @@ from oracles import (
     normalized_frame_cubic,
     pending_pairs,
     subgroup_generated,
+    transform,
     verify_involution,
 )
 
@@ -342,15 +344,40 @@ class TestRun:
         c, cbar = golden_frame_seed.pair_c.points
         assert state.curve == normalized_frame_cubic(c, cbar)
 
-    def test_determinism_under_scheduling(self, golden_frame_seed):
-        states = [
-            run(golden_frame_seed, max_points=80, scheduler_seed=s) for s in (None, 1, 2, 99)
-        ]
-        reference = states[0]
-        for other in states[1:]:
-            assert other.pairs == reference.pairs
-            assert other.provenance == reference.provenance
-            assert other.closed == reference.closed
+    @settings(max_examples=20, deadline=None)
+    @given(
+        name=st.sampled_from(["frame", "curve12", "torsion", "pencil"]),
+        m=st.lists(st.integers(-5, 5), min_size=9, max_size=9)
+        .map(lambda v: (v[:3], v[3:6], v[6:])).filter(_det3),
+        generations=st.integers(3, 5),
+    )
+    def test_commutes_with_the_projective_group(
+        self, golden_frame_seed, curve12, curve12_seed, curve54, torsion_seed_full, pencil_seed,
+        name, m, generations,
+    ):
+        """The construction uses only joins and meets, so the run on M(seed)
+        is M applied to the run on the seed, for every nonsingular M.  M
+        permutes the canonical order of the combinations, so this also
+        shows that whole generations do not depend on the order in which
+        they are processed.  Only `digits` may differ."""
+        seed, curve = {
+            "frame": (golden_frame_seed, None),
+            "curve12": (curve12_seed, curve12.cubic),
+            "torsion": (torsion_seed_full, curve54.cubic),
+            "pencil": (pencil_seed, None),
+        }[name]
+
+        def image(pair):
+            return PointPair.of(*(transform(m, p) for p in pair.points))
+
+        state = run(seed, 10**6, generations, curve=curve)
+        moved = run(validate_seed(*map(image, seed.pairs)), 10**6, generations)
+        assert dict(zip(moved.pairs, moved.labels)) == dict(zip(map(image, state.pairs), state.labels))
+        assert moved.relations == state.relations and len(moved.rows) == len(state.rows)
+        assert [g._replace(digits=0) for g in moved.stats] == [g._replace(digits=0) for g in state.stats]
+        assert len(moved.curve_basis) == len(state.curve_basis)
+        if name == "curve12":
+            assert all(evaluate(moved.curve, transform(m, p)) == 0 for pair in state.pairs for p in pair.points)
 
     def test_generation_cap(self, golden_frame_seed):
         state = run(golden_frame_seed, max_points=10_000, max_generations=2)

@@ -1,7 +1,8 @@
 """Every module of the package and of the tests uses each name it imports,
 no module of the package imports `dataclasses` or `inspect`, each command
-loads only the package modules it runs, and every top-level definition,
-method and property of the package is used by the package itself.
+loads only the package modules it runs, every top-level definition,
+method and property of the package is used by the package itself, and
+every function of the package reads each of its parameters.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.
 `__init__.py` is skipped because it re-exports, and `__future__` imports
@@ -246,6 +247,49 @@ def test_guard_sees_an_unread_member(tmp_path):
     assert unread_members(package, exempt={"Point.hook"}) == {
         "geometry.py": ["Point.oracle (line 9)", "Point.recursive (line 12)"],
     }
+
+
+# verify's suites share one signature, so that `run_suites` calls each alike,
+# and a suite may leave some of its arguments unread.
+SHARED_SIGNATURE = "_suite_"
+
+
+def unread_parameters(source: str) -> list[str]:
+    """The parameters that their function's body never reads, as
+    "function(parameter) (line n)": a parameter that changes nothing is a
+    knob that does nothing."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith(SHARED_SIGNATURE):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+        read = {
+            n.id for stmt in node.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [f"{node.name}({p.arg}) (line {node.lineno})" for p in params if p.arg not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", [PACKAGE / "__init__.py", *MODULES], ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_an_unread_parameter():
+    source = (
+        "def run(seed, max_points=512, *, scheduler_seed=None, **options):\n"
+        "    return [seed][:max_points]\n\n\n"
+        "def _suite_lines(state, report, cubic, meet):\n"
+        "    return state\n\n\n"
+        "class Canvas:\n"
+        "    def circle(self, x, y):\n"
+        "        return lambda: x + y\n"
+    )
+    assert unread_parameters(source) == [
+        "run(scheduler_seed) (line 1)", "run(options) (line 1)", "circle(self) (line 10)",
+    ]
 
 
 def test_oracles_are_not_in_the_package():
