@@ -13,10 +13,9 @@ import sys
 import time
 
 from . import serialize
-from .engine import DEFAULT_MAX_GENERATIONS, DEFAULT_MAX_POINTS, run
+from .engine import DEFAULT_MAX_GENERATIONS, DEFAULT_MAX_POINTS, replay_report, revalidate_points, run
 from .errors import SchroeterError, SeedFormatError, ValidationError, brief
 from .cubic import fit_cubic_9
-from .weierstrass import seed_from_curve
 
 SEED_DIR_ENV = "SCHROETER_SEED_DIR"
 VERIFY_MAX_POINTS = 128
@@ -46,16 +45,12 @@ def _load_seed(path: str):
 
 # `verify` (with `checks`) and `svgplot` are imported only by the commands
 # that run them, so that `construct` does not compile them at start-up.  The
-# commands call these three through the names below, which the benchmark's
-# tracer (perfbench/tracer.py, TARGETS) wraps to time them.
+# commands call them through the two names below, and `engine`'s functions
+# through the names imported above, which the benchmark's tracer
+# (perfbench/tracer.py, TARGETS) wraps to time them.
 def run_suites(*args, **kwargs):
     from . import verify
     return verify.run_suites(*args, **kwargs)
-
-
-def revalidate_points(*args, **kwargs):
-    from . import verify
-    return verify.revalidate_points(*args, **kwargs)
 
 
 def render_svg(*args, **kwargs):
@@ -127,6 +122,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_seed_from_curve(args) -> int:
+    from .weierstrass import seed_from_curve
+
     curve = serialize.curve_from_json({"a": args.a, "b": args.b})
     points = _parse_points_arg(args.points)
     if len(points) != 3:
@@ -154,8 +151,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import verify
-
     if args.report:
         given = [
             f"--{name.replace('_', '-')}"
@@ -165,15 +160,18 @@ def cmd_verify(args) -> int:
         if given:
             raise ValidationError(f"verify --report does not take {', '.join(given)}")
         state = serialize.report_from_json(serialize.load_json(args.report))
-        cubics = state.curve_basis or ([state.curve] if state.curve else [])
+        # the report records both the basis and the curve, and either can be
+        # edited; each distinct cubic is evaluated once
+        cubics = [c for c in dict.fromkeys((*state.curve_basis, state.curve)) if c is not None]
         if not cubics:
             raise ValidationError("report carries no curve to check against")
         revalidate_points((p for pair in state.pairs for p in pair.points), cubics)
-        verify.replay_report(state)
+        replay_report(state)
         print(f"report ok: {state.point_count} points on the recorded curve")
         return 0
     if not args.seed:
         raise ValidationError("verify needs --seed or --report")
+    from . import verify
 
     suites = args.suite or ["all"]
     verify.wanted_suites(suites)  # an unknown suite fails before the run
@@ -230,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_seed_from_curve)
 
     p = sub.add_parser("fit", help="fit the unique cubic through 9 points")
-    p.add_argument("--points", required=True, help="JSON array of 9 points")
+    p.add_argument("--points", required=True, help="JSON file holding an array of 9 points")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("verify", help="re-run a construction and check the classical claims")

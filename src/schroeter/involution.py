@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .errors import (
     DegenerateChoice,
-    DuplicatePoints,
     IdenticalLines,
     IdenticalPoints,
     InvariantViolation,
@@ -24,7 +23,6 @@ from .errors import (
 from .projective import (
     ProjLine,
     ProjPoint,
-    collinear,
     incident,
     join,
     meet,
@@ -152,21 +150,3 @@ def conjugate_line(inv: Involution, d: ProjLine, *, choice: int = 0) -> ProjLine
         )
     return ruler
 
-
-def is_complete_quadrilateral_pairing(pair_a, pair_b, pair_c) -> bool:
-    """True iff the three point pairs are the opposite-vertex pairs of one
-    complete quadrilateral (checked over the four within-pair labelings)."""
-    points = (*pair_a, *pair_b, *pair_c)
-    if len(set(points)) != 6:
-        raise DuplicatePoints("the six points must be pairwise distinct")
-    a, abar = pair_a
-    for b, bbar in (pair_b, pair_b[::-1]):
-        for c, cbar in (pair_c, pair_c[::-1]):
-            if (
-                collinear(a, b, c)
-                and collinear(a, bbar, cbar)
-                and collinear(abar, b, cbar)
-                and collinear(abar, bbar, c)
-            ):
-                return True
-    return False

@@ -11,12 +11,15 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
+from typing import TYPE_CHECKING
 
 from .cubic import Cubic
 from .engine import Attempt, ConstructionState, Generation, PointPair, SeedConfig, validate_seed
 from .errors import InvariantViolation, SeedFormatError, brief
 from .projective import ProjPoint
-from .weierstrass import WeierstrassCurve
+
+if TYPE_CHECKING:  # imported where a curve is read, so that a seed without one never loads it
+    from .weierstrass import WeierstrassCurve
 
 
 def rat_to_str(value) -> str:
@@ -85,6 +88,8 @@ def curve_to_json(curve: WeierstrassCurve) -> dict:
 def curve_from_json(obj) -> WeierstrassCurve:
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise SeedFormatError("curve object needs rational fields 'a' and 'b'")
+    from .weierstrass import WeierstrassCurve
+
     return WeierstrassCurve(rat_from_str(obj["a"]), rat_from_str(obj["b"]))
 
 
@@ -196,7 +201,7 @@ def report_from_json(obj) -> ConstructionState:
     from their seeds.  A field of the wrong shape is a SeedFormatError.
     The stored `generations`, `pair_count`, `point_count` and `closed` must
     be those the state derives from its pairs and stats, or the report is
-    corrupt (InvariantViolation); `verify.replay_report` checks the rest.
+    corrupt (InvariantViolation); `engine.replay_report` checks the rest.
     """
     if not isinstance(obj, dict):
         raise SeedFormatError("a run report must be a JSON object")

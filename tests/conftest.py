@@ -7,15 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from schroeter import (
-    ProjPoint,
-    WeierstrassCurve,
-    seed_from_curve,
-)
 from schroeter.engine import PointPair, SeedConfig, run, validate_seed
 from schroeter.errors import SchroeterError
+from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
-from schroeter.weierstrass import add
+from schroeter.weierstrass import WeierstrassCurve, add, seed_from_curve
 
 from oracles import bootstrap_seed
 

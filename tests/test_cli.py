@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,9 @@ from hypothesis import strategies as st
 
 from schroeter import cli, serialize
 from schroeter.cli import main
-from schroeter.engine import Attempt, run
+from schroeter.engine import Attempt, replay_report, run
 from schroeter.errors import InvariantViolation
 from schroeter.projective import ProjPoint
-from schroeter.verify import replay_report
 
 TORSION_ARGS = ["--a", "5", "--b", "4", "--points", "0,0;2,6;-1,0"]
 SEEDS = Path(__file__).parents[1] / "seeds"
@@ -613,6 +613,15 @@ class TestReportReplay:
         label = altered["labels"][data.draw(st.integers(0, len(altered["labels"]) - 1))]
         label[data.draw(st.integers(0, 3))] += data.draw(st.integers(-3, 3).filter(bool))
         assert _verify(altered, directory) == 3
+
+    def test_edited_curve(self, frame_report, capsys):
+        """The points are checked on the recorded `curve` as well as on
+        `curve_basis`, so a report whose curve misses them fails."""
+        report, directory = frame_report
+        altered = json.loads(json.dumps(report))
+        altered["curve"][0] = str(Fraction(altered["curve"][0]) + 1)
+        assert _verify(altered, directory) == 3
+        assert "off the recorded curve" in capsys.readouterr().err
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())

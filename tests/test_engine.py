@@ -18,6 +18,7 @@ from schroeter.engine import (
     PointPair,
     SeedConfig,
     combine,
+    revalidate_points,
     run,
     validate_seed,
 )
@@ -44,7 +45,7 @@ from schroeter.projective import (
     join,
     meet,
 )
-from schroeter.verify import revalidate_points, run_suites
+from schroeter.verify import run_suites
 from schroeter.weierstrass import (
     WeierstrassCurve,
     chart_conjugate,

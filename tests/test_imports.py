@@ -1,14 +1,14 @@
 """Every module of the package and of the tests uses each name it imports,
-no module of the package imports `dataclasses` or `inspect`, each command
-loads only the package modules it runs, every top-level definition,
-method and property of the package is used by the package itself, and
-every function of the package reads each of its parameters.
+no module of the package imports `dataclasses` or `inspect` or a private
+name of `engine`, the package root loads no module of the package, each
+command loads exactly the package modules it runs, every top-level
+definition, method and property of the package is used by the package
+itself, and every function of the package reads each of its parameters.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.
-`__init__.py` is skipped because it re-exports, and `__future__` imports
-are not names.  A definition that only the tests use belongs in
-`tests/oracles.py`, so references from the tests, from `__init__.py`'s
-re-exports or from the definition's own body do not count.
+`__future__` imports are not names.  A definition that only the tests use
+belongs in `tests/oracles.py`, so references from the tests, from an
+`__init__.py` or from the definition's own body do not count.
 """
 
 import ast
@@ -43,7 +43,7 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize(
     "path",
-    [*MODULES, *TEST_MODULES],
+    [PACKAGE / "__init__.py", *MODULES, *TEST_MODULES],
     ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}",
 )
 def test_no_unused_imports(path):
@@ -84,42 +84,82 @@ def test_guard_sees_a_slow_import():
     assert slow_imports("import json, inspect\nfrom .cubic import evaluate\n") == ["inspect (line 1)"]
 
 
-def loaded_modules(argv, cwd) -> set[str]:
-    """The package modules loaded by a fresh interpreter that runs the
-    command `argv` in the directory `cwd`."""
-    code = (
-        "import json, sys\n"
-        "from schroeter.cli import main\n"
-        "assert main(json.loads(sys.argv[1])) == 0\n"
-        "print(json.dumps(sorted(sys.modules)))"
-    )
+def fresh_modules(code, *args, cwd) -> set[str]:
+    """The package submodules loaded by a fresh interpreter that runs `code`
+    with the arguments `args` in the directory `cwd`, then prints them."""
+    code = f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True,
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
         check=True, env=env, cwd=cwd,
     )
     return {m for m in json.loads(out.stdout.splitlines()[-1]) if m.startswith("schroeter.")}
 
 
+def loaded_modules(argv, cwd) -> set[str]:
+    """The package modules loaded by a fresh interpreter that runs the
+    command `argv` in the directory `cwd`."""
+    code = "from schroeter.cli import main\nassert main(json.loads(sys.argv[1])) == 0"
+    return fresh_modules(code, json.dumps(argv), cwd=cwd)
+
+
 SEEDS = PACKAGE.parent.parent / "seeds"
-VERIFY_ONLY = {"schroeter.verify", "schroeter.checks"}
+# The modules that `construct` on a seed without a curve and `verify
+# --report` load; the other commands load these and the modules they run.
+CORE = {
+    f"schroeter.{m}" for m in ("cli", "cubic", "engine", "errors", "projective", "record", "serialize")
+}
+
+
+def test_root_loads_no_submodule(tmp_path):
+    assert fresh_modules("import schroeter", cwd=tmp_path) == set()
 
 
 def test_construct_loads_neither_verify_nor_svgplot(tmp_path):
     argv = ["construct", "--seed", str(SEEDS / "frame.json"), "--max-points", "12", "--out", "run.json"]
-    loaded = loaded_modules(argv, tmp_path)
-    assert "schroeter.engine" in loaded and loaded & {*VERIFY_ONLY, "schroeter.svgplot"} == set()
+    assert loaded_modules(argv, tmp_path) == CORE
+
+
+def test_verify_report_loads_what_construct_loads(tmp_path):
+    argv = ["construct", "--seed", str(SEEDS / "torsion.json"), "--out", "run.json"]
+    assert loaded_modules(argv, tmp_path) == {*CORE, "schroeter.weierstrass"}
+    assert loaded_modules(["verify", "--report", "run.json"], tmp_path) == CORE
 
 
 def test_plot_loads_no_verify(tmp_path):
     loaded_modules(["construct", "--seed", str(SEEDS / "torsion.json"), "--out", "run.json"], tmp_path)
     loaded = loaded_modules(["plot", "--report", "run.json", "--out", "run.svg"], tmp_path)
-    assert "schroeter.svgplot" in loaded and loaded & VERIFY_ONLY == set()
+    assert loaded == {*CORE, "schroeter.svgplot"}
 
 
 def test_verify_loads_no_svgplot(tmp_path):
     loaded = loaded_modules(["verify", "--seed", str(SEEDS / "torsion.json")], tmp_path)
-    assert VERIFY_ONLY <= loaded and "schroeter.svgplot" not in loaded
+    verify_only = {f"schroeter.{m}" for m in ("verify", "checks", "involution", "weierstrass")}
+    assert loaded == {*CORE, *verify_only}
+
+
+def private_engine_imports(source: str) -> list[str]:
+    """The names starting with "_" that the source imports from the
+    package's `engine`, as "name (line n)"."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "engine"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "engine.py"], ids=lambda p: p.name)
+def test_no_private_engine_imports(path):
+    """Only `engine` decides what its private names mean: the replay of a
+    run report, which needs them, is engine's own."""
+    assert private_engine_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_private_engine_import():
+    source = "from .engine import _KAPPA, ConstructionState, _hnf\nfrom .cubic import _private\n"
+    assert private_engine_imports(source) == ["_KAPPA (line 1)", "_hnf (line 1)"]
 
 
 def references(nodes) -> set[str]:

@@ -3,18 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from schroeter.engine import PointPair, combine
+from schroeter.engine import PointPair, combine, is_complete_quadrilateral_pairing
 from schroeter.errors import (
     DuplicatePoints,
     IdenticalLines,
     IdenticalPoints,
     NotInPencil,
 )
-from schroeter.involution import (
-    Involution,
-    conjugate_line,
-    is_complete_quadrilateral_pairing,
-)
+from schroeter.involution import Involution, conjugate_line
 from schroeter.projective import ProjLine, ProjPoint, join
 
 from oracles import (
