@@ -25,11 +25,9 @@ label at once, and such duplicates are only counted.  A geometric
 duplicate under a new label teaches a relation.  Under the final relations
 every duplicate is implied by its parents' labels, so the state, like a
 run report, keeps only the attempts that ran the geometry; the full list
-of attempts is rebuilt from them on demand.  From those rows and each
-generation's attempt count, `_schedule` gives which attempt each ordinal
-is and `_stats` each generation's counts; the run, the view of every
-attempt and the replay of a run report (`replay_report`, which
-`verify --report` runs) all use these two.
+of attempts is rebuilt from them on demand (`_schedule`).  A run is
+deterministic, so a run report is checked by running its seed again
+(`replay_report`, which `verify --report` runs).
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ from .errors import (
     InvariantViolation,
     NotOnCurve,
     OverlappingBootstrap,
+    SchroeterError,
     SharedPoint,
     ValidationError,
     brief,
@@ -481,119 +480,6 @@ def _stats(
     return tuple(stats)
 
 
-def revalidate_points(points, cubics) -> None:
-    """Raise if a point repeats or misses any of the given cubics (corrupt
-    data check)."""
-    seen = set()
-    for p in points:
-        if p in seen:
-            raise InvariantViolation(f"point {brief(p)} appears more than once")
-        seen.add(p)
-        for c in cubics:
-            if evaluate(c, p) != 0:
-                raise InvariantViolation(f"point {brief(p)} is off the recorded curve")
-
-
-def replay_report(state: ConstructionState) -> None:
-    """Raise InvariantViolation unless a run state read from a report
-    replays.
-
-    Every stored row replays: combine(pairs[i], pairs[j]) is pairs[k], or
-    raises the error a skipped row names.  Then the rows, labels and stats
-    must be the run's (see _check_history).  Neither walks the attempts
-    that the labels imply.
-    """
-    pairs = state.pairs
-    for n, i, j, status, k in state.rows:
-        named = (i, j) if status == "skipped" else (i, j, k)
-        if not all(0 <= x < len(pairs) for x in named):
-            raise InvariantViolation(f"provenance row {n} names no pair of the report")
-        try:
-            outcome = combine(pairs[i], pairs[j])
-        except (SharedPoint, DegenerateLines) as exc:
-            outcome = type(exc).__name__
-        if outcome != (k if status == "skipped" else pairs[k]):
-            raise InvariantViolation(
-                f"provenance row {n} does not replay: pairs {i} and {j} do not give "
-                f"{brief(k) if status == 'skipped' else f'pair {k}'}"
-            )
-    _check_history(state)
-
-
-def _check_history(state: ConstructionState) -> None:
-    """The checks of a run state beyond the replay of its rows.
-
-    Each stored row is the attempt that `_schedule` draws at its ordinal,
-    and the ordinals strictly increase.  Each pair but the seed's three has
-    exactly one "new" row.  Walking the rows from the seed's unit labels
-    gives each pair its unreduced label kappa - x - y; the stored
-    duplicates must each teach a relation, and together exactly
-    `relations`.  Each label is the unreduced one reduced by them, and no
-    two pairs share one.  Each `stats` entry must be what `_stats` derives
-    from the rows; the fields that the state derives from `stats`, such as
-    `closed`, the report reader has already checked.  A generation
-    attempts all of its pending combinations, except the last one when
-    the point cap ended it on a new pair.
-    """
-    pairs, stats, rows = state.pairs, state.stats, state.rows
-    if len(state.labels) != len(pairs):
-        raise InvariantViolation(f"{len(state.labels)} labels for {len(pairs)} pairs")
-    seeds = [pairs.index(pair) for pair in state.seed.pairs if pair in pairs]
-    if len(set(seeds)) != 3:
-        raise InvariantViolation("the seed is not three of the report's pairs")
-
-    attempted = [g.attempted for g in stats]
-    unreduced = {s: tuple(int(c == m) for c in range(len(_KAPPA))) for m, s in enumerate(seeds)}
-    taught: list[tuple[int, ...]] = []
-    p = low = 0  # the next stored row, and the least ordinal it may have
-    for start, i, js in _schedule(seeds, rows, attempted):
-        while p < len(rows) and rows[p].n < start + len(js):
-            n, ri, rj, status, k = rows[p]
-            if n < low or (ri, rj) != (i, js[n - start]):
-                raise InvariantViolation(
-                    f"provenance row {n} is out of order or not the attempt due at its ordinal"
-                )
-            child = tuple(c - a - b for c, a, b in zip(_KAPPA, unreduced[i], unreduced[rj]))
-            if status == "new":
-                if k in unreduced:
-                    raise InvariantViolation(f"pair {k} is made by more than one row")
-                unreduced[k] = child
-            elif status == "duplicate":
-                if k not in unreduced:
-                    raise InvariantViolation(f"provenance row {n} repeats pair {k} before it is made")
-                relation = tuple(a - b for a, b in zip(child, unreduced[k]))
-                if not any(_reduce(relation, _hnf(taught))):
-                    raise InvariantViolation(f"provenance row {n} is a duplicate its labels imply")
-                taught.append(relation)
-            p, low = p + 1, n + 1
-    total = sum(attempted)
-    if p < len(rows):
-        raise InvariantViolation(
-            f"provenance row {rows[p].n} is out of order or beyond the {total} attempts"
-        )
-    if len(unreduced) != len(pairs):
-        orphan = min(set(range(len(pairs))) - set(unreduced))
-        raise InvariantViolation(f"pair {orphan} has no row that makes it")
-
-    if tuple(_hnf(taught)) != state.relations:
-        raise InvariantViolation("the relations are not those the duplicate rows teach")
-    for k, label in enumerate(state.labels):
-        if _reduce(unreduced[k], state.relations) != label:
-            raise InvariantViolation(f"the label of pair {k} is not that of its parents")
-    if len(set(state.labels)) != len(pairs):
-        raise InvariantViolation("two pairs share a label")
-
-    derived = _stats(pairs, seeds, rows, attempted)
-    ends_new = bool(rows) and (rows[-1].n, rows[-1].status) == (total - 1, "new")
-    for g, (entry, due) in enumerate(zip(stats, derived)):
-        if entry != due or entry.attempted > entry.pending:
-            raise InvariantViolation(f"the stats of generation {g} disagree with its rows")
-        if entry.attempted < entry.pending and (
-            g != len(stats) - 1 or entry.attempted and not ends_new
-        ):
-            raise InvariantViolation(f"generation {g} stops short of its {entry.pending} combinations")
-
-
 def run(
     seed: SeedConfig,
     max_points: int = DEFAULT_MAX_POINTS,
@@ -773,3 +659,31 @@ def run(
         relations=tuple(ws.relations),
         stats=_stats(pairs, rank[:3], attempts, [b - a for a, b in pairwise([*starts, done])]),
     )
+
+
+def replay_report(state: ConstructionState) -> None:
+    """Raise InvariantViolation unless a run state read from a report is
+    the state that a run of its seed gives.
+
+    The rerun stops where the report's run did: after its generations, and
+    at a point cap one above its points if the cap cut the last generation
+    short, two above (so never reached) if not.  It is given the report's
+    curve only if the family has several cubics: a run with one records
+    that cubic as `curve`.  The rerun checks itself, so the report must
+    equal it field by field, and an error it raises marks the report
+    corrupt too.
+    """
+    last = state.stats[-1]
+    cap = state.point_count + (1 if last.attempted < last.pending else 2)
+    curve = state.curve if len(state.curve_basis) > 1 else None
+    try:
+        rerun = run(state.seed, max(MIN_MAX_POINTS, cap), state.generations, curve=curve)
+    except SchroeterError as exc:
+        raise InvariantViolation(f"the report's seed does not run again: {exc}") from exc
+    for name, stored, derived in zip(state._fields, state, rerun):
+        if stored != derived:
+            where = ""
+            if type(stored) is tuple:  # so is `derived`: one of the tuple fields
+                diffs = (k for k, (a, b) in enumerate(zip(stored, derived)) if a != b)
+                where = f", index {next(diffs, min(len(stored), len(derived)))}"
+            raise InvariantViolation(f"the report differs from a rerun of its seed in {name}{where}")

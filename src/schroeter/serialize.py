@@ -200,8 +200,8 @@ def report_from_json(obj) -> ConstructionState:
     stats, and a run is deterministic, so their reports are regenerated
     from their seeds.  A field of the wrong shape is a SeedFormatError.
     The stored `generations`, `pair_count`, `point_count` and `closed` must
-    be those the state derives from its pairs and stats, or the report is
-    corrupt (InvariantViolation); `engine.replay_report` checks the rest.
+    be what the pairs and stats give, and `curve` a one-cubic basis's cubic,
+    or the report is corrupt (InvariantViolation); `replay_report` checks the rest.
     """
     if not isinstance(obj, dict):
         raise SeedFormatError("a run report must be a JSON object")
@@ -241,6 +241,8 @@ def report_from_json(obj) -> ConstructionState:
         raise InvariantViolation(
             "generations, pair_count, point_count or closed disagrees with the pairs and stats"
         )
+    if len(state.curve_basis) == 1 and state.curve != state.curve_basis[0]:
+        raise InvariantViolation("the report's curve is not the one cubic of its curve_basis")
     return state
 
 

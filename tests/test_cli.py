@@ -224,6 +224,35 @@ class TestVerify:
         assert main(["verify", "--report", str(out)]) == 0
         assert main(["plot", "--report", str(out), "--out", str(tmp_path / "run.svg")]) == 0
 
+    @pytest.mark.parametrize("edit", ["null", "edited"])
+    def test_curve_is_the_basis_cubic(self, tmp_path, edit):
+        """A run whose family is one cubic records that cubic as `curve`; a
+        report with any other `curve` is corrupt, for `plot` as for
+        `verify --report`."""
+        out = tmp_path / "run.json"
+        assert main(["construct", "--seed", str(SEEDS / "frame.json"), "--max-points", "13",
+                     "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        if edit == "null":
+            data["curve"] = None
+        else:
+            data["curve"][0] = str(Fraction(data["curve"][0]) + 1)
+        out.write_text(json.dumps(data))
+        assert main(["verify", "--report", str(out)]) == 3
+        assert main(["plot", "--report", str(out), "--out", str(tmp_path / "run.svg")]) == 3
+
+    def test_edited_supplied_curve(self, torsion_seed_quadrilateral, curve54, tmp_path, capsys):
+        """The quadrilateral seed leaves a family of cubics, so the report
+        records the supplied curve, and the rerun is given it: an edited one
+        is off the bootstrap points, which is corruption, not an input error."""
+        report = serialize.state_to_json(run(torsion_seed_quadrilateral, curve=curve54.cubic))
+        assert len(report["curve_basis"]) > 1
+        report["curve"][0] = str(int(report["curve"][0]) + 1)
+        out = tmp_path / "run.json"
+        out.write_text(json.dumps(report))
+        assert main(["verify", "--report", str(out)]) == 3
+        assert "not on the supplied curve" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "option",
         [["--seed", "torsion.json"], ["--suite", "chords"], ["--a", "5"], ["--b", "4"],
@@ -459,7 +488,7 @@ def test_deeply_nested_input(tmp_path, capsys, command):
 # perfbench/tracer.py's TARGETS wraps these names on `schroeter.cli` to time
 # each layer; a refactor that drops one or stops calling it through the
 # module global would silently empty that layer's spans.
-TRACED_NAMES = ("main", "run", "run_suites", "revalidate_points", "render_svg")
+TRACED_NAMES = ("main", "run", "run_suites", "replay_report", "render_svg")
 
 
 def test_benchmark_traced_names(torsion_seed_file, tmp_path, monkeypatch, capsys):
@@ -490,7 +519,7 @@ def test_benchmark_traced_names(torsion_seed_file, tmp_path, monkeypatch, capsys
     assert [cli.main(argv) for argv in commands] == [0, 0, 0, 0]
     assert called == [
         "main", "run", "render_svg", "main", "run", "run_suites",
-        "main", "revalidate_points", "main", "render_svg",
+        "main", "replay_report", "main", "render_svg",
     ]
 
 
@@ -585,11 +614,9 @@ class TestReportReplay:
          ((0, 3, "DegenerateLines"), False)],
     )
     def test_skipped_rows_replay_their_error(self, frame_report, row, replays):
-        """A skipped row replays when `combine` raises the error it names.
-        The row is one more attempt at the end of the last generation,
-        counted in its stats.  It is never the attempt due there, so the
-        history check fails after the row replays; a row that does not
-        replay fails first."""
+        """A skipped row appended as one more attempt at the end of the last
+        generation, counted in its stats, fails the replay, whether or not
+        `combine` raises the error it names: the rerun makes no such row."""
         report, _ = frame_report
         state = serialize.report_from_json(report)
         i, j, reason = row
@@ -598,12 +625,8 @@ class TestReportReplay:
         last = last._replace(attempted=last.attempted + 1, skipped=skipped)
         appended = Attempt(sum(g.attempted for g in state.stats), i, j, "skipped", reason)
         state = state._replace(rows=(*state.rows, appended), stats=(*state.stats[:-1], last))
-        with pytest.raises(InvariantViolation) as exc:
+        with pytest.raises(InvariantViolation):
             replay_report(state)
-        message = str(exc.value)
-        assert ("does not replay" not in message) == replays
-        if replays:
-            assert "not the attempt due at its ordinal" in message
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -615,13 +638,13 @@ class TestReportReplay:
         assert _verify(altered, directory) == 3
 
     def test_edited_curve(self, frame_report, capsys):
-        """The points are checked on the recorded `curve` as well as on
-        `curve_basis`, so a report whose curve misses them fails."""
+        """A report whose family is one cubic must record that cubic as its
+        `curve`, so a report whose curve is edited fails."""
         report, directory = frame_report
         altered = json.loads(json.dumps(report))
         altered["curve"][0] = str(Fraction(altered["curve"][0]) + 1)
         assert _verify(altered, directory) == 3
-        assert "off the recorded curve" in capsys.readouterr().err
+        assert "the report's curve is not the one cubic of its curve_basis" in capsys.readouterr().err
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())

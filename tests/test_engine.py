@@ -18,7 +18,7 @@ from schroeter.engine import (
     PointPair,
     SeedConfig,
     combine,
-    revalidate_points,
+    replay_report,
     run,
     validate_seed,
 )
@@ -172,7 +172,8 @@ class TestCombine:
             combine(PointPair.of(pt(0, 0), pt(1, 0)), PointPair.of(pt(2, 0), pt(3, 0)))
 
     def test_messages_stay_short_for_huge_coordinates(
-        self, monkeypatch, tmp_path, capsys, golden_frame_seed, curve12, curve54, torsion_seed_full
+        self, monkeypatch, tmp_path, capsys, golden_frame_seed, curve12, curve12_seed, curve54,
+        torsion_seed_full,
     ):
         huge = 10**10_000
         far = PointPair.of(ProjPoint((huge, 1, 1)), ProjPoint((huge + 1, 1, 1)))
@@ -217,8 +218,6 @@ class TestCombine:
                 cubic, big, PointPair.of(big, conjugate_point(curve12, big)), *curve12_pairs
             ),
             lambda: chord_tangency_check(curve12, big, pt(1, 2)),
-            lambda: revalidate_points([far.first], [cubic]),
-            lambda: revalidate_points([far.first, far.first], []),
             lambda: serialize.rat_from_str(f"{huge}x"),
             lambda: serialize.pair_from_json([[str(huge), "1", "1"]] * 3),
             lambda: Involution(far.first, (line, axes[0]), axes[1:3]),
@@ -263,6 +262,13 @@ class TestCombine:
             fails = run_suites(run(golden_frame_seed, max_points=12), suites=("pair-tangents",)).results
             assert fails and all(r.status == "fail" for r in fails)
             messages += [r.detail for r in fails]
+        # a report with one pair edited: the rerun names the field and index
+        report = serialize.state_to_json(run(curve12_seed, max_points=256, curve=curve12.cubic))
+        report["pairs"][5][0][0] = str(huge)
+        with pytest.raises(InvariantViolation) as exc:
+            replay_report(serialize.report_from_json(report))
+        assert "pairs, index 5" in str(exc.value) and len(str(exc.value)) < 100
+        messages.append(str(exc.value))
         report = serialize.state_to_json(run(torsion_seed_full, curve=curve54.cubic))
         report["pairs"][0][0][0] = str(huge)
         report_path = tmp_path / "corrupt.json"
@@ -442,6 +448,44 @@ class TestRun:
         pairs = [[[str(c) for c in p] for p in pair] for pair in PENCIL_PAIRS]
         path.write_text(json.dumps({"pairs": pairs}))
         assert main(["construct", "--seed", str(path), "--max-points", "12"]) == 0
+
+    def test_every_stop_rule_replays(
+        self, golden_frame_seed, curve12, curve12_seed, curve54, torsion_seed_full, pencil_seed,
+        torsion_seed_quadrilateral,
+    ):
+        """`replay_report` reruns a state's seed under caps it works out from
+        the state alone, so every state that `run` returns passes it,
+        whichever rule stopped the run."""
+        six = frame_seed(ProjPoint.of(3, 9, 1), ProjPoint.of(7, 0, 1))  # a 6-pair bootstrap
+
+        def last(state):
+            return state.stats[-1]
+
+        stops = {
+            "closed": lambda state: state.closed,
+            "generations": lambda state: not state.closed and last(state).attempted == last(state).pending,
+            "bootstrap cap": lambda state: state.generations == 0 and state.point_count == 12,
+            "empty generation": lambda state: last(state).attempted == 0 < last(state).pending,
+            "cut row": lambda state: 0 < last(state).attempted < last(state).pending,
+        }
+        cases = [
+            (torsion_seed_full, 512, 16, curve54.cubic, "closed"),  # a two-cubic family
+            (torsion_seed_quadrilateral, 512, 16, None, "closed"),  # a four-cubic family
+            (torsion_seed_quadrilateral, 512, 16, curve54.cubic, "closed"),
+            (golden_frame_seed, 512, 0, None, "generations"),
+            (curve12_seed, 512, 1, curve12.cubic, "generations"),
+            (pencil_seed, 512, 0, None, "generations"),  # a pencil
+            (pencil_seed, 512, 1, None, "generations"),  # narrowed to one cubic
+            (six, 12, 16, None, "bootstrap cap"),
+            (six, 13, 16, None, "empty generation"),
+            (golden_frame_seed, 120, 16, None, "cut row"),  # see test_a_cap_mid_row
+            (curve12_seed, 64, 16, curve12.cubic, "cut row"),
+            (pencil_seed, 40, 16, None, "cut row"),
+        ]
+        for seed, max_points, max_generations, curve, stop in cases:
+            state = run(seed, max_points, max_generations, curve=curve)
+            assert stops[stop](state), (stop, [tuple(g)[:3] for g in state.stats])
+            replay_report(state)
 
 
 def reference_run(seed, max_points, max_generations):
