@@ -8,15 +8,9 @@ checkable forms of the classical statements the construction rests on.
 
 The package root exports no names and loads none of its modules, so that
 each command loads only what it runs: import from the modules, as in
-`from schroeter.engine import run`.
+`from schroeter.engine import run`.  Importing it leaves CPython's limit
+on int/str conversion alone: the package lifts it only around its own
+decimal conversions (`errors.lifted_digit_limit`).
 """
-
-import sys as _sys
-
-# Coordinate heights grow quadratically along the construction; decimal
-# serialization of such integers is legitimate here, so lift CPython's
-# conversion guard well beyond anything a capped run can produce.
-if hasattr(_sys, "set_int_max_str_digits"):
-    _sys.set_int_max_str_digits(max(_sys.get_int_max_str_digits(), 2_000_000))
 
 __version__ = "0.1.0"

@@ -146,7 +146,7 @@ def cmd_fit(args) -> int:
     if len(points) != 9:
         raise ValidationError(f"need exactly 9 points, got {len(points)}")
     cubic = fit_cubic_9(points)
-    print(" ".join(str(c) for c in cubic.coeffs))
+    print(" ".join(serialize.cubic_to_json(cubic)))
     return 0
 
 

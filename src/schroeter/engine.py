@@ -53,6 +53,7 @@ from .errors import (
     SharedPoint,
     ValidationError,
     brief,
+    lifted_digit_limit,
 )
 from .projective import ProjPoint, all_collinear, collinear, cross
 from .record import record
@@ -381,6 +382,13 @@ class _Workspace:
         for p in pair.points:
             owner = self.owner.get(p)
             if owner is not None:
+                # No validated seed gets here after its bootstrap, and
+                # validate_seed rejects one that would in it: each pair is
+                # {P, P + T} on the construction cubic, so a point names its
+                # pair, and a child sharing a point with a pair is that pair,
+                # which `find` has returned.  In `TestValidateSeed`, the
+                # seeds that validate_seed rejects reach this, and 600 that
+                # it accepts run to 64 points without.
                 raise InvariantViolation(
                     f"point {brief(p)} of {brief(pair)} already belongs to "
                     f"pair {brief(self.pairs[owner])}"
@@ -402,6 +410,11 @@ class _Workspace:
         self.labels = [_reduce(label, self.relations) for label in self.labels]
         self.index_of_label = {label: k for k, label in enumerate(self.labels)}
         if len(self.index_of_label) != len(self.labels):
+            # No validated seed gets here: a label is its pair's class in
+            # G/<T>, a relation learned from a geometric duplicate holds in
+            # that group, and distinct pairs are distinct classes, so true
+            # relations keep their labels apart.  Only a wrong relation does
+            # (`TestLabels.test_wrong_relation_is_caught`).
             raise InvariantViolation(
                 f"the learned relation {relation} gives two distinct pairs one label"
             )
@@ -453,6 +466,7 @@ def _schedule(
         made += fresh
 
 
+@lifted_digit_limit()  # for `digits`, the decimal length of a coordinate
 def _stats(
     pairs: Sequence[PointPair], seeds: Sequence[int], rows: Sequence[Attempt], attempted: Sequence[int]
 ) -> tuple[Generation, ...]:
@@ -578,6 +592,12 @@ def run(
         values = {c: evaluate(c, point) for c in dict.fromkeys((*basis, curve)) if c is not None}
         missed = next((c for c in basis if values[c]), None)
         if (curve is not None and values[curve]) or (missed is not None and len(basis) == 1):
+            # A validated seed gets here through a supplied curve that holds
+            # the bootstrap points but is not the construction cubic: the
+            # pencil seed with either cubic of its pencil basis
+            # (`TestRun.test_a_pencil_narrows_to_the_construction_cubic`).
+            # Not through the family: it always holds the construction cubic,
+            # which holds every point, so a family of one is that cubic.
             raise InvariantViolation(
                 f"constructed point {brief(point)} is off the construction cubic"
             )

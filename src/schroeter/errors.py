@@ -4,10 +4,35 @@ Messages name the points involved through `brief`, so they stay short
 even when coordinates run to thousands of digits.
 """
 
+import sys
+from contextlib import contextmanager
+
+# CPython's limit on int/str conversion in base 10: 0 while lifted, and
+# always 0 before Python 3.11, which has none
+digit_limit = getattr(sys, "get_int_max_str_digits", int)
+
+
+@contextmanager
+def lifted_digit_limit():
+    """Lift CPython's limit on converting a large int to or from decimal
+    text for the block, and restore it after.  Coordinates run to 10⁴
+    digits, so the places that write or read them as decimals (`brief`,
+    a run's `digits`, `serialize`) convert inside one; importing the
+    package leaves the limit alone."""
+    saved = digit_limit()
+    if saved:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
+
 
 def brief(value) -> str:
     """str(value), cut to 48 characters with a trailing "..."."""
-    text = str(value)
+    with lifted_digit_limit():
+        text = str(value)
     return text if len(text) <= 48 else text[:45] + "..."
 
 

@@ -2,7 +2,9 @@
 
 Rationals serialize as "p/q" with the denominator omitted when it is 1;
 points are arrays of three coordinate strings.  Output files are
-deterministic so identical runs are byte-identical.
+deterministic so identical runs are byte-identical.  Each public reader
+and writer runs with CPython's limit on decimal int/str conversion lifted
+(`errors.lifted_digit_limit`), once for its whole call.
 """
 
 from __future__ import annotations
@@ -10,23 +12,41 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import wraps
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING
 
 from .cubic import Cubic
 from .engine import Attempt, ConstructionState, Generation, PointPair, SeedConfig, validate_seed
-from .errors import InvariantViolation, SeedFormatError, brief
+from .errors import InvariantViolation, SeedFormatError, brief, digit_limit, lifted_digit_limit
 from .projective import ProjPoint
 
 if TYPE_CHECKING:  # imported where a curve is read, so that a seed without one never loads it
     from .weierstrass import WeierstrassCurve
 
 
+def _lifted(fn):
+    """A public reader or writer: `fn` run inside `lifted_digit_limit`,
+    or as it is when called inside another one, so that a report's pairs
+    do not each enter and leave it."""
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        if not digit_limit():
+            return fn(*args, **kwargs)
+        with lifted_digit_limit():
+            return fn(*args, **kwargs)
+
+    return call
+
+
+@_lifted
 def rat_to_str(value) -> str:
     f = Fraction(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+@_lifted
 def rat_from_str(text) -> Fraction:
     try:
         return Fraction(str(text).strip())
@@ -34,6 +54,7 @@ def rat_from_str(text) -> Fraction:
         raise SeedFormatError(f"bad rational {brief(repr(text))}: {brief(exc)}") from exc
 
 
+@_lifted
 def point_to_json(p: ProjPoint) -> list[str]:
     return [str(c) for c in p.coords]
 
@@ -41,6 +62,7 @@ def point_to_json(p: ProjPoint) -> list[str]:
 _INTEGER = re.compile("-?[0-9]+")
 
 
+@_lifted
 def point_from_json(arr) -> ProjPoint:
     if not isinstance(arr, (list, tuple)) or len(arr) not in (2, 3):
         raise SeedFormatError(f"a point needs 2 or 3 coordinates, got {brief(repr(arr))}")
@@ -57,20 +79,24 @@ def point_from_json(arr) -> ProjPoint:
         raise SeedFormatError(str(exc)) from exc
 
 
+@_lifted
 def pair_to_json(pair: PointPair) -> list[list[str]]:
     return [point_to_json(pair.first), point_to_json(pair.second)]
 
 
+@_lifted
 def pair_from_json(arr) -> PointPair:
     if not isinstance(arr, (list, tuple)) or len(arr) != 2:
         raise SeedFormatError(f"a pair needs exactly 2 points, got {brief(repr(arr))}")
     return PointPair.of(point_from_json(arr[0]), point_from_json(arr[1]))
 
 
+@_lifted
 def cubic_to_json(c: Cubic) -> list[str]:
     return [str(v) for v in c.coeffs]
 
 
+@_lifted
 def cubic_from_json(arr) -> Cubic:
     """A run report's cubic from ten rational coefficients."""
     if not isinstance(arr, (list, tuple)) or len(arr) != 10:
@@ -81,10 +107,12 @@ def cubic_from_json(arr) -> Cubic:
         raise SeedFormatError(f"bad cubic in run report: {exc}") from exc
 
 
+@_lifted
 def curve_to_json(curve: WeierstrassCurve) -> dict:
     return {"a": rat_to_str(curve.a), "b": rat_to_str(curve.b)}
 
 
+@_lifted
 def curve_from_json(obj) -> WeierstrassCurve:
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise SeedFormatError("curve object needs rational fields 'a' and 'b'")
@@ -93,6 +121,7 @@ def curve_from_json(obj) -> WeierstrassCurve:
     return WeierstrassCurve(rat_from_str(obj["a"]), rat_from_str(obj["b"]))
 
 
+@_lifted
 def seed_to_json(seed: SeedConfig, curve: WeierstrassCurve | None = None) -> dict:
     obj: dict = {"pairs": [pair_to_json(p) for p in seed.pairs]}
     if curve is not None:
@@ -100,6 +129,7 @@ def seed_to_json(seed: SeedConfig, curve: WeierstrassCurve | None = None) -> dic
     return obj
 
 
+@_lifted
 def seed_from_json(obj) -> tuple[SeedConfig, WeierstrassCurve | None]:
     if not isinstance(obj, dict) or "pairs" not in obj:
         raise SeedFormatError("seed object needs a 'pairs' field")
@@ -114,6 +144,7 @@ def seed_from_json(obj) -> tuple[SeedConfig, WeierstrassCurve | None]:
 REPORT_FORMAT = 3
 
 
+@_lifted
 def state_to_json(state: ConstructionState) -> dict:
     """The run report, which `report_from_json` reads back as the state.
 
@@ -193,6 +224,7 @@ def _stats_from_json(obj) -> tuple[Generation, ...]:
     return tuple(Generation(**g) for g in stats)
 
 
+@_lifted
 def report_from_json(obj) -> ConstructionState:
     """The state of the run that a run report records.
 
@@ -246,6 +278,7 @@ def report_from_json(obj) -> ConstructionState:
     return state
 
 
+@_lifted
 def state_points_csv(state: ConstructionState) -> str:
     lines = ["pair_id,member,x,y,z"]
     for idx, pair in enumerate(state.pairs):
@@ -281,6 +314,7 @@ _TEMPLATES = {"labels": _label_row, "pairs": _pair_row, "provenance": _provenanc
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
+@_lifted
 def dumps(obj: dict) -> str:
     """A JSON object written one row per line, and a closing newline.
 
@@ -304,6 +338,7 @@ def dumps(obj: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+@_lifted
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:

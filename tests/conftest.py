@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,24 @@ from schroeter.verify import run_suites
 from schroeter.weierstrass import WeierstrassCurve, add, seed_from_curve
 
 from oracles import bootstrap_seed
+
+
+@contextmanager
+def str_digit_limit(limit: int):
+    """CPython's limit on int/str conversion set to `limit` for the block,
+    0 lifting it: a test that builds decimal text of over 4,300 digits
+    lifts it itself, since the package lifts it only around its own
+    conversions."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.11
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
 
 FRAME = (
     ProjPoint.of(0, 0, 1),

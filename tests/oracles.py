@@ -31,6 +31,7 @@ from schroeter.errors import (
 from schroeter.involution import Involution, _pencil_param, _require_in_pencil
 from schroeter.projective import ProjLine, ProjPoint, incident, join, meet, span_coordinates
 from schroeter.serialize import pair_from_json, rat_from_str
+from schroeter.verify import SUITES
 from schroeter.weierstrass import (
     NEUTRAL,
     TWO_TORSION,
@@ -547,7 +548,10 @@ _COORDINATE_NAMES = {
 def coordinate_named(state: ConstructionState, report: dict) -> dict:
     """A verify report's value as it was written before `format_version` 2,
     when each check was named by the coordinates of its points: each check
-    an object {suite, name, status, detail}, and no `format_version`.
+    an object {suite, name, status, detail}, and no `format_version`.  The
+    report read is of `format_version` 3, where each suite that ran is a
+    key holding its rows [name, status, detail]; the checks are rebuilt
+    suite by suite in `SUITES` order, the order in which they ran.
 
     The points' coordinates are written "x:y:z" and joined by "|".  A
     chasles check was "hexagon " and its three pairs' texts, each cut by
@@ -573,6 +577,7 @@ def coordinate_named(state: ConstructionState, report: dict) -> dict:
 
     checks = [
         {"suite": suite, "name": name(suite, indices), "status": status, "detail": detail}
-        for suite, indices, status, detail in report["checks"]
+        for suite in SUITES if suite in report
+        for indices, status, detail in report[suite]
     ]
     return {"checks": checks, "counts": report["counts"], "ok": report["ok"]}

@@ -1,8 +1,10 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from schroeter import cli, serialize
 from schroeter.cli import main
 from schroeter.engine import Attempt, replay_report, run
-from schroeter.errors import InvariantViolation
+from schroeter.errors import InvariantViolation, SchroeterError
 from schroeter.projective import ProjPoint
 
 TORSION_ARGS = ["--a", "5", "--b", "4", "--points", "0,0;2,6;-1,0"]
@@ -741,3 +743,89 @@ class TestReportReplay:
         entry = altered["stats"][data.draw(st.integers(0, len(altered["stats"]) - 1))]
         entry["attempted"] += data.draw(st.integers(-min(5, entry["attempted"]), 5).filter(bool))
         assert _verify(altered, directory) == 3
+
+
+def _locations(value, path=()):
+    """(path, value) for each value inside a JSON value, depth first."""
+    items = enumerate(value) if isinstance(value, list) else value.items() if isinstance(value, dict) else ()
+    for key, inner in items:
+        yield (*path, key), inner
+        yield from _locations(inner, (*path, key))
+
+
+def _editable(value) -> bool:
+    return isinstance(value, (int, str)) or isinstance(value, list) and bool(value)
+
+
+@pytest.fixture(scope="module")
+def small_reports(tmp_path_factory):
+    """Three small run reports by name, each with the state it reads back
+    as and the paths to its editable values by top-level key, and a
+    directory for edited copies."""
+    directory = tmp_path_factory.mktemp("edits")
+    reports = {}
+    for name, seed, cap in (("frame@13", "frame", "13"), ("frame@64", "frame", "64"), ("torsion", "torsion", "512")):
+        out = directory / f"{name}.json"
+        assert main(["construct", "--seed", str(SEEDS / f"{seed}.json"), "--max-points", cap, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        places = {key: [path for path, v in _locations(report) if path[0] == key and _editable(v)] for key in report}
+        reports[name] = report, serialize.report_from_json(report), {k: v for k, v in places.items() if v}
+    return reports, directory
+
+
+STATUSES = ["new", "duplicate", "skipped", "SharedPoint", "DegenerateLines"]
+
+
+def _edited(data, value):
+    """`value` after one edit: an integer by -1, +1, +2 or to -v-1, a
+    coordinate string by -1 or +1 or doubled, another string to a status
+    or a skip reason, a bool flipped, or a list element swapped with
+    another, dropped or repeated."""
+    if type(value) is bool:
+        return not value
+    if type(value) is int:
+        return data.draw(st.sampled_from([value - 1, value + 1, value + 2, -value - 1]), label="integer")
+    if isinstance(value, str) and value.lstrip("-").isdigit():
+        v = int(value)
+        return str(data.draw(st.sampled_from([v - 1, v + 1, 2 * v]), label="coordinate"))
+    if isinstance(value, str):
+        return data.draw(st.sampled_from([s for s in STATUSES if s != value]), label="string")
+    i, j = (data.draw(st.integers(0, len(value) - 1), label=label) for label in ("element", "other"))
+    how = data.draw(st.sampled_from(["swap", "drop", "repeat"]), label="list edit")
+    if how == "swap":
+        return [value[j] if k == i else value[i] if k == j else v for k, v in enumerate(value)]
+    return value[:i] + value[i + 1:] if how == "drop" else value[:i] + [value[i]] + value[i:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_single_edits_to_a_report(small_reports, data):
+    """`verify --report` passes an edited report exactly when it reads back
+    as the state the original does, and otherwise exits 1 or 3 with one
+    short `error:` line.  A report that reads back keeps the reader's own
+    rule: a one-cubic `curve_basis` has that cubic as its `curve`."""
+    reports, directory = small_reports
+    report, state, places = reports[data.draw(st.sampled_from(sorted(reports)), label="report")]
+    path = data.draw(st.sampled_from(places[data.draw(st.sampled_from(sorted(places)), label="key")]))
+    edited = json.loads(json.dumps(report))
+    box = edited
+    for key in path[:-1]:
+        box = box[key]
+    box[path[-1]] = _edited(data, box[path[-1]])
+    try:
+        read = serialize.report_from_json(edited)
+    except SchroeterError:
+        read = None
+    else:
+        assert len(read.curve_basis) != 1 or read.curve == read.curve_basis[0]
+    altered = directory / "edited.json"
+    altered.write_text(json.dumps(edited))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["verify", "--report", str(altered)])
+    err = err.getvalue()
+    if read == state:
+        assert (code, err) == (0, "")
+    else:
+        assert code in (1, 3)
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 400

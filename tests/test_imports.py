@@ -115,6 +115,22 @@ def test_root_loads_no_submodule(tmp_path):
     assert fresh_modules("import schroeter", cwd=tmp_path) == set()
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit before Python 3.11")
+def test_importing_leaves_the_digit_limit_alone(tmp_path):
+    """CPython's limit on int/str conversion is the same before and after a
+    fresh interpreter imports the CLI and then every module of the package:
+    the package lifts it only around its own conversions."""
+    modules = ", ".join(f"schroeter.{p.stem}" for p in MODULES)
+    code = (
+        "sys.set_int_max_str_digits(5000)\n"
+        "import schroeter.cli\n"
+        "assert sys.get_int_max_str_digits() == 5000, sys.get_int_max_str_digits()\n"
+        f"import {modules}\n"
+        "assert sys.get_int_max_str_digits() == 5000, sys.get_int_max_str_digits()"
+    )
+    assert "schroeter.verify" in fresh_modules(code, cwd=tmp_path)
+
+
 def test_construct_loads_neither_verify_nor_svgplot(tmp_path):
     argv = ["construct", "--seed", str(SEEDS / "frame.json"), "--max-points", "12", "--out", "run.json"]
     assert loaded_modules(argv, tmp_path) == CORE

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,10 +12,11 @@ from schroeter import serialize
 from schroeter.cli import main
 from schroeter.cubic import Cubic
 from schroeter.engine import Attempt, run
-from schroeter.errors import SeedFormatError
+from schroeter.errors import SeedFormatError, brief
 from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
 
+from conftest import str_digit_limit
 from oracles import coordinate_named, expand_provenance, point_from_json_by_fraction, row_per_line
 
 SEEDS = Path(__file__).parents[1] / "seeds"
@@ -303,13 +305,13 @@ class TestState:
     @pytest.mark.parametrize(
         "name, content, written",
         _pins(("curve12", "a38b9a6c99285fda8528ff3019633acbe24fa2652bb119f712cd168f0b37186e",
-               "0f36edda0d6e73f0ab4e573ba8192df8f7d47e5abc0925ac7412510e548daf2a"),
+               "6e5b807aaf446d7a55c5cc91af46b567a60578876062b19dbdf88a5c0a37ba2a"),
               ("curve12@256", "9287db82ae7c2bcf411b42a74d8d98d13ccd67e078faac9697aa328ac764d76e",
-               "568b5fc9a585701fcbcf1363aafb4395773b23800620317b46db2d1bab5e489e"),
+               "3155d0415ad25f8c520a22dc8e7b1ee4850cdccad2db0b7b3decab96658c0d3e"),
               ("torsion", "501b1824a5a9e72f4c96bab79e7908e5b764007b27463dda11769b4420ace6d5",
-               "8d1e8f5ba464fa1a4af06dee52474b9b2d61ef2dda8b76564c2eba50a25b266c"),
+               "e71a931f10d4a27eaee46ee53da0695a47dfb7bc405392630869f737bb66adde"),
               ("frame", "268bbed95ebeab147372cb622f6d8cfa5a75d31823289093d2067cd03ac066db",
-               "001fc08898ac543b14c96c623b32b66b131d80540d743d664a3e9d982e040868")),
+               "01f7f41ad19af59ca6cb6f69851618fd18164f91702d21f9d25cd34866ab9bc0")),
     )
     def test_verify_report_bytes_pinned(self, verified, name, content, written):
         """Any change to a verify suite that moves a verdict, a detail or a
@@ -318,7 +320,8 @@ class TestState:
         was before `format_version` 2, each check named by its points'
         coordinates (`oracles.coordinate_named`): the verdicts, details,
         counts and order are still those, and each check's indices name the
-        pairs that its coordinates did."""
+        pairs that its coordinates did.  `written` pins the bytes of
+        `format_version` 3, which keys each suite's rows by the suite."""
         state, report = verified(name)
         text = serialize.dumps(report.to_json())
         _assert_pinned(text, content, written, coordinate_named(state, json.loads(text)))
@@ -349,3 +352,25 @@ class TestState:
         text1 = serialize.dumps(serialize.state_to_json(state1))
         text2 = serialize.dumps(serialize.state_to_json(state2))
         assert text1 == text2
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit before Python 3.11")
+def test_long_coordinates_under_a_low_digit_limit(tmp_path, curve12, curve12_seed):
+    """The package lifts CPython's limit on int/str conversion only around
+    its own decimal conversions, and restores it: under the lowest limit,
+    640 digits, a curve12 run with 665-digit coordinates still records its
+    `digits`, writes and reads its report and CSV, and names its pairs
+    briefly, through the library and through the CLI."""
+    seed = tmp_path / "seed.json"
+    seed.write_text(serialize.dumps(serialize.seed_to_json(curve12_seed, curve12)))
+    report = tmp_path / "run.json"
+    with str_digit_limit(640):
+        state = run(curve12_seed, max_points=128, curve=curve12.cubic)
+        assert state.stats[-1].digits == 665
+        report.write_text(serialize.dumps(serialize.state_to_json(state)))
+        assert serialize.report_from_json(serialize.load_json(report)) == state
+        assert len(serialize.state_points_csv(state).splitlines()) == 1 + state.point_count
+        assert len(brief(state.pairs[-1])) == 48
+        assert main(["construct", "--seed", str(seed), "--max-points", "128", "--out", str(report)]) == 0
+        assert main(["verify", "--report", str(report)]) == 0
+        assert sys.get_int_max_str_digits() == 640

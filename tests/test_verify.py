@@ -74,6 +74,22 @@ def test_group_law_suites_skipped_without_a_model(golden_frame_seed):
     assert report.ok
 
 
+def test_report_keys_each_suite_that_ran(curve54, torsion_seed_quadrilateral):
+    """The verify report (format_version 3) holds each selected suite's
+    rows [name, status, detail] under its name: `[]` for a suite that ran
+    and recorded no check (this run has no new row for chasles), the one
+    "suite" row for a skipped suite, and no key for a suite not selected."""
+    state = run(torsion_seed_quadrilateral, curve=curve54.cubic)
+    assert [row.status for row in state.rows] == ["duplicate"]
+    assert run_suites(state, suites=("chords", "chasles")).to_json() == {
+        "format_version": 3,
+        "ok": True,
+        "counts": {"skipped": 1},
+        "chasles": [],
+        "chords": [["suite", "skipped", "needs a Weierstrass model"]],
+    }
+
+
 def _refuted(*args):
     return False
 
