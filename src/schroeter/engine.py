@@ -27,7 +27,8 @@ every duplicate is implied by its parents' labels, so the state, like a
 run report, keeps only the attempts that ran the geometry; the full list
 of attempts is rebuilt from them on demand (`_schedule`).  A run is
 deterministic, so a run report is checked by running its seed again
-(`replay_report`, which `verify --report` runs).
+(`replay_report`, which `verify --report` runs).  The run tallies each
+generation's counts as it closes that generation.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import cached_property
-from itertools import accumulate, combinations, pairwise
+from itertools import combinations
 from typing import NamedTuple
 
 from .cubic import Cubic, cubic_family_through, evaluate
@@ -231,7 +232,7 @@ class Generation(NamedTuple):
 
     `pending` counts the combinations due, those of a pair admitted in the
     generation before with any older pair; a run cut by the point cap
-    attempts fewer in its last generation.  `digits` counts the decimal
+    may attempt fewer in its last generation.  `digits` counts the decimal
     digits of the largest |coordinate| among the pairs it made, 0 if none;
     the seed pairs count in generation 0.
     """
@@ -466,34 +467,6 @@ def _schedule(
         made += fresh
 
 
-@lifted_digit_limit()  # for `digits`, the decimal length of a coordinate
-def _stats(
-    pairs: Sequence[PointPair], seeds: Sequence[int], rows: Sequence[Attempt], attempted: Sequence[int]
-) -> tuple[Generation, ...]:
-    """Each generation's record from the sorted pairs, the seeds' indices in
-    them (as `_schedule` takes them), the stored rows (all below the total
-    of `attempted`) and its attempt count, in one pass over the rows.
-    `pending` follows from the "new" counts before; `duplicate` is the rest."""
-    ends = list(accumulate(attempted))
-    tallies = [Counter() for _ in ends]  # by status, a skip by its reason
-    groups = [[pairs[s] for s in seeds], *([] for _ in ends[1:])]  # the pairs each one made
-    for n, _, _, status, k in rows:
-        g = bisect_right(ends, n)
-        tallies[g][k if status == "skipped" else status] += 1
-        if status == "new":
-            groups[g].append(pairs[k])
-    stats, made, met = [], 3, 0
-    for count, tally, group in zip(attempted, tallies, groups):
-        skipped = {reason: tally[reason] for reason in SKIP_REASONS}
-        new = tally["new"]
-        pending = made * (made - 1) // 2 - met * (met - 1) // 2
-        largest = max((abs(c) for pair in group for p in pair.points for c in p.coords), default=0)
-        digits = len(str(largest)) if largest else 0
-        stats.append(Generation(pending, count, new, count - new - sum(skipped.values()), skipped, digits))
-        made, met = made + new, made
-    return tuple(stats)
-
-
 def run(
     seed: SeedConfig,
     max_points: int = DEFAULT_MAX_POINTS,
@@ -516,15 +489,17 @@ def run(
     child is reduced again and looked up before it runs.  A pair is named
     by its admission index while the run goes and by its rank in the
     sorted keys in the state, which keeps the attempts that ran the
-    geometry as `rows` and a `Generation` for each generation as `stats`.
-    Each admitted point is evaluated once per distinct cubic of the family
-    through the bootstrap points and of `curve` when one is supplied.  It
-    must lie on `curve`; a family member it misses narrows the family to
+    geometry as `rows` and a `Generation` for each generation as `stats`,
+    tallied where the loop closes that generation from the rows it
+    appended and the pairs it admitted.  Each admitted point is evaluated
+    once per distinct cubic of the family through the bootstrap points and
+    of `curve` when one is supplied.  It must lie on `curve`; a family member it misses narrows the family to
     the cubics through it, and `curve_basis` is the final family.  A
     duplicate is never re-checked.  The run stops when no combination is
-    pending (closed) or when a cap is reached (not closed): the point cap
-    is tested before a generation's first attempt and after each
-    admission, and `frontier` counts the combinations left unattempted.
+    pending (closed) or when a cap is reached (not closed): after the
+    bootstrap and after each admission, it stops once one more pair would
+    not fit under `max_points`, and `frontier` counts the combinations
+    left unattempted.
 
     The bootstrap is never capped and admits up to 6 pairs, so `max_points`
     must be at least 12; `max_generations` must not be negative.
@@ -609,13 +584,29 @@ def run(
                 if c != missed
             )
 
+    @lifted_digit_limit()  # for `digits`, the decimal length of a coordinate
+    def close(pending: int, attempted: int, first_row: int, first_pair: int):
+        """Record the generation that attempted `attempted` of its `pending`
+        combinations, appended the rows from `first_row` on and made the
+        pairs from admission index `first_pair` on; a skip counts by its
+        reason, and the attempts without a row are duplicates."""
+        tally = Counter(k if status == "skipped" else status for *_, status, k in rows[first_row:])
+        skipped = {reason: tally[reason] for reason in SKIP_REASONS}
+        new = tally["new"]
+        made = ws.pairs[first_pair:]
+        largest = max((abs(c) for pair in made for p in pair.points for c in p.coords), default=0)
+        digits = len(str(largest)) if largest else 0
+        stats.append(Generation(pending, attempted, new, attempted - new - sum(skipped.values()), skipped, digits))
+
     # Bootstrap: combine the three seed pairs among themselves, then pin the
     # curve family through everything derived so far.
     basis: tuple[Cubic, ...] = ()
+    stats: list[Generation] = []
     for n, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
         label = _child_label(ws.labels[i], ws.labels[j], ws.relations)
         if label not in ws.index_of_label:
             attempt(n, i, j, label)
+    close(3, 3, 0, 0)  # the seed pairs count as made in generation 0
 
     # The family is the exact nullspace of the pool's rows: no pool point misses it.
     pool = [p for pair in ws.pairs for p in pair.points]
@@ -628,23 +619,15 @@ def run(
                 raise NotOnCurve(f"bootstrap point {brief(point)} is not on the supplied curve")
 
     met = len(seed.pairs)  # the first `met` pairs have all been combined with each other
-    capped = 2 * len(ws.pairs) >= max_points
-    starts = [0]  # the ordinal of each generation's first attempt
+    capped = 2 * len(ws.pairs) + 2 > max_points  # one more pair would not fit
     done = 3  # the attempts so far
 
-    while not capped and len(starts) <= max_generations:
+    while not capped and len(stats) <= max_generations and len(ws.pairs) > met:
         # Combinations as rank pairs (i, j), i < j, in the sorted keys: their
         # order is that of the key pairs, without sorting big-integer tuples.
-        count = len(ws.pairs)
-        if count == met:
-            break
+        count, first_row, start = len(ws.pairs), len(rows), done
         order = ws.order()
         fresh = [r for r, a in enumerate(order) if a >= met]
-        met = count
-        starts.append(done)
-        if 2 * count + 2 > max_points:  # an odd cap, before any attempt
-            capped = True
-            break
         labels = [ws.labels[a] for a in order]
         for i, js in _rows(range(count), fresh):
             for s, label in misses(labels, i, js):
@@ -660,24 +643,24 @@ def run(
             done += len(js)
             if capped:
                 break
+        close(count * (count - 1) // 2 - met * (met - 1) // 2, done - start, first_row, count)
+        met = count
 
     # The state names each pair by its rank in the sorted keys.
     order = ws.order()
     rank = sorted(range(len(order)), key=order.__getitem__)  # by admission index
-    attempts = tuple(
-        Attempt(n, rank[i], rank[j], status, k if status == "skipped" else rank[k])
-        for n, i, j, status, k in rows
-    )
-    pairs = tuple(ws.pairs[a] for a in order)
     return ConstructionState(
         seed=seed,
-        pairs=pairs,
+        pairs=tuple(ws.pairs[a] for a in order),
         curve=basis[0] if len(basis) == 1 else curve,
         curve_basis=basis,
-        rows=attempts,
+        rows=tuple(
+            Attempt(n, rank[i], rank[j], status, k if status == "skipped" else rank[k])
+            for n, i, j, status, k in rows
+        ),
         labels=tuple(ws.labels[a] for a in order),
         relations=tuple(ws.relations),
-        stats=_stats(pairs, rank[:3], attempts, [b - a for a, b in pairwise([*starts, done])]),
+        stats=tuple(stats),
     )
 
 

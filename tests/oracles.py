@@ -232,6 +232,31 @@ def normalized_frame_cubic(c: ProjPoint, cbar: ProjPoint) -> Cubic:
     return Cubic.of(coeffs)
 
 
+def nodal_point(u) -> ProjPoint:
+    """The point of the nodal cubic y²z = x³ + x²z with parameter u != 0.
+
+    φ = (y − x)/(y + x) maps the smooth points onto the multiplicative
+    group, the flex (0:1:0) to 1, and three points are collinear exactly
+    when their φ-values multiply to 1.  The line y = tx through the node
+    meets the curve again at x = t² − 1, and φ = (t − 1)/(t + 1), so for
+    u = a/b, t = (b + a)/(b − a).  The point of order two is u = −1,
+    (−1:0:1)."""
+    u = Fraction(u)
+    if not u:
+        raise ValidationError("the node (0:0:1) has no parameter")
+    a, b = u.numerator, u.denominator
+    return ProjPoint.of(4 * a * b * (b - a), 4 * a * b * (b + a), (b - a) ** 3)
+
+
+def nodal_parameter(p: ProjPoint) -> Fraction:
+    """φ(p) = (y − x)/(y + x) of a smooth point of y²z = x³ + x²z; the
+    inverse of `nodal_point`."""
+    x, y, z = p.coords
+    if y * y * z != x**3 + x * x * z:
+        raise ValidationError(f"{brief(p)} is not on y²z = x³ + x²z")
+    return Fraction(y - x, y + x)
+
+
 def multiply(curve: WeierstrassCurve, n: int, p: ProjPoint) -> ProjPoint:
     """n*P by double-and-add."""
     if n < 0:

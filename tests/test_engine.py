@@ -1,7 +1,9 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate, combinations, count
+from math import prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +17,7 @@ from schroeter.cli import main
 from schroeter.cubic import Cubic, evaluate, tangent_at, third_intersection
 from schroeter.engine import (
     Attempt,
+    Generation,
     PointPair,
     SeedConfig,
     combine,
@@ -73,6 +76,8 @@ from oracles import (
     cross_ratio_points,
     expand_provenance,
     multiply,
+    nodal_parameter,
+    nodal_point,
     normalized_frame_cubic,
     pending_pairs,
     subgroup_generated,
@@ -470,12 +475,20 @@ class TestRun:
         def last(state):
             return state.stats[-1]
 
+        def full(state):
+            return not state.closed and last(state).attempted == last(state).pending
+
         stops = {
-            "closed": lambda state: state.closed,
-            "generations": lambda state: not state.closed and last(state).attempted == last(state).pending,
-            "bootstrap cap": lambda state: state.generations == 0 and state.point_count == 12,
-            "empty generation": lambda state: last(state).attempted == 0 < last(state).pending,
-            "cut row": lambda state: 0 < last(state).attempted < last(state).pending,
+            "closed": lambda state, generations: state.closed,
+            "generations": lambda state, generations: full(state) and state.generations == generations,
+            "bootstrap cap": lambda state, generations: (
+                not state.closed and state.generations == 0 < generations and state.point_count == 12
+            ),
+            # replayed under the cap point_count + 2, which the rerun never reaches
+            "cap on a generation's last attempt": lambda state, generations: (
+                full(state) and state.generations < generations
+            ),
+            "cut row": lambda state, generations: 0 < last(state).attempted < last(state).pending,
         }
         cases = [
             (torsion_seed_full, 512, 16, curve54.cubic, "closed"),  # a two-cubic family
@@ -486,25 +499,30 @@ class TestRun:
             (pencil_seed, 512, 0, None, "generations"),  # a pencil
             (pencil_seed, 512, 1, None, "generations"),  # narrowed to one cubic
             (six, 12, 16, None, "bootstrap cap"),
-            (six, 13, 16, None, "empty generation"),
+            (six, 13, 16, None, "bootstrap cap"),  # one more pair would need 14 points
+            (golden_frame_seed, 36, 16, None, "cap on a generation's last attempt"),
             (golden_frame_seed, 120, 16, None, "cut row"),  # see test_a_cap_mid_row
             (curve12_seed, 64, 16, curve12.cubic, "cut row"),
             (pencil_seed, 40, 16, None, "cut row"),
         ]
         for seed, max_points, max_generations, curve, stop in cases:
             state = run(seed, max_points, max_generations, curve=curve)
-            assert stops[stop](state), (stop, [tuple(g)[:3] for g in state.stats])
+            assert stops[stop](state, max_generations), (stop, [tuple(g)[:3] for g in state.stats])
             replay_report(state)
 
 
 def reference_run(seed, max_points, max_generations):
     """The engine loop as a brute-force rescan, without its on-curve checks:
     every generation takes all combinations of the current pairs, in sorted
-    order, and skips the visited ones.  Its attempts are `Attempt` rows,
-    each pair named by its index in the final sorted keys."""
+    order, and skips the visited ones.  The run stops once one more pair
+    would not fit under `max_points`, tested after the bootstrap and after
+    each later attempt.  Its attempts are `Attempt` rows, each pair named
+    by its index in the final sorted keys, and its stats one `Generation`
+    per generation, tallied from the attempts."""
     pairs = {pair.key: pair for pair in seed.pairs}
     provenance = []
     visited = set()
+    stats = []
 
     def combo_key(k1, k2):
         return (k1, k2) if k1 <= k2 else (k2, k1)
@@ -526,28 +544,41 @@ def reference_run(seed, max_points, max_generations):
         pairs.setdefault(child.key, child)
         provenance.append((k1, k2, status, child.key))
 
+    def close(pending, start, made):
+        """Record the generation of the attempts from `start` on, which had
+        `pending` combinations due; its pairs made are `made` (the seed
+        pairs in generation 0) and its new children."""
+        attempts = provenance[start:]
+        tally = Counter(k if status == "skipped" else status for _, _, status, k in attempts)
+        made += [pairs[k] for _, _, status, k in attempts if status == "new"]
+        largest = max((abs(c) for pair in made for p in pair.points for c in p.coords), default=0)
+        with str_digit_limit(0):
+            digits = len(str(largest)) if largest else 0
+        skipped = {reason: tally[reason] for reason in engine.SKIP_REASONS}
+        stats.append(Generation(pending, len(attempts), tally["new"], tally["duplicate"], skipped, digits))
+
     keys = [pair.key for pair in seed.pairs]
     for i, j in ((0, 1), (1, 2), (2, 0)):
         process(keys[i], keys[j])
-    generation = 0
-    capped = 2 * len(pairs) >= max_points
-    while not capped and generation < max_generations:
-        pending = unvisited()
+    close(3, 0, list(seed.pairs))
+    capped = 2 * len(pairs) + 2 > max_points
+    while not capped and len(stats) <= max_generations:
+        pending, start = unvisited(), len(provenance)
         if not pending:
             break
-        generation += 1
         for k1, k2 in pending:
-            if 2 * len(pairs) + 2 > max_points:
-                capped = True
-                break
             process(k1, k2)
+            capped = 2 * len(pairs) + 2 > max_points
+            if capped:
+                break
+        close(len(pending), start, [])
     remaining = len(pairs) * (len(pairs) - 1) // 2 - len(visited)
     index = {key: r for r, key in enumerate(sorted(pairs))}
     attempts = [
         Attempt(n, index[k1], index[k2], status, k if status == "skipped" else index[k])
         for n, (k1, k2, status, k) in enumerate(provenance)
     ]
-    return attempts, sorted(pairs), remaining == 0, generation, remaining
+    return attempts, sorted(pairs), remaining == 0, tuple(stats), remaining
 
 
 def quadrilateral_hook_seed():
@@ -567,13 +598,16 @@ class TestEnumeration:
         "name, max_points, max_generations",
         [("frame", 120, 16), ("torsion", 512, 16), ("frame", 10_000, 2), ("curve12", 64, 16),
          ("frame", 512, 16), ("curve12", 128, 16), ("quadrilateral", 512, 16), ("hook", 512, 16),
-         *((f"random{i}", 200, 16) for i in range(4)), ("random0", 13, 16)],
+         *((f"random{i}", 200, 16) for i in range(4)), ("random0", 13, 16),
+         ("frame", 36, 16), ("frame", 104, 16), ("skips", 64, 16)],
     )
     def test_matches_rescan(self, request, name, max_points, max_generations):
         if name.startswith("random"):
             seed, cubic = random_frame_seeds(random.Random(2024), 4)[int(name[-1])], None
         elif name == "hook":
             seed, cubic = quadrilateral_hook_seed(), None
+        elif name == "skips":  # 36 of its 159 attempts to 64 points are DegenerateLines skips
+            seed, cubic = frame_seed(ProjPoint.of(1, -1, 3), ProjPoint.of(1, 3, -1)), None
         else:
             seed, curve = {
                 "frame": ("golden_frame_seed", None),
@@ -584,12 +618,11 @@ class TestEnumeration:
             seed = request.getfixturevalue(seed)
             cubic = request.getfixturevalue(curve).cubic if curve else None
         state = run(seed, max_points, max_generations, curve=cubic)
-        provenance, keys, closed, generations, frontier = reference_run(
-            seed, max_points, max_generations
-        )
+        provenance, keys, closed, stats, frontier = reference_run(seed, max_points, max_generations)
         assert state.provenance == provenance
         assert [pair.key for pair in state.pairs] == keys
-        assert (state.closed, state.generations, state.frontier) == (closed, generations, frontier)
+        assert state.stats == stats
+        assert (state.closed, state.frontier) == (closed, frontier)
         if name in ("torsion", "quadrilateral", "hook"):
             assert closed and frontier == 0
         else:
@@ -800,6 +833,31 @@ class TestLabels:
         assert list(workspace.index_of_label) == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
         with pytest.raises(InvariantViolation, match="two distinct pairs one label"):
             workspace.learn((1, -1, 0, 0))
+
+
+class TestNodalCubic:
+    """On the nodal cubic y²z = x³ + x²z, φ (`oracles.nodal_parameter`) is a
+    group isomorphism onto the nonzero rationals, T is φ = −1, and kappa is
+    1, the flex.  So a pair {u, −u} is its class, and each pair a run makes
+    from the seed pairs {uᵢ, −uᵢ} has φ-values ±∏ uᵢ^ℓᵢ, ℓ its label."""
+
+    @pytest.mark.parametrize(
+        "us, max_points",
+        [((2, 3, 5), 4096), ((Fraction(2, 3), Fraction(5, 7), 11), 4096), ((2, 4, 8), 1024)],
+    )
+    def test_labels_are_the_classes(self, us, max_points):
+        seed = validate_seed(*(PointPair.of(nodal_point(u), nodal_point(-u)) for u in us))
+        state = run(seed, max_points)
+        assert state.point_count == max_points
+        for pair, label in zip(state.pairs, state.labels):
+            value = prod((Fraction(u) ** n for u, n in zip(us, label[:3])), start=Fraction(1))
+            assert sorted(map(nodal_parameter, pair.points)) == sorted((value, -value)), label
+        if us == (2, 4, 8):
+            # 2^n₀ 4^n₁ 8^n₂ = ±1, and each label's pivot entries lie in [0, pivot)
+            assert state.relations and all(n0 + 2 * n1 + 3 * n2 == 0 for n0, n1, n2, _ in state.relations)
+            for row in state.relations:
+                col = next(c for c, a in enumerate(row) if a)
+                assert all(0 <= label[col] < row[col] for label in state.labels), row
 
 
 class TestWorkspace:
