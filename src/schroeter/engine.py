@@ -153,7 +153,9 @@ def validate_seed(
     """Check the seed conditions: six distinct points, no four collinear,
     not the opposite-vertex pairs of one complete quadrilateral, and no
     bootstrap child that shares a point with a seed pair or an earlier
-    child without being that pair (the run would exit on it).
+    child without being that pair (the run would exit on it).  Every
+    bootstrap combination succeeds: a zero meet would put four seed points
+    on one line, and FourCollinear has rejected those.
 
     allow_quadrilateral skips the quadrilateral check; such seeds reproduce
     only their own six points (useful for exercising that degeneracy in
@@ -173,10 +175,7 @@ def validate_seed(
         )
     admitted = [pair_a, pair_b, pair_c]
     for p, q in ((pair_a, pair_b), (pair_b, pair_c), (pair_c, pair_a)):
-        try:
-            child = combine(p, q)
-        except DegenerateLines:
-            continue
+        child = combine(p, q)
         if child in admitted:
             continue
         owner = next((pair for pair in admitted if child.first in pair or child.second in pair), None)
@@ -194,7 +193,9 @@ def combine(p: PointPair, q: PointPair) -> PointPair:
 
     Joins and meets are raw cross products; only the two meets are brought
     to canonical form.  The four points are distinct, so every join is
-    nonzero, and a zero meet means its two joining lines coincide.
+    nonzero, and a zero meet means its two joining lines coincide.  The two
+    meets never coincide: a common point of all four joins would put the
+    four points on one line, and both meets would be zero.
     """
     if p.first in q or p.second in q:
         raise SharedPoint(f"pairs {brief(p)} and {brief(q)} share a point")
@@ -204,12 +205,7 @@ def combine(p: PointPair, q: PointPair) -> PointPair:
     sbar = cross(cross(a, bbar), cross(abar, b))
     if not any(s) or not any(sbar):
         raise DegenerateLines(f"joining lines of {brief(p)} and {brief(q)} coincide")
-    s, sbar = ProjPoint(s), ProjPoint(sbar)
-    if s == sbar:
-        raise DegenerateLines(
-            f"both meets of {brief(p)} and {brief(q)} coincide at {brief(s)}"
-        )
-    return PointPair.of(s, sbar)
+    return PointPair.of(ProjPoint(s), ProjPoint(sbar))
 
 
 class Attempt(NamedTuple):

@@ -116,10 +116,6 @@ class TooDegenerate(DegeneracyError):
     pass
 
 
-class DegenerateChoice(DegeneracyError):
-    pass
-
-
 class AmbiguousFit(DegeneracyError):
     pass
 

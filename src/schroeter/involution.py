@@ -9,13 +9,11 @@ pencil parameter.  The two must agree exactly; a mismatch raises.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import (
-    DegenerateChoice,
     IdenticalLines,
-    IdenticalPoints,
     InvariantViolation,
     NotInPencil,
     brief,
@@ -31,7 +29,8 @@ from .projective import (
 )
 from .record import record
 
-# Auxiliary reference points for the ruler construction, tried in order.
+# Auxiliary reference points for the ruler construction, tried in order;
+# no line holds more than 7 of them.
 _AUX_POOL = tuple(
     ProjPoint(t)
     for t in (
@@ -91,43 +90,29 @@ def _algebraic_conjugate(inv: Involution, d: ProjLine) -> ProjLine:
 def _ruler_conjugate(inv: Involution, d: ProjLine, choice: int) -> ProjLine:
     """The ruler construction of the conjugate of d.
 
-    The base point on d is the first admissible of six candidates: the
-    first six points of points_on_line(d) other than the carrier, rotated
-    left by choice % 6.  At each base, the pairs of its first four
-    auxiliary lines are tried, each new line with those before it.  Both
-    are drawn lazily: a construction that succeeds on its first base and
-    pair canonicalizes no further point of d and joins no further line.
+    The base X is the (choice % 6)-th point of d other than the carrier C;
+    g and gbar join X to the first points of _AUX_POOL, rotated left by
+    choice % 3, that lie off d and give two distinct lines.  With pa, pb
+    the meets of g with a, b and pabar, pbbar those of gbar with abar,
+    bbar, the conjugate joins C to the meet of pa pbbar and pabar pb.
+    No step can degenerate:
+    - d is the only line through both X and C, so g and gbar miss C;
+    - two meets on distinct lines of the pencil differ, as neither is C;
+    - the cross-joins differ: one line through all four meets would be
+      both g and gbar;
+    - C is not on pa pbbar, which would then be a, meeting bbar only at C;
+    - gbar exists, since a line holds at most 7 of the 16 pool points.
     """
     carrier = inv.carrier
-    a, abar = inv.pair_a
-    b, bbar = inv.pair_b
-
-    candidates = islice((p for p in points_on_line(d) if p != carrier), 6)
-    skipped = list(islice(candidates, choice % 6))
-    for base in chain(candidates, skipped):
-        aux_lines = []
-        for ref in _AUX_POOL[choice % 3:] + _AUX_POOL[: choice % 3]:
-            if ref == base or incident(ref, d):
-                continue
-            gbar = join(base, ref)
-            if incident(carrier, gbar) or gbar in aux_lines:
-                continue
-            for g in aux_lines:
-                try:
-                    pa = meet(g, a)
-                    pb = meet(g, b)
-                    pabar = meet(gbar, abar)
-                    pbbar = meet(gbar, bbar)
-                    l1 = join(pa, pbbar)
-                    l2 = join(pabar, pb)
-                    dbar_point = meet(l1, l2)
-                    return join(carrier, dbar_point)
-                except (IdenticalPoints, IdenticalLines):
-                    continue
-            aux_lines.append(gbar)
-            if len(aux_lines) == 4:
-                break
-    raise DegenerateChoice("no admissible auxiliary configuration found")
+    (a, abar), (b, bbar) = inv.pair_a, inv.pair_b
+    base = next(islice((p for p in points_on_line(d) if p != carrier), choice % 6, None))
+    refs = _AUX_POOL[choice % 3:] + _AUX_POOL[: choice % 3]
+    lines = (join(base, ref) for ref in refs if not incident(ref, d))
+    g = next(lines)
+    gbar = next(line for line in lines if line != g)
+    pa, pb = meet(g, a), meet(g, b)
+    pabar, pbbar = meet(gbar, abar), meet(gbar, bbar)
+    return join(carrier, meet(join(pa, pbbar), join(pabar, pb)))
 
 
 def conjugate_line(inv: Involution, d: ProjLine, *, choice: int = 0) -> ProjLine:

@@ -13,7 +13,8 @@ i, j, c" in chasles (the new row's ordinal, its two parents and the third
 side), "pair k" in pair-tangents and chords, and "pair k point m" in
 tangents, lines and center, m being 0 for the pair's first member and 1
 for its second.  A skipped suite's row is named "suite", and center's
-row when it finds no chart base "chart base".
+row when it finds no chart base "chart base".  center checks each point
+with x != 0 other than the chart base and its conjugate.
 
 The verify report (`VerificationReport.to_json`, format_version 3) names
 each suite once: each suite that ran is a key beside `format_version`,
@@ -41,6 +42,7 @@ from .errors import DegeneracyError, HypothesisFailed, ValidationError, brief, l
 from .record import record
 from .weierstrass import (
     WeierstrassCurve,
+    conjugate_point,
     involution_center_product,
     to_abc_chart,
 )
@@ -92,13 +94,12 @@ class VerificationReport(NamedTuple):
         return {"format_version": VERIFY_FORMAT, "ok": self.ok, "counts": self.counts(), **rows}
 
 
-def _check(report, suite, name, check, drop_invalid=False) -> bool:
+def _check(report, suite, name, check) -> bool:
     """Run `check` and record its outcome; return whether it reached a verdict.
 
     `check` returns a verdict, or a (verdict, detail) pair.  HypothesisFailed
     is recorded as "hypothesis-failed" and any other DegeneracyError as
-    "degenerate".  A ValidationError is raised, or left out of the report
-    with drop_invalid.
+    "degenerate".  A ValidationError is raised.
     """
     try:
         outcome = check()
@@ -106,10 +107,6 @@ def _check(report, suite, name, check, drop_invalid=False) -> bool:
         status, detail = "hypothesis-failed", str(exc)
     except DegeneracyError as exc:
         status, detail = "degenerate", str(exc)
-    except ValidationError:
-        if not drop_invalid:
-            raise
-        return False
     else:
         ok, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
         status = "pass" if ok else "fail"
@@ -117,14 +114,14 @@ def _check(report, suite, name, check, drop_invalid=False) -> bool:
     return status in ("pass", "fail")
 
 
-def _run(report, suite, units, capped=True, drop_invalid=False) -> None:
+def _run(report, suite, units, capped=True) -> None:
     """Record the checks of each unit in turn, a unit being a sequence of
     (name, check) pairs (see _check).  The one limit rule: a capped suite
     starts no further unit once LIMIT of its checks have reached a verdict."""
     verdicts = 0
     for unit in units:
         for name, check in unit:
-            verdicts += _check(report, suite, name, check, drop_invalid)
+            verdicts += _check(report, suite, name, check)
         if capped and verdicts >= LIMIT:
             return
 
@@ -214,11 +211,15 @@ def _suite_center(state, report, curve: WeierstrassCurve, meet):
         with lifted_digit_limit():  # a product that fails may be long
             return product == expected, f"product {product}"
 
+    # the chart sends x = 0 to infinity, and the product needs P apart from
+    # the base and its conjugate
+    off_domain = {base, conjugate_point(curve, base)}
     _run(report, "center", (
         [(f"pair {k} point {m}", partial(center_product, p))]
         for k, pair in enumerate(state.pairs)
         for m, p in enumerate(pair.points)
-    ), drop_invalid=True)
+        if p.coords[0] and p not in off_domain
+    ))
 
 
 def wanted_suites(names) -> set[str]:

@@ -390,7 +390,8 @@ _BOOTSTRAP = {
      {**_seed_only_report(0),
       "stats": [{**_BOOTSTRAP, "skipped": {"DegenerateLines": 0, "SharedPoint": -1}}]},
      {**_seed_only_report(0), "pairs": 5}, {**_seed_only_report(0), "curve_basis": 5},
-     {**_seed_only_report(0), "curve": ["0"] * 10}, {**_seed_only_report(0), "seed": []}],
+     {**_seed_only_report(0), "curve": ["0"] * 10}, {**_seed_only_report(0), "seed": []},
+     {**_seed_only_report(0), "stats": [5]}, {**_seed_only_report(0), "closed": "no"}],
 )
 def test_malformed_report(tmp_path, capsys, command, content):
     report = tmp_path / "bad.json"

@@ -50,11 +50,14 @@ from schroeter.projective import (
 )
 from schroeter.verify import run_suites
 from schroeter.weierstrass import (
+    NEUTRAL,
+    TWO_TORSION,
     WeierstrassCurve,
     chart_conjugate,
     conjugate_point,
     involution_center_product,
     neg,
+    seed_from_curve,
     to_abc_chart,
 )
 
@@ -858,6 +861,53 @@ class TestNodalCubic:
             for row in state.relations:
                 col = next(c for c, a in enumerate(row) if a)
                 assert all(0 <= label[col] < row[col] for label in state.labels), row
+
+
+class TestTorsionZ2xZ6:
+    """y² = x(x + 5)(x + 32) has the rational torsion group ℤ/2×ℤ/6: O and
+    11 affine points.  Each seed of three of them that validates closes at
+    6 pairs on the subgroup that its points and T generate."""
+
+    CURVE = WeierstrassCurve(37, 160)
+    POINTS = [pt(x, 0) for x in (-32, -5, 0)] + [
+        pt(x, s * y) for x, y in ((-20, 60), (-8, 24), (4, 36), (40, 360)) for s in (1, -1)
+    ]
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """(errors by name, [(seed points, state)]) over all 165 triples."""
+        errors, runs = Counter(), []
+        for points in combinations(self.POINTS, 3):
+            try:
+                seed = seed_from_curve(self.CURVE, *points)
+            except ValidationError as exc:
+                errors[type(exc).__name__] += 1
+                continue
+            runs.append((points, run(seed, curve=self.CURVE.cubic)))
+        return errors, runs
+
+    def test_points_are_the_torsion_group(self):
+        assert subgroup_generated(self.CURVE, self.POINTS) == {*self.POINTS, NEUTRAL}
+
+    def test_every_seed_closes_on_its_subgroup(self, runs):
+        errors, runs = runs
+        assert errors == {"DuplicatePoints": 45, "CompleteQuadrilateral": 24}
+        assert len(runs) == 96
+        for points, state in runs:
+            assert state.closed and len(state.pairs) == 6 and len(state.relations) == 3
+            made = {p for pair in state.pairs for p in pair.points}
+            assert made == subgroup_generated(self.CURVE, [*points, TWO_TORSION]), points
+            text = serialize.dumps(serialize.state_to_json(state))
+            read = serialize.report_from_json(json.loads(text))
+            assert read == state
+            replay_report(read)
+
+    def test_suites(self, runs):
+        _, runs = runs
+        counts = Counter()
+        for _, state in runs:
+            counts.update(run_suites(state, curve=self.CURVE).counts())
+        assert counts == {"pass": 2880, "degenerate": 1632}
 
 
 class TestWorkspace:

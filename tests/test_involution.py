@@ -1,7 +1,10 @@
 import random
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from schroeter.engine import PointPair, combine, is_complete_quadrilateral_pairing
 from schroeter.errors import (
@@ -10,8 +13,14 @@ from schroeter.errors import (
     IdenticalPoints,
     NotInPencil,
 )
-from schroeter.involution import Involution, conjugate_line
-from schroeter.projective import ProjLine, ProjPoint, join
+from schroeter.involution import (
+    _AUX_POOL,
+    Involution,
+    _algebraic_conjugate,
+    _ruler_conjugate,
+    conjugate_line,
+)
+from schroeter.projective import ProjLine, ProjPoint, incident, join
 
 from oracles import (
     ForbiddenCarrier,
@@ -86,6 +95,33 @@ class TestConjugateLine:
             assert conjugate_line(inv, dbar) == d
             assert conjugate_line(inv, d, choice=3) == dbar
             built += 1
+
+
+_SMALL_POINT = st.tuples(*[st.integers(-3, 3)] * 3).filter(any).map(ProjPoint)
+
+
+class TestRulerConstruction:
+    """`_ruler_conjugate` draws one configuration, which its docstring proves
+    never degenerates."""
+
+    @given(_SMALL_POINT, st.lists(_SMALL_POINT, min_size=5, max_size=5, unique=True))
+    def test_every_choice_gives_the_algebraic_conjugate(self, carrier, others):
+        assume(carrier not in others)
+        a, abar, b, bbar, d = lines = [join(carrier, p) for p in others]
+        assume(len(set(lines)) == 5)
+        inv = Involution(carrier, (a, abar), (b, bbar))
+        expected = _algebraic_conjugate(inv, d)
+        for choice in range(8):
+            assert _ruler_conjugate(inv, d, choice) == expected
+
+    def test_no_line_holds_more_than_seven_pool_points(self):
+        # so at least 9 pool points lie off d, and they span two lines through the base
+        assert len(set(_AUX_POOL)) == 16
+        most = max(
+            sum(incident(p, join(q, r)) for p in _AUX_POOL)
+            for q, r in combinations(_AUX_POOL, 2)
+        )
+        assert most == 7
 
 
 class TestQuadranglePairs:

@@ -137,6 +137,9 @@ class TestSeed:
             serialize.seed_from_json({"pairs": []})
         with pytest.raises(SeedFormatError):
             serialize.seed_from_json([1, 2, 3])
+        torsion = serialize.load_json(SEEDS / "torsion.json")
+        with pytest.raises(SeedFormatError, match="'a' and 'b'"):
+            serialize.seed_from_json({**torsion, "curve": {"a": "5"}})
 
 
 class TestCubic:

@@ -18,7 +18,13 @@ from schroeter import checks, involution, verify
 from schroeter.checks import _meets_on_curve, chasles_check
 from schroeter.cubic import Cubic, chord_third, evaluate
 from schroeter.engine import PointPair, run
-from schroeter.errors import HypothesisFailed, NotOnCurve, SchroeterError, ValidationError
+from schroeter.errors import (
+    HypothesisFailed,
+    NotOnCurve,
+    OffChartCurve,
+    SchroeterError,
+    ValidationError,
+)
 from schroeter.projective import ProjPoint, join, meet
 from schroeter.verify import run_suites
 
@@ -49,7 +55,7 @@ def test_curve12_counts(curve12, curve12_seed):
 def test_torsion_counts(curve54, torsion_seed_full):
     state = run(torsion_seed_full, curve=curve54.cubic)
     assert state.closed and state.point_count == 8
-    # center drops O and T (off its chart) and the base point with its conjugate
+    # center skips O and T (off its chart) and the base point with its conjugate
     assert outcome_counts(run_suites(state, curve=curve54)) == {
         ("chasles", "pass"): 1,
         ("pair-tangents", "pass"): 4,
@@ -61,6 +67,12 @@ def test_torsion_counts(curve54, torsion_seed_full):
         ("lines", "degenerate"): 2,
         ("center", "pass"): 4,
     }
+    # no point of these pairs has two nonzero affine coordinates
+    no_base = SimpleNamespace(pairs=[PointPair.of(ProjPoint.of(0, 1, 0), ProjPoint.of(0, 0, 1)),
+                                     PointPair.of(ProjPoint.of(-1, 0, 1), ProjPoint.of(-4, 0, 1))])
+    assert run_suites(no_base, suites=("center",), curve=curve54).to_json()["center"] == [
+        ["chart base", "skipped", "no usable base point"]
+    ]
 
 
 def test_group_law_suites_skipped_without_a_model(golden_frame_seed):
@@ -77,16 +89,18 @@ def test_group_law_suites_skipped_without_a_model(golden_frame_seed):
 def test_report_keys_each_suite_that_ran(curve54, torsion_seed_quadrilateral):
     """The verify report (format_version 3) holds each selected suite's
     rows [name, status, detail] under its name: `[]` for a suite that ran
-    and recorded no check (this run has no new row for chasles), the one
+    and recorded no check (this run has no new row for chasles, and lines
+    needs three pairs besides the one it checks), the one
     "suite" row for a skipped suite, and no key for a suite not selected."""
     state = run(torsion_seed_quadrilateral, curve=curve54.cubic)
     assert [row.status for row in state.rows] == ["duplicate"]
-    assert run_suites(state, suites=("chords", "chasles")).to_json() == {
+    assert run_suites(state, suites=("chords", "chasles", "lines")).to_json() == {
         "format_version": 3,
         "ok": True,
         "counts": {"skipped": 1},
         "chasles": [],
         "chords": [["suite", "skipped", "needs a Weierstrass model"]],
+        "lines": [],
     }
 
 
@@ -119,12 +133,23 @@ def test_invalid_input_per_suite(monkeypatch, curve54, torsion_seed_full):
     state = run(torsion_seed_full, curve=curve54.cubic)
     for name in ("chord_tangency_check", "involution_center_product", "conjugate_lines_check"):
         monkeypatch.setattr(verify, name, _invalid)
-    # center leaves the check out, chords and lines raise
-    report = run_suites(state, suites=("center",), curve=curve54)
-    assert report.results == []
-    for suite in ("chords", "lines"):
+    # an error in a check's input is raised, not recorded
+    for suite in ("chords", "lines", "center"):
         with pytest.raises(ValidationError):
             run_suites(state, suites=(suite,), curve=curve54)
+
+
+def test_center_raises_on_a_point_off_the_curve(curve12, curve12_seed):
+    """center checks every point with x != 0 other than the chart base and
+    its conjugate, so a point moved off the curve raises."""
+    state = run(curve12_seed, max_points=64, curve=curve12.cubic)
+    pairs = list(state.pairs)
+    (x, y, z), other = pairs[5].first.coords, pairs[5].second
+    moved = ProjPoint((x, y + z, z))
+    assert x and evaluate(curve12.cubic, moved)
+    pairs[5] = PointPair.of(moved, other)
+    with pytest.raises(OffChartCurve):
+        run_suites(SimpleNamespace(pairs=pairs), suites=("center",), curve=curve12)
 
 
 def _rows(state, curve):
@@ -185,10 +210,10 @@ def test_fast_paths_match_the_full_computation(
 
 
 def test_ruler_conjugate_draws_only_the_lines_it_uses(monkeypatch, curve12, curve12_seed):
-    """Each ruler construction of the tangents and lines suites succeeds on
-    its first base and first pair of auxiliary lines, so it joins five
-    lines (the two auxiliary lines, the two cross-joins and the conjugate)
-    and takes five meets."""
+    """Each ruler construction of the tangents and lines suites finds its two
+    auxiliary lines at the first two pool points off the line, so it joins
+    five lines (the two auxiliary lines, the two cross-joins and the
+    conjugate) and takes five meets."""
     state = run(curve12_seed, max_points=128, curve=curve12.cubic)
     calls = Counter()
 
