@@ -14,10 +14,8 @@ from .errors import (
     AmbiguousFit,
     DuplicatePoints,
     IdenticalPoints,
-    InvariantViolation,
     LineComponent,
     NotOnCurve,
-    OverconstrainedFit,
     SingularPoint,
     brief,
 )
@@ -123,12 +121,14 @@ def third_intersection(cubic: Cubic, p: ProjPoint, q: ProjPoint) -> ProjPoint:
 
 
 def tangent_third(cubic: Cubic, p: ProjPoint) -> ProjPoint:
-    """Residual intersection of the tangent at p (p itself at an inflection)."""
+    """Residual intersection of the tangent at p (p itself at an inflection).
+
+    The restriction to the tangent has a double root at p: c3 = F(p) = 0, and
+    c2 = grad F(p) . q = 0 because q lies on the tangent line grad F(p).
+    """
     line = tangent_at(cubic, p)
     q = next(pt for pt in points_on_line(line) if pt != p)
-    c3, c2, c1, c0 = _chord_coefficients(cubic, p.coords, q.coords)
-    if c2 != 0:
-        raise InvariantViolation("tangent restriction lacks a double root")
+    _, _, c1, c0 = _chord_coefficients(cubic, p.coords, q.coords)
     if c1 == 0 and c0 == 0:
         raise LineComponent(f"the tangent at {brief(p)} lies on the cubic")
     if c1 == 0:
@@ -197,8 +197,9 @@ def cubic_family_through(points) -> tuple[Cubic, ...]:
 def fit_cubic_9(points) -> Cubic:
     """The unique cubic through 9 points in general position.
 
-    Raises AmbiguousFit when the incidence matrix has rank below 9 and
-    OverconstrainedFit when no cubic passes through all nine.
+    Raises AmbiguousFit when the incidence matrix has rank below 9.  Some
+    cubic always passes: 9 rows in 10 unknowns leave a nullspace of
+    dimension at least 1.
     """
     points = list(points)
     if len(points) != 9:
@@ -206,8 +207,6 @@ def fit_cubic_9(points) -> Cubic:
     if len(set(points)) != 9:
         raise DuplicatePoints("the 9 points must be pairwise distinct")
     basis = _nullspace_basis([_monomial_row(p) for p in points])
-    if len(basis) == 0:
-        raise OverconstrainedFit("no cubic passes through the given points")
     if len(basis) > 1:
         raise AmbiguousFit(f"cubics through the points form a {len(basis)}-dimensional family")
     return basis[0]

@@ -120,10 +120,6 @@ class AmbiguousFit(DegeneracyError):
     pass
 
 
-class OverconstrainedFit(DegeneracyError):
-    pass
-
-
 class SingularPoint(DegeneracyError):
     pass
 

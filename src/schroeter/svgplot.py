@@ -1,9 +1,9 @@
 """SVG rendering of a construction run.
 
 Floats appear here and nowhere else: the curve is sampled numerically per
-viewport column (the real roots of the restricted cubic, in plain Python),
-the exact data is never touched.  Far-out and infinite points are dropped
-from the view.
+viewport column and row (the real roots of the restricted cubic inside the
+view, bracketed and bisected in plain Python), the exact data is never
+touched.  Far-out and infinite points are dropped from the view.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .cubic import Cubic, gradient
 _SIZE = 640
 _PAD = 0.08
 _COLUMNS = 420  # curve samples across the view, each way
+_BISECTIONS = 30  # halvings of each curve point's bracket
 _VIEW_LIMIT = 60.0
 _PALETTE = (
     "#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085",
@@ -93,84 +94,38 @@ class _Canvas:
         return head + "\n" + "\n".join(self.parts) + "\n</svg>\n"
 
 
-def _poly_roots(coeffs):
-    """The real roots of a polynomial of degree at most 3, highest
-    coefficient first, as `numpy.roots` finds them: leading zeros lower the
-    degree, each trailing zero is a root at 0, and a complex pair whose
-    imaginary part is below 1e-9 counts as two real roots."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[0] == 0:
-        del coeffs[0]
-    zeros = []
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-        zeros.append(0.0)
-    if len(coeffs) == 2:
-        roots = [-coeffs[1] / coeffs[0]]
-    elif len(coeffs) == 3:
-        roots = _quadratic_roots(*coeffs)
-    elif len(coeffs) == 4:
-        roots = _cubic_roots(*coeffs)
+def _roots_in(coeffs, lo, hi):
+    """The real roots in [lo, hi] of a polynomial of degree at most 3,
+    highest coefficient first, largest magnitude first.  The critical
+    points cut [lo, hi] into monotone pieces, and each piece whose ends
+    differ in sign is bisected.  A zero at a piece's end counts once for
+    each piece it ends: twice at a critical point, where it is a multiple
+    root, and once at lo or hi."""
+    if not any(coeffs):
+        return []
+    a, b, c, d = coeffs
+    # the zeros of the derivative 3at^2 + 2bt + c
+    if a:
+        disc = b * b - 3 * a * c
+        crit = {(-b + s * math.sqrt(disc)) / (3 * a) for s in (-1, 1)} if disc >= 0 else ()
     else:
-        roots = []
-    return roots + zeros
-
-
-def _quadratic_roots(a, b, c):
-    # The eigenvalues of the companion matrix [[-b/a, -c/a], [1, 0]] in
-    # LAPACK's order: the root of larger magnitude first, the other from
-    # the product of the two, so neither cancels.
-    half = -b / a / 2
-    disc = half * half - c / a
-    if disc < 0:
-        return [half, half] if math.sqrt(-disc) < 1e-9 else []
-    first = half + math.copysign(math.sqrt(disc), half)
-    return [first, c / a / first if first else 0.0]
-
-
-def _cubic_roots(a, b, c, d):
-    # Cardano's or the trigonometric form on the depressed cubic
-    # t^3 + pt + q, with x = t - s, then Newton steps on the cubic itself.
-    # Largest magnitude first, the order numpy's eigenvalue solver mostly gives.
-    s = b / a / 3
-    p = c / a - 3 * s * s
-    q = d / a - s * (c / a - 2 * s * s)
-    disc = (q / 2) ** 2 + (p / 3) ** 3
-    if disc > 0:
-        root = math.sqrt(disc)
-        w = -(q / 2 + math.copysign(root, q))
-        u = math.copysign(abs(w) ** (1 / 3), w)
-        v = -p / (3 * u)
-        x = _polish(u + v - s, a, b, c, d)
-        # The other two are the roots of the quadratic left after dividing
-        # out x: a double root survives that exactly, while the sign of
-        # `disc` near one is rounding noise.
-        linear = b + a * x
-        roots = [x, *_quadratic_roots(a, linear, c + x * linear)]
-    elif p == 0:
-        roots = [-s] * 3
-    else:
-        m = 2 * math.sqrt(-p / 3)
-        angle = math.acos(max(-1.0, min(1.0, 3 * q / (p * m)))) / 3
-        roots = [m * math.cos(angle - 2 * math.pi * k / 3) - s for k in range(3)]
-    roots = [_polish(x, a, b, c, d) for x in roots]
-    return sorted(roots, key=abs, reverse=True)
-
-
-def _polish(x, a, b, c, d):
-    """Up to three Newton steps on ax^3 + bx^2 + cx + d from x, each kept
-    only while it lowers |f|."""
-    fx = ((a * x + b) * x + c) * x + d
-    for _ in range(3):
-        slope = (3 * a * x + 2 * b) * x + c
-        if not fx or not slope:
-            break
-        nx = x - fx / slope
-        fn = ((a * nx + b) * nx + c) * nx + d
-        if abs(fn) >= abs(fx):
-            break
-        x, fx = nx, fn
-    return x
+        crit = {-c / (2 * b)} if b else ()
+    cuts = [lo, *sorted(t for t in crit if lo < t < hi), hi]
+    roots = []
+    for u, v in zip(cuts, cuts[1:]):
+        fu, fv = (((a * t + b) * t + c) * t + d for t in (u, v))
+        roots += [t for t, ft in ((u, fu), (v, fv)) if ft == 0]
+        if min(fu, fv) < 0 < max(fu, fv):
+            if fu > 0:
+                u, v = v, u
+            for _ in range(_BISECTIONS):
+                m = (u + v) / 2
+                if ((a * m + b) * m + c) * m + d < 0:
+                    u = m
+                else:
+                    v = m
+            roots.append((u + v) / 2)
+    return sorted(roots, key=lambda t: (abs(t), t), reverse=True)
 
 
 def _samples(lo, hi, count):
@@ -186,25 +141,23 @@ def _curve_dots(canvas: _Canvas, cubic: Cubic):
     scale = max(abs(c) for c in cubic.coeffs)
     c = [v / scale for v in cubic.coeffs]
     for x in _samples(canvas.xmin, canvas.xmax, _COLUMNS):
-        ys = _poly_roots([
+        column = [
             c[6],
             c[3] * x + c[7],
             c[1] * x * x + c[4] * x + c[8],
             c[0] * x ** 3 + c[2] * x * x + c[5] * x + c[9],
-        ])
-        for y in ys:
-            if canvas.ymin <= y <= canvas.ymax:
-                canvas.circle(x, y, 0.9, "#b0c4d8")
+        ]
+        for y in _roots_in(column, canvas.ymin, canvas.ymax):
+            canvas.circle(x, y, 0.9, "#b0c4d8")
     for y in _samples(canvas.ymin, canvas.ymax, _COLUMNS):
-        xs = _poly_roots([
+        row = [
             c[0],
             c[1] * y + c[2],
             c[3] * y * y + c[4] * y + c[5],
             c[6] * y ** 3 + c[7] * y * y + c[8] * y + c[9],
-        ])
-        for x in xs:
-            if canvas.xmin <= x <= canvas.xmax:
-                canvas.circle(x, y, 0.9, "#b0c4d8")
+        ]
+        for x in _roots_in(row, canvas.xmin, canvas.xmax):
+            canvas.circle(x, y, 0.9, "#b0c4d8")
 
 
 def _axes(canvas: _Canvas):

@@ -472,18 +472,6 @@ def row_per_line(obj: dict) -> str:
     return "{\n" + ",\n".join(f"  {json.dumps(k)}: {value(obj[k])}" for k in sorted(obj)) + "\n}\n"
 
 
-def numpy_poly_roots(coeffs) -> list[float]:
-    """`svgplot._poly_roots` as numpy computed it: the real parts of the
-    companion-matrix eigenvalues whose imaginary part is below 1e-9."""
-    import numpy as np
-
-    trimmed = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
-    if trimmed.size <= 1:
-        return []
-    roots = np.roots(trimmed)
-    return [float(r.real) for r in roots if abs(r.imag) < 1e-9]
-
-
 def eval_triple_by_terms(cubic: Cubic, t) -> int:
     """`cubic._eval_triple` as a sum of its ten monomials, term by term."""
     x, y, z = t

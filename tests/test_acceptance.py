@@ -25,6 +25,8 @@ from schroeter.projective import ProjPoint, join
 from schroeter.weierstrass import (
     NEUTRAL,
     TWO_TORSION,
+    AbcChart,
+    chart_conjugate,
     involution_center_product,
     seed_from_curve,
     to_abc_chart,
@@ -202,6 +204,12 @@ def test_07_center_product(curve12):
     assert hits >= 10
     with pytest.raises(DegenerateDirection):
         involution_center_product(chart, (1, 1), (Fraction(1, 2), 1))
+    # P at the base, or at the base's conjugate (1/2, -1)
+    for p in ((1, 1), (Fraction(1, 2), -1)):
+        with pytest.raises(ValidationError, match="differ from the base"):
+            involution_center_product(chart, (1, 1), p)
+    with pytest.raises(ZeroDenominator):
+        chart_conjugate(AbcChart(1, 0, 0), (1, 1))
     print(f"\nACCEPTANCE 7 PASS: center product 1/2 exact on the golden point and "
           f"{hits} chord-generated points; degenerate direction raised")
 

@@ -162,6 +162,12 @@ class TestChordTangency:
         with pytest.raises(HypothesisFailed):
             chord_tangency_check(curve12, pt(1, 2), pt(2, 4))
 
+    def test_a_wrong_tangential_point_fails(self, monkeypatch, curve12):
+        # planted fault: tangent_third answers p itself, as if every point
+        # were a flex, so a true pair {P, P + T} misses the chord claim
+        monkeypatch.setattr(checks, "tangent_third", lambda form, p: p)
+        assert chord_tangency_check(curve12, pt(1, 2), pt(2, -4)) is False
+
     def test_partner_shifted_by_another_two_torsion_point(self, curve54):
         # (2,6) + (-1,0) = (-2,2): a difference of order two, but not T
         assert add(curve54, pt(2, 6), pt(-1, 0)) == pt(-2, 2)

@@ -151,9 +151,15 @@ class TestConstruct:
     def test_missing_seed(self, tmp_path):
         assert main(["construct", "--seed", str(tmp_path / "nope.json")]) == 1
 
-    def test_seed_dir_lookup(self, torsion_seed_file, tmp_path, monkeypatch):
+    def test_seed_dir_lookup(self, torsion_seed_file, tmp_path, monkeypatch, capsys):
+        # from an empty directory the bare name resolves only through the variable
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        monkeypatch.delenv("SCHROETER_SEED_DIR", raising=False)
+        assert main(["construct", "--seed", torsion_seed_file.name]) == 1
+        assert "seed file not found" in capsys.readouterr().err
         monkeypatch.setenv("SCHROETER_SEED_DIR", str(torsion_seed_file.parent))
-        monkeypatch.chdir(tmp_path)
         assert main(["construct", "--seed", torsion_seed_file.name]) == 0
 
     def test_determinism_bytes(self, torsion_seed_file, tmp_path):

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import schroeter
@@ -14,10 +14,8 @@ from schroeter.cli import main
 from schroeter.cubic import Cubic, tangent_at
 from schroeter.engine import run
 from schroeter.projective import ProjPoint
-from schroeter.svgplot import _poly_roots, render_svg
+from schroeter.svgplot import _roots_in, render_svg
 from schroeter.weierstrass import WeierstrassCurve
-
-from oracles import numpy_poly_roots
 
 SEEDS = Path(__file__).parents[1] / "seeds"
 
@@ -64,16 +62,6 @@ def test_no_tangent_off_the_cubic_or_at_a_singular_point():
         assert canvas.parts == []
 
 
-def test_the_cli_loads_numpy_only_to_draw():
-    code = "import sys, schroeter.cli; print('numpy' in sys.modules)"
-    source = str(Path(schroeter.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert out.stdout == "False\n"
-
-
 def test_no_command_imports_numpy(tmp_path):
     """`construct --svg` and `plot`, tangents and curve included, draw
     without numpy."""
@@ -96,85 +84,57 @@ def test_no_command_imports_numpy(tmp_path):
 
 
 def _expand(lead, roots):
-    """lead times the product of (x - r), highest coefficient first, in floats."""
+    """lead times the product of (t - r), highest coefficient first, as the
+    four coefficients of a cubic, in floats."""
     coeffs = [lead]
     for r in roots:
         coeffs = [a - r * b for a, b in zip(coeffs + [0.0], [0.0] + coeffs)]
-    return coeffs
+    return [0.0] * (4 - len(coeffs)) + coeffs
 
 
-small = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(float)
-leads = st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(bool).map(float)
+grid = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
 
-class TestPolyRoots:
-    @given(leads, st.lists(small, min_size=1, max_size=3, unique=True))
-    def test_rational_real_roots(self, lead, roots):
-        found = _poly_roots(_expand(lead, roots))
-        assert sorted(found) == pytest.approx(sorted(roots), rel=1e-9)
+class TestRootsIn:
+    @given(
+        st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(bool),
+        st.lists(grid, min_size=1, max_size=3, unique=True),
+        st.lists(grid, min_size=2, max_size=2, unique=True),
+    )
+    def test_the_roots_inside_the_view(self, lead, roots, ends):
+        lo, hi = sorted(ends)
+        assume(lo not in roots and hi not in roots)
+        found = _roots_in(_expand(float(lead), [float(r) for r in roots]), float(lo), float(hi))
+        inside = sorted(float(r) for r in roots if lo < r < hi)
+        # the drawing's grain: 0.01 px of the 640 px view
+        assert sorted(found) == pytest.approx(inside, rel=0, abs=float(hi - lo) / 64000)
+        assert found == sorted(found, key=lambda t: (abs(t), t), reverse=True)
 
-    @given(leads, st.lists(small, max_size=1), st.integers(-5, 5), st.integers(1, 40))
-    def test_a_complex_pair_has_no_real_roots(self, lead, roots, b, lift):
-        # x^2 + bx + c with c = b^2/4 + lift/4: discriminant -lift
-        coeffs = _expand(lead, roots)
-        quadratic = [1.0, float(b), (b * b + lift) / 4]
-        product = [0.0] * (len(coeffs) + 2)
-        for i, u in enumerate(coeffs):
-            for j, v in enumerate(quadratic):
-                product[i + j] += u * v
-        assert sorted(_poly_roots(product)) == pytest.approx(sorted(roots), rel=1e-9)
+    def test_no_roots(self):
+        assert _roots_in([0.0, 0.0, 0.0, 0.0], -1.0, 1.0) == []
+        assert _roots_in([0.0, 0.0, 0.0, 3.0], -1.0, 1.0) == []
+        assert _roots_in([0.0, 1.0, 0.0, 1.0], -5.0, 5.0) == []  # a complex pair
+        assert _roots_in([1.0, -2.0, 1.0, -2.0], -5.0, 1.0) == []  # (t - 2)(t^2 + 1)
 
-    def test_degenerate_lists(self):
-        assert _poly_roots([0.0, 0.0, 0.0, 0.0]) == []
-        assert _poly_roots([3.0]) == []
-        assert _poly_roots([0.0, 0.0, 5.0]) == []
+    def test_a_root_at_either_end_counts_once(self):
+        assert _roots_in([0.0, 0.0, 2.0, -4.0], 2.0, 5.0) == [2.0]
+        assert _roots_in([0.0, 0.0, 2.0, -4.0], -1.0, 2.0) == [2.0]
+        # (t - 1)(t + 1)(t - 3), with 1 at hi
+        found = _roots_in([1.0, -3.0, -1.0, 3.0], -5.0, 1.0)
+        assert found[1] == 1.0 and found[0] == pytest.approx(-1.0)
 
-    def test_leading_zeros_lower_the_degree(self):
-        assert _poly_roots([0.0, 0.0, 2.0, -4.0]) == [2.0]
-        assert sorted(_poly_roots([0.0, 1.0, -3.0, 2.0])) == [1.0, 2.0]
+    def test_a_double_root_at_a_critical_point_counts_twice(self):
+        assert _roots_in([0.0, 1.0, -2.0, 1.0], -5.0, 5.0) == [1.0, 1.0]
+        # (t - 2)^2 (t + 1) and (t + 6)^2 (t + 1)
+        found = _roots_in([1.0, -3.0, 0.0, 4.0], -5.0, 5.0)
+        assert found[:2] == [2.0, 2.0] and found[2] == pytest.approx(-1.0)
+        found = _roots_in([1.0, 13.0, 48.0, 36.0], -10.0, 0.0)
+        assert found[:2] == [-6.0, -6.0] and found[2] == pytest.approx(-1.0)
 
-    def test_trailing_zeros_are_roots_at_zero(self):
-        assert _poly_roots([1.0, -1.0, 0.0, 0.0]) == [1.0, 0.0, 0.0]
-        assert _poly_roots([2.0, 0.0]) == [0.0]
-        assert _poly_roots([1.0, 0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
-
-    def test_a_complex_pair(self):
-        assert _poly_roots([1.0, 0.0, 1.0]) == []
-        assert _poly_roots([1.0, -2.0, 1.0, -2.0]) == [2.0]
-
-    def test_an_exact_double_root(self):
-        assert _poly_roots([1.0, -2.0, 1.0]) == [1.0, 1.0]
-        assert _poly_roots([1.0, -3.0, 0.0, 4.0]) == [2.0, 2.0, -1.0]
-        # (x + 6)^2 (x + 1): the depressed cubic's discriminant rounds above
-        # zero, and the pair comes from the quadratic left after x = -1
-        assert _poly_roots([1.0, 13.0, 48.0, 36.0]) == [-6.0, -6.0, -1.0]
-        assert _poly_roots([2.0, -12.0, 24.0, -16.0]) == [2.0, 2.0, 2.0]
-        assert sorted(_poly_roots([1.0, 0.0, -3.0, 2.0])) == pytest.approx([-2.0, 1.0, 1.0])
-
-    def test_a_constant_below_the_float_grain(self):
-        # x^2 (x - 1) + 1e-300: dividing out x = 1 leaves x^2 in floats
-        assert _poly_roots([1.0, -1.0, 0.0, 1e-300]) == [1.0, 0.0, 0.0]
-
-    @pytest.mark.parametrize("name", ["curve12", "frame"])
-    def test_matches_numpy_on_the_render_columns(self, request, monkeypatch, name):
-        pytest.importorskip("numpy")
-        if name == "curve12":
-            curve = request.getfixturevalue("curve12").cubic
-            state = run(request.getfixturevalue("curve12_seed"), max_points=64, curve=curve)
-        else:
-            state = run(request.getfixturevalue("golden_frame_seed"), max_generations=3)
-        columns = []
-
-        def recording(coeffs):
-            columns.append(coeffs)
-            return _poly_roots(coeffs)
-
-        monkeypatch.setattr(svgplot, "_poly_roots", recording)
-        render_svg(state.pairs, state.curve)
-        assert len(columns) == 840
-        for coeffs in columns:
-            expected = sorted(numpy_poly_roots(coeffs))
-            assert sorted(_poly_roots(coeffs)) == pytest.approx(expected, rel=1e-9)
+    def test_mirror_roots_in_a_mirror_view_come_positive_first(self):
+        # 4 - t^2, the shape of a column of y^2 = f(x)
+        high, low = _roots_in([0.0, -1.0, 0.0, 4.0], -5.0, 5.0)
+        assert high == -low == pytest.approx(2.0)
 
 
 def _svg_argv(tmp_path, name, svg):

@@ -152,6 +152,26 @@ def test_center_raises_on_a_point_off_the_curve(curve12, curve12_seed):
         run_suites(SimpleNamespace(pairs=pairs), suites=("center",), curve=curve12)
 
 
+def test_swapped_partners_fail_the_tangent_suites(curve12, curve12_seed):
+    """With the second points of pairs 5 and 6 swapped, neither pair's
+    points share a tangential point, so both tangent suites record fail
+    rows, not degenerate ones."""
+    state = run(curve12_seed, max_points=64, curve=curve12.cubic)
+    pairs = list(state.pairs)
+    (a, abar), (b, bbar) = pairs[5].points, pairs[6].points
+    pairs[5], pairs[6] = PointPair.of(a, bbar), PointPair.of(b, abar)
+    report = run_suites(SimpleNamespace(pairs=pairs), suites=("pair-tangents", "tangents"), curve=curve12)
+    fails = [(r.suite, r.name) for r in report.results if r.status == "fail"]
+    assert fails == [
+        ("pair-tangents", "pair 5"),
+        ("pair-tangents", "pair 6"),
+        ("tangents", "pair 5 point 0"),
+        ("tangents", "pair 5 point 1"),
+        ("tangents", "pair 6 point 0"),
+        ("tangents", "pair 6 point 1"),
+    ]
+
+
 def _rows(state, curve):
     report = run_suites(state, suites=("pair-tangents", "chords"), curve=curve)
     return [(r.suite, r.name, r.status, r.detail) for r in report.results]
