@@ -16,6 +16,10 @@ for its second.  A skipped suite's row is named "suite", and center's
 row when it finds no chart base "chart base".  center checks each point
 with x != 0 other than the chart base and its conjugate.
 
+pair-tangents and chords share each pair's tangent meet, which
+run_suites may compute in a second process while the other suites run.
+The output does not depend on it (see run_suites).
+
 The verify report (`VerificationReport.to_json`, format_version 3) names
 each suite once: each suite that ran is a key beside `format_version`,
 `ok` and `counts`, holding its checks as rows [name, status, detail] in
@@ -24,8 +28,10 @@ the order they ran, or [] when it recorded none.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
-from functools import cache, partial
+from contextlib import contextmanager, nullcontext
+from functools import partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -41,9 +47,12 @@ from .engine import ConstructionState
 from .errors import DegeneracyError, HypothesisFailed, ValidationError, brief, lifted_digit_limit
 from .record import record
 from .weierstrass import (
+    TWO_TORSION,
     WeierstrassCurve,
+    add,
     conjugate_point,
     involution_center_product,
+    neg,
     to_abc_chart,
 )
 
@@ -173,6 +182,15 @@ def _suite_tangents(state, report, cubic, meet):
 
 
 def _suite_chords(state, report, curve: WeierstrassCurve, meet):
+    # the chord claim is about pairs {P, P + T} with the model's T; a run
+    # whose pair 0 differs by another point is not checked pair by pair
+    if state.pairs:
+        p, pbar = state.pairs[0].points
+        t = add(curve, pbar, neg(curve, p))
+        if t != TWO_TORSION:
+            detail = f"pair 0 differs by {brief(t)}, not by T = {brief(TWO_TORSION)}"
+            report.results.append(CheckResult("chords", "suite", "skipped", detail))
+            return
     _run(report, "chords", (
         [(f"pair {k}",
           lambda pair=pair: chord_tangency_check(curve, *pair.points, tangential=meet(pair)))]
@@ -235,22 +253,93 @@ def wanted_suites(names) -> set[str]:
     return set(SUITES) if "all" in names else set(names)
 
 
+@contextmanager
+def _forked(compute):
+    """Run `compute` in a forked child where fork and a second CPU are
+    available, and yield a function that returns its result; yield None
+    when no child runs.  The child pickles the result into a pipe and
+    leaves by os._exit.  A child that fails leaves the pickle short, and
+    the function returns None.  On leaving the block the child is killed,
+    if it is still running, and reaped.  Tests replace this function to
+    keep the work in-process."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    if cpus < 2 or not hasattr(os, "fork"):
+        yield None
+        return
+    import pickle
+    import signal
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: compute in-process
+        os.close(read)
+        os.close(write)
+        yield None
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pickle.dump(compute(), pipe)
+            status = 0
+        finally:
+            # never return into the caller's stack, nor flush its buffers
+            os._exit(status)
+    os.close(write)
+
+    def result():
+        with open(read, "rb", closefd=False) as pipe:
+            try:
+                return pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # a short read
+                return None
+
+    try:
+        yield result
+    finally:
+        # until it is reaped, an exited child keeps its pid, so the kill
+        # cannot reach another process
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(read)
+
+
 def run_suites(
     state: ConstructionState,
     suites=("all",),
     curve: WeierstrassCurve | None = None,
 ) -> VerificationReport:
-    """Run the selected verification suites over a construction state."""
+    """Run the selected verification suites over a construction state.
+
+    The pairs' tangent meets may be computed in a forked worker (see
+    _forked) while chasles, tangents, lines and center run; pair-tangents
+    and chords, which read them, then run last.  The output does not
+    depend on it: the rows and suites are in SUITES order; when suites
+    raise, the exception raised is that of the first of them in SUITES
+    order, as when the suites run one after another; and when the worker
+    fails, the meets are computed in this process."""
     wanted = wanted_suites(suites)
     report = VerificationReport([], [])
     cubic = curve.cubic if curve is not None else state.curve
     # each pair's tangent meet, computed once per call; pair-tangents and
     # chords share it, and whenever chords runs both take curve.cubic
-    meet = cache(lambda pair: tangent_meet(cubic, *pair.points))
+    memo = {}
+
+    def meet(pair):
+        if pair not in memo:
+            memo[pair] = tangent_meet(cubic, *pair.points)
+        return memo[pair]
+
     no_cubic, no_curve = "no unique curve available", "needs a Weierstrass model"
     # (suite, function, model, detail when the model is missing; chasles
     # needs none), built at each call so that a wrapper installed on a suite
     # function is the one run
+    runs = []
     for suite, run_suite, model, missing in (
         ("chasles", _suite_chasles, None, ""),
         ("pair-tangents", _suite_pair_tangents, cubic, no_cubic),
@@ -265,6 +354,26 @@ def run_suites(
         if model is None and missing:
             report.results.append(CheckResult(suite, "suite", "skipped", missing))
         else:
-            run_suite(state, report, model, meet)
+            runs.append((suite, run_suite, model))
+    # the suites that read the meets run last, after the worker's meets
+    deferred = {suite for suite, _, _ in runs} & {"pair-tangents", "chords"}
+    raised = {}  # SUITES index -> the exception that suite raised
+    with (
+        _forked(lambda: [tangent_meet(cubic, *pair.points) for pair in state.pairs])
+        if deferred else nullcontext()
+    ) as meets:
+        for suite, run_suite, model in sorted(runs, key=lambda run: run[0] in deferred):
+            position = SUITES.index(suite)
+            if raised and position > min(raised):
+                continue  # one after another, the suites would stop there
+            if suite in deferred and meets:
+                memo.update(zip(state.pairs, meets() or ()))
+                meets = None
+            try:
+                run_suite(state, report, model, meet)
+            except Exception as exc:  # re-raised below, in SUITES order
+                raised[position] = exc
+    if raised:
+        raise raised[min(raised)]
+    report.results.sort(key=lambda r: SUITES.index(r.suite))
     return report
-

@@ -146,7 +146,16 @@ class CenterProduct(NamedTuple):
 def involution_center_product(chart: AbcChart, a, p) -> CenterProduct:
     """Intersect the joins of a base chart point with P and its conjugate
     against the line x = 0; the signed distances from the center (0, y0)
-    multiply to gamma * x0 independently of P."""
+    multiply to gamma * x0 independently of P.
+
+    Both meets are finite.  A join through A = (x0, y0) meets the axis at
+    infinity only when its other point has x = x0.  For P that is x1 = x0,
+    which raises.  P's conjugate has x = alpha/(gamma x1), which is x0 only
+    when x1 = alpha/(gamma x0), the x of A's conjugate (alpha/(gamma x0),
+    -y0).  The chart's two points with that x are A's conjugate, which
+    raises, and (x1, y0), whose y1 = y0 raises.  (A base with x0 = 0 needs
+    alpha = 0, so every conjugate is on the axis and the join to it is the
+    axis itself: meet raises IdenticalLines.)"""
     x0, y0 = (Fraction(v) for v in a)
     x1, y1 = (Fraction(v) for v in p)
     if not chart.contains(x0, y0):
@@ -163,8 +172,6 @@ def involution_center_product(chart: AbcChart, a, p) -> CenterProduct:
     gbar = join(base_pt, ProjPoint.affine(*pbar))
     hit = meet(g, _AXIS)
     hit_bar = meet(gbar, _AXIS)
-    if hit.is_infinite or hit_bar.is_infinite:
-        raise DegenerateDirection("join meets the axis at infinity")
     s_p = hit.to_affine()[1] - y0
     s_pbar = hit_bar.to_affine()[1] - y0
     return CenterProduct((Fraction(0), y0), s_p, s_pbar, s_p * s_pbar)

@@ -196,6 +196,30 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "fail=" not in out
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_one_cpu_writes_the_same_report(self, tmp_path):
+        """Pinned to one CPU, verify computes the tangent meets in-process;
+        unpinned, on a machine with two or more, in a forked worker.  The
+        output and the verify report are the same bytes."""
+        seed = tmp_path / "curve12.json"
+        args = ["--a", "1", "--b", "2", "--points", "1,2;2,4;1/16,23/64"]
+        assert main(["seed-from-curve", *args, "--out", str(seed)]) == 0
+        source = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+        cpu = min(os.sched_getaffinity(0))
+
+        def verify(out, preexec_fn=None):
+            argv = ["verify", "--seed", str(seed), "--max-points", "64", "--out", str(out)]
+            done = subprocess.run(
+                [sys.executable, "-m", "schroeter.cli", *argv], capture_output=True, check=True,
+                env=env, preexec_fn=preexec_fn,
+            )
+            return done.stdout.replace(str(out).encode(), b"OUT"), out.read_bytes()
+
+        pinned = verify(tmp_path / "pinned.json", lambda: os.sched_setaffinity(0, {cpu}))
+        assert pinned == verify(tmp_path / "unpinned.json")
+        assert pinned[0].startswith(b"verify: degenerate=")
+
     def test_report_revalidation(self, torsion_seed_file, tmp_path):
         out = tmp_path / "run.json"
         main(["construct", "--seed", str(torsion_seed_file), "--out", str(out)])

@@ -466,6 +466,13 @@ class TestRun:
         path.write_text(json.dumps({"pairs": pairs}))
         assert main(["construct", "--seed", str(path), "--max-points", "12"]) == 0
 
+    def test_no_cubic_through_the_bootstrap_points(self, monkeypatch, curve12_seed):
+        # Schroeter's theorem puts every bootstrap point on one cubic, so an
+        # empty family is a fault of the program: plant one
+        monkeypatch.setattr(engine, "cubic_family_through", lambda points: ())
+        with pytest.raises(InvariantViolation, match="no cubic passes through the bootstrap points"):
+            run(curve12_seed, max_points=16)
+
     def test_every_stop_rule_replays(
         self, golden_frame_seed, curve12, curve12_seed, curve54, torsion_seed_full, pencil_seed,
         torsion_seed_quadrilateral,

@@ -6,7 +6,11 @@ when no Weierstrass model is supplied.  The fast paths of `pair-tangents`
 and `chords` are compared row by row with the full computations.
 """
 
+import os
+import signal
+import time
 from collections import Counter
+from contextlib import nullcontext
 from itertools import permutations, product
 from types import SimpleNamespace
 
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 from schroeter import checks, involution, verify
 from schroeter.checks import _meets_on_curve, chasles_check
 from schroeter.cubic import Cubic, chord_third, evaluate
-from schroeter.engine import PointPair, run
+from schroeter.engine import PointPair, run, validate_seed
 from schroeter.errors import (
     HypothesisFailed,
     NotOnCurve,
@@ -27,9 +31,17 @@ from schroeter.errors import (
 )
 from schroeter.projective import ProjPoint, join, meet
 from schroeter.verify import run_suites
+from schroeter.weierstrass import WeierstrassCurve, add
 
 from conftest import cubics_with_points
 from oracles import NotCollinear, chasles_reference, chord_tangency_reference, multiply
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Keep verify's tangent meets in this process, where a test sees each
+    call, by starting no worker."""
+    monkeypatch.setattr(verify, "_forked", lambda compute: nullcontext())
 
 
 def outcome_counts(report):
@@ -172,25 +184,62 @@ def test_swapped_partners_fail_the_tangent_suites(curve12, curve12_seed):
     ]
 
 
+def test_swapped_partners_fail_lines(curve12, curve12_seed):
+    """lines takes its base and test pairs from the first three pairs, so
+    with the second points of pairs 1 and 2 swapped every check of a point
+    outside them fails: the two base pairs are no longer pairs of the
+    involution.  The six points of pairs 0, 1 and 2 stay degenerate."""
+    state = run(curve12_seed, max_points=64, curve=curve12.cubic)
+    pairs = list(state.pairs)
+    (a, abar), (b, bbar) = pairs[1].points, pairs[2].points
+    pairs[1], pairs[2] = PointPair.of(a, bbar), PointPair.of(b, abar)
+    report = run_suites(SimpleNamespace(pairs=pairs), suites=("lines",), curve=curve12)
+    assert Counter(r.status for r in report.results) == {"fail": 58, "degenerate": 6}
+    assert {r.name for r in report.results if r.status == "degenerate"} == {
+        f"pair {k} point {m}" for k in range(3) for m in range(2)
+    }
+
+
+def test_a_run_paired_by_another_point_of_order_two_skips_chords():
+    """On y^2 = x(x + 6)(x + 12), a seed that pairs each P with P + T' for
+    T' = (-12 : 0 : 1) runs; chords, which checks pairs {P, P + T} for the
+    model's T = (0 : 0 : 1), records one skipped row naming T', not a
+    column of hypothesis-failed rows."""
+    curve = WeierstrassCurve(18, 72)
+    t_prime = ProjPoint.affine(-12, 0)
+    points = [ProjPoint.affine(-8, 8), ProjPoint.affine(-9, 9), ProjPoint.affine(6, 36)]
+    seed = validate_seed(*(PointPair.of(p, add(curve, p, t_prime)) for p in points))
+    state = run(seed, max_points=64, curve=curve.cubic)
+    assert state.point_count == 64
+    report = run_suites(state, curve=curve)
+    assert report.to_json()["chords"] == [
+        ["suite", "skipped", "pair 0 differs by (12 : 0 : -1), not by T = (0 : 0 : 1)"]
+    ]
+    assert report.ok and "hypothesis-failed" not in report.counts()
+
+
 def _rows(state, curve):
     report = run_suites(state, suites=("pair-tangents", "chords"), curve=curve)
     return [(r.suite, r.name, r.status, r.detail) for r in report.results]
 
 
 def _non_pairs(curve12, curve54):
-    """Pairs whose partner is not P + T: curve12 multiples of (1, 2), and on
-    curve54 a partner shifted by another point of order two, so that the
+    """Pairs whose partner is not P + T, each after a pair that is, since
+    chords takes the run's T from pair 0: curve12 multiples of (1, 2), and
+    on curve54 a partner shifted by another point of order two, so that the
     two tangential points still agree."""
     points = [multiply(curve12, k, ProjPoint.affine(1, 2)) for k in range(1, 8)]
+    pair12 = PointPair.of(ProjPoint.affine(1, 2), ProjPoint.affine(2, -4))
+    pair54 = PointPair.of(ProjPoint.affine(2, 6), ProjPoint.affine(2, -6))
     shifted = PointPair.of(ProjPoint.affine(2, 6), ProjPoint.affine(-2, 2))
     return [
-        (SimpleNamespace(pairs=[PointPair.of(p, q) for p, q in zip(points, points[2:])]), curve12),
-        (SimpleNamespace(pairs=[shifted]), curve54),
+        (SimpleNamespace(pairs=[pair12, *(PointPair.of(p, q) for p, q in zip(points, points[2:]))]), curve12),
+        (SimpleNamespace(pairs=[pair54, shifted]), curve54),
     ]
 
 
 def test_fast_paths_match_the_full_computation(
-    monkeypatch, curve12, curve12_seed, curve54, torsion_seed_full, torsion_seed_quadrilateral
+    monkeypatch, in_process, curve12, curve12_seed, curve54, torsion_seed_full, torsion_seed_quadrilateral
 ):
     runs = [
         (run(curve12_seed, max_points=128, curve=curve12.cubic), curve12),
@@ -215,11 +264,12 @@ def test_fast_paths_match_the_full_computation(
     assert statuses == {"pass", "fail", "degenerate", "hypothesis-failed"}
     # all pairs decide fast but {O, T} (in curve12@128 and the full torsion
     # seed) and the five curve12 non-pairs
-    assert fast == {True: 63 + 3 + 3 + 1, False: 1 + 1 + 5}
+    assert fast == {True: 63 + 3 + 3 + 1 + 1 + 1, False: 1 + 1 + 5}
     # chords decides every curve12 pair fast; it computes the tangential
-    # point on the torsion pairs, where b or n is T, and on the five + one
-    # non-pairs ({O, T} is a tangent chord, degenerate before either path)
-    assert len(full_chords) == 3 + 3 + 5 + 1
+    # point on the torsion pairs, where b or n is T, on the curve54 pair
+    # before the shifted one, and on the five + one non-pairs ({O, T} is a
+    # tangent chord, degenerate before either path)
+    assert len(full_chords) == 3 + 3 + 1 + 5 + 1
     monkeypatch.setattr(verify, "tangent_meet", lambda cubic, p, pbar: None)
     assert rows == [_rows(state, curve) for state, curve in runs]
     monkeypatch.setattr(
@@ -248,7 +298,7 @@ def test_ruler_conjugate_draws_only_the_lines_it_uses(monkeypatch, curve12, curv
     assert Counter(r.status for r in report.results) == {"pass": 241, "degenerate": 14}
 
 
-def test_each_pair_meet_is_computed_once(monkeypatch, curve12, curve12_seed):
+def test_each_pair_meet_is_computed_once(monkeypatch, in_process, curve12, curve12_seed):
     state = run(curve12_seed, max_points=128, curve=curve12.cubic)
     calls = Counter()
     meets = verify.tangent_meet
@@ -265,6 +315,141 @@ def test_each_pair_meet_is_computed_once(monkeypatch, curve12, curve12_seed):
     run_suites(state, suites=("chords",), curve=curve12)
     run_suites(state, suites=("chords",), curve=curve12)
     assert calls == Counter({points: 2 for points in (pair.points for pair in state.pairs)})
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Give verify a second CPU whatever this machine has, and record the
+    pid of each worker it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+@needs_fork
+def test_the_worker_gives_the_in_process_report(monkeypatch, forks, curve12, curve12_seed):
+    state = run(curve12_seed, max_points=128, curve=curve12.cubic)
+    # this process's calls; the worker's add to its own copy of the count
+    calls = Counter()
+    meets = verify.tangent_meet
+    monkeypatch.setattr(verify, "tangent_meet", lambda cubic, p, pbar: calls.update([p]) or meets(cubic, p, pbar))
+    forked = run_suites(state, curve=curve12)
+    # the worker computed every meet
+    assert len(forks) == 1 and not calls
+    monkeypatch.setattr(verify, "_forked", lambda compute: nullcontext())
+    assert run_suites(state, curve=curve12) == forked
+    assert sum(calls.values()) == len(state.pairs)
+
+
+def _in_the_worker(fault):
+    """tangent_meet, calling `fault` first in any process but this one."""
+    parent = os.getpid()
+
+    def tangent_meet(cubic, p, pbar):
+        if os.getpid() != parent:
+            fault()
+        return checks.tangent_meet(cubic, p, pbar)
+
+    return tangent_meet
+
+
+def _fault():
+    raise RuntimeError("a fault in the worker")
+
+
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _no_fork():
+    raise OSError("no process to spare")
+
+
+@needs_fork
+@pytest.mark.parametrize("fault", ["raises", "killed", "fork fails", "one CPU"])
+def test_a_failed_worker_changes_nothing(monkeypatch, forks, curve12, curve12_seed, fault):
+    """Whether the worker raises or dies mid-way, or none starts (fork
+    fails, or the platform has no affinity call and counts one CPU), the
+    parent computes the meets itself and the report is the in-process one."""
+    state = run(curve12_seed, max_points=64, curve=curve12.cubic)
+    suites = ("pair-tangents", "chords")
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_forked", lambda compute: nullcontext())
+        expected = run_suites(state, suites=suites, curve=curve12)
+    if fault == "fork fails":
+        monkeypatch.setattr(os, "fork", _no_fork)
+    elif fault == "one CPU":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    else:
+        monkeypatch.setattr(verify, "tangent_meet", _in_the_worker(_fault if fault == "raises" else _killed))
+    assert run_suites(state, suites=suites, curve=curve12) == expected
+    assert len(forks) == (fault in ("raises", "killed"))
+
+
+def _stalled(cubic, p, pbar):
+    time.sleep(2)
+
+
+def _interrupted(*args):
+    raise KeyboardInterrupt
+
+
+@needs_fork
+@pytest.mark.parametrize("outcome", ["returns", "raises", "interrupted"])
+def test_no_worker_is_left_behind(monkeypatch, forks, curve12, curve12_seed, outcome):
+    """After run_suites returns or raises, its worker has been reaped: it
+    is no longer a child of this process.  When chasles raises, no suite
+    reads the meets, and the worker, which would take 2 s a pair, is killed
+    rather than awaited."""
+    state = run(curve12_seed, max_points=64, curve=curve12.cubic)
+    if outcome == "returns":
+        run_suites(state, curve=curve12)
+    else:
+        monkeypatch.setattr(verify, "tangent_meet", _stalled)
+        check, error = (_invalid, ValidationError) if outcome == "raises" else (_interrupted, KeyboardInterrupt)
+        monkeypatch.setattr(verify, "chasles_check", check)
+        started = time.perf_counter()
+        with pytest.raises(error):
+            run_suites(state, curve=curve12)
+        assert time.perf_counter() - started < 2
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def _raising(name, order):
+    def check(*args, **kwargs):
+        order.append(name)
+        raise NotCollinear(f"{name} raised")
+
+    return check
+
+
+@pytest.mark.parametrize("worker", [True, False])
+def test_the_first_raising_suite_in_serial_order_is_raised(monkeypatch, request, curve54, torsion_seed_full, worker):
+    """chords comes before lines in SUITES, so its error is the one raised,
+    although lines runs first, before the suites that read the meets."""
+    request.getfixturevalue("forks" if worker and hasattr(os, "fork") else "in_process")
+    state = run(torsion_seed_full, curve=curve54.cubic)
+    order = []
+    monkeypatch.setattr(verify, "chord_tangency_check", _raising("chords", order))
+    monkeypatch.setattr(verify, "conjugate_lines_check", _raising("lines", order))
+    with pytest.raises(NotCollinear, match="chords raised"):
+        run_suites(state, curve=curve54)
+    assert order == ["lines", "chords"]
 
 
 def test_each_suite_records_its_rows_inside_its_own_call(monkeypatch, curve54, torsion_seed_full):

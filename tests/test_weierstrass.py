@@ -183,8 +183,10 @@ class TestChart:
             assert from_chart(cm, x, y) == p
 
     def test_degenerate_base(self, curve12):
-        with pytest.raises(BasePointDegenerate):
-            to_abc_chart(curve12, TWO_TORSION)
+        # a base with x = 0, and the one point at infinity
+        for base in (TWO_TORSION, NEUTRAL):
+            with pytest.raises(BasePointDegenerate):
+                to_abc_chart(curve12, base)
 
     def test_chart_conjugate_goldens(self, curve12):
         chart = to_abc_chart(curve12, pt(1, 2)).chart
