@@ -19,7 +19,7 @@ from .errors import (
     SingularPoint,
     brief,
 )
-from .projective import ProjLine, ProjPoint, _as_integers, _canon, points_on_line
+from .projective import ProjLine, ProjPoint, _as_integers, _canon, point_on_line
 from .record import record
 
 # Fixed monomial order for the 10 coefficients.
@@ -127,7 +127,7 @@ def tangent_third(cubic: Cubic, p: ProjPoint) -> ProjPoint:
     c2 = grad F(p) . q = 0 because q lies on the tangent line grad F(p).
     """
     line = tangent_at(cubic, p)
-    q = next(pt for pt in points_on_line(line) if pt != p)
+    q = point_on_line(line, p)
     _, _, c1, c0 = _chord_coefficients(cubic, p.coords, q.coords)
     if c1 == 0 and c0 == 0:
         raise LineComponent(f"the tangent at {brief(p)} lies on the cubic")

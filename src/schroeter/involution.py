@@ -2,14 +2,14 @@
 
 An involution is pinned down by two conjugate line pairs through a common
 carrier.  Conjugates are computed two independent ways: the classical ruler
-construction (choose an auxiliary point on the line, draw two transversals,
+construction (take a point of the line, draw two transversals through it,
 intersect the cross-joins) and the induced projective involution on the
-pencil parameter.  The two must agree exactly; a mismatch raises.
+pencil parameter.  The two must agree exactly; a mismatch raises.  The
+ruler's line does not depend on the point taken, so one point is used.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import NamedTuple
 
 from .errors import (
@@ -24,7 +24,7 @@ from .projective import (
     incident,
     join,
     meet,
-    points_on_line,
+    point_on_line,
     span_coordinates,
 )
 from .record import record
@@ -87,15 +87,14 @@ def _algebraic_conjugate(inv: Involution, d: ProjLine) -> ProjLine:
     return _line_from_param(inv, (lb * lbb * p1, mb * mbb * p0))
 
 
-def _ruler_conjugate(inv: Involution, d: ProjLine, choice: int) -> ProjLine:
-    """The ruler construction of the conjugate of d.
+def _ruler_conjugate(inv: Involution, d: ProjLine, base: ProjPoint) -> ProjLine:
+    """The ruler construction of the conjugate of d from the point X = base
+    of d, other than the carrier C.
 
-    The base X is the (choice % 6)-th point of d other than the carrier C;
-    g and gbar join X to the first points of _AUX_POOL, rotated left by
-    choice % 3, that lie off d and give two distinct lines.  With pa, pb
-    the meets of g with a, b and pabar, pbbar those of gbar with abar,
-    bbar, the conjugate joins C to the meet of pa pbbar and pabar pb.
-    No step can degenerate:
+    g and gbar join X to the first points of _AUX_POOL that lie off d and
+    give two distinct lines.  With pa, pb the meets of g with a, b and
+    pabar, pbbar those of gbar with abar, bbar, the conjugate joins C to
+    the meet of pa pbbar and pabar pb.  No step can degenerate:
     - d is the only line through both X and C, so g and gbar miss C;
     - two meets on distinct lines of the pencil differ, as neither is C;
     - the cross-joins differ: one line through all four meets would be
@@ -105,9 +104,7 @@ def _ruler_conjugate(inv: Involution, d: ProjLine, choice: int) -> ProjLine:
     """
     carrier = inv.carrier
     (a, abar), (b, bbar) = inv.pair_a, inv.pair_b
-    base = next(islice((p for p in points_on_line(d) if p != carrier), choice % 6, None))
-    refs = _AUX_POOL[choice % 3:] + _AUX_POOL[: choice % 3]
-    lines = (join(base, ref) for ref in refs if not incident(ref, d))
+    lines = (join(base, ref) for ref in _AUX_POOL if not incident(ref, d))
     g = next(lines)
     gbar = next(line for line in lines if line != g)
     pa, pb = meet(g, a), meet(g, b)
@@ -115,23 +112,20 @@ def _ruler_conjugate(inv: Involution, d: ProjLine, choice: int) -> ProjLine:
     return join(carrier, meet(join(pa, pbbar), join(pabar, pb)))
 
 
-def conjugate_line(inv: Involution, d: ProjLine, *, choice: int = 0) -> ProjLine:
+def conjugate_line(inv: Involution, d: ProjLine) -> ProjLine:
     """Conjugate of a pencil line under the involution.
 
     Computed by the ruler construction and cross-checked against the
-    algebraic involution on the pencil parameter.  `choice` rotates the
-    internal selection of auxiliary elements; every value yields the same
-    line.
+    algebraic involution on the pencil parameter.
     """
     _require_in_pencil(inv.carrier, d)
     algebraic = _algebraic_conjugate(inv, d)
     if d == inv.pair_a[0] or d == inv.pair_a[1] or d == inv.pair_b[0] or d == inv.pair_b[1]:
         return algebraic
-    ruler = _ruler_conjugate(inv, d, choice)
+    ruler = _ruler_conjugate(inv, d, point_on_line(d, inv.carrier))
     if ruler != algebraic:
         raise InvariantViolation(
             f"ruler construction {brief(ruler)} disagrees with "
             f"the algebraic conjugate {brief(algebraic)}"
         )
     return ruler
-

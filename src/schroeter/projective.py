@@ -144,28 +144,14 @@ def all_collinear(points) -> bool:
     return all(incident(p, line) for p in distinct[2:])
 
 
-def points_on_line(line: ProjLine):
-    """Yield distinct canonical points on the line, small coordinates first."""
+def point_on_line(line: ProjLine, other: ProjPoint) -> ProjPoint:
+    """The first of the line's meets with x = 0, y = 0 and z = 0 that
+    differs from `other`.  At least two of the meets are distinct points:
+    the line is at most one of the three coordinate lines, and no point
+    lies on all three."""
     u, v, w = line.coeffs
-    base = [(0, w, -v), (w, 0, -u), (v, -u, 0)]
-    seen: list[ProjPoint] = []
-    for t in base:
-        if any(t):
-            p = ProjPoint(t)
-            if p not in seen:
-                seen.append(p)
-                yield p
-    b1, b2 = seen[0].coords, seen[1].coords
-    k = 1
-    while True:
-        for lam, mu in ((1, k), (k, 1), (1, -k), (-k, 1)):
-            t = tuple(lam * a + mu * b for a, b in zip(b1, b2))
-            if any(t):
-                p = ProjPoint(t)
-                if p not in seen:
-                    seen.append(p)
-                    yield p
-        k += 1
+    meets = (ProjPoint(t) for t in ((0, w, -v), (w, 0, -u), (v, -u, 0)) if any(t))
+    return next(p for p in meets if p != other)
 
 
 def span_coordinates(v, b1, b2) -> tuple[int, int]:

@@ -14,15 +14,14 @@ import re
 from fractions import Fraction
 from functools import wraps
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import TYPE_CHECKING
 
 from .cubic import Cubic
 from .engine import Attempt, ConstructionState, Generation, PointPair, SeedConfig, validate_seed
 from .errors import InvariantViolation, SeedFormatError, brief, digit_limit, lifted_digit_limit
 from .projective import ProjPoint
 
-if TYPE_CHECKING:  # imported where a curve is read, so that a seed without one never loads it
-    from .weierstrass import WeierstrassCurve
+# The annotations' WeierstrassCurve is weierstrass's, imported only where a
+# curve is read, so that a seed without one never loads that module.
 
 
 def _lifted(fn):

@@ -79,9 +79,9 @@ class _Canvas:
             f'stroke="{stroke}" stroke-width="{width}"/>'
         )
 
-    def text(self, x, y, message, fill="#555"):
+    def text(self, x, y, message):
         self.parts.append(
-            f'<text x="{x}" y="{y}" font-family="monospace" font-size="11" fill="{fill}">'
+            f'<text x="{x}" y="{y}" font-family="monospace" font-size="11" fill="#555">'
             f"{message}</text>"
         )
 

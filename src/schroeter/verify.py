@@ -16,9 +16,10 @@ for its second.  A skipped suite's row is named "suite", and center's
 row when it finds no chart base "chart base".  center checks each point
 with x != 0 other than the chart base and its conjugate.
 
-pair-tangents and chords share each pair's tangent meet, which
-run_suites may compute in a second process while the other suites run.
-The output does not depend on it (see run_suites).
+The suites run, and their checks are reported, in SUITES order.
+pair-tangents and chords, which come last, share each pair's tangent
+meet, which run_suites may compute in a second process while the suites
+before them run.  The output does not depend on it (see run_suites).
 
 The verify report (`VerificationReport.to_json`, format_version 3) names
 each suite once: each suite that ran is a key beside `format_version`,
@@ -56,10 +57,13 @@ from .weierstrass import (
     to_abc_chart,
 )
 
-SUITES = ("chasles", "pair-tangents", "tangents", "chords", "lines", "center")
+# The order in which run_suites runs the suites and reports their checks.
+# pair-tangents and chords, which read the pairs' tangent meets, come last,
+# so that a worker can compute the meets while the others run.
+SUITES = ("chasles", "tangents", "lines", "center", "pair-tangents", "chords")
 
-# Checks with a pass/fail verdict after which tangents, chords, lines and
-# center start no further unit (see _run).  A unit of tangents is a pair's
+# Checks with a pass/fail verdict after which tangents, lines, center and
+# chords start no further unit (see _run).  A unit of tangents is a pair's
 # two contact points, so it can reach 121; elsewhere a unit is one check.
 # chasles and pair-tangents are uncapped and cover every pair.
 LIMIT = 120
@@ -314,15 +318,13 @@ def run_suites(
     suites=("all",),
     curve: WeierstrassCurve | None = None,
 ) -> VerificationReport:
-    """Run the selected verification suites over a construction state.
+    """Run the selected verification suites over a construction state, one
+    after another in SUITES order.
 
     The pairs' tangent meets may be computed in a forked worker (see
-    _forked) while chasles, tangents, lines and center run; pair-tangents
-    and chords, which read them, then run last.  The output does not
-    depend on it: the rows and suites are in SUITES order; when suites
-    raise, the exception raised is that of the first of them in SUITES
-    order, as when the suites run one after another; and when the worker
-    fails, the meets are computed in this process."""
+    _forked) while the suites before pair-tangents and chords run; the
+    first of those two to run reads them all.  The output does not depend
+    on it: when the worker fails, the meets are computed in this process."""
     wanted = wanted_suites(suites)
     report = VerificationReport([], [])
     cubic = curve.cubic if curve is not None else state.curve
@@ -336,44 +338,33 @@ def run_suites(
         return memo[pair]
 
     no_cubic, no_curve = "no unique curve available", "needs a Weierstrass model"
-    # (suite, function, model, detail when the model is missing; chasles
+    # suite -> (function, model, detail when the model is missing; chasles
     # needs none), built at each call so that a wrapper installed on a suite
     # function is the one run
-    runs = []
-    for suite, run_suite, model, missing in (
-        ("chasles", _suite_chasles, None, ""),
-        ("pair-tangents", _suite_pair_tangents, cubic, no_cubic),
-        ("tangents", _suite_tangents, cubic, no_cubic),
-        ("chords", _suite_chords, curve, no_curve),
-        ("lines", _suite_lines, cubic, no_cubic),
-        ("center", _suite_center, curve, no_curve),
-    ):
-        if suite not in wanted:
-            continue
-        report.suites.append(suite)
-        if model is None and missing:
-            report.results.append(CheckResult(suite, "suite", "skipped", missing))
-        else:
-            runs.append((suite, run_suite, model))
-    # the suites that read the meets run last, after the worker's meets
-    deferred = {suite for suite, _, _ in runs} & {"pair-tangents", "chords"}
-    raised = {}  # SUITES index -> the exception that suite raised
+    table = {
+        "chasles": (_suite_chasles, None, ""),
+        "tangents": (_suite_tangents, cubic, no_cubic),
+        "lines": (_suite_lines, cubic, no_cubic),
+        "center": (_suite_center, curve, no_curve),
+        "pair-tangents": (_suite_pair_tangents, cubic, no_cubic),
+        "chords": (_suite_chords, curve, no_curve),
+    }
+    runs = [(suite, *table[suite]) for suite in SUITES if suite in wanted]
+    # the suites that read the meets and have their model
+    readers = {"pair-tangents", "chords"}.intersection(
+        suite for suite, _, model, _ in runs if model is not None
+    )
     with (
         _forked(lambda: [tangent_meet(cubic, *pair.points) for pair in state.pairs])
-        if deferred else nullcontext()
+        if readers else nullcontext()
     ) as meets:
-        for suite, run_suite, model in sorted(runs, key=lambda run: run[0] in deferred):
-            position = SUITES.index(suite)
-            if raised and position > min(raised):
-                continue  # one after another, the suites would stop there
-            if suite in deferred and meets:
+        for suite, run_suite, model, missing in runs:
+            report.suites.append(suite)
+            if model is None and missing:
+                report.results.append(CheckResult(suite, "suite", "skipped", missing))
+                continue
+            if suite in readers and meets:
                 memo.update(zip(state.pairs, meets() or ()))
                 meets = None
-            try:
-                run_suite(state, report, model, meet)
-            except Exception as exc:  # re-raised below, in SUITES order
-                raised[position] = exc
-    if raised:
-        raise raised[min(raised)]
-    report.results.sort(key=lambda r: SUITES.index(r.suite))
+            run_suite(state, report, model, meet)
     return report

@@ -182,16 +182,14 @@ def seed_from_curve(
     a: ProjPoint,
     b: ProjPoint,
     c: ProjPoint,
-    *,
-    allow_quadrilateral: bool = False,
 ) -> SeedConfig:
     """Seed the construction from three curve points and their conjugates.
 
     Pairing each point with P + T guarantees the tangent-meet property the
     construction requires; the resulting six points still must pass the
     usual seed validation.  Seeds drawn from small torsion subgroups can
-    form a complete quadrilateral and are rejected unless explicitly
-    allowed (they reproduce only themselves).
+    form a complete quadrilateral and are rejected (they reproduce only
+    themselves).
     """
     points = (a, b, c)
     if len(set(points)) != 3:
@@ -200,4 +198,4 @@ def seed_from_curve(
     for p in points:
         curve.require(p)
         pairs.append(PointPair.of(p, conjugate_point(curve, p)))
-    return validate_seed(*pairs, allow_quadrilateral=allow_quadrilateral)
+    return validate_seed(*pairs)

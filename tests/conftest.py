@@ -13,7 +13,7 @@ from schroeter.engine import PointPair, SeedConfig, run, validate_seed
 from schroeter.errors import SchroeterError
 from schroeter.projective import ProjPoint
 from schroeter.verify import run_suites
-from schroeter.weierstrass import WeierstrassCurve, add, seed_from_curve
+from schroeter.weierstrass import WeierstrassCurve, add, conjugate_point, seed_from_curve
 
 from oracles import bootstrap_seed
 
@@ -176,11 +176,9 @@ def verified(curve12, curve12_seed, curve54, torsion_seed_full, golden_frame_see
 @pytest.fixture(scope="session")
 def torsion_seed_quadrilateral(curve54) -> SeedConfig:
     """The 2x4-torsion seed; a complete quadrilateral, forced past validation."""
-    return seed_from_curve(
-        curve54,
-        ProjPoint.affine(2, 6),
-        ProjPoint.affine(-2, 2),
-        ProjPoint.affine(-1, 0),
+    points = (ProjPoint.affine(2, 6), ProjPoint.affine(-2, 2), ProjPoint.affine(-1, 0))
+    return validate_seed(
+        *(PointPair.of(p, conjugate_point(curve54, p)) for p in points),
         allow_quadrilateral=True,
     )
 

@@ -31,7 +31,6 @@ from schroeter.errors import (
 from schroeter.involution import Involution, _pencil_param, _require_in_pencil
 from schroeter.projective import ProjLine, ProjPoint, incident, join, meet, span_coordinates
 from schroeter.serialize import pair_from_json, rat_from_str
-from schroeter.verify import SUITES
 from schroeter.weierstrass import (
     NEUTRAL,
     TWO_TORSION,
@@ -549,6 +548,9 @@ def expand_provenance(report: dict) -> list[engine.Attempt]:
     return rows
 
 
+# The suites in the order in which the verify reports before format_version
+# 2 listed their checks
+COORDINATE_ORDER = ("chasles", "pair-tangents", "tangents", "chords", "lines", "center")
 _COORDINATE_NAMES = {
     "pair-tangents": "tangential points of ",
     "chords": "chord through ",
@@ -564,7 +566,7 @@ def coordinate_named(state: ConstructionState, report: dict) -> dict:
     an object {suite, name, status, detail}, and no `format_version`.  The
     report read is of `format_version` 3, where each suite that ran is a
     key holding its rows [name, status, detail]; the checks are rebuilt
-    suite by suite in `SUITES` order, the order in which they ran.
+    suite by suite in COORDINATE_ORDER, the order those reports had.
 
     The points' coordinates are written "x:y:z" and joined by "|".  A
     chasles check was "hexagon " and its three pairs' texts, each cut by
@@ -590,7 +592,7 @@ def coordinate_named(state: ConstructionState, report: dict) -> dict:
 
     checks = [
         {"suite": suite, "name": name(suite, indices), "status": status, "detail": detail}
-        for suite in SUITES if suite in report
+        for suite in COORDINATE_ORDER if suite in report
         for indices, status, detail in report[suite]
     ]
     return {"checks": checks, "counts": report["counts"], "ok": report["ok"]}

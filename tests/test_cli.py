@@ -49,6 +49,19 @@ class TestSeedFromCurve:
     def test_point_off_curve(self, capsys):
         assert main(["seed-from-curve", "--a", "1", "--b", "2", "--points", "1,3;2,4;1,2"]) == 1
 
+    @pytest.mark.parametrize(
+        "points, error",
+        [("1,2;;2,4", "need exactly three points, got 2"), ("1,2;1,2;2,4", "pairwise distinct")],
+    )
+    def test_bad_points(self, capsys, points, error):
+        # an empty chunk is skipped, so the first names two points
+        assert main(["seed-from-curve", "--a", "1", "--b", "2", "--points", points]) == 1
+        assert error in capsys.readouterr().err
+
+    def test_prints_the_seed_without_out(self, torsion_seed_file, capsys):
+        assert main(["seed-from-curve", *TORSION_ARGS]) == 0
+        assert capsys.readouterr().out == torsion_seed_file.read_text()
+
     def test_quadrilateral_rejected(self):
         assert main(["seed-from-curve", "--a", "5", "--b", "4", "--points", "2,6;-2,2;-1,0"]) == 1
 
@@ -148,8 +161,12 @@ class TestConstruct:
         bad.write_text("{not json")
         assert main(["construct", "--seed", str(bad)]) == 1
 
-    def test_missing_seed(self, tmp_path):
+    def test_missing_seed(self, tmp_path, capsys):
         assert main(["construct", "--seed", str(tmp_path / "nope.json")]) == 1
+        # a directory exists, and opening it is an OSError
+        assert main(["construct", "--seed", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_seed_dir_lookup(self, torsion_seed_file, tmp_path, monkeypatch, capsys):
         # from an empty directory the bare name resolves only through the variable
@@ -183,11 +200,17 @@ class TestFit:
         path.write_text(json.dumps(pts))
         assert main(["fit", "--points", str(path)]) == 2
 
-    def test_wrong_count(self, tmp_path):
-        pts = [[str(t), str(t ** 3)] for t in range(8)]
+    def test_wrong_count(self, tmp_path, capsys):
+        """Eight points, nine with one repeated, or no list at all."""
         path = tmp_path / "pts.json"
-        path.write_text(json.dumps(pts))
-        assert main(["fit", "--points", str(path)]) == 1
+        for content, error in (
+            ([[str(t), str(t ** 3)] for t in range(8)], "need exactly 9 points, got 8"),
+            ([[str(t), str(t ** 3)] for t in (0, *range(8))], "pairwise distinct"),
+            ({"points": []}, "must be a JSON array"),
+        ):
+            path.write_text(json.dumps(content))
+            assert main(["fit", "--points", str(path)]) == 1
+            assert error in capsys.readouterr().err
 
 
 class TestVerify:
@@ -195,6 +218,10 @@ class TestVerify:
         assert main(["verify", "--seed", str(torsion_seed_file)]) == 0
         out = capsys.readouterr().out
         assert "fail=" not in out
+
+    def test_needs_seed_or_report(self, capsys):
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().err == "error: verify needs --seed or --report\n"
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
     def test_one_cpu_writes_the_same_report(self, tmp_path):
@@ -421,7 +448,10 @@ _BOOTSTRAP = {
       "stats": [{**_BOOTSTRAP, "skipped": {"DegenerateLines": 0, "SharedPoint": -1}}]},
      {**_seed_only_report(0), "pairs": 5}, {**_seed_only_report(0), "curve_basis": 5},
      {**_seed_only_report(0), "curve": ["0"] * 10}, {**_seed_only_report(0), "seed": []},
-     {**_seed_only_report(0), "stats": [5]}, {**_seed_only_report(0), "closed": "no"}],
+     {**_seed_only_report(0), "stats": [5]}, {**_seed_only_report(0), "closed": "no"},
+     {**_seed_only_report(0), "labels": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     {**_seed_only_report(0), "provenance": [[3, 0, 1, "lost", 3]]},
+     {**_seed_only_report(0), "provenance": [[3, 0, 1, "new"]]}],
 )
 def test_malformed_report(tmp_path, capsys, command, content):
     report = tmp_path / "bad.json"
@@ -451,6 +481,12 @@ def test_earlier_layouts_are_not_read(torsion_seed_file, tmp_path, capsys, comma
     layout = "no format_version" if version is None else f"format_version {version}"
     assert err.startswith(f"error: this run report has {layout}; ")
     assert "regenerate the report from its seed" in err
+
+
+def test_bad_argument(capsys):
+    assert main(["construct"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "error: the following arguments are required: --seed" in err
 
 
 @pytest.mark.parametrize(

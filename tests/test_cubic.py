@@ -104,6 +104,12 @@ class TestFit:
         with pytest.raises(AmbiguousFit):
             fit_cubic_9(pts)
 
+    def test_wrong_counts_rejected(self):
+        with pytest.raises(ValueError, match="exactly 10 coefficients"):
+            Cubic.of(TWISTED.coeffs[:9])
+        with pytest.raises(ValueError, match="exactly 9 points, got 8"):
+            fit_cubic_9([ProjPoint.of(t, t ** 3, 1) for t in range(8)])
+
     def test_conic_points_ambiguous(self):
         pts = [ProjPoint.of(t * t, t, 1) for t in range(-4, 5)]
         with pytest.raises(AmbiguousFit):

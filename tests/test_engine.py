@@ -260,7 +260,7 @@ class TestCombine:
                 call()
             messages.append(str(exc.value))
         with monkeypatch.context() as patch:
-            patch.setattr(involution, "_ruler_conjugate", lambda inv, d, choice: line)
+            patch.setattr(involution, "_ruler_conjugate", lambda inv, d, base: line)
             with pytest.raises(InvariantViolation) as exc:
                 conjugate_line(pencil, ProjLine((1, 2, 0)))
             messages.append(str(exc.value))

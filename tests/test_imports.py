@@ -3,7 +3,8 @@ no module of the package imports `dataclasses` or `inspect` or a private
 name of `engine`, the package root loads no module of the package, each
 command loads exactly the package modules it runs, every top-level
 definition, method and property of the package is used by the package
-itself, and every function of the package reads each of its parameters.
+itself, every function of the package reads each of its parameters, and
+each parameter with a default is passed by some call in the package.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.
 `__future__` imports are not names.  A definition that only the tests use
@@ -346,6 +347,78 @@ def test_guard_sees_an_unread_parameter():
     assert unread_parameters(source) == [
         "run(scheduler_seed) (line 1)", "run(options) (line 1)", "circle(self) (line 10)",
     ]
+
+
+# Defaulted parameters that code outside the package passes: the console
+# script calls `cli.main()` bare, and tests and the benchmark pass it argv.
+PASSED_FROM_OUTSIDE = {"main(argv)"}
+
+
+def unpassed_defaults(package: Path, exempt=PASSED_FROM_OUTSIDE) -> dict[str, list[str]]:
+    """Per module of `package` (`__init__.py` aside), the parameters with a
+    default that no call in those modules passes, as "function(parameter)
+    (line n)", a method named "Class.method": a default that only the tests
+    override is a knob for the tests.  A call passes a parameter by keyword
+    or by position, a call of a method passing `self` first; calls are
+    matched to functions by name.  The "function(parameter)" names in
+    `exempt` are exempt."""
+    trees = parse_modules(package)
+    calls = {}  # function name -> (positional count, keyword names) per call
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                count = sum(not isinstance(arg, ast.Starred) for arg in node.args)
+                calls.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+    dead = {}
+    for module, tree in trees.items():
+        owner = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body}
+        found = []
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args, is_method = node.args, id(node) in owner
+            positional = [*args.posonlyargs, *args.args]
+            defaulted = list(enumerate(positional))[len(positional) - len(args.defaults):]
+            defaulted += [(None, p) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            name = f"{owner[id(node)]}.{node.name}" if is_method else node.name
+            found += [
+                f"{name}({p.arg}) (line {node.lineno})"
+                for index, p in defaulted
+                if f"{name}({p.arg})" not in exempt
+                and not any(
+                    p.arg in keywords or (index is not None and count + is_method > index)
+                    for count, keywords in calls.get(node.name, ())
+                )
+            ]
+        if found:
+            dead[module] = found
+    return dead
+
+
+def test_no_test_only_keywords():
+    assert unpassed_defaults(PACKAGE) == {}
+
+
+def test_guard_sees_a_test_only_keyword(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "geometry.py").write_text(
+        "def run(seed, max_points=512, *, choice=0, curve=None):\n    return seed\n\n\n"
+        "class Canvas:\n"
+        "    def text(self, x, message, fill='#555'):\n        return x\n\n"
+        "    def circle(self, x, r=1, fill='#000'):\n        return x\n"
+    )
+    (package / "cli.py").write_text(
+        "from .geometry import Canvas, run\n\n\n"
+        "def main(argv=None):\n    run(0, 64, curve=argv)\n\n\n"
+        "Canvas().text(0, 'hi')\nCanvas().circle(0, 2, '#fff')\nmain()\n"
+    )
+    (package / "__init__.py").write_text("from .geometry import run\n\nrun(0, choice=1)\n")
+    assert unpassed_defaults(package) == {
+        "geometry.py": ["run(choice) (line 1)", "Canvas.text(fill) (line 6)"],
+    }
+    assert unpassed_defaults(package, exempt=set())["cli.py"] == ["main(argv) (line 4)"]
 
 
 def test_oracles_are_not_in_the_package():

@@ -20,7 +20,7 @@ from schroeter.involution import (
     _ruler_conjugate,
     conjugate_line,
 )
-from schroeter.projective import ProjLine, ProjPoint, incident, join
+from schroeter.projective import ProjLine, ProjPoint, incident, join, point_on_line
 
 from oracles import (
     ForbiddenCarrier,
@@ -65,12 +65,6 @@ class TestConjugateLine:
             dbar = conjugate_line(negative_reciprocal, d)
             assert conjugate_line(negative_reciprocal, dbar) == d
 
-    def test_choice_independence(self, negative_reciprocal):
-        d = slope_line(Fraction(5, 3))
-        reference = conjugate_line(negative_reciprocal, d, choice=0)
-        for choice in range(1, 8):
-            assert conjugate_line(negative_reciprocal, d, choice=choice) == reference
-
     def test_not_in_pencil(self, negative_reciprocal):
         with pytest.raises(NotInPencil):
             conjugate_line(negative_reciprocal, ProjLine.of(1, 0, -1))
@@ -93,7 +87,6 @@ class TestConjugateLine:
             d = lines[4]
             dbar = conjugate_line(inv, d)
             assert conjugate_line(inv, dbar) == d
-            assert conjugate_line(inv, d, choice=3) == dbar
             built += 1
 
 
@@ -102,17 +95,22 @@ _SMALL_POINT = st.tuples(*[st.integers(-3, 3)] * 3).filter(any).map(ProjPoint)
 
 class TestRulerConstruction:
     """`_ruler_conjugate` draws one configuration, which its docstring proves
-    never degenerates."""
+    never degenerates, and its line does not depend on the base point X."""
 
     @given(_SMALL_POINT, st.lists(_SMALL_POINT, min_size=5, max_size=5, unique=True))
-    def test_every_choice_gives_the_algebraic_conjugate(self, carrier, others):
+    def test_every_base_gives_the_algebraic_conjugate(self, carrier, others):
         assume(carrier not in others)
         a, abar, b, bbar, d = lines = [join(carrier, p) for p in others]
         assume(len(set(lines)) == 5)
         inv = Involution(carrier, (a, abar), (b, bbar))
         expected = _algebraic_conjugate(inv, d)
-        for choice in range(8):
-            assert _ruler_conjugate(inv, d, choice) == expected
+        # X + kC for three k: the point X of d that `conjugate_line` takes
+        # (k = 0), and two more points of d other than the carrier C
+        x, c = point_on_line(d, carrier).coords, carrier.coords
+        bases = {ProjPoint(tuple(u + k * v for u, v in zip(x, c))) for k in (0, 1, -2)}
+        assert len(bases) == 3 and carrier not in bases
+        for base in bases:
+            assert _ruler_conjugate(inv, d, base) == expected
 
     def test_no_line_holds_more_than_seven_pool_points(self):
         # so at least 9 pool points lie off d, and they span two lines through the base

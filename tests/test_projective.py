@@ -13,11 +13,12 @@ from schroeter.errors import (
 from schroeter.projective import (
     ProjLine,
     ProjPoint,
+    all_collinear,
     collinear,
     incident,
     join,
     meet,
-    points_on_line,
+    span_coordinates,
 )
 
 from oracles import INFINITY, NotCollinear, NotConcurrent, cross_ratio_lines, cross_ratio_points
@@ -46,6 +47,11 @@ class TestCanonicalForm:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             ProjPoint((0, 0, 0))
+
+    def test_span_coordinates(self):
+        assert span_coordinates((3, 5, 0), (1, 0, 0), (0, 1, 0)) == (3, 5)
+        with pytest.raises(ValueError, match="proportional"):
+            span_coordinates((3, 5, 0), (1, 0, 0), (-2, 0, 0))
 
 
 class TestJoinMeet:
@@ -86,9 +92,12 @@ class TestJoinMeet:
 class TestCollinear:
     def test_on_axis(self):
         assert collinear(ProjPoint.of(0, 0, 1), ProjPoint.of(1, 0, 1), ProjPoint.of(2, 0, 1))
+        # two distinct points, however often repeated, lie on their join
+        assert all_collinear([ProjPoint.of(0, 0, 1), ProjPoint.of(1, 1, 1), ProjPoint.of(0, 0, 1)])
 
     def test_not_collinear(self):
         assert not collinear(ProjPoint.of(0, 0, 1), ProjPoint.of(1, 0, 1), ProjPoint.of(1, 1, 1))
+        assert not all_collinear([ProjPoint.of(0, 0, 1), ProjPoint.of(1, 0, 1), ProjPoint.of(1, 1, 1)])
 
     def test_slope_two(self):
         assert collinear(ProjPoint.of(1, 2, 1), ProjPoint.of(2, 4, 1), ProjPoint.of(0, 0, 1))
@@ -169,8 +178,10 @@ class TestCrossRatioLines:
                     others.append(q)
             lines = [join(carrier, q) for q in others]
             expected = cross_ratio_lines(*lines)
+            # points of the line through others[0] and others[1]
+            p0, p1 = others[0].coords, others[1].coords
             found = 0
-            for pt in points_on_line(join(others[0], others[1])):
+            for pt in (ProjPoint(tuple(u + k * v for u, v in zip(p0, p1))) for k in range(8)):
                 if found == 2:
                     break
                 for shift in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 1, 1)):
@@ -184,6 +195,7 @@ class TestCrossRatioLines:
                     assert cross_ratio_points(*hits) == expected
                     found += 1
                     break
+            assert found == 2
 
 
 class TestHomography:

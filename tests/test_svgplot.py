@@ -12,7 +12,7 @@ import schroeter
 from schroeter import svgplot
 from schroeter.cli import main
 from schroeter.cubic import Cubic, tangent_at
-from schroeter.engine import run
+from schroeter.engine import PointPair, run
 from schroeter.projective import ProjPoint
 from schroeter.svgplot import _roots_in, render_svg
 from schroeter.weierstrass import WeierstrassCurve
@@ -52,6 +52,17 @@ def test_tangent_segments_are_those_of_the_canonical_line(monkeypatch):
     assert len(raw) > len(cases) and any("-0.00" in part for part in raw)
     monkeypatch.setattr(svgplot, "gradient", lambda form, t: tangent_at(form, ProjPoint(t)).coeffs)
     assert draw() == raw
+
+
+def test_points_that_cannot_be_drawn(capsys):
+    """A point whose x / z lies beyond float range is not drawn, like a
+    point at infinity; with no point drawn, the view is the default one."""
+    far = PointPair.of(ProjPoint((10**400, 1, 1)), ProjPoint.affine(1, 2))
+    assert "1 point(s) outside the view or at infinity" in render_svg([far])
+    assert capsys.readouterr().err == "plot: 1 point(s) not drawn\n"
+    infinite = PointPair.of(ProjPoint.of(1, 0, 0), ProjPoint.of(0, 1, 0))
+    assert svgplot._viewport([svgplot._finite_xy(p) for p in infinite.points]) == (-5.0, 5.0, -5.0, 5.0)
+    assert "2 point(s) outside the view or at infinity" in render_svg([infinite])
 
 
 def test_no_tangent_off_the_cubic_or_at_a_singular_point():

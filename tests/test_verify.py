@@ -92,8 +92,8 @@ def test_group_law_suites_skipped_without_a_model(golden_frame_seed):
     report = run_suites(state)
     skipped = [(r.suite, r.name, r.detail) for r in report.results if r.status == "skipped"]
     assert skipped == [
-        ("chords", "suite", "needs a Weierstrass model"),
         ("center", "suite", "needs a Weierstrass model"),
+        ("chords", "suite", "needs a Weierstrass model"),
     ]
     assert report.ok
 
@@ -175,12 +175,12 @@ def test_swapped_partners_fail_the_tangent_suites(curve12, curve12_seed):
     report = run_suites(SimpleNamespace(pairs=pairs), suites=("pair-tangents", "tangents"), curve=curve12)
     fails = [(r.suite, r.name) for r in report.results if r.status == "fail"]
     assert fails == [
-        ("pair-tangents", "pair 5"),
-        ("pair-tangents", "pair 6"),
         ("tangents", "pair 5 point 0"),
         ("tangents", "pair 5 point 1"),
         ("tangents", "pair 6 point 0"),
         ("tangents", "pair 6 point 1"),
+        ("pair-tangents", "pair 5"),
+        ("pair-tangents", "pair 6"),
     ]
 
 
@@ -440,33 +440,33 @@ def _raising(name, order):
 
 @pytest.mark.parametrize("worker", [True, False])
 def test_the_first_raising_suite_in_serial_order_is_raised(monkeypatch, request, curve54, torsion_seed_full, worker):
-    """chords comes before lines in SUITES, so its error is the one raised,
-    although lines runs first, before the suites that read the meets."""
+    """lines comes before chords in SUITES, so its error is the one raised
+    and chords never starts, whether or not a worker computes the meets."""
     request.getfixturevalue("forks" if worker and hasattr(os, "fork") else "in_process")
     state = run(torsion_seed_full, curve=curve54.cubic)
     order = []
     monkeypatch.setattr(verify, "chord_tangency_check", _raising("chords", order))
     monkeypatch.setattr(verify, "conjugate_lines_check", _raising("lines", order))
-    with pytest.raises(NotCollinear, match="chords raised"):
+    with pytest.raises(NotCollinear, match="lines raised"):
         run_suites(state, curve=curve54)
-    assert order == ["lines", "chords"]
+    assert order == ["lines"]
 
 
 def test_each_suite_records_its_rows_inside_its_own_call(monkeypatch, curve54, torsion_seed_full):
     """A wrapper installed on `verify._suite_<name>`, as the benchmark's
-    tracer installs one, is what `run_suites` calls, once per suite and with
-    (state, report, model, meet), and the suite appends all its rows within
-    that call."""
+    tracer installs one, is what `run_suites` calls, once per suite, in
+    SUITES order and with (state, report, model, meet), and the suite
+    appends all its rows within that call."""
     state = run(torsion_seed_full, curve=curve54.cubic)
     per_suite = dict(Counter(r.suite for r in run_suites(state, curve=curve54).results))
-    assert set(per_suite) == set(verify.SUITES)
-    calls, rows = Counter(), Counter()
+    assert list(per_suite) == list(verify.SUITES)
+    calls, rows = [], Counter()
 
     def wrapping(suite, function):
         def wrapper(state, report, model, meet):
             before = len(report.results)
             result = function(state, report, model, meet)
-            calls[suite] += 1
+            calls.append(suite)
             rows[suite] += len(report.results) - before
             return result
 
@@ -476,7 +476,7 @@ def test_each_suite_records_its_rows_inside_its_own_call(monkeypatch, curve54, t
         name = "_suite_" + suite.replace("-", "_")
         monkeypatch.setattr(verify, name, wrapping(suite, getattr(verify, name)))
     run_suites(state, curve=curve54)
-    assert calls == Counter(verify.SUITES)
+    assert calls == list(verify.SUITES)
     assert dict(rows) == per_suite
 
 

@@ -248,9 +248,8 @@ class TestSeedFromCurve:
         got = {frozenset(p.points) for p in curve12_seed.pairs}
         assert got == expected
 
-    def test_torsion_conjugates(self, curve54):
-        seed = seed_from_curve(curve54, pt(2, 6), pt(-2, 2), pt(-1, 0), allow_quadrilateral=True)
-        got = {frozenset(p.points) for p in seed.pairs}
+    def test_torsion_conjugates(self, torsion_seed_quadrilateral):
+        got = {frozenset(p.points) for p in torsion_seed_quadrilateral.pairs}
         assert got == {
             frozenset({pt(2, 6), pt(2, -6)}),
             frozenset({pt(-2, 2), pt(-2, -2)}),
