@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from .cubic import (
     Cubic,
-    _chord_coefficients,
     _eval_triple,
     chord_third,
     evaluate,
@@ -44,10 +43,12 @@ def _dot(u, v) -> int:
 _PRIME = 2**61 - 1
 
 
-def tangent_meet(cubic: Cubic, p: ProjPoint, pbar: ProjPoint) -> Triple | None:
+def tangent_meet(cubic: Cubic, p: ProjPoint, pbar: ProjPoint) -> tuple[Triple, Triple, Triple] | None:
     """The meet m of the tangents at p and pbar as a raw triple, when m is a
     point of the cubic and neither tangent is a component of it: m is then
-    the tangential point of both, at some scale.  None decides nothing.
+    the tangential point of both, at some scale.  It is returned with the
+    gradients at p and pbar, which chord_collinearity reuses.  None decides
+    nothing.
 
     With dF the gradient, F(lam*p + mu*m) = lam^3 F(p) + lam^2 mu dF(p).m
     + lam mu^2 dF(m).p + mu^3 F(m).  When p and m are on the cubic and m is
@@ -67,7 +68,30 @@ def tangent_meet(cubic: Cubic, p: ProjPoint, pbar: ProjPoint) -> Triple | None:
     for q in (p.coords, pbar.coords):
         if not _dot(gm, [c % _PRIME for c in q]) % _PRIME and not _dot(gradient(cubic, m), q):
             return None
-    return m
+    return m, gp, gpbar
+
+
+def chord_collinearity(a: ProjPoint, abar: ProjPoint, meet) -> bool:
+    """chords' fast test, given the pair's tangent_meet result: True proves
+    the chord claim of chord_tangency_check for a Weierstrass cubic, and
+    False decides nothing.
+
+    The chord's coefficients (c3, c2, c1, c0), those of F(lam*a + mu*abar)
+    as a binary cubic, are c2 = dF(a).abar and c1 = dF(abar).a, and
+    c3 = c0 = 0 by tangent_meet's Euler tests.  The chord's third point b
+    is then the raw triple c1*a - c2*abar: it is neither a nor abar exactly
+    when c1*c2 != 0, and it is T = (0 : 0 : 1) exactly when b0 = b1 = 0.
+    With n the negated meet, the claim holds when b != T, n != T, b != n
+    and det(b, T, n) = 0.  b != n is decided modulo _PRIME: a nonzero
+    residue of either cross term proves it."""
+    m, ga, gabar = meet
+    c2, c1 = _dot(ga, abar.coords), _dot(gabar, a.coords)
+    b0, b1, b2 = (c1 * p - c2 * q for p, q in zip(a.coords, abar.coords))
+    n0, n1, n2 = m[0], -m[1], m[2]
+    if not (c1 and c2 and (b0 or b1) and (n0 or n1) and b0 * n1 == b1 * n0):
+        return False
+    r0, r1, r2, m0, m1, m2 = (c % _PRIME for c in (b0, b1, b2, n0, n1, n2))
+    return bool((r0 * m2 - r2 * m0) % _PRIME or (r1 * m2 - r2 * m1) % _PRIME)
 
 
 # The opposite sides of the hexagon (a, b, c, abar, bbar, cbar): the two
@@ -159,9 +183,7 @@ def tangent_by_involution(
     return conjugate_line(_pair_involution(contact, p_pair, q_pair), join(contact, sbar))
 
 
-def chord_tangency_check(
-    curve: WeierstrassCurve, a: ProjPoint, abar: ProjPoint, tangential: Triple | None = None
-) -> bool:
+def chord_tangency_check(curve: WeierstrassCurve, a: ProjPoint, abar: ProjPoint) -> bool:
     """The chord through a pair meets the cubic again at b = -(2a + T), whose
     conjugate -2a is the tangential point of a.  This holds exactly when
     abar = a + T, so that premise is tested only when the identity fails.
@@ -171,28 +193,9 @@ def chord_tangency_check(
     by construction: the tangential point is, and a Weierstrass form is
     even in y.  When b, T and n are distinct the identity is then one
     collinearity: a line meets the smooth cubic in three points, so n on
-    the line bT is b.T.
-
-    `tangential` is the pair's tangent meet from tangent_meet, if known:
-    the tangential point of a at some scale.  The identity then passes
-    without tangent_third when b != T, n != T, b != n and det(b, T, n) = 0;
-    any other case is decided as without it.  That fast path takes b as the
-    raw triple c1*a - c2*abar, with (c3, c2, c1, c0) the chord's
-    coefficients: b is neither a nor abar exactly when c1*c2 != 0, and b is
-    T = (0 : 0 : 1) exactly when b0 = b1 = 0.  b != n is decided modulo
-    _PRIME: a nonzero residue of either cross term proves it, and zero
-    residues leave the decision to the full computation.  The canonical
-    chord_third runs only when the fast path decides nothing."""
+    the line bT is b.T.  chord_collinearity decides the same collinearity
+    from the pair's tangent meet."""
     cubic = curve.cubic
-    if tangential is not None:
-        c3, c2, c1, c0 = _chord_coefficients(cubic, a.coords, abar.coords)
-        if not (c3 or c0) and c1 and c2:
-            b0, b1, b2 = (c1 * p - c2 * q for p, q in zip(a.coords, abar.coords))
-            n0, n1, n2 = tangential[0], -tangential[1], tangential[2]
-            if (b0 or b1) and (n0 or n1) and b0 * n1 == b1 * n0:
-                r0, r1, r2, m0, m1, m2 = (c % _PRIME for c in (b0, b1, b2, n0, n1, n2))
-                if (r0 * m2 - r2 * m0) % _PRIME or (r1 * m2 - r2 * m1) % _PRIME:
-                    return True
     b = chord_third(cubic, a, abar)
     if b in (a, abar):
         raise TooDegenerate("tangent chord")

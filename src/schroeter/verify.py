@@ -3,9 +3,10 @@
 Each suite replays one family of claims against the emitted pairs.  It
 hands its checks, in units, to one runner (`_run`), which records each
 check's pass/fail/degenerate result and alone applies the limit rule.
-Every suite takes (state, report, model, meet): the model `run_suites`
-gives it, and the call's memo of each pair's tangent meet.  Suites that
-need a group law are skipped unless a Weierstrass model is supplied.
+Every suite takes (state, report, model, verdicts): the model `run_suites`
+gives it, and each pair's verdict byte (see _verdict), which only
+pair-tangents and chords read.  Suites that need a group law are skipped
+unless a Weierstrass model is supplied.
 
 A check is named by indices into the run's pairs, the indices that
 `construct --out` writes for the same seed and point cap: "row n: pairs
@@ -13,13 +14,16 @@ i, j, c" in chasles (the new row's ordinal, its two parents and the third
 side), "pair k" in pair-tangents and chords, and "pair k point m" in
 tangents, lines and center, m being 0 for the pair's first member and 1
 for its second.  A skipped suite's row is named "suite", and center's
-row when it finds no chart base "chart base".  center checks each point
-with x != 0 other than the chart base and its conjugate.
+row when it finds no chart base "chart base".  center checks both points
+of each pair but the chart base's whose points have x != 0, each with its
+partner in the run.
 
 The suites run, and their checks are reported, in SUITES order.
-pair-tangents and chords, which come last, share each pair's tangent
-meet, which run_suites may compute in a second process while the suites
-before them run.  The output does not depend on it (see run_suites).
+pair-tangents and chords, which come last, read each pair's verdict byte.
+A forked worker may compute the bytes from the first pair on while the
+suites before them run, and this process computes the rest from the last
+pair back.  The output does not depend on who computes which byte (see
+run_suites).
 
 The verify report (`VerificationReport.to_json`, format_version 3) names
 each suite once: each suite that ran is a key beside `format_version`,
@@ -30,14 +34,16 @@ the order they ran, or [] when it recorded none.
 from __future__ import annotations
 
 import os
+import signal
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import partial
 from itertools import islice
 from typing import NamedTuple
 
 from .checks import (
     chasles_check,
+    chord_collinearity,
     chord_tangency_check,
     conjugate_lines_check,
     tangent_by_involution,
@@ -51,16 +57,18 @@ from .weierstrass import (
     TWO_TORSION,
     WeierstrassCurve,
     add,
-    conjugate_point,
     involution_center_product,
     neg,
     to_abc_chart,
 )
 
 # The order in which run_suites runs the suites and reports their checks.
-# pair-tangents and chords, which read the pairs' tangent meets, come last,
-# so that a worker can compute the meets while the others run.
+# pair-tangents and chords, which read the pairs' verdict bytes, come last,
+# so that a worker can compute the bytes while the others run.
 SUITES = ("chasles", "tangents", "lines", "center", "pair-tangents", "chords")
+
+# The bits of a pair's verdict byte (see _verdict)
+MEETS, COLLINEAR = 1, 2
 
 # Checks with a pass/fail verdict after which tangents, lines, center and
 # chords start no further unit (see _run).  A unit of tangents is a pair's
@@ -139,7 +147,7 @@ def _run(report, suite, units, capped=True) -> None:
             return
 
 
-def _suite_chasles(state, report, model, meet):
+def _suite_chasles(state, report, model, verdicts):
     def units():
         pairs = state.pairs
         for n, i, j, status, _ in state.rows:
@@ -156,9 +164,9 @@ def _suite_chasles(state, report, model, meet):
     _run(report, "chasles", units(), capped=False)
 
 
-def _suite_pair_tangents(state, report, cubic, meet):
-    def tangential_points(pair):
-        if meet(pair) is not None:
+def _suite_pair_tangents(state, report, cubic, verdicts):
+    def tangential_points(k, pair):
+        if verdicts[k] & MEETS:
             return True
         t1 = tangent_third(cubic, pair.first)
         t2 = tangent_third(cubic, pair.second)
@@ -166,12 +174,12 @@ def _suite_pair_tangents(state, report, cubic, meet):
         return ok, "" if ok else f"{brief(t1)} vs {brief(t2)}"
 
     _run(report, "pair-tangents", (
-        [(f"pair {k}", partial(tangential_points, pair))]
+        [(f"pair {k}", partial(tangential_points, k, pair))]
         for k, pair in enumerate(state.pairs)
     ), capped=False)
 
 
-def _suite_tangents(state, report, cubic, meet):
+def _suite_tangents(state, report, cubic, verdicts):
     def ruler_tangent(s_pair, contact):
         p_pair, q_pair = islice((p for p in state.pairs if p is not s_pair), 2)
         ruler = tangent_by_involution(cubic, s_pair, p_pair, q_pair, contact)
@@ -185,24 +193,32 @@ def _suite_tangents(state, report, cubic, meet):
     ))
 
 
-def _suite_chords(state, report, curve: WeierstrassCurve, meet):
-    # the chord claim is about pairs {P, P + T} with the model's T; a run
-    # whose pair 0 differs by another point is not checked pair by pair
+def _paired_by_t(state, report, suite, curve: WeierstrassCurve) -> bool:
+    """Whether pair 0 differs by the model's T, by the group law; if not,
+    record one skipped row naming the difference.  The chord and center
+    claims are about pairs {P, P + T}, so a run paired by another point is
+    not checked pair by pair."""
     if state.pairs:
         p, pbar = state.pairs[0].points
         t = add(curve, pbar, neg(curve, p))
         if t != TWO_TORSION:
             detail = f"pair 0 differs by {brief(t)}, not by T = {brief(TWO_TORSION)}"
-            report.results.append(CheckResult("chords", "suite", "skipped", detail))
-            return
+            report.results.append(CheckResult(suite, "suite", "skipped", detail))
+            return False
+    return True
+
+
+def _suite_chords(state, report, curve: WeierstrassCurve, verdicts):
+    if not _paired_by_t(state, report, "chords", curve):
+        return
     _run(report, "chords", (
         [(f"pair {k}",
-          lambda pair=pair: chord_tangency_check(curve, *pair.points, tangential=meet(pair)))]
+          lambda k=k, pair=pair: bool(verdicts[k] & COLLINEAR) or chord_tangency_check(curve, *pair.points))]
         for k, pair in enumerate(state.pairs)
     ))
 
 
-def _suite_lines(state, report, cubic, meet):
+def _suite_lines(state, report, cubic, verdicts):
     def units():
         for k, r_pair in enumerate(state.pairs):
             # the pairs are disjoint, so the first three others miss r
@@ -215,10 +231,12 @@ def _suite_lines(state, report, cubic, meet):
     _run(report, "lines", units())
 
 
-def _suite_center(state, report, curve: WeierstrassCurve, meet):
-    base = next(
-        (p for pair in state.pairs for p in pair.points if not p.is_infinite and all(p.to_affine())),
-        None,
+def _suite_center(state, report, curve: WeierstrassCurve, verdicts):
+    if not _paired_by_t(state, report, "center", curve):
+        return
+    base_pair, base = next(
+        ((pair, p) for pair in state.pairs for p in pair.points if not p.is_infinite and all(p.to_affine())),
+        (None, None),
     )
     if base is None:
         report.results.append(CheckResult("center", "chart base", "skipped", "no usable base point"))
@@ -228,19 +246,18 @@ def _suite_center(state, report, curve: WeierstrassCurve, meet):
     a_chart = chart_map.to_chart(base)
     expected = chart.gamma * a_chart[0]
 
-    def center_product(p):
-        product = involution_center_product(chart, a_chart, chart_map.to_chart(p)).product
+    def center_product(p, pbar):
+        product = involution_center_product(chart, a_chart, *map(chart_map.to_chart, (p, pbar))).product
         with lifted_digit_limit():  # a product that fails may be long
             return product == expected, f"product {product}"
 
-    # the chart sends x = 0 to infinity, and the product needs P apart from
-    # the base and its conjugate
-    off_domain = {base, conjugate_point(curve, base)}
+    # the chart sends x = 0 to infinity, and the product needs P and its
+    # partner apart from the base
     _run(report, "center", (
-        [(f"pair {k} point {m}", partial(center_product, p))]
+        [(f"pair {k} point {m}", partial(center_product, p, pair.other(p)))]
         for k, pair in enumerate(state.pairs)
+        if pair is not base_pair and all(q.coords[0] for q in pair.points)
         for m, p in enumerate(pair.points)
-        if p.coords[0] and p not in off_domain
     ))
 
 
@@ -257,60 +274,85 @@ def wanted_suites(names) -> set[str]:
     return set(SUITES) if "all" in names else set(names)
 
 
+def _verdict(cubic, chords: bool, pair) -> int:
+    """The pair's verdict byte.  Bit MEETS: tangent_meet finds the meet of
+    the pair's tangents on the cubic, so pair-tangents passes.  Bit
+    COLLINEAR, computed only for chords: chord_collinearity holds, so
+    chords passes.  A clear bit decides nothing: the suite computes in
+    full."""
+    meet = tangent_meet(cubic, *pair.points)
+    if meet is None:
+        return 0
+    return MEETS | (COLLINEAR if chords and chord_collinearity(*pair.points, meet) else 0)
+
+
 @contextmanager
-def _forked(compute):
-    """Run `compute` in a forked child where fork and a second CPU are
-    available, and yield a function that returns its result; yield None
-    when no child runs.  The child pickles the result into a pipe and
-    leaves by os._exit.  A child that fails leaves the pickle short, and
-    the function returns None.  On leaving the block the child is killed,
-    if it is still running, and reaped.  Tests replace this function to
-    keep the work in-process."""
+def _stream(verdict, pairs):
+    """Compute verdict(pair) for each of the pairs in a forked worker where
+    fork and a second CPU are available, and yield a function that returns,
+    without waiting, the bytes that have arrived since its last call: one
+    verdict byte per pair, in pair order.  With no worker, or one that has
+    died or stalls, it returns b"".  The worker writes to a pipe and leaves
+    by os._exit.  On leaving the block it is killed, if it is still
+    running, and reaped.  Tests replace this function to keep the work
+    in-process."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    if cpus < 2 or not hasattr(os, "fork"):
-        yield None
-        return
-    import pickle
-    import signal
-
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: compute in-process
-        os.close(read)
-        os.close(write)
-        yield None
+    pid, count = None, len(pairs)
+    if count and cpus > 1 and hasattr(os, "fork"):
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: compute in-process
+            os.close(read)
+            os.close(write)
+    if pid is None:
+        yield bytes
         return
     if pid == 0:
-        status = 1
         try:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                pickle.dump(compute(), pipe)
-            status = 0
+            for pair in pairs:
+                os.write(write, bytes((verdict(pair),)))
         finally:
             # never return into the caller's stack, nor flush its buffers
-            os._exit(status)
+            os._exit(0)
     os.close(write)
+    os.set_blocking(read, False)
 
-    def result():
-        with open(read, "rb", closefd=False) as pipe:
-            try:
-                return pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):  # a short read
-                return None
+    def arrived():
+        try:
+            return os.read(read, count)
+        except BlockingIOError:  # nothing new yet
+            return b""
 
     try:
-        yield result
+        yield arrived
     finally:
-        # until it is reaped, an exited child keeps its pid, so the kill
+        # until it is reaped, an exited worker keeps its pid, so the kill
         # cannot reach another process
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         os.close(read)
+
+
+def _gather(arrived, verdict, pairs) -> bytearray:
+    """Every pair's verdict byte: the worker's as they arrive, from pair 0
+    on, and the rest computed here by verdict(pair), from the last pair
+    back, reading what has arrived before each, until the two sides meet.
+    This process never waits: when nothing more arrives, it computes the
+    rest."""
+    verdicts = bytearray(len(pairs))
+    front, back = 0, len(pairs)
+    while front < back:
+        got = arrived()[:back - front]
+        verdicts[front:front + len(got)] = got
+        front += len(got)
+        if front < back:
+            back -= 1
+            verdicts[back] = verdict(pairs[back])
+    return verdicts
 
 
 def run_suites(
@@ -321,22 +363,15 @@ def run_suites(
     """Run the selected verification suites over a construction state, one
     after another in SUITES order.
 
-    The pairs' tangent meets may be computed in a forked worker (see
-    _forked) while the suites before pair-tangents and chords run; the
-    first of those two to run reads them all.  The output does not depend
-    on it: when the worker fails, the meets are computed in this process."""
+    pair-tangents and chords read each pair's verdict byte (see _verdict).
+    A forked worker (see _stream) may compute the bytes from pair 0 on
+    while the suites before them run; the first of the two to run gathers
+    them, computing the rest in this process (see _gather).  The output
+    does not depend on who computes which byte: a byte depends on its pair
+    alone, and a clear bit makes the suite compute in full."""
     wanted = wanted_suites(suites)
     report = VerificationReport([], [])
     cubic = curve.cubic if curve is not None else state.curve
-    # each pair's tangent meet, computed once per call; pair-tangents and
-    # chords share it, and whenever chords runs both take curve.cubic
-    memo = {}
-
-    def meet(pair):
-        if pair not in memo:
-            memo[pair] = tangent_meet(cubic, *pair.points)
-        return memo[pair]
-
     no_cubic, no_curve = "no unique curve available", "needs a Weierstrass model"
     # suite -> (function, model, detail when the model is missing; chasles
     # needs none), built at each call so that a wrapper installed on a suite
@@ -350,21 +385,19 @@ def run_suites(
         "chords": (_suite_chords, curve, no_curve),
     }
     runs = [(suite, *table[suite]) for suite in SUITES if suite in wanted]
-    # the suites that read the meets and have their model
+    # the suites that read the verdicts and have their model; whenever
+    # chords is one, cubic is curve.cubic
     readers = {"pair-tangents", "chords"}.intersection(
         suite for suite, _, model, _ in runs if model is not None
     )
-    with (
-        _forked(lambda: [tangent_meet(cubic, *pair.points) for pair in state.pairs])
-        if readers else nullcontext()
-    ) as meets:
+    verdict, verdicts = partial(_verdict, cubic, "chords" in readers), None
+    with _stream(verdict, state.pairs if readers else ()) as arrived:
         for suite, run_suite, model, missing in runs:
             report.suites.append(suite)
             if model is None and missing:
                 report.results.append(CheckResult(suite, "suite", "skipped", missing))
                 continue
-            if suite in readers and meets:
-                memo.update(zip(state.pairs, meets() or ()))
-                meets = None
-            run_suite(state, report, model, meet)
+            if suite in readers and verdicts is None:
+                verdicts = _gather(arrived, verdict, state.pairs)
+            run_suite(state, report, model, verdicts)
     return report

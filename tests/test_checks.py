@@ -5,6 +5,7 @@ import pytest
 from schroeter import checks, cubic
 from schroeter.checks import (
     chasles_check,
+    chord_collinearity,
     chord_tangency_check,
     conjugate_lines_check,
     tangent_by_involution,
@@ -187,8 +188,9 @@ class TestChordTangency:
         x, y, z = cubic.tangent_third(curve12.cubic, a).coords
         assert cubic.evaluate(curve12.cubic, ProjPoint((x, -y, z))) == 0
 
-    def test_evaluates_the_cubic_four_times_given_the_meet(self, monkeypatch, curve12):
-        # the pair's chord (4); without the meet, one tangential point (5) more
+    def test_given_the_meet_evaluates_no_cubic(self, monkeypatch, curve12):
+        # the fast test reuses tangent_meet's gradients; the full check
+        # evaluates the pair's chord (4) and one tangential point (5)
         a, abar = pt(1, 2), pt(2, -4)
         meet = tangent_meet(curve12.cubic, a, abar)
         calls = []
@@ -199,10 +201,10 @@ class TestChordTangency:
             return original(form, t)
 
         monkeypatch.setattr(cubic, "_eval_triple", counting)
-        assert chord_tangency_check(curve12, a, abar, tangential=meet)
-        assert len(calls) == 4
+        assert chord_collinearity(a, abar, meet)
+        assert len(calls) == 0
         assert chord_tangency_check(curve12, a, abar)
-        assert len(calls) == 4 + 9
+        assert len(calls) == 9
 
     @pytest.mark.parametrize(
         "a, b, p, shift",
@@ -219,9 +221,9 @@ class TestChordTangency:
         p = pt(*p)
         pbar = add(curve, p, pt(*shift))
         meet = tangent_meet(curve.cubic, p, pbar)
-        assert meet is not None
+        assert meet is not None and not chord_collinearity(p, pbar, meet)
         with pytest.raises(HypothesisFailed):
-            chord_tangency_check(curve, p, pbar, tangential=meet)
+            chord_tangency_check(curve, p, pbar)
 
 
 class TestPairTangentMeet:
@@ -239,7 +241,7 @@ class TestPairTangentMeet:
         form = self.form(prime - 1, prime - 1)
         assert cubic._eval_triple(form, self.M) == 0
         assert checks._dot(gradient(form, self.M), self.P.coords) == prime
-        assert tangent_meet(form, self.P, self.PBAR) == self.M
+        assert tangent_meet(form, self.P, self.PBAR)[0] == self.M
         assert ProjPoint(self.M) == cubic.tangent_third(form, self.P) == cubic.tangent_third(form, self.PBAR)
 
     def test_a_zero_dot_decides_nothing(self):
@@ -258,10 +260,10 @@ class TestPairTangentMeet:
     def test_the_meet_is_the_tangential_point_at_any_scale(self, curve12, k):
         a = multiply(curve12, k, pt(1, 2))
         abar = add(curve12, a, ProjPoint.of(0, 0, 1))
-        meet = tangent_meet(curve12.cubic, a, abar)
+        meet, ga, gabar = tangent_meet(curve12.cubic, a, abar)
         assert ProjPoint(meet) == cubic.tangent_third(curve12.cubic, a)
         for scale in (1, -1, 7):
-            assert chord_tangency_check(curve12, a, abar, tangential=tuple(scale * c for c in meet))
+            assert chord_collinearity(a, abar, (tuple(scale * c for c in meet), ga, gabar))
 
 
 class TestConjugateLines:

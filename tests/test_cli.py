@@ -225,9 +225,10 @@ class TestVerify:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
     def test_one_cpu_writes_the_same_report(self, tmp_path):
-        """Pinned to one CPU, verify computes the tangent meets in-process;
-        unpinned, on a machine with two or more, in a forked worker.  The
-        output and the verify report are the same bytes."""
+        """Pinned to one CPU, verify computes every pair's verdict byte
+        in-process; unpinned, on a machine with two or more, a forked
+        worker computes some of them.  The output and the verify report
+        are the same bytes."""
         seed = tmp_path / "curve12.json"
         args = ["--a", "1", "--b", "2", "--points", "1,2;2,4;1/16,23/64"]
         assert main(["seed-from-curve", *args, "--out", str(seed)]) == 0

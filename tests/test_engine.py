@@ -53,7 +53,6 @@ from schroeter.weierstrass import (
     NEUTRAL,
     TWO_TORSION,
     WeierstrassCurve,
-    chart_conjugate,
     conjugate_point,
     involution_center_product,
     neg,
@@ -244,9 +243,9 @@ class TestCombine:
             lambda: conjugate_pairs_from_quadrangle(far.first, pt(0, 0), pt(1, 0), pt(0, 1), far.first),
             lambda: WeierstrassCurve(huge, 0),
             lambda: chart_map.to_chart(ProjPoint((0, huge, 1))),
-            lambda: chart_conjugate(chart_map.chart, (huge, 1)),
-            lambda: involution_center_product(chart_map.chart, (huge, 1), (1, 1)),
-            lambda: involution_center_product(chart_map.chart, (1, 1), (huge, 1)),
+            lambda: involution_center_product(chart_map.chart, (huge, 1), (1, 1), (1, 1)),
+            lambda: involution_center_product(chart_map.chart, (1, 1), (huge, 1), (1, 1)),
+            lambda: involution_center_product(chart_map.chart, (1, 1), (1, 1), (huge, 1)),
             lambda: check_pair_differences(
                 SimpleNamespace(pairs=[PointPair.of(big, neg(curve12, big))]), curve12
             ),

@@ -10,8 +10,8 @@ import os
 import signal
 import time
 from collections import Counter
-from contextlib import nullcontext
-from itertools import permutations, product
+from contextlib import contextmanager, nullcontext
+from itertools import count, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -19,8 +19,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schroeter import checks, involution, verify
+from schroeter.checks import _dot as dot
 from schroeter.checks import _meets_on_curve, chasles_check
-from schroeter.cubic import Cubic, chord_third, evaluate
+from schroeter.cubic import Cubic, _chord_coefficients, chord_third, evaluate, gradient
 from schroeter.engine import PointPair, run, validate_seed
 from schroeter.errors import (
     HypothesisFailed,
@@ -39,9 +40,9 @@ from oracles import NotCollinear, chasles_reference, chord_tangency_reference, m
 
 @pytest.fixture
 def in_process(monkeypatch):
-    """Keep verify's tangent meets in this process, where a test sees each
+    """Keep verify's verdict bytes in this process, where a test sees each
     call, by starting no worker."""
-    monkeypatch.setattr(verify, "_forked", lambda compute: nullcontext())
+    monkeypatch.setattr(verify, "_stream", lambda verdict, pairs: nullcontext(bytes))
 
 
 def outcome_counts(report):
@@ -184,6 +185,20 @@ def test_swapped_partners_fail_the_tangent_suites(curve12, curve12_seed):
     ]
 
 
+def test_swapped_partners_fail_center(curve12, curve12_seed):
+    """center takes each point's partner in the run, so with the second
+    points of pairs 5 and 6 swapped, each point of those pairs fails.  The
+    chart's conjugate of the point would pass them."""
+    state = run(curve12_seed, max_points=64, curve=curve12.cubic)
+    pairs = list(state.pairs)
+    (a, abar), (b, bbar) = pairs[5].points, pairs[6].points
+    pairs[5], pairs[6] = PointPair.of(a, bbar), PointPair.of(b, abar)
+    report = run_suites(SimpleNamespace(pairs=pairs), suites=("center",), curve=curve12)
+    assert [r.name for r in report.results if r.status == "fail"] == [
+        f"pair {k} point {m}" for k in (5, 6) for m in (0, 1)
+    ]
+
+
 def test_swapped_partners_fail_lines(curve12, curve12_seed):
     """lines takes its base and test pairs from the first three pairs, so
     with the second points of pairs 1 and 2 swapped every check of a point
@@ -202,9 +217,9 @@ def test_swapped_partners_fail_lines(curve12, curve12_seed):
 
 def test_a_run_paired_by_another_point_of_order_two_skips_chords():
     """On y^2 = x(x + 6)(x + 12), a seed that pairs each P with P + T' for
-    T' = (-12 : 0 : 1) runs; chords, which checks pairs {P, P + T} for the
-    model's T = (0 : 0 : 1), records one skipped row naming T', not a
-    column of hypothesis-failed rows."""
+    T' = (-12 : 0 : 1) runs; chords and center, which check pairs
+    {P, P + T} for the model's T = (0 : 0 : 1), each record one skipped row
+    naming T', not a column of hypothesis-failed or fail rows."""
     curve = WeierstrassCurve(18, 72)
     t_prime = ProjPoint.affine(-12, 0)
     points = [ProjPoint.affine(-8, 8), ProjPoint.affine(-9, 9), ProjPoint.affine(6, 36)]
@@ -212,9 +227,10 @@ def test_a_run_paired_by_another_point_of_order_two_skips_chords():
     state = run(seed, max_points=64, curve=curve.cubic)
     assert state.point_count == 64
     report = run_suites(state, curve=curve)
-    assert report.to_json()["chords"] == [
-        ["suite", "skipped", "pair 0 differs by (12 : 0 : -1), not by T = (0 : 0 : 1)"]
-    ]
+    for suite in ("chords", "center"):
+        assert report.to_json()[suite] == [
+            ["suite", "skipped", "pair 0 differs by (12 : 0 : -1), not by T = (0 : 0 : 1)"]
+        ]
     assert report.ok and "hypothesis-failed" not in report.counts()
 
 
@@ -247,36 +263,46 @@ def test_fast_paths_match_the_full_computation(
         (run(torsion_seed_quadrilateral, curve=curve54.cubic), curve54),
         *_non_pairs(curve12, curve54),
     ]
-    fast = Counter()
-    meets = verify.tangent_meet
-
-    def counting(cubic, p, pbar):
-        meet = meets(cubic, p, pbar)
-        fast[meet is not None] += 1
-        return meet
-
+    # each pair's verdict byte: 3 (MEETS | COLLINEAR) where both fast tests
+    # decide, 1 (MEETS) where only tangent_meet does, 0 where neither
+    verdicts = [[verify._verdict(curve.cubic, True, pair) for pair in state.pairs] for state, curve in runs]
+    # every curve12 pair of the run but {O, T}; on the torsion pairs b or n
+    # is T; neither on the five curve12 non-pairs; on the curve54 pair and
+    # the shifted one only tangent_meet decides, their tangential points
+    # agreeing
+    assert [Counter(v) for v in verdicts[:3]] == [{3: 63, 0: 1}, {1: 3, 0: 1}, {1: 3}]
+    assert verdicts[3:] == [[3, 0, 0, 0, 0, 0], [1, 1]]
     full_chords = []
     tangential_point = checks.tangent_third
-    monkeypatch.setattr(verify, "tangent_meet", counting)
     monkeypatch.setattr(checks, "tangent_third", lambda c, p: full_chords.append(p) or tangential_point(c, p))
     rows = [_rows(state, curve) for state, curve in runs]
     statuses = {status for table in rows for _, _, status, _ in table}
     assert statuses == {"pass", "fail", "degenerate", "hypothesis-failed"}
-    # all pairs decide fast but {O, T} (in curve12@128 and the full torsion
-    # seed) and the five curve12 non-pairs
-    assert fast == {True: 63 + 3 + 3 + 1 + 1 + 1, False: 1 + 1 + 5}
-    # chords decides every curve12 pair fast; it computes the tangential
-    # point on the torsion pairs, where b or n is T, on the curve54 pair
-    # before the shifted one, and on the five + one non-pairs ({O, T} is a
-    # tangent chord, degenerate before either path)
-    assert len(full_chords) == 3 + 3 + 1 + 5 + 1
+    # chords computes in full exactly where COLLINEAR is clear, but on
+    # {O, T}, a tangent chord, degenerate before either path
+    assert len(full_chords) == 3 + 3 + 5 + 2
     monkeypatch.setattr(verify, "tangent_meet", lambda cubic, p, pbar: None)
     assert rows == [_rows(state, curve) for state, curve in runs]
-    monkeypatch.setattr(
-        verify, "chord_tangency_check",
-        lambda curve, a, abar, tangential: chord_tangency_reference(curve, a, abar),
-    )
+    monkeypatch.setattr(verify, "chord_tangency_check", chord_tangency_reference)
     assert rows == [_rows(state, curve) for state, curve in runs]
+
+
+# points on curve12's cubic and on a frame run's, and one off both
+CURVE_POINTS = [
+    (cubic, [*points, ProjPoint.of(3, 5, 7)]) for cubic, points in cubics_with_points()
+]
+
+
+@given(st.sampled_from(CURVE_POINTS).flatmap(lambda case: st.tuples(
+    st.just(case[0]), st.lists(st.sampled_from(case[1]), min_size=2, max_size=2, unique=True)
+)))
+def test_chord_coefficients_from_the_gradients(case):
+    """chord_collinearity's c2 = dF(a).abar and c1 = dF(abar).a are the
+    chord's (c2, c1) that _chord_coefficients finds by evaluating the
+    cubic four times."""
+    cubic, (a, abar) = case
+    _, c2, c1, _ = _chord_coefficients(cubic, a.coords, abar.coords)
+    assert (dot(gradient(cubic, a.coords), abar.coords), dot(gradient(cubic, abar.coords), a.coords)) == (c2, c1)
 
 
 def test_ruler_conjugate_draws_only_the_lines_it_uses(monkeypatch, curve12, curve12_seed):
@@ -310,7 +336,7 @@ def test_each_pair_meet_is_computed_once(monkeypatch, in_process, curve12, curve
     monkeypatch.setattr(verify, "tangent_meet", counting)
     run_suites(state, suites=("pair-tangents", "chords"), curve=curve12)
     assert calls == Counter(pair.points for pair in state.pairs)
-    # chords alone computes each meet it needs, again on every call
+    # chords alone computes every pair's verdict, again on every call
     calls.clear()
     run_suites(state, suites=("chords",), curve=curve12)
     run_suites(state, suites=("chords",), curve=curve12)
@@ -338,27 +364,54 @@ def forks(monkeypatch):
     return pids
 
 
+def _reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    return True
+
+
 @needs_fork
 def test_the_worker_gives_the_in_process_report(monkeypatch, forks, curve12, curve12_seed):
+    """Given the time, the worker computes every pair's verdict byte, and
+    this process computes none; the report is the in-process one."""
     state = run(curve12_seed, max_points=128, curve=curve12.cubic)
     # this process's calls; the worker's add to its own copy of the count
     calls = Counter()
     meets = verify.tangent_meet
     monkeypatch.setattr(verify, "tangent_meet", lambda cubic, p, pbar: calls.update([p]) or meets(cubic, p, pbar))
-    forked = run_suites(state, curve=curve12)
-    # the worker computed every meet
-    assert len(forks) == 1 and not calls
-    monkeypatch.setattr(verify, "_forked", lambda compute: nullcontext())
+    stream = verify._stream
+
+    @contextmanager
+    def patient(verdict, pairs):
+        """_stream, waiting for all the worker's bytes, as run_suites never does."""
+        with stream(verdict, pairs) as arrived:
+            got, deadline = b"", time.monotonic() + 60
+            while len(got) < len(pairs) and time.monotonic() < deadline:
+                got += arrived()
+                time.sleep(0.001)
+            chunks = iter([got])
+            yield lambda: next(chunks, b"")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_stream", patient)
+        forked = run_suites(state, curve=curve12)
+    assert len(forks) == 1 and not calls and _reaped(forks[0])
+    # unwaited, the worker and this process share the pairs
+    assert run_suites(state, curve=curve12) == forked
+    assert len(forks) == 2 and _reaped(forks[1])
+    monkeypatch.setattr(verify, "_stream", lambda verdict, pairs: nullcontext(bytes))
+    calls.clear()
     assert run_suites(state, curve=curve12) == forked
     assert sum(calls.values()) == len(state.pairs)
 
 
-def _in_the_worker(fault):
-    """tangent_meet, calling `fault` first in any process but this one."""
-    parent = os.getpid()
+def _in_the_worker(fault, after=0):
+    """tangent_meet, calling `fault` first from its call number `after` on
+    in any process but this one."""
+    parent, calls = os.getpid(), count()
 
     def tangent_meet(cubic, p, pbar):
-        if os.getpid() != parent:
+        if os.getpid() != parent and next(calls) >= after:
             fault()
         return checks.tangent_meet(cubic, p, pbar)
 
@@ -373,20 +426,25 @@ def _killed():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _stalled():
+    time.sleep(2)
+
+
 def _no_fork():
     raise OSError("no process to spare")
 
 
 @needs_fork
-@pytest.mark.parametrize("fault", ["raises", "killed", "fork fails", "one CPU"])
+@pytest.mark.parametrize("fault", ["raises", "killed", "stalls", "fork fails", "one CPU"])
 def test_a_failed_worker_changes_nothing(monkeypatch, forks, curve12, curve12_seed, fault):
-    """Whether the worker raises or dies mid-way, or none starts (fork
-    fails, or the platform has no affinity call and counts one CPU), the
-    parent computes the meets itself and the report is the in-process one."""
+    """Whether the worker raises or dies mid-way, or stalls for 2 s a pair,
+    or none starts (fork fails, or the platform has no affinity call and
+    counts one CPU), this process computes what has not arrived, without
+    waiting, and the report is the in-process one."""
     state = run(curve12_seed, max_points=64, curve=curve12.cubic)
     suites = ("pair-tangents", "chords")
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "_forked", lambda compute: nullcontext())
+        patch.setattr(verify, "_stream", lambda verdict, pairs: nullcontext(bytes))
         expected = run_suites(state, suites=suites, curve=curve12)
     if fault == "fork fails":
         monkeypatch.setattr(os, "fork", _no_fork)
@@ -394,13 +452,13 @@ def test_a_failed_worker_changes_nothing(monkeypatch, forks, curve12, curve12_se
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
     else:
-        monkeypatch.setattr(verify, "tangent_meet", _in_the_worker(_fault if fault == "raises" else _killed))
+        faults = {"raises": _fault, "killed": _killed, "stalls": _stalled}
+        monkeypatch.setattr(verify, "tangent_meet", _in_the_worker(faults[fault], after=0 if fault == "stalls" else 5))
+    started = time.perf_counter()
     assert run_suites(state, suites=suites, curve=curve12) == expected
-    assert len(forks) == (fault in ("raises", "killed"))
-
-
-def _stalled(cubic, p, pbar):
-    time.sleep(2)
+    assert time.perf_counter() - started < 2
+    assert len(forks) == (fault in ("raises", "killed", "stalls"))
+    assert all(map(_reaped, forks))
 
 
 def _interrupted(*args):
@@ -412,22 +470,38 @@ def _interrupted(*args):
 def test_no_worker_is_left_behind(monkeypatch, forks, curve12, curve12_seed, outcome):
     """After run_suites returns or raises, its worker has been reaped: it
     is no longer a child of this process.  When chasles raises, no suite
-    reads the meets, and the worker, which would take 2 s a pair, is killed
-    rather than awaited."""
+    reads the verdicts, and the worker, which would take 2 s a pair, is
+    killed rather than awaited."""
     state = run(curve12_seed, max_points=64, curve=curve12.cubic)
     if outcome == "returns":
         run_suites(state, curve=curve12)
     else:
-        monkeypatch.setattr(verify, "tangent_meet", _stalled)
+        monkeypatch.setattr(verify, "tangent_meet", _in_the_worker(_stalled))
         check, error = (_invalid, ValidationError) if outcome == "raises" else (_interrupted, KeyboardInterrupt)
         monkeypatch.setattr(verify, "chasles_check", check)
         started = time.perf_counter()
         with pytest.raises(error):
             run_suites(state, curve=curve12)
         assert time.perf_counter() - started < 2
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(forks[0], os.WNOHANG)
+    assert len(forks) == 1 and _reaped(forks[0])
+
+
+@pytest.mark.parametrize("chunks", [
+    [],
+    [b"\x00\x01\x02"],
+    [b"", b"\x00", b"", b"\x01\x02\x03\x04\x05\x06\x07"],
+    [bytes(range(8))],
+])
+def test_each_verdict_byte_lands_at_its_own_pair(chunks):
+    """_gather takes the worker's bytes, from pair 0 on, as they arrive,
+    and computes the others from the last pair back, each at its own
+    index, until the two sides meet: whatever arrives when, byte k is pair
+    k's.  Here the worker's byte and the computed one for pair k are both
+    k."""
+    arrivals, computed = iter(chunks), []
+    verdicts = verify._gather(lambda: next(arrivals, b""), lambda k: computed.append(k) or k, range(8))
+    assert verdicts == bytes(range(8))
+    assert computed == list(range(7, 7 - len(computed), -1))
 
 
 def _raising(name, order):
@@ -441,7 +515,7 @@ def _raising(name, order):
 @pytest.mark.parametrize("worker", [True, False])
 def test_the_first_raising_suite_in_serial_order_is_raised(monkeypatch, request, curve54, torsion_seed_full, worker):
     """lines comes before chords in SUITES, so its error is the one raised
-    and chords never starts, whether or not a worker computes the meets."""
+    and chords never starts, whether or not a worker computes the verdicts."""
     request.getfixturevalue("forks" if worker and hasattr(os, "fork") else "in_process")
     state = run(torsion_seed_full, curve=curve54.cubic)
     order = []
@@ -455,7 +529,7 @@ def test_the_first_raising_suite_in_serial_order_is_raised(monkeypatch, request,
 def test_each_suite_records_its_rows_inside_its_own_call(monkeypatch, curve54, torsion_seed_full):
     """A wrapper installed on `verify._suite_<name>`, as the benchmark's
     tracer installs one, is what `run_suites` calls, once per suite, in
-    SUITES order and with (state, report, model, meet), and the suite
+    SUITES order and with (state, report, model, verdicts), and the suite
     appends all its rows within that call."""
     state = run(torsion_seed_full, curve=curve54.cubic)
     per_suite = dict(Counter(r.suite for r in run_suites(state, curve=curve54).results))
@@ -463,9 +537,9 @@ def test_each_suite_records_its_rows_inside_its_own_call(monkeypatch, curve54, t
     calls, rows = [], Counter()
 
     def wrapping(suite, function):
-        def wrapper(state, report, model, meet):
+        def wrapper(state, report, model, verdicts):
             before = len(report.results)
-            result = function(state, report, model, meet)
+            result = function(state, report, model, verdicts)
             calls.append(suite)
             rows[suite] += len(report.results) - before
             return result
@@ -519,12 +593,6 @@ def test_check_names_are_pair_indices(verified, name):
     for suite in ("tangents", "lines"):
         assert by_suite[suite] == points[:len(by_suite[suite])]
     assert by_suite["center"] == [p for p in points if p in set(by_suite["center"])]
-
-
-# points on curve12's cubic and on a frame run's, and one off both
-HEXAGON_POINTS = [
-    (cubic, [*points, ProjPoint.of(3, 5, 7)]) for cubic, points in cubics_with_points()
-]
 
 
 class TestChaslesAgainstTheReference:
@@ -592,7 +660,7 @@ class TestChaslesAgainstTheReference:
                 hexagon = tuple(p for p, _ in members) + tuple(q for _, q in members)
                 assert self.agree(curve54.cubic, hexagon) is True
 
-    @given(st.sampled_from(HEXAGON_POINTS).flatmap(lambda case: st.tuples(
+    @given(st.sampled_from(CURVE_POINTS).flatmap(lambda case: st.tuples(
         st.just(case[0]), st.lists(st.sampled_from(case[1]), min_size=6, max_size=6)
     )))
     def test_random_hexagons(self, case):
@@ -641,7 +709,7 @@ class TestChaslesAgainstTheReference:
     def test_meets_at_a_vertex(self, curve12):
         """alpha = 0 or beta = 0: a side's meet is one of its vertices."""
         cubic = curve12.cubic
-        a, b, c, abar, bbar, cbar = HEXAGON_POINTS[0][1][2:8]
+        a, b, c, abar, bbar, cbar = CURVE_POINTS[0][1][2:8]
         for k, hexagon in (
             (0, (a, chord_third(cubic, abar, bbar), c, abar, bbar, cbar)),  # m1 = b
             (0, (chord_third(cubic, abar, bbar), b, c, abar, bbar, cbar)),  # m1 = a

@@ -20,7 +20,6 @@ from schroeter.weierstrass import (
     TWO_TORSION,
     WeierstrassCurve,
     add,
-    chart_conjugate,
     conjugate_point,
     involution_center_product,
     neg,
@@ -28,7 +27,7 @@ from schroeter.weierstrass import (
     to_abc_chart,
 )
 
-from oracles import conjugate_affine_form, from_chart, multiply
+from oracles import chart_conjugate, conjugate_affine_form, from_chart, multiply
 
 
 def pt(x, y):
@@ -208,7 +207,7 @@ class TestChart:
 class TestCenterProduct:
     def test_golden_instance(self, curve12):
         chart = to_abc_chart(curve12, pt(1, 2)).chart
-        result = involution_center_product(chart, (1, 1), (16, Fraction(23, 8)))
+        result = involution_center_product(chart, (1, 1), (16, Fraction(23, 8)), (Fraction(1, 32), Fraction(-23, 8)))
         assert result.center == (0, 1)
         assert result.s_p == Fraction(-1, 8)
         assert result.s_pbar == -4
@@ -217,7 +216,7 @@ class TestCenterProduct:
     def test_degenerate_direction(self, curve12):
         chart = to_abc_chart(curve12, pt(1, 2)).chart
         with pytest.raises(DegenerateDirection):
-            involution_center_product(chart, (1, 1), (Fraction(1, 2), 1))
+            involution_center_product(chart, (1, 1), (Fraction(1, 2), 1), (1, -1))
 
     def test_product_independent_of_point(self, curve12):
         cm = to_abc_chart(curve12, pt(1, 2))
@@ -230,7 +229,7 @@ class TestCenterProduct:
                 continue
             cp = cm.to_chart(p)
             try:
-                result = involution_center_product(chart, (1, 1), cp)
+                result = involution_center_product(chart, (1, 1), cp, chart_conjugate(chart, cp))
             except (DegenerateDirection, ValidationError, ZeroDenominator):
                 continue
             assert result.product == chart.gamma
