@@ -40,6 +40,11 @@ from oracles import (
 
 TWISTED = Cubic.of([1, 0, 0, 0, 0, 0, 0, 0, -1, 0])  # x^3 = y z^2
 W12 = WeierstrassCurve(1, 2)
+# the families through the bootstrap pools of the two seeds that leave a pencil
+POOL_BASES = {
+    "torsion_seed_full": [(1, 0, 5, 0, 0, 4, 0, -1, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0, -4, 0)],
+    "pencil_seed": [(0, 1, -1, -1, 0, 1, 0, 0, 0, 0), (0, 4, 0, -4, 12, 0, 0, -9, -3, 0)],
+}
 
 
 # integers with zero, small ones and ones of up to about 100 digits
@@ -128,7 +133,11 @@ class TestFit:
     def check_family(points):
         """The family through the points: each basis cubic vanishes at every
         point, and the independent basis has 10 - rank cubics, the rank
-        that of the points' rows of the ten cubic monomials."""
+        that of the points' rows of the ten cubic monomials.  The basis is
+        the one reduced form of the family: along it, each cubic's last
+        nonzero coefficient sits at a strictly later column, where every
+        other basis cubic is zero; `Cubic` fixes each one's scale.  So it
+        does not depend on the order of the points."""
         basis = cubic_family_through(points)
         monomials = [
             [x**i * y**j * z ** (3 - i - j) for i in range(4) for j in range(4 - i)]
@@ -136,6 +145,10 @@ class TestFit:
         ]
         assert len(basis) == 10 - rank(monomials) == rank([c.coeffs for c in basis])
         assert all(evaluate(c, p) == 0 for c in basis for p in points)
+        lasts = [max(k for k, a in enumerate(c.coeffs) if a) for c in basis]
+        assert lasts == sorted(set(lasts))
+        assert all(d.coeffs[k] == 0 for c, k in zip(basis, lasts) for d in basis if d != c)
+        assert cubic_family_through(points[::-1]) == basis
         return basis
 
     @given(st.lists(st.tuples(*[st.integers(-5, 5)] * 3).filter(any), min_size=1, max_size=12))
@@ -148,9 +161,13 @@ class TestFit:
     )
     def test_family_through_a_bootstrap_pool(self, request, seed, size):
         """The engine keeps no check that the bootstrap points are on the
-        family fitted through them: this is that check."""
+        family fitted through them: this is that check.  The pencils' bases
+        are pinned."""
         state = run(request.getfixturevalue(seed), max_generations=0)
-        assert len(self.check_family([p for pair in state.pairs for p in pair.points])) == size
+        family = self.check_family([p for pair in state.pairs for p in pair.points])
+        assert len(family) == size
+        if seed in POOL_BASES:
+            assert [c.coeffs for c in family] == POOL_BASES[seed]
 
 
 class TestTangent:
