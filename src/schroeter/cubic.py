@@ -7,7 +7,6 @@ root-finding, so everything stays in exact rational arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
@@ -144,69 +143,54 @@ def chord_third(cubic: Cubic, p: ProjPoint, q: ProjPoint) -> ProjPoint:
 
 # --- fitting ------------------------------------------------------------
 
-def _monomial_row(point: ProjPoint):
-    x, y, z = point.coords
-    return [
-        x * x * x, x * x * y, x * x * z, x * y * y, x * y * z,
-        x * z * z, y * y * y, y * y * z, y * z * z, z * z * z,
-    ]
+def narrow(basis: tuple[Cubic, ...], values) -> tuple[Cubic, ...]:
+    """The cubics of the family spanned by `basis` through a point, given
+    `values`, each basis cubic's value there.
 
-
-def _nullspace_basis(rows):
-    """Exact nullspace basis of an integer matrix with 10 columns.
-
-    Fraction-free (Bareiss) forward elimination, then Fraction
-    back-substitution per free column; each vector is canonicalized.
+    With c_p the first basis cubic that misses the point, the narrowed
+    family is spanned by v_p c_i - v_i c_p (i != p); `basis` comes back
+    unchanged when none misses.  Pivoting on the first one keeps a basis in
+    reduced form, as the ten monomials are: along the basis, each cubic's
+    last nonzero coefficient sits at a strictly later column, where every
+    other basis cubic is zero.  c_p is zero at the later cubics' columns,
+    and the earlier ones do not miss, so they are only rescaled.  A family
+    has one basis in reduced form up to the scale of each cubic, which
+    `Cubic` fixes, so the basis does not depend on the order of the points.
     """
-    m = [list(r) for r in rows]
-    piv_cols: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(10):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, len(m)):
-            for j in range(c + 1, 10):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        piv_cols.append(c)
-        r += 1
-    basis = []
-    for free in (c for c in range(10) if c not in piv_cols):
-        sol = [Fraction(0)] * 10
-        sol[free] = Fraction(1)
-        for i in reversed(range(len(piv_cols))):
-            pc = piv_cols[i]
-            if pc > free:
-                continue
-            s = sum((m[i][j] * sol[j] for j in range(pc + 1, 10)), Fraction(0))
-            sol[pc] = -s / m[i][pc]
-        basis.append(Cubic.of(sol))
-    return basis
+    p = next((i for i, v in enumerate(values) if v), None)
+    if p is None:
+        return basis
+    vp, cp = values[p], basis[p].coeffs
+    return tuple(
+        Cubic.of([vp * a - v * b for a, b in zip(c.coeffs, cp)])
+        for i, (c, v) in enumerate(zip(basis, values))
+        if i != p
+    )
 
 
 def cubic_family_through(points) -> tuple[Cubic, ...]:
-    """Basis of the linear family of cubics through the given points."""
-    rows = [_monomial_row(p) for p in dict.fromkeys(points)]
-    return tuple(_nullspace_basis(rows))
+    """Basis of the linear family of cubics through the given points: the
+    ten monomials, narrowed by each point in turn (a repeated point
+    narrows nothing)."""
+    basis = tuple(Cubic.of([int(i == k) for i in range(10)]) for k in range(10))
+    for point in points:
+        basis = narrow(basis, [evaluate(c, point) for c in basis])
+    return basis
 
 
 def fit_cubic_9(points) -> Cubic:
     """The unique cubic through 9 points in general position.
 
-    Raises AmbiguousFit when the incidence matrix has rank below 9.  Some
-    cubic always passes: 9 rows in 10 unknowns leave a nullspace of
-    dimension at least 1.
+    Raises AmbiguousFit when the cubics through them form a larger family.
+    Some cubic always passes: each point narrows the ten-dimensional space
+    of cubics by at most one dimension.
     """
     points = list(points)
     if len(points) != 9:
         raise ValueError(f"need exactly 9 points, got {len(points)}")
     if len(set(points)) != 9:
         raise DuplicatePoints("the 9 points must be pairwise distinct")
-    basis = _nullspace_basis([_monomial_row(p) for p in points])
+    basis = cubic_family_through(points)
     if len(basis) > 1:
         raise AmbiguousFit(f"cubics through the points form a {len(basis)}-dimensional family")
     return basis[0]

@@ -40,7 +40,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
-from .cubic import Cubic, cubic_family_through, evaluate
+from .cubic import Cubic, cubic_family_through, evaluate, narrow
 from .errors import (
     CompleteQuadrilateral,
     DegenerateLines,
@@ -528,7 +528,7 @@ def run(
             rows.append(Attempt(n, i, j, "duplicate", k))
             return "duplicate"
         for point in child.points:
-            narrow(point)
+            keep_through(point)
         rows.append(Attempt(n, i, j, "new", ws.admit(child, label)))
         return "new"
 
@@ -547,22 +547,20 @@ def run(
         known = ws.index_of_label
         return [(s, child) for s, child in enumerate(children) if child not in known]
 
-    def narrow(point: ProjPoint):
+    def keep_through(point: ProjPoint):
         """Keep the cubics of the family through a constructed point.
 
         Each distinct cubic, the supplied curve included, is evaluated once.
         A point off the supplied curve, or off the family's only cubic, is
-        an invariant violation.  A point that misses the basis cubic c_p
-        narrows the family to the span of v_p c_i - v_i c_p (i != p), with
-        v_i the value of c_i at the point.  The bootstrap children are not
-        checked here: the family is fitted through them.
+        an invariant violation.  A point that misses a member narrows the
+        family by `cubic.narrow`.  The bootstrap children are not checked
+        here: the family is fitted through them.
         """
         nonlocal basis
         if not basis:
             return
         values = {c: evaluate(c, point) for c in dict.fromkeys((*basis, curve)) if c is not None}
-        missed = next((c for c in basis if values[c]), None)
-        if (curve is not None and values[curve]) or (missed is not None and len(basis) == 1):
+        if (curve is not None and values[curve]) or (len(basis) == 1 and values[basis[0]]):
             # A validated seed gets here through a supplied curve that holds
             # the bootstrap points but is not the construction cubic: the
             # pencil seed with either cubic of its pencil basis
@@ -572,13 +570,7 @@ def run(
             raise InvariantViolation(
                 f"constructed point {brief(point)} is off the construction cubic"
             )
-        if missed is not None:
-            vp, cp = values[missed], missed.coeffs
-            basis = tuple(
-                Cubic.of([vp * a - values[c] * b for a, b in zip(c.coeffs, cp)])
-                for c in basis
-                if c != missed
-            )
+        basis = narrow(basis, [values[c] for c in basis])
 
     @lifted_digit_limit()  # for `digits`, the decimal length of a coordinate
     def close(pending: int, attempted: int, first_row: int, first_pair: int):
@@ -604,7 +596,7 @@ def run(
             attempt(n, i, j, label)
     close(3, 3, 0, 0)  # the seed pairs count as made in generation 0
 
-    # The family is the exact nullspace of the pool's rows: no pool point misses it.
+    # The family is fitted through the pool: no pool point misses it.
     pool = [p for pair in ws.pairs for p in pair.points]
     basis = cubic_family_through(pool)
     if not basis:

@@ -8,7 +8,7 @@ import sys
 from contextlib import contextmanager
 
 # CPython's limit on int/str conversion in base 10: 0 while lifted, and
-# always 0 before Python 3.11, which has none
+# always 0 on an interpreter that has none, such as CPython before 3.10.7
 digit_limit = getattr(sys, "get_int_max_str_digits", int)
 
 

@@ -215,21 +215,26 @@ def test_swapped_partners_fail_lines(curve12, curve12_seed):
     }
 
 
-def test_a_run_paired_by_another_point_of_order_two_skips_chords():
+@pytest.mark.parametrize("shift, starts, differs", [
+    pytest.param((-12, 0), [(-8, 8), (-9, 9), (6, 36)], "(12 : 0 : -1)", id="T-prime"),
+    pytest.param((-6, 0), [(-8, -8), (-8, 8), (-9, -9)], "(6 : 0 : -1)", id="T-double-prime"),
+])
+def test_a_run_paired_by_another_point_of_order_two_skips_chords(shift, starts, differs):
     """On y^2 = x(x + 6)(x + 12), a seed that pairs each P with P + T' for
-    T' = (-12 : 0 : 1) runs; chords and center, which check pairs
-    {P, P + T} for the model's T = (0 : 0 : 1), each record one skipped row
-    naming T', not a column of hypothesis-failed or fail rows."""
+    T' = (-12 : 0 : 1), or with P + T'' for T'' = (-6 : 0 : 1), runs;
+    chords and center, which check pairs {P, P + T} for the model's
+    T = (0 : 0 : 1), each record one skipped row naming the pairing, not a
+    column of hypothesis-failed or fail rows."""
     curve = WeierstrassCurve(18, 72)
-    t_prime = ProjPoint.affine(-12, 0)
-    points = [ProjPoint.affine(-8, 8), ProjPoint.affine(-9, 9), ProjPoint.affine(6, 36)]
-    seed = validate_seed(*(PointPair.of(p, add(curve, p, t_prime)) for p in points))
+    t_other = ProjPoint.affine(*shift)
+    points = [ProjPoint.affine(*xy) for xy in starts]
+    seed = validate_seed(*(PointPair.of(p, add(curve, p, t_other)) for p in points))
     state = run(seed, max_points=64, curve=curve.cubic)
     assert state.point_count == 64
     report = run_suites(state, curve=curve)
     for suite in ("chords", "center"):
         assert report.to_json()[suite] == [
-            ["suite", "skipped", "pair 0 differs by (12 : 0 : -1), not by T = (0 : 0 : 1)"]
+            ["suite", "skipped", f"pair 0 differs by {differs}, not by T = (0 : 0 : 1)"]
         ]
     assert report.ok and "hypothesis-failed" not in report.counts()
 
